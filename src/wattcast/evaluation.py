@@ -20,6 +20,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -87,7 +88,12 @@ def metrics(actual, predicted, train_targets) -> Metrics:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological split: the train prefix holds floor(fraction * n) rows."""
+    """Chronological split: the train prefix holds floor(fraction * n) rows.
+
+    The product is taken exactly on the fraction as written (its shortest
+    repr), so 0.29 of 100 rows is 29, not the 28 that binary floating point
+    gives.
+    """
 
     train_fraction: float
 
@@ -96,7 +102,7 @@ class SplitSpec:
             raise ConfigError(f"train fraction must be in (0, 1), got {self.train_fraction}")
 
     def train_length(self, n: int) -> int:
-        n_train = int(math.floor(self.train_fraction * n))
+        n_train = math.floor(Fraction(repr(float(self.train_fraction))) * n)
         if n_train < 1 or n_train >= n:
             raise InsufficientTest(
                 f"fraction {self.train_fraction} of {n} rows leaves no usable split")

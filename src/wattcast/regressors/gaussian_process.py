@@ -81,7 +81,7 @@ class GpModel(ForecastModel):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.standardize:
             X = apply_scaler(self.x_scaler_, X)
-        mean, _ = self._posterior(X)
+        mean = self._kernel(X, self.X_) @ self.alpha_
         if self.standardize:
             mean = mean * self.y_scaler_.scale + self.y_scaler_.mean
         return mean

@@ -8,6 +8,16 @@ so a fit is reproducible from ``(seed, row order)``.
 After every epoch the RMSE over the whole training set is measured; if it
 rose, the epoch is rolled back and the learning rate halved, which makes
 the recorded loss curve non-increasing by construction.
+
+Training keeps every weight in one flat float64 vector laid out as
+``[W_aug = [w_in | b_in] (h x (p+1)), w_out (h), b_out (1)]``; the momentum
+velocity and the per-row gradient share that layout, and the standardized
+inputs carry an appended ones column, so one outer product yields both
+input-layer gradients and a row update is a fixed handful of in-place numpy
+calls. The contract is that a fit is bitwise-identical to per-sample SGD in
+row order: each weight sees the same floating-point operations in the same
+order as the plain per-array loop. After ``fit`` the weights are published
+as contiguous ``w_in_``, ``b_in_``, ``w_out_`` and a float ``b_out_``.
 """
 
 from __future__ import annotations
@@ -83,52 +93,64 @@ class MlpModel(ForecastModel):
             self.y_scaler_ = fit_scaler(y)
             X = apply_scaler(self.x_scaler_, X)
             y = apply_scaler(self.y_scaler_, y)
+        X = np.ascontiguousarray(X, dtype=float)
         n, n_feat = X.shape
         h = self.hidden if self.hidden is not None else default_hidden(n_feat)
+        X_aug = np.hstack([X, np.ones((n, 1))])
+
+        # packed layout as in the module docstring; vel and grad share it
+        size = h * (n_feat + 1)
+        theta = np.empty(size + h + 1)
+        vel = np.zeros_like(theta)
+        grad = np.empty_like(theta)
+        W = theta[:size].reshape(h, n_feat + 1)
+        w_in, b_in, w_out = W[:, :n_feat], W[:, n_feat], theta[size:-1]
+        g_W, g_out = grad[:size].reshape(h, n_feat + 1), grad[size:-1]
 
         rng = np.random.default_rng(self.seed)
-        self.w_in_ = rng.uniform(-0.5, 0.5, size=(h, n_feat))
-        self.b_in_ = rng.uniform(-0.5, 0.5, size=h)
-        self.w_out_ = rng.uniform(-0.5, 0.5, size=h)
-        self.b_out_ = float(rng.uniform(-0.5, 0.5))
+        w_in[:] = rng.uniform(-0.5, 0.5, size=(h, n_feat))
+        b_in[:] = rng.uniform(-0.5, 0.5, size=h)
+        w_out[:] = rng.uniform(-0.5, 0.5, size=h)
+        theta[-1] = rng.uniform(-0.5, 0.5)
+        self._publish(w_in, b_in, w_out, theta)
 
-        v_w_in = np.zeros_like(self.w_in_)
-        v_b_in = np.zeros_like(self.b_in_)
-        v_w_out = np.zeros_like(self.w_out_)
-        v_b_out = 0.0
-
-        lr = self.lr
+        z, act, delta, slope = (np.empty(h) for _ in range(4))
+        delta_col = delta[:, None]
+        dot, multiply, subtract = np.dot, np.multiply, np.subtract
+        lr, momentum = self.lr, self.momentum
+        rows = list(zip(X, X_aug, y.tolist()))
         prev_loss = self._rmse(X, y)
         curve = [prev_loss]
         for epoch in range(self.epochs):
-            snapshot = (self.w_in_.copy(), self.b_in_.copy(),
-                        self.w_out_.copy(), self.b_out_)
-            for x_row, target in zip(X, y):
-                z_hidden = self.w_in_ @ x_row + self.b_in_
-                hidden_act = expit(z_hidden)
-                err = self.w_out_ @ hidden_act + self.b_out_ - target
-                delta = err * self.w_out_ * hidden_act * (1.0 - hidden_act)
+            snapshot = theta.copy()
+            for x_row, x_aug, target in rows:
+                dot(w_in, x_row, out=z)
+                z += b_in
+                expit(z, out=act)
+                err = float(dot(w_out, act)) + theta.item(-1) - target
+                multiply(w_out, err, out=delta)
+                delta *= act
+                subtract(1.0, act, out=slope)
+                delta *= slope
+                step = lr * err
+                multiply(act, step, out=g_out)
+                grad[-1] = step
+                multiply(delta_col, x_aug, out=g_W)
+                g_W *= lr
+                vel *= momentum
+                vel -= grad
+                theta += vel
 
-                v_w_out = self.momentum * v_w_out - lr * err * hidden_act
-                v_b_out = self.momentum * v_b_out - lr * err
-                v_w_in = self.momentum * v_w_in - lr * np.outer(delta, x_row)
-                v_b_in = self.momentum * v_b_in - lr * delta
-                self.w_out_ += v_w_out
-                self.b_out_ += v_b_out
-                self.w_in_ += v_w_in
-                self.b_in_ += v_b_in
-
+            self._publish(w_in, b_in, w_out, theta)
             loss = self._rmse(X, y)
             if not np.isfinite(loss):
                 raise DivergedLoss(
                     f"training loss became non-finite at epoch {epoch} (lr={lr:g})")
             if loss > prev_loss:
                 # roll the epoch back and retry more cautiously
-                self.w_in_, self.b_in_, self.w_out_, self.b_out_ = snapshot
-                v_w_in[:] = 0.0
-                v_b_in[:] = 0.0
-                v_w_out[:] = 0.0
-                v_b_out = 0.0
+                theta[:] = snapshot
+                vel[:] = 0.0
+                self._publish(w_in, b_in, w_out, theta)
                 lr *= 0.5
                 curve.append(prev_loss)
             else:
@@ -139,6 +161,13 @@ class MlpModel(ForecastModel):
         self.final_lr_ = lr
         self._remember_frame(frame)
         return self
+
+    def _publish(self, w_in, b_in, w_out, theta) -> None:
+        """Expose the packed weights as contiguous arrays for ``_forward``."""
+        self.w_in_ = w_in.copy()
+        self.b_in_ = b_in.copy()
+        self.w_out_ = w_out.copy()
+        self.b_out_ = float(theta[-1])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -126,7 +126,6 @@ class SvrModel(ForecastModel):
         self.support_ = np.flatnonzero(support)
         self.support_vectors_ = X[support]
         self.dual_coef_ = beta[support]
-        self._train_X_ = X
         if not converged:
             warnings.warn(
                 f"SVR stopped after {iterations} iterations with KKT gap above "

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ class TestSplitSpec:
         assert SplitSpec(0.8).train_length(10) == 8
         assert SplitSpec(0.7).train_length(10) == 7
         assert SplitSpec(0.75).train_length(10) == 7
+
+    def test_train_length_is_exact_in_decimal(self):
+        # 0.29 * 100 is 28.999999999999996 in binary floating point
+        assert SplitSpec(0.29).train_length(100) == 29
+        for k in range(10, 91):
+            fraction = k / 100
+            for n in (7, 100, 240, 1095, 2000, 9999):
+                expected = Fraction(k, 100) * n
+                if 1 <= expected < n:
+                    assert SplitSpec(fraction).train_length(n) == math.floor(expected)
 
     def test_degenerate_fraction_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.spatial.distance import cdist
 
 from wattcast.errors import (
@@ -19,7 +20,8 @@ from wattcast.regressors import (
     default_hidden,
     dual_objective,
 )
-from wattcast.transform import SupervisedFrame
+from wattcast.synthetic import household_series
+from wattcast.transform import SupervisedFrame, apply_scaler, fit_scaler, lag_embed
 
 
 def make_frame(X, y, lag_order=None):
@@ -169,6 +171,18 @@ class TestGp:
     def test_rejects_zero_noise(self):
         with pytest.raises(ValueError):
             GpModel(noise_var=0.0)
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_batch_mean_equals_posterior_mean(self, standardize):
+        rng = np.random.default_rng(16)
+        frame = random_frame(rng, n=40, p=4)
+        model = GpModel(standardize=standardize).fit(frame)
+        probe = rng.normal(size=(9, frame.n_features))
+        scaled = apply_scaler(model.x_scaler_, probe) if standardize else probe
+        mean, _ = model._posterior(scaled)
+        if standardize:
+            mean = mean * model.y_scaler_.scale + model.y_scaler_.mean
+        assert model.predict_batch(probe).tobytes() == mean.tobytes()
 
 
 def project_box_hyperplane(v, z, box):
@@ -349,6 +363,113 @@ class TestMlp:
         b = MlpModel(epochs=20, seed=9).fit(frame)
         assert np.array_equal(a.w_in_, b.w_in_)
         assert np.array_equal(a.w_out_, b.w_out_)
+
+
+def _reference_fit(self, frame):
+    """Per-sample SGD with one array per weight block: the oracle for MlpModel.fit."""
+    X, y = frame.X, frame.y
+    if self.standardize:
+        self.x_scaler_ = fit_scaler(X)
+        self.y_scaler_ = fit_scaler(y)
+        X = apply_scaler(self.x_scaler_, X)
+        y = apply_scaler(self.y_scaler_, y)
+    n, n_feat = X.shape
+    h = self.hidden if self.hidden is not None else default_hidden(n_feat)
+
+    rng = np.random.default_rng(self.seed)
+    self.w_in_ = rng.uniform(-0.5, 0.5, size=(h, n_feat))
+    self.b_in_ = rng.uniform(-0.5, 0.5, size=h)
+    self.w_out_ = rng.uniform(-0.5, 0.5, size=h)
+    self.b_out_ = float(rng.uniform(-0.5, 0.5))
+
+    v_w_in = np.zeros_like(self.w_in_)
+    v_b_in = np.zeros_like(self.b_in_)
+    v_w_out = np.zeros_like(self.w_out_)
+    v_b_out = 0.0
+
+    lr = self.lr
+    prev_loss = self._rmse(X, y)
+    curve = [prev_loss]
+    for epoch in range(self.epochs):
+        snapshot = (self.w_in_.copy(), self.b_in_.copy(),
+                    self.w_out_.copy(), self.b_out_)
+        for x_row, target in zip(X, y):
+            z_hidden = self.w_in_ @ x_row + self.b_in_
+            hidden_act = expit(z_hidden)
+            err = self.w_out_ @ hidden_act + self.b_out_ - target
+            delta = err * self.w_out_ * hidden_act * (1.0 - hidden_act)
+
+            v_w_out = self.momentum * v_w_out - lr * err * hidden_act
+            v_b_out = self.momentum * v_b_out - lr * err
+            v_w_in = self.momentum * v_w_in - lr * np.outer(delta, x_row)
+            v_b_in = self.momentum * v_b_in - lr * delta
+            self.w_out_ += v_w_out
+            self.b_out_ += v_b_out
+            self.w_in_ += v_w_in
+            self.b_in_ += v_b_in
+
+        loss = self._rmse(X, y)
+        if not np.isfinite(loss):
+            raise DivergedLoss(
+                f"training loss became non-finite at epoch {epoch} (lr={lr:g})")
+        if loss > prev_loss:
+            # roll the epoch back and retry more cautiously
+            self.w_in_, self.b_in_, self.w_out_, self.b_out_ = snapshot
+            v_w_in[:] = 0.0
+            v_b_in[:] = 0.0
+            v_w_out[:] = 0.0
+            v_b_out = 0.0
+            lr *= 0.5
+            curve.append(prev_loss)
+        else:
+            prev_loss = loss
+            curve.append(loss)
+
+    self.loss_curve_ = np.asarray(curve)
+    self.final_lr_ = lr
+    return self
+
+
+def _exog_frame():
+    rng = np.random.default_rng(28)
+    X = rng.normal(size=(80, 6))
+    y = X[:, :4] @ rng.normal(size=4) + 0.5 * X[:, 4] * X[:, 5]
+    return make_frame(X, y, lag_order=4)  # 4 lags + 2 exogenous columns
+
+
+def _household_frame():
+    return lag_embed(household_series(340, seed=2), 24)
+
+
+class TestMlpMatchesReferenceLoop:
+    CASES = {
+        "default_width_p24": (_household_frame, dict(epochs=12, seed=1)),
+        "hidden_1": (_household_frame, dict(hidden=1, epochs=12, seed=2)),
+        "exogenous": (_exog_frame, dict(epochs=25, seed=3)),
+        "raw_units": (_exog_frame, dict(epochs=25, seed=4, lr=0.01,
+                                        standardize=False)),
+        "no_momentum": (_exog_frame, dict(epochs=25, seed=5, momentum=0.0)),
+        "rollbacks": (_household_frame, dict(epochs=12, seed=1, lr=0.6)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_reference(self, case):
+        make, params = self.CASES[case]
+        frame = make()
+        fitted = MlpModel(**params).fit(frame)
+        expected = _reference_fit(MlpModel(**params), frame)
+        for name in ("w_in_", "b_in_", "w_out_", "loss_curve_"):
+            assert getattr(fitted, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert np.float64(fitted.b_out_).tobytes() == np.float64(expected.b_out_).tobytes()
+        assert np.float64(fitted.final_lr_).tobytes() == np.float64(expected.final_lr_).tobytes()
+        assert fitted.w_in_.flags.c_contiguous and fitted.b_in_.flags.c_contiguous
+        if case == "rollbacks":
+            assert fitted.final_lr_ < params["lr"]
+
+    def test_default_case_shape(self):
+        frame = _household_frame()
+        assert frame.n_features == 24 and frame.n_samples >= 300
+        assert MlpModel(epochs=0).fit(frame).w_in_.shape == (default_hidden(24), 24)
 
 
 class TestPredictSeries:
