@@ -468,7 +468,7 @@ def _run_cell(cell):
     try:
         return evaluate(spec, dataset, split, p=p, horizon=horizon, mode=mode,
                         dataset_name=dataset_key)
-    except WattcastError as exc:
+    except Exception as exc:  # any model fault fails its own cell, not the sweep
         _, tvals, _, _ = _target_layout(dataset)
         interval = dataset.interval if hasattr(dataset, "interval") else float("nan")
         n = tvals.size

@@ -41,8 +41,12 @@ class GpModel(ForecastModel):
         self.standardize = standardize
 
     def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        sq = cdist(A, B, "sqeuclidean")
-        return self.signal_var * np.exp(-sq / (2.0 * self.length_scale ** 2))
+        K = cdist(A, B, "sqeuclidean")
+        np.negative(K, out=K)
+        K /= 2.0 * self.length_scale ** 2
+        np.exp(K, out=K)
+        K *= self.signal_var
+        return K
 
     def fit(self, frame: SupervisedFrame) -> "GpModel":
         X, y = frame.X, frame.y
@@ -52,11 +56,15 @@ class GpModel(ForecastModel):
             X = apply_scaler(self.x_scaler_, X)
             y = apply_scaler(self.y_scaler_, y)
         K = self._kernel(X, X)
+        n = K.shape[0]
         scale = self.signal_var + self.noise_var
         for jitter in _JITTER_LADDER:
-            noisy = K + (self.noise_var + jitter * scale) * np.eye(K.shape[0])
+            noisy = K.copy()
+            noisy.flat[::n + 1] += self.noise_var + jitter * scale
             try:
-                factor = cho_factor(noisy, lower=True)
+                # noisy is symmetric, so its transpose is the same matrix in
+                # Fortran order, which LAPACK factors in place
+                factor = cho_factor(noisy.T, lower=True, overwrite_a=True)
                 break
             except np.linalg.LinAlgError:
                 continue

@@ -13,6 +13,17 @@ gradient in O(n). Training stops when the KKT gap drops below ``tol``;
 hitting ``max_iter`` first leaves ``converged_`` False and keeps the best
 iterate found. The bias is the midpoint of the final KKT bounds.
 
+The solver keeps the KKT score ``-z * gradient`` itself up to date: it
+starts at ``[y - eps; eps + y]`` and each step subtracts the same
+``step * (K[i] - K[j])`` from both halves, reading contiguous rows of K,
+which is symmetric bit for bit. Membership in the up and low sets lives in
+two offset vectors holding 0 or -inf (up) and 0 or +inf (low); a step
+changes only its two entries, and the pair is the first argmax of
+``score + off_up`` and the first argmin of ``score + off_low``. The
+iterates, the iteration count, the bias and the convergence flag are
+bitwise-identical to recomputing the score and both masks on every
+iteration; ``tests/test_regressors.py`` keeps that loop as its oracle.
+
 Targets (and inputs) are standardized with train-only statistics by
 default, so ``epsilon`` is expressed in standard deviations of the target.
 """
@@ -40,40 +51,46 @@ def dual_objective(K: np.ndarray, y: np.ndarray, epsilon: float,
 def _smo(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
          tol: float, max_iter: int):
     n = K.shape[0]
-    z = np.concatenate([np.ones(n), -np.ones(n)])
     theta = np.zeros(2 * n)
-    grad = np.concatenate([epsilon - y, epsilon + y])
+    score = np.concatenate([y - epsilon, epsilon + y])
+    # at theta = 0 the up set is the alpha half and the low set the alpha* half
+    off_up = np.concatenate([np.zeros(n), np.full(n, -np.inf)])
+    off_low = np.concatenate([np.full(n, np.inf), np.zeros(n)])
+    masked = np.empty(2 * n)
+    diff = np.empty(n)
+    halves = score.reshape(2, n)
 
     converged = False
     iterations = 0
     while iterations < max_iter:
-        neg_zg = -z * grad
-        up = ((theta < C) & (z > 0)) | ((theta > 0) & (z < 0))
-        low = ((theta < C) & (z < 0)) | ((theta > 0) & (z > 0))
-        m_val = np.max(neg_zg[up])
-        big_m = np.min(neg_zg[low])
+        i = int(np.add(score, off_up, out=masked).argmax())
+        j = int(np.add(score, off_low, out=masked).argmin())
+        m_val, big_m = score[i], score[j]
         if m_val - big_m <= tol:
             converged = True
             break
-        i = np.flatnonzero(up)[np.argmax(neg_zg[up])]
-        j = np.flatnonzero(low)[np.argmin(neg_zg[low])]
 
         ki, kj = i % n, j % n
         eta = K[ki, ki] + K[kj, kj] - 2.0 * K[ki, kj]
         step = (m_val - big_m) / max(eta, _TAU)
-        cap_i = C - theta[i] if z[i] > 0 else theta[i]
-        cap_j = theta[j] if z[j] > 0 else C - theta[j]
+        cap_i = C - theta[i] if i < n else theta[i]
+        cap_j = theta[j] if j < n else C - theta[j]
         step = min(step, cap_i, cap_j)
 
-        theta[i] += z[i] * step
-        theta[j] -= z[j] * step
-        grad += step * z * np.concatenate([K[:, ki] - K[:, kj]] * 2)
+        theta[i] += step if i < n else -step
+        theta[j] -= step if j < n else -step
+        for k in (i, j):
+            below_c, above_0 = theta[k] < C, theta[k] > 0
+            in_up, in_low = (below_c, above_0) if k < n else (above_0, below_c)
+            off_up[k] = 0.0 if in_up else -np.inf
+            off_low[k] = 0.0 if in_low else np.inf
+        # K is symmetric, so the contiguous rows stand in for its columns
+        np.subtract(K[ki], K[kj], out=diff)
+        diff *= step
+        halves -= diff
         iterations += 1
 
-    neg_zg = -z * grad
-    up = ((theta < C) & (z > 0)) | ((theta > 0) & (z < 0))
-    low = ((theta < C) & (z < 0)) | ((theta > 0) & (z > 0))
-    bias = 0.5 * (np.max(neg_zg[up]) + np.min(neg_zg[low]))
+    bias = 0.5 * (np.max(score[off_up == 0.0]) + np.min(score[off_low == 0.0]))
     return theta[:n], theta[n:], bias, converged, iterations
 
 
@@ -109,7 +126,9 @@ class SvrModel(ForecastModel):
             self.gamma_ = float(self.gamma)
         max_iter = self.max_iter if self.max_iter is not None else 10_000 * n
 
-        K = np.exp(-self.gamma_ * cdist(X, X, "sqeuclidean"))
+        K = cdist(X, X, "sqeuclidean")
+        np.multiply(K, -self.gamma_, out=K)
+        np.exp(K, out=K)
         alpha, alpha_star, bias, converged, iterations = _smo(
             K, y, self.C, self.epsilon, self.tol, max_iter)
 

@@ -26,6 +26,13 @@ from wattcast.synthetic import arma_series, household_series
 HOUR = 3600.0
 
 
+class BrokenModel(OlsModel):
+    """A model whose fit fails with an error outside the wattcast hierarchy."""
+
+    def fit(self, frame):
+        raise RuntimeError("solver exploded")
+
+
 def hourly(values):
     return TimeSeries(0.0, HOUR, np.asarray(values, dtype=float))
 
@@ -284,6 +291,21 @@ class TestBenchmark:
         parallel = benchmark(specs, self.make_datasets(), [0.8], p=3, jobs=2)
         assert [r.to_dict() for r in serial.records] == \
                [r.to_dict() for r in parallel.records]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_exception_fails_only_its_cell(self, jobs):
+        specs = [spec_for("ols"), ModelSpec("broken", "lag", BrokenModel),
+                 spec_for("knn")]
+        report = benchmark(specs, self.make_datasets(), [0.8], p=3, jobs=jobs)
+        assert len(report.records) == 6
+        for record in report.records:
+            if record.model == "broken":
+                assert not record.ok
+                assert record.error == "RuntimeError: solver exploded"
+                assert record.horizon == 18 and record.n_test == 0
+            else:
+                assert record.ok and np.isfinite(record.rae)
+        assert len(report.failed) == 2
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 from scipy.spatial.distance import cdist
 
+import wattcast.regressors.svr as svr_module
 from wattcast.errors import (
     DivergedLoss,
     HistoryTooShort,
@@ -184,6 +188,18 @@ class TestGp:
             mean = mean * model.y_scaler_.scale + model.y_scaler_.mean
         assert model.predict_batch(probe).tobytes() == mean.tobytes()
 
+    def test_jitter_rung_factors_a_clean_copy(self):
+        # 40 identical rows make K all ones: rung 0 is singular, rung 1e-10 is not
+        frame = make_frame(np.zeros((40, 2)), np.arange(40.0))
+        model = GpModel(noise_var=1e-300, standardize=False).fit(frame)
+        K = np.ones((40, 40))
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(K + 1e-300 * np.eye(40), lower=True)
+        c = 1e-300 + 1e-10 * (model.signal_var + 1e-300)
+        expected = cho_factor(K + c * np.eye(40), lower=True)
+        assert np.tril(model.chol_[0]).tobytes() == np.tril(expected[0]).tobytes()
+        assert model.alpha_.tobytes() == cho_solve(expected, frame.y).tobytes()
+
 
 def project_box_hyperplane(v, z, box):
     """Euclidean projection onto {0 <= t <= box, z't = 0} by bisection."""
@@ -280,6 +296,111 @@ class TestSvr:
             model = SvrModel(max_iter=3).fit(frame)
         assert not model.converged_
         assert np.isfinite(model.predict([frame.X[0]]))
+
+
+def _reference_smo(K, y, C, epsilon, tol, max_iter):
+    """Masked maximal-violating-pair SMO: the oracle for svr._smo."""
+    n = K.shape[0]
+    z = np.concatenate([np.ones(n), -np.ones(n)])
+    theta = np.zeros(2 * n)
+    grad = np.concatenate([epsilon - y, epsilon + y])
+
+    converged = False
+    iterations = 0
+    while iterations < max_iter:
+        neg_zg = -z * grad
+        up = ((theta < C) & (z > 0)) | ((theta > 0) & (z < 0))
+        low = ((theta < C) & (z < 0)) | ((theta > 0) & (z > 0))
+        m_val = np.max(neg_zg[up])
+        big_m = np.min(neg_zg[low])
+        if m_val - big_m <= tol:
+            converged = True
+            break
+        i = np.flatnonzero(up)[np.argmax(neg_zg[up])]
+        j = np.flatnonzero(low)[np.argmin(neg_zg[low])]
+
+        ki, kj = i % n, j % n
+        eta = K[ki, ki] + K[kj, kj] - 2.0 * K[ki, kj]
+        step = (m_val - big_m) / max(eta, svr_module._TAU)
+        cap_i = C - theta[i] if z[i] > 0 else theta[i]
+        cap_j = theta[j] if z[j] > 0 else C - theta[j]
+        step = min(step, cap_i, cap_j)
+
+        theta[i] += z[i] * step
+        theta[j] -= z[j] * step
+        grad += step * z * np.concatenate([K[:, ki] - K[:, kj]] * 2)
+        iterations += 1
+
+    neg_zg = -z * grad
+    up = ((theta < C) & (z > 0)) | ((theta > 0) & (z < 0))
+    low = ((theta < C) & (z < 0)) | ((theta > 0) & (z > 0))
+    bias = 0.5 * (np.max(neg_zg[up]) + np.min(neg_zg[low]))
+    return theta[:n], theta[n:], bias, converged, iterations
+
+
+def _four_point_frame():
+    return make_frame([[0.0], [1.0], [2.0], [3.0]], [0.0, 0.9, 0.1, 0.8])
+
+
+def _duplicated_frame():
+    rng = np.random.default_rng(30)
+    X = np.repeat(rng.normal(size=(10, 3)), 3, axis=0)
+    y = np.repeat(rng.normal(size=10), 3)
+    return make_frame(X, y)
+
+
+class TestSmoMatchesReferenceLoop:
+    CASES = {
+        "four_points": (_four_point_frame,
+                        dict(C=1.0, epsilon=0.1, gamma=0.5, tol=1e-8, standardize=False)),
+        "random_n30": (lambda: random_frame(np.random.default_rng(16), n=30), {}),
+        "small_c": (lambda: random_frame(np.random.default_rng(31), n=40), dict(C=0.05)),
+        "epsilon_0": (lambda: random_frame(np.random.default_rng(32), n=30),
+                      dict(epsilon=0.0)),
+        "duplicated_rows": (_duplicated_frame, {}),
+        "max_iter_3": (lambda: random_frame(np.random.default_rng(18), n=20),
+                       dict(max_iter=3)),
+        "household_p24": (lambda: _household_frame(), {}),
+    }
+
+    def _solve(self, case, monkeypatch):
+        """Fit the case, returning the solver's inputs and its result."""
+        make, params = self.CASES[case]
+        real, calls = svr_module._smo, []
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(svr_module, "_smo", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            SvrModel(**params).fit(make())
+        (args, result), = calls
+        return args, result
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_reference(self, case, monkeypatch):
+        args, (alpha, alpha_star, bias, converged, iterations) = self._solve(
+            case, monkeypatch)
+        ref_alpha, ref_alpha_star, ref_bias, ref_converged, ref_iterations = \
+            _reference_smo(*args)
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert alpha_star.tobytes() == ref_alpha_star.tobytes()
+        assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
+        assert converged == ref_converged
+        assert iterations == ref_iterations
+        assert converged == (case != "max_iter_3")
+
+    def test_cases_reach_their_regimes(self, monkeypatch):
+        (K, y, C, *_), (alpha, alpha_star, *_) = self._solve("small_c", monkeypatch)
+        assert np.count_nonzero((alpha == C) | (alpha_star == C)) >= 10
+        monkeypatch.undo()
+        (K, y, *_), _ = self._solve("duplicated_rows", monkeypatch)
+        assert np.unique(K, axis=0).shape[0] == 10 and np.unique(y).size == 10
+        monkeypatch.undo()
+        (K, *_), _ = self._solve("household_p24", monkeypatch)
+        assert K.shape[0] >= 300
 
 
 class TestMlp:
