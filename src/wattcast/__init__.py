@@ -40,7 +40,7 @@ from .regressors import (
     OlsModel,
     SvrModel,
 )
-from .series import MultiSeries, TimeSeries, WeatherRecord, drop_missing, merge, resample
+from .series import MultiSeries, TimeSeries, WeatherRecord, merge, resample
 from .transform import (
     Decomposition,
     Scaler,
@@ -63,7 +63,6 @@ __all__ = [
     "WeatherRecord",
     "resample",
     "merge",
-    "drop_missing",
     "SupervisedFrame",
     "lag_embed",
     "difference",

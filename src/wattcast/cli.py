@@ -13,7 +13,6 @@ error, 5 when every benchmark cell failed.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import re
 import sys
@@ -22,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arima import arima_fit, arima_forecast
 from .errors import ConfigError, DataError, ModelError
-from .evaluation import ModelSpec, benchmark
+from .evaluation import MODELS, benchmark, fit_forecast, spec_for
 from .ingest import (
     DatasetSchema,
     _format_timestamp,
@@ -32,22 +30,17 @@ from .ingest import (
     read_energy_csv,
     write_energy_csv,
 )
-from .regressors import (
-    MODE_ONE_STEP,
-    MODE_RECURSIVE,
-    GpModel,
-    KnnModel,
-    MlpModel,
-    OlsModel,
-    SvrModel,
-)
+from .regressors import MODE_ONE_STEP, MODE_RECURSIVE
 from .series import TimeSeries, resample
 from .svgplot import decomposition_chart, forecast_chart
-from .transform import decompose, lag_embed
-from .var import var_fit, var_forecast
+from .transform import decompose
 
-LAG_MODELS = ("ols", "gp", "mlp", "svr", "knn")
-ALL_MODELS = LAG_MODELS + ("arima", "var")
+# Not called here (forecasts go through evaluation.fit_forecast), but kept
+# bound: perfbench/tracing.py wraps these names in this module by attribute
+# lookup, and a missing one breaks every traced benchmark run.
+from .arima import arima_fit, arima_forecast  # noqa: F401
+from .transform import lag_embed  # noqa: F401
+from .var import var_fit, var_forecast  # noqa: F401
 
 # Every tunable default in one place; --help quotes these, and benchmark
 # reports embed the resolved values so runs are self-describing.
@@ -59,7 +52,7 @@ DEFAULTS = {
     "arima_p": 2,  # order of the arima entry in benchmark suites: (arima_p, d, arima_q)
     "arima_q": 1,
     "horizon": 24,
-    "models": ",".join(ALL_MODELS),
+    "models": ",".join(MODELS),
     "splits": "0.6,0.7,0.8",
     "mode": MODE_ONE_STEP,
     "period": 24,
@@ -157,7 +150,7 @@ def build_parser():
         description="Fit the chosen model on the whole input series and write "
                     "the next --horizon values as canonical CSV.")
     forecast.add_argument("--input", metavar="FILE", help="energy CSV to read")
-    forecast.add_argument("--model", choices=ALL_MODELS,
+    forecast.add_argument("--model", choices=MODELS,
                           help=f"model family {_dflt('model')}")
     forecast.add_argument("--p", type=int,
                           help=f"lag order / AR order {_dflt('p')}")
@@ -293,15 +286,14 @@ def _apply_config(args, actions) -> None:
         setattr(args, key, value)
 
 
-def _opt(args):
-    def get(key):
-        value = getattr(args, key, None)
-        if value is not None:
-            return value
-        # keys absent from the table (svr_gamma, mlp_hidden) default to
-        # data-driven values chosen at fit time, signalled by None
-        return DEFAULTS.get(key)
-    return get
+def _opt(args) -> dict:
+    """Resolved options: explicit flags and config entries over DEFAULTS.
+
+    Keys absent from both (svr_gamma, mlp_hidden unless given) are left out,
+    so their models choose data-driven values at fit time.
+    """
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    return {**DEFAULTS, **given}
 
 
 # --- shared pieces ----------------------------------------------------------
@@ -337,41 +329,6 @@ def _read_input(path, args) -> TimeSeries:
     return read_energy_csv(path, schema)
 
 
-def _factory(name: str, get):
-    if name == "ols":
-        return OlsModel
-    if name == "knn":
-        return functools.partial(KnnModel, k=get("knn_k"))
-    if name == "gp":
-        return functools.partial(GpModel, signal_var=get("gp_signal_var"),
-                                 length_scale=get("gp_length_scale"),
-                                 noise_var=get("gp_noise_var"))
-    if name == "svr":
-        return functools.partial(SvrModel, C=get("svr_c"),
-                                 epsilon=get("svr_epsilon"), gamma=get("svr_gamma"))
-    if name == "mlp":
-        return functools.partial(MlpModel, hidden=get("mlp_hidden"),
-                                 lr=get("mlp_lr"), momentum=get("mlp_momentum"),
-                                 epochs=get("mlp_epochs"), seed=get("seed"))
-    raise ConfigError(f"unknown model {name!r}")
-
-
-def _specs(names, get):
-    specs = []
-    for name in names:
-        if name == "arima":
-            specs.append(ModelSpec("arima", "arima",
-                                   order=(get("arima_p"), get("d"), get("arima_q"))))
-        elif name == "var":
-            specs.append(ModelSpec("var", "var"))
-        elif name in LAG_MODELS:
-            specs.append(ModelSpec(name, "lag", _factory(name, get)))
-        else:
-            raise ConfigError(f"unknown model {name!r} "
-                              f"(choose from {', '.join(ALL_MODELS)})")
-    return specs
-
-
 def _write_text(destination, text: str) -> None:
     if destination is None:
         sys.stdout.write(text)
@@ -390,27 +347,15 @@ def _write_series(destination, s: TimeSeries) -> None:
 # --- commands ---------------------------------------------------------------
 
 def cmd_forecast(args) -> int:
-    get = _opt(args)
-    horizon = get("horizon")
+    opts = _opt(args)
+    horizon = opts["horizon"]
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    name = get("model")
-    p = get("p")
+    p = opts["p"]
     s = _read_input(args.input, args)
-
-    if name == "arima":
-        model = arima_fit(s, p, get("d"), get("q"))
-        predictions = arima_forecast(model, s, horizon)
-    elif name == "var":
-        model = var_fit(s, p)
-        predictions = var_forecast(model, s, horizon)[:, 0]
-    elif name in LAG_MODELS:
-        frame = lag_embed(s, p)
-        model = _factory(name, get)().fit(frame)
-        predictions = model.predict_series(s.values, horizon, mode=MODE_RECURSIVE)
-    else:
-        raise ConfigError(f"unknown model {name!r}")
-
+    spec = spec_for(opts["model"], hyper=opts, arima_order=(p, opts["d"], opts["q"]))
+    predictions = fit_forecast(spec, s, len(s), horizon, p=p,
+                               mode=MODE_RECURSIVE).predictions
     forecast = TimeSeries(s.start + len(s) * s.interval, s.interval, predictions)
     _write_series(args.out, forecast)
     if args.plot:
@@ -420,12 +365,12 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    get = _opt(args)
-    names = [t.strip() for t in get("models").split(",") if t.strip()]
+    opts = _opt(args)
+    names = [t.strip() for t in opts["models"].split(",") if t.strip()]
     if not names:
         raise ConfigError("no models selected")
     try:
-        splits = [float(t) for t in get("splits").split(",") if t.strip()]
+        splits = [float(t) for t in opts["splits"].split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --splits value: {exc}") from None
     if not splits:
@@ -441,10 +386,12 @@ def cmd_benchmark(args) -> int:
                      else parse_interval(token.strip())
                      for token in args.intervals.split(",") if token.strip()]
 
-    report = benchmark(_specs(names, get), datasets, splits, p=get("p"),
-                       horizon=args.horizon, mode=get("mode"),
-                       intervals=intervals, jobs=get("jobs"),
-                       config_extra={"seed": get("seed")})
+    arima_order = (opts["arima_p"], opts["d"], opts["arima_q"])
+    specs = [spec_for(name, hyper=opts, arima_order=arima_order) for name in names]
+    report = benchmark(specs, datasets, splits, p=opts["p"],
+                       horizon=args.horizon, mode=opts["mode"],
+                       intervals=intervals, jobs=opts["jobs"],
+                       config_extra={"seed": opts["seed"]})
     _write_text(args.report, report.to_text())
     if args.json:
         _write_text(args.json, report.to_json())
@@ -454,18 +401,16 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_resample(args) -> int:
-    get = _opt(args)
     if args.interval is None:
         raise ConfigError("--interval is required")
     target = parse_interval(args.interval)
     s = _read_input(args.input, args)
-    _write_series(args.out, resample(s, target, mode=get("agg")))
+    _write_series(args.out, resample(s, target, mode=_opt(args)["agg"]))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    get = _opt(args)
-    period = get("period")
+    period = _opt(args)["period"]
     s = _read_input(args.input, args)
     parts = decompose(s, period)
 

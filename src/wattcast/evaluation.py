@@ -15,6 +15,7 @@ predictions back to cover the whole test span.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -31,7 +32,6 @@ from .errors import (
     ConfigError,
     InsufficientTest,
     LengthMismatch,
-    MissingCells,
     TooShort,
     WattcastError,
 )
@@ -40,7 +40,6 @@ from .regressors import (
     MODE_RECURSIVE,
     GpModel,
     KnnModel,
-    MeanModel,
     MlpModel,
     OlsModel,
     SvrModel,
@@ -115,14 +114,13 @@ class ModelSpec:
 
     ``make`` builds a fresh lag-embedding regressor (kind "lag"); ARIMA
     entries carry their (p, d, q) ``order``; VAR entries use the sweep's
-    lag order unless ``lag_order`` overrides it.
+    lag order.
     """
 
     name: str
     kind: str
     make: Callable | None = None
     order: tuple = (1, 0, 0)
-    lag_order: int | None = None
     preprocess: str = "none"
     period: int | None = None
 
@@ -140,38 +138,57 @@ class ModelSpec:
             raise ConfigError("deseasonalize needs a period >= 2")
 
 
+class Family(NamedTuple):
+    """A compared model family: its kind and, for kind "lag", the regressor
+    class with (constructor keyword, hyperparameter key) pairs."""
+
+    kind: str
+    model: type | None = None
+    params: tuple = ()
+
+
+# The seven compared families, in report order. Hyperparameter keys are the
+# CLI's option names; ARIMA takes its (p, d, q) from "arima_order".
+FAMILIES = {
+    "ols": Family("lag", OlsModel),
+    "gp": Family("lag", GpModel, (("signal_var", "gp_signal_var"),
+                                  ("length_scale", "gp_length_scale"),
+                                  ("noise_var", "gp_noise_var"))),
+    "mlp": Family("lag", MlpModel, (("hidden", "mlp_hidden"), ("lr", "mlp_lr"),
+                                    ("momentum", "mlp_momentum"),
+                                    ("epochs", "mlp_epochs"), ("seed", "seed"))),
+    "svr": Family("lag", SvrModel, (("C", "svr_c"), ("epsilon", "svr_epsilon"),
+                                    ("gamma", "svr_gamma"))),
+    "knn": Family("lag", KnnModel, (("k", "knn_k"),)),
+    "arima": Family("arima"),
+    "var": Family("var"),
+}
+MODELS = tuple(FAMILIES)
+
+
+def spec_for(name: str, seed: int = 0, arima_order: tuple = (2, 0, 1), *,
+             hyper=None, **overrides) -> ModelSpec:
+    """Look up a single model family by CLI name.
+
+    ``hyper`` maps hyperparameter keys to values and wins over ``seed`` and
+    ``arima_order``; keys it lacks keep the constructor's defaults.
+    ``overrides`` set further ModelSpec fields (preprocessing).
+    """
+    if name not in FAMILIES:
+        raise ConfigError(f"unknown model {name!r} (choose from {', '.join(MODELS)})")
+    family = FAMILIES[name]
+    hyper = {"seed": seed, "arima_order": arima_order, **(hyper or {})}
+    if family.kind == "arima":
+        overrides["order"] = tuple(hyper["arima_order"])
+    elif family.kind == "lag":
+        overrides["make"] = functools.partial(
+            family.model, **{arg: hyper[key] for arg, key in family.params if key in hyper})
+    return ModelSpec(name, family.kind, **overrides)
+
+
 def default_specs(seed: int = 0, arima_order: tuple = (2, 0, 1)) -> list:
     """The seven compared model families with their default settings."""
-    import functools
-    return [
-        ModelSpec("ols", "lag", OlsModel),
-        ModelSpec("gp", "lag", GpModel),
-        ModelSpec("mlp", "lag", functools.partial(MlpModel, seed=seed)),
-        ModelSpec("svr", "lag", SvrModel),
-        ModelSpec("knn", "lag", KnnModel),
-        ModelSpec("arima", "arima", order=arima_order),
-        ModelSpec("var", "var"),
-    ]
-
-
-def spec_for(name: str, seed: int = 0, arima_order: tuple = (2, 0, 1), **overrides):
-    """Look up a single model family by CLI name."""
-    import functools
-    factories = {
-        "ols": OlsModel,
-        "gp": GpModel,
-        "mlp": functools.partial(MlpModel, seed=seed),
-        "svr": SvrModel,
-        "knn": KnnModel,
-        "mean": MeanModel,
-    }
-    if name in factories:
-        return ModelSpec(name, "lag", factories[name], **overrides)
-    if name == "arima":
-        return ModelSpec(name, "arima", order=arima_order, **overrides)
-    if name == "var":
-        return ModelSpec(name, "var", **overrides)
-    raise ConfigError(f"unknown model {name!r}")
+    return [spec_for(name, seed, arima_order) for name in MODELS]
 
 
 # --- records and report -----------------------------------------------------
@@ -291,6 +308,19 @@ def _target_layout(dataset):
     raise ConfigError(f"cannot evaluate a {type(dataset).__name__}")
 
 
+def _with_target(dataset, values, offset: int):
+    """``dataset`` from row ``offset`` on, with ``values`` as its target column
+    (the first column of a MultiSeries)."""
+    target, _, matrix, names = _target_layout(dataset)
+    start = dataset.start + offset * dataset.interval
+    if matrix is None:
+        return TimeSeries(start, dataset.interval, values)
+    cols = np.column_stack(
+        [values] + [matrix[offset:, j] for j, nm in enumerate(names) if nm != target])
+    kept = (target,) + tuple(nm for nm in names if nm != target)
+    return MultiSeries(start, dataset.interval, kept, cols)
+
+
 def _preprocessed(dataset, spec: ModelSpec, n_train: int):
     """Train-only preprocessing. Returns (Z, offset, pattern).
 
@@ -298,125 +328,96 @@ def _preprocessed(dataset, spec: ModelSpec, n_train: int):
     original positions (Z index j is original position j + offset);
     ``pattern`` is the train-fitted seasonal pattern when deseasonalizing.
     """
-    target, tvals, matrix, names = _target_layout(dataset)
+    _, tvals, _, _ = _target_layout(dataset)
     if spec.preprocess == "none":
         return dataset, 0, None
     if spec.preprocess == "difference":
-        diffed = np.diff(tvals)
-        if matrix is None:
-            z = TimeSeries(dataset.start + dataset.interval, dataset.interval, diffed)
-        else:
-            cols = np.column_stack(
-                [diffed] + [matrix[1:, j] for j, nm in enumerate(names) if nm != target])
-            kept = (target,) + tuple(nm for nm in names if nm != target)
-            z = MultiSeries(dataset.start + dataset.interval, dataset.interval, kept, cols)
-        return z, 1, None
+        return _with_target(dataset, np.diff(tvals), 1), 1, None
     # deseasonalize: pattern fitted on the train prefix only
     train_ts = TimeSeries(dataset.start, dataset.interval, tvals[:n_train])
     pattern = decompose(train_ts, spec.period).seasonal_pattern
     adjusted = tvals - pattern[np.arange(tvals.size) % spec.period]
-    if matrix is None:
-        z = TimeSeries(dataset.start, dataset.interval, adjusted)
-    else:
-        cols = np.column_stack(
-            [adjusted] + [matrix[:, j] for j, nm in enumerate(names) if nm != target])
-        kept = (target,) + tuple(nm for nm in names if nm != target)
-        z = MultiSeries(dataset.start, dataset.interval, kept, cols)
-    return z, 0, pattern
+    return _with_target(dataset, adjusted, 0), 0, pattern
 
 
-def _evaluate_lag(spec, dataset, n_train, m_eval, p, mode, keep_model):
-    target, tvals, _, _ = _target_layout(dataset)
-    z, offset, pattern = _preprocessed(dataset, spec, n_train)
-    z_target = z.values if isinstance(z, TimeSeries) else z.column(target)
-
-    frame = lag_embed(z, p, target if target is not None else "energy")
-    train_mask = frame.target_positions + offset < n_train
-    if not train_mask.any():
-        raise TooShort("no complete training windows after preprocessing")
-    train_frame = SupervisedFrame(frame.X[train_mask], frame.y[train_mask], p,
-                                  frame.feature_names,
-                                  frame.target_positions[train_mask])
-
-    t0 = time.perf_counter()
-    model = spec.make().fit(train_frame)
-    fit_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if mode == MODE_ONE_STEP:
-        test_mask = ((frame.target_positions + offset >= n_train)
-                     & (frame.target_positions + offset < n_train + m_eval))
-        if not test_mask.any():
-            raise InsufficientTest("no complete test windows")
-        raw = model.predict_batch(frame.X[test_mask])
-        positions = frame.target_positions[test_mask] + offset
-        if spec.preprocess == "difference":
-            preds = tvals[positions - 1] + raw
-        elif spec.preprocess == "deseasonalize":
-            preds = raw + pattern[positions % spec.period]
-        else:
-            preds = raw
-    else:
-        history = z_target[: n_train - offset]
-        exog = None
-        if frame.n_exog:
-            start_z = n_train - offset
-            exog_cols = [z.names.index(n) for n in z.names if n != target]
-            exog = z.values[start_z: start_z + m_eval, exog_cols]
-        raw = model.predict_series(history, m_eval, mode=MODE_RECURSIVE, exog=exog)
-        positions = np.arange(n_train, n_train + m_eval)
-        if spec.preprocess == "difference":
-            preds = tvals[n_train - 1] + np.cumsum(raw)
-        elif spec.preprocess == "deseasonalize":
-            preds = raw + pattern[positions % spec.period]
-        else:
-            preds = raw
-    predict_seconds = time.perf_counter() - t0
-    return positions, preds, fit_seconds, predict_seconds, model
+class Forecast(NamedTuple):
+    positions: np.ndarray
+    predictions: np.ndarray
+    fit_seconds: float
+    predict_seconds: float
+    model: object
 
 
-def _evaluate_arima(spec, dataset, n_train, m_eval, mode, keep_model):
-    _, tvals, _, _ = _target_layout(dataset)
-    full = TimeSeries(0.0, 1.0, tvals) if not isinstance(dataset, TimeSeries) else dataset
-    train = TimeSeries(full.start, full.interval, tvals[:n_train])
+def fit_forecast(spec: ModelSpec, dataset, n_train: int, m: int, *, p: int,
+                 mode: str) -> Forecast:
+    """Fit ``spec`` on the first ``n_train`` points and predict up to ``m`` after them.
 
-    t0 = time.perf_counter()
-    model = arima_fit(train, *spec.order)
-    fit_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if mode == MODE_ONE_STEP:
-        preds = arima_one_step(model, full)[n_train: n_train + m_eval]
-        positions = np.arange(n_train, n_train + m_eval)
-    else:
-        preds = arima_forecast(model, train, m_eval)
-        positions = np.arange(n_train, n_train + m_eval)
-    predict_seconds = time.perf_counter() - t0
-    return positions, preds, fit_seconds, predict_seconds, model
-
-
-def _evaluate_var(spec, dataset, n_train, m_eval, p, mode, keep_model):
+    ``positions`` are the original indices the predictions belong to. In
+    recursive mode they are ``n_train .. n_train + m - 1``; in one-step mode a
+    lag model predicts only the positions with a complete lag window.
+    """
     target, tvals, matrix, names = _target_layout(dataset)
-    if matrix is None:
-        matrix = tvals[:, None]
-        names = ("value",)
-        target = "value"
-    col = names.index(target)
-    order = spec.lag_order if spec.lag_order is not None else p
-    train_matrix = MultiSeries(0.0, 1.0, names, matrix[:n_train])
-
-    t0 = time.perf_counter()
-    model = var_fit(train_matrix, order)
-    fit_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if mode == MODE_ONE_STEP:
-        preds = var_one_step(model, matrix)[n_train: n_train + m_eval, col]
+    positions = np.arange(n_train, n_train + m)
+    if spec.kind == "arima":
+        full = TimeSeries(dataset.start, dataset.interval, tvals)
+        train = TimeSeries(dataset.start, dataset.interval, tvals[:n_train])
+        t0 = time.perf_counter()
+        model = arima_fit(train, *spec.order)
+        t1 = time.perf_counter()
+        if mode == MODE_ONE_STEP:
+            preds = arima_one_step(model, full)[n_train: n_train + m]
+        else:
+            preds = arima_forecast(model, train, m)
+    elif spec.kind == "var":
+        if matrix is None:
+            matrix, names, target = tvals[:, None], ("value",), "value"
+        col = names.index(target)
+        t0 = time.perf_counter()
+        model = var_fit(MultiSeries(0.0, 1.0, names, matrix[:n_train]), p)
+        t1 = time.perf_counter()
+        if mode == MODE_ONE_STEP:
+            preds = var_one_step(model, matrix)[n_train: n_train + m, col]
+        else:
+            preds = var_forecast(model, matrix[:n_train], m)[:, col]
     else:
-        preds = var_forecast(model, matrix[:n_train], m_eval)[:, col]
-    predict_seconds = time.perf_counter() - t0
-    positions = np.arange(n_train, n_train + m_eval)
-    return positions, preds, fit_seconds, predict_seconds, model
+        z, offset, pattern = _preprocessed(dataset, spec, n_train)
+        frame = lag_embed(z, p, target if target is not None else "energy")
+        z_positions = frame.target_positions + offset
+        train_mask = z_positions < n_train
+        if not train_mask.any():
+            raise TooShort("no complete training windows after preprocessing")
+        # a forecast from the whole series trains on every window: skip the copy
+        train_frame = frame if train_mask.all() else SupervisedFrame(
+            frame.X[train_mask], frame.y[train_mask], p, frame.feature_names,
+            frame.target_positions[train_mask])
+        t0 = time.perf_counter()
+        model = spec.make().fit(train_frame)
+        t1 = time.perf_counter()
+        if mode == MODE_ONE_STEP:
+            test_mask = (z_positions >= n_train) & (z_positions < n_train + m)
+            if not test_mask.any():
+                raise InsufficientTest("no complete test windows")
+            raw = model.predict_batch(frame.X[test_mask])
+            positions = z_positions[test_mask]
+        else:
+            z_target = z.values if isinstance(z, TimeSeries) else z.column(target)
+            exog = None
+            if frame.n_exog:
+                start_z = n_train - offset
+                exog_cols = [z.names.index(n) for n in z.names if n != target]
+                exog = z.values[start_z: start_z + m, exog_cols]
+            raw = model.predict_series(z_target[: n_train - offset], m,
+                                       mode=MODE_RECURSIVE, exog=exog)
+        if spec.preprocess == "difference":
+            if mode == MODE_ONE_STEP:
+                preds = tvals[positions - 1] + raw
+            else:
+                preds = tvals[n_train - 1] + np.cumsum(raw)
+        elif spec.preprocess == "deseasonalize":
+            preds = raw + pattern[positions % spec.period]
+        else:
+            preds = raw
+    return Forecast(positions, preds, t1 - t0, time.perf_counter() - t1, model)
 
 
 def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | None = None,
@@ -435,52 +436,45 @@ def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | Non
     if m_eval < 1:
         raise InsufficientTest("horizon leaves no test observations")
 
-    if spec.kind == "lag":
-        positions, preds, fit_s, pred_s, model = _evaluate_lag(
-            spec, dataset, n_train, m_eval, p, mode, keep_model)
-    elif spec.kind == "arima":
-        positions, preds, fit_s, pred_s, model = _evaluate_arima(
-            spec, dataset, n_train, m_eval, mode, keep_model)
-    else:
-        positions, preds, fit_s, pred_s, model = _evaluate_var(
-            spec, dataset, n_train, m_eval, p, mode, keep_model)
-
-    actual = tvals[positions]
+    fc = fit_forecast(spec, dataset, n_train, m_eval, p=p, mode=mode)
+    actual = tvals[fc.positions]
     keep = ~np.isnan(actual)
     if not keep.any():
         raise InsufficientTest("all test observations are missing")
     train_targets = tvals[:n_train]
     train_targets = train_targets[~np.isnan(train_targets)]
-    result = metrics(actual[keep], preds[keep], train_targets)
+    result = metrics(actual[keep], fc.predictions[keep], train_targets)
     assert result.rmse >= result.mae - 1e-12
 
-    interval = dataset.interval if hasattr(dataset, "interval") else float("nan")
-    return EvalRecord(spec.name, dataset_name, split.train_fraction, interval,
+    return EvalRecord(spec.name, dataset_name, split.train_fraction, dataset.interval,
                       m_eval, mode, int(keep.sum()), result.rmse, result.mae,
-                      result.rae, None, fit_s, pred_s,
-                      model if keep_model else None)
+                      result.rae, None, fc.fit_seconds, fc.predict_seconds,
+                      fc.model if keep_model else None)
 
 
 # --- benchmark sweep --------------------------------------------------------
 
 def _run_cell(cell):
+    """Evaluate one cell; any fault, or a variant whose resampling failed
+    (its dataset slot holds the error), becomes a failed record."""
     (spec, dataset_key, dataset, split, p, horizon, mode) = cell
     try:
+        if isinstance(dataset, WattcastError):
+            raise dataset
         return evaluate(spec, dataset, split, p=p, horizon=horizon, mode=mode,
                         dataset_name=dataset_key)
     except Exception as exc:  # any model fault fails its own cell, not the sweep
-        _, tvals, _, _ = _target_layout(dataset)
-        interval = dataset.interval if hasattr(dataset, "interval") else float("nan")
-        n = tvals.size
-        try:
-            n_train = split.train_length(n)
-            m = n - n_train
-        except WattcastError:
-            m = 0
-        m_eval = m if horizon is None else min(horizon, m)
+        interval, m_eval = float("nan"), 0
+        if not isinstance(dataset, WattcastError):
+            n = _target_layout(dataset)[1].size
+            interval = dataset.interval
+            try:
+                m = n - split.train_length(n)
+            except WattcastError:
+                m = 0
+            m_eval = max(m if horizon is None else min(horizon, m), 0)
         return EvalRecord(spec.name, dataset_key, split.train_fraction, interval,
-                          max(m_eval, 0), mode, 0,
-                          error=f"{type(exc).__name__}: {exc}")
+                          m_eval, mode, 0, error=f"{type(exc).__name__}: {exc}")
 
 
 def _interval_label(seconds: float) -> str:
@@ -533,25 +527,14 @@ def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = Non
                 except WattcastError as exc:
                     variants.append((label, exc))
 
-    cells = []
-    for (key, data), split, spec in product(variants, splits, specs):
-        cells.append((spec, key, data, split, p, horizon, mode))
-
-    def run(cell):
-        spec, key, data, split, *_ = cell
-        if isinstance(data, WattcastError):
-            return EvalRecord(spec.name, key, split.train_fraction, float("nan"),
-                              0, mode, 0, error=f"{type(data).__name__}: {data}")
-        return _run_cell(cell)
+    cells = [(spec, key, data, split, p, horizon, mode)
+             for (key, data), split, spec in product(variants, splits, specs)]
 
     if jobs > 1:
-        clean = [c for c in cells if not isinstance(c[2], WattcastError)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = iter(list(pool.map(_run_cell, clean)))
-        records = [run(c) if isinstance(c[2], WattcastError) else next(results)
-                   for c in cells]
+            records = list(pool.map(_run_cell, cells))
     else:
-        records = [run(c) for c in cells]
+        records = [_run_cell(c) for c in cells]
 
     report = EvaluationReport(records)
     report.config = {

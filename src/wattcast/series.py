@@ -210,15 +210,3 @@ def merge(energy: TimeSeries, weather: list, max_fill: int = 2) -> MultiSeries:
     return MultiSeries(energy.start, energy.interval,
                        ("energy", *weather_names), out)
 
-
-def drop_missing(m: MultiSeries):
-    """Remove rows containing any missing cell.
-
-    Returns the compacted MultiSeries and an index map giving each kept row's
-    original position. Removal breaks the uniform spacing, so the compacted
-    frame's implicit timestamps are nominal; downstream lag embedding must use
-    the index map to skip non-contiguous row pairs.
-    """
-    keep = ~np.isnan(m.values).any(axis=1)
-    index_map = np.flatnonzero(keep)
-    return MultiSeries(m.start, m.interval, m.names, m.values[keep]), index_map

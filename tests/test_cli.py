@@ -9,8 +9,18 @@ from wattcast.arima import arima_fit, arima_forecast
 from wattcast.cli import main, parse_interval
 from wattcast.errors import ConfigError
 from wattcast.ingest import read_energy_csv, write_energy_csv
+from wattcast.regressors import (
+    MODE_RECURSIVE,
+    GpModel,
+    KnnModel,
+    MlpModel,
+    OlsModel,
+    SvrModel,
+)
 from wattcast.series import TimeSeries
 from wattcast.synthetic import arma_series, household_series
+from wattcast.transform import lag_embed
+from wattcast.var import var_fit, var_forecast
 
 HOUR = 3600.0
 
@@ -73,13 +83,36 @@ class TestForecast:
         assert main(["forecast", "--input", str(tmp_path / "nope.csv")]) == 3
 
     def test_every_model_family_runs(self, hourly_csv, tmp_path):
-        for model in ("ols", "knn", "gp", "svr", "mlp", "arima", "var"):
+        # every hyperparameter flag at a non-default value; each family's
+        # forecast must equal a direct library fit with the same values
+        flags = ["--p", "4", "--d", "1", "--q", "1", "--seed", "7",
+                 "--knn-k", "5", "--gp-signal-var", "2.0",
+                 "--gp-length-scale", "3.0", "--gp-noise-var", "0.1",
+                 "--svr-c", "3.0", "--svr-epsilon", "0.05", "--svr-gamma", "0.2",
+                 "--mlp-hidden", "3", "--mlp-lr", "0.1", "--mlp-momentum", "0.5",
+                 "--mlp-epochs", "30"]
+        history = read_energy_csv(hourly_csv)
+        frame = lag_embed(history, 4)
+        regressors = {
+            "ols": OlsModel(),
+            "knn": KnnModel(k=5),
+            "gp": GpModel(signal_var=2.0, length_scale=3.0, noise_var=0.1),
+            "svr": SvrModel(C=3.0, epsilon=0.05, gamma=0.2),
+            "mlp": MlpModel(hidden=3, lr=0.1, momentum=0.5, epochs=30, seed=7),
+        }
+        expected = {name: model.fit(frame).predict_series(history.values, 6,
+                                                          mode=MODE_RECURSIVE)
+                    for name, model in regressors.items()}
+        expected["arima"] = arima_forecast(arima_fit(history, 4, 1, 1), history, 6)
+        expected["var"] = var_forecast(var_fit(history, 4), history, 6)[:, 0]
+        for model, values in expected.items():
             out = tmp_path / f"{model}.csv"
-            code = main(["forecast", "--model", model, "--p", "4",
-                         "--horizon", "6", "--input", str(hourly_csv),
-                         "--out", str(out)])
+            code = main(["forecast", "--model", model, *flags, "--horizon", "6",
+                         "--input", str(hourly_csv), "--out", str(out)])
             assert code == 0, model
-            assert len(read_energy_csv(out)) == 6
+            produced = read_energy_csv(out)
+            assert len(produced) == 6
+            np.testing.assert_array_equal(produced.values, values, err_msg=model)
 
     def test_repeat_run_is_byte_identical(self, hourly_csv, tmp_path):
         outs, plots = [], []

@@ -19,7 +19,13 @@ from wattcast.evaluation import (
     metrics,
     spec_for,
 )
-from wattcast.regressors import MODE_ONE_STEP, MODE_RECURSIVE, KnnModel, OlsModel
+from wattcast.regressors import (
+    MODE_ONE_STEP,
+    MODE_RECURSIVE,
+    KnnModel,
+    MeanModel,
+    OlsModel,
+)
 from wattcast.series import MultiSeries, TimeSeries
 from wattcast.synthetic import arma_series, household_series
 
@@ -178,7 +184,7 @@ class TestEvaluate:
     def test_arima_and_var_kinds(self):
         s = arma_series(150, ar=(0.5,), intercept=1.0, noise_sd=0.2, seed=9)
         rec_a = evaluate(spec_for("arima", arima_order=(1, 0, 0)), s, 0.8)
-        rec_v = evaluate(spec_for("var", lag_order=1), s, 0.8)
+        rec_v = evaluate(spec_for("var"), s, 0.8, p=1)
         assert rec_a.ok and rec_v.ok
         # both reduce to near-identical AR(1) one-step predictors
         assert rec_a.rmse == pytest.approx(rec_v.rmse, rel=0.05)
@@ -212,7 +218,7 @@ class TestEvaluate:
         # the mean predictor averages embedded train targets, which differs
         # from the full train prefix only by the first p rows
         s = arma_series(300, ar=(0.3,), noise_sd=1.0, seed=12)
-        rec = evaluate(spec_for("mean"), s, 0.8, p=2)
+        rec = evaluate(ModelSpec("mean", "lag", MeanModel), s, 0.8, p=2)
         assert rec.rae == pytest.approx(1.0, abs=0.05)
 
     def test_unknown_mode_rejected(self):
@@ -277,13 +283,20 @@ class TestBenchmark:
         two_hourly = [r for r in report.records if r.dataset == "a[2h]"]
         assert two_hourly[0].interval == 2 * HOUR
 
-    def test_impossible_resample_recorded_as_failure(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_impossible_resample_recorded_as_failure(self, jobs):
         data = [("a", arma_series(100, ar=(0.5,), noise_sd=0.3, seed=8))]
-        report = benchmark([spec_for("ols")], data, [0.8], p=3,
-                           intervals=[1.5 * HOUR])
-        assert len(report.records) == 1
-        assert not report.records[0].ok
-        assert "NotAMultiple" in report.records[0].error
+        report = benchmark([spec_for("ols"), spec_for("knn")], data, [0.8], p=3,
+                           intervals=[None, 1.5 * HOUR], jobs=jobs)
+        assert len(report.records) == 4
+        native, failed = report.records[:2], report.records[2:]
+        assert all(r.ok for r in native)
+        for record in failed:
+            assert record.dataset == "a[90m]"
+            assert not record.ok
+            assert record.error.startswith("NotAMultiple: ")
+            assert math.isnan(record.interval)
+            assert record.horizon == 0 and record.n_test == 0
 
     def test_parallel_matches_serial(self):
         specs = [spec_for("ols"), spec_for("knn")]

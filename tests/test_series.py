@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wattcast.errors import NotAMultiple, UnsortedWeather
-from wattcast.series import MultiSeries, TimeSeries, WeatherRecord, drop_missing, merge, resample
+from wattcast.series import MultiSeries, TimeSeries, WeatherRecord, merge, resample
 
 
 def ts(values, start=0.0, interval=900.0):
@@ -133,28 +133,6 @@ class TestMerge:
         out = merge(energy, weather, max_fill=1)
         assert "wind" in out.names
         assert out.column("wind")[0] == 3.0
-
-
-class TestDropMissing:
-    def test_identity_when_complete(self):
-        m = MultiSeries(0.0, 60.0, ("a", "b"), [[1.0, 2.0], [3.0, 4.0]])
-        out, idx = drop_missing(m)
-        assert np.array_equal(out.values, m.values)
-        assert np.array_equal(idx, [0, 1])
-
-    def test_all_rows_missing(self):
-        m = MultiSeries(0.0, 60.0, ("a",), [[np.nan], [np.nan]])
-        out, idx = drop_missing(m)
-        assert len(out) == 0
-        assert idx.size == 0
-
-    def test_middle_row_removed(self):
-        m = MultiSeries(0.0, 60.0, ("a", "b"),
-                        [[1.0, 2.0], [np.nan, 5.0], [3.0, 4.0]])
-        out, idx = drop_missing(m)
-        assert len(out) == 2
-        assert np.array_equal(idx, [0, 2])
-        assert np.array_equal(out.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestMultiSeries:
