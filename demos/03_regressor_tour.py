@@ -68,7 +68,7 @@ print(f"ols: heaviest lags {names} — the most recent hour dominates")
 
 # Recursive multi-step forecasting feeds predictions back as inputs.
 horizon = 24
-path = ols.predict_series(series.values[:n_train], horizon, mode="recursive")
+path = ols.predict_series(series.values[:n_train], horizon)
 actual = series.values[n_train:n_train + horizon]
 print(f"\nrecursive 24h forecast (ols) RMSE: "
       f"{np.sqrt(np.mean((path - actual) ** 2)):,.0f} mW "

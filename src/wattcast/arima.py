@@ -46,31 +46,17 @@ class ArimaModel:
     ma: np.ndarray
     intercept: float
     sigma2: float
-    #: first values of each differencing stage of the training series
-    initial: np.ndarray
     #: all AR roots outside the unit circle
     stationary: bool = True
 
     def __post_init__(self):
-        for name in ("ar", "ma", "initial"):
+        for name in ("ar", "ma"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        p, d, q = self.order
-        if self.ar.size != p or self.ma.size != q or self.initial.size != d:
+        p, _, q = self.order
+        if self.ar.size != p or self.ma.size != q:
             raise ValueError("coefficient lengths do not match the stated order")
-
-    @property
-    def p(self) -> int:
-        return self.order[0]
-
-    @property
-    def d(self) -> int:
-        return self.order[1]
-
-    @property
-    def q(self) -> int:
-        return self.order[2]
 
 
 def css_residuals(w: np.ndarray, ar: np.ndarray, ma: np.ndarray,
@@ -132,8 +118,7 @@ def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
     if len(s) - d < floor:
         raise TooShort(f"need at least {floor + d} observations for orders "
                        f"({p},{d},{q}), have {len(s)}")
-    diffed, initial = difference(s, d)
-    w = diffed.values
+    w = difference(s, d)[0].values
     if p + q > 0 and np.ptp(w) == 0.0:
         raise DegenerateSeries("differenced series is constant; AR/MA terms unidentifiable")
 
@@ -141,7 +126,7 @@ def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
         intercept = float(w.mean())
         resid = w - intercept
         return ArimaModel((p, d, q), np.empty(0), np.empty(0), intercept,
-                          float(resid @ resid / len(resid)), initial)
+                          float(resid @ resid / len(resid)))
 
     c0, ar0, ma0 = _hannan_rissanen(w, p, q)
     x0 = np.concatenate([[c0], ar0, ma0])
@@ -159,7 +144,7 @@ def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
     ar, ma = best[1:1 + p], best[1 + p:]
     e = css_residuals(w, ar, ma, intercept)
     return ArimaModel((p, d, q), ar, ma, intercept, float(e @ e / len(e)),
-                      initial, stationary=ar_roots_stationary(ar))
+                      stationary=ar_roots_stationary(ar))
 
 
 def _difference_with_tails(values: np.ndarray, d: int):

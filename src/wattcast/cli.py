@@ -2,7 +2,9 @@
 
 Every command is a pure function of its input files, flags, and seed —
 identical invocations produce byte-identical outputs (forecast CSVs,
-reports, and SVG plots alike). Flags may come from a ``key = value``
+reports, and SVG plots alike) for a fixed BLAS thread count; another count
+may reorder BLAS sums and change the last digits of full-precision output
+such as the JSON report. Flags may come from a ``key = value``
 config file (``--config``, or the ``WATTCAST_CONFIG`` environment
 variable); explicit flags win over the file, the file wins over defaults.
 
@@ -301,31 +303,19 @@ def _opt(args) -> dict:
 def _read_input(path, args) -> TimeSeries:
     if path is None:
         raise ConfigError("--input is required")
-    explicit = args.timestamp_column is not None and args.value_column is not None
-    if explicit:
-        schema = DatasetSchema(
-            timestamp_column=args.timestamp_column,
-            value_column=args.value_column,
-            timestamp_format=args.timestamp_format or "auto",
-            delimiter=args.delimiter or ",",
-            has_header=not bool(args.no_header),
-            utc_offset_hours=args.utc_offset or 0.0)
+    if (args.timestamp_column is None) != (args.value_column is None):
+        raise ConfigError("--timestamp-column and --value-column "
+                          "must be given together")
+    if args.timestamp_column is not None:
+        schema = DatasetSchema(args.timestamp_column, args.value_column)
     else:
-        if args.timestamp_column or args.value_column:
-            raise ConfigError("--timestamp-column and --value-column "
-                              "must be given together")
         schema = infer_schema(path)
-        overrides = {}
-        if args.timestamp_format is not None:
-            overrides["timestamp_format"] = args.timestamp_format
-        if args.delimiter is not None:
-            overrides["delimiter"] = args.delimiter
-        if args.no_header:
-            overrides["has_header"] = False
-        if args.utc_offset is not None:
-            overrides["utc_offset_hours"] = args.utc_offset
-        if overrides:
-            schema = replace(schema, **overrides)
+    overrides = {"timestamp_format": args.timestamp_format,
+                 "delimiter": args.delimiter,
+                 "has_header": False if args.no_header else None,
+                 "utc_offset_hours": args.utc_offset}
+    # replace() re-runs the schema's checks, so an empty delimiter is refused
+    schema = replace(schema, **{k: v for k, v in overrides.items() if v is not None})
     return read_energy_csv(path, schema)
 
 

@@ -406,8 +406,7 @@ def fit_forecast(spec: ModelSpec, dataset, n_train: int, m: int, *, p: int,
                 start_z = n_train - offset
                 exog_cols = [z.names.index(n) for n in z.names if n != target]
                 exog = z.values[start_z: start_z + m, exog_cols]
-            raw = model.predict_series(z_target[: n_train - offset], m,
-                                       mode=MODE_RECURSIVE, exog=exog)
+            raw = model.predict_series(z_target[: n_train - offset], m, exog=exog)
         if spec.preprocess == "difference":
             if mode == MODE_ONE_STEP:
                 preds = tvals[positions - 1] + raw

@@ -52,7 +52,6 @@ class DatasetSchema:
     timestamp_column: str
     value_column: str
     timestamp_format: str = "auto"
-    unit: str = "mW"
     delimiter: str = ","
     has_header: bool = True
     utc_offset_hours: float = 0.0

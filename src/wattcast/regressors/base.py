@@ -1,12 +1,16 @@
 """Shared forecasting interface for the supervised regression models.
 
 Every model consumes a :class:`~wattcast.transform.SupervisedFrame` (lagged
-values plus optional exogenous features) and exposes single-row prediction,
-batch prediction, and multi-step series prediction in two modes:
+values plus optional exogenous features). The base class owns the contract:
+``fit`` learns the optional train-only scaling, calls the model's ``_fit``
+and records the frame's shape; ``predict_batch`` coerces and scales the
+features, calls ``_predict`` and maps the result back to target units. A
+model implements only ``_fit(X, y)`` and ``_predict(X)``, and sets
+``standardize`` to opt into scaling.
 
-* ``one_step_true_history`` — each step conditions on the actually observed
-  values up to the previous step (requires ``actuals``),
-* ``recursive`` — predictions are fed back as inputs to reach further ahead.
+``predict_series`` forecasts recursively, feeding each prediction back as
+the newest lag. One-step prediction on true history is ``predict_batch`` on
+lag-embedded windows, as :func:`wattcast.evaluation.evaluate` does it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import numpy as np
 
 from ..errors import HistoryTooShort, LengthMismatch
 from ..series import TimeSeries
-from ..transform import SupervisedFrame
+from ..transform import SupervisedFrame, apply_scaler, fit_scaler, invert_scaler
 
+# prediction modes of wattcast.evaluation.evaluate
 MODE_ONE_STEP = "one_step_true_history"
 MODE_RECURSIVE = "recursive"
 
@@ -26,37 +31,58 @@ MODE_RECURSIVE = "recursive"
 class ForecastModel(ABC):
     """Base class for lag-embedding regressors.
 
-    Fitted attributes follow the trailing-underscore convention. ``fit``
-    returns ``self`` so calls can be chained.
+    Fitted attributes follow the trailing-underscore convention. With
+    ``standardize`` set, ``_fit`` and ``_predict`` work on features and
+    targets standardized by ``x_scaler_``/``y_scaler_``, learned from the
+    training frame only.
     """
 
+    standardize = False
     lag_order_: int
     n_exog_: int
 
     @abstractmethod
-    def fit(self, frame: SupervisedFrame) -> "ForecastModel":
-        """Estimate parameters from a supervised frame."""
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        """Estimate parameters from (scaled) training rows."""
 
     @abstractmethod
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        """Predict one (scaled) target per (scaled) 2-D feature row."""
+
+    def fit(self, frame: SupervisedFrame) -> "ForecastModel":
+        """Estimate parameters from a supervised frame; returns ``self``."""
+        X, y = frame.X, frame.y
+        if self.standardize:
+            self.x_scaler_ = fit_scaler(X)
+            self.y_scaler_ = fit_scaler(y)
+            X = apply_scaler(self.x_scaler_, X)
+            y = apply_scaler(self.y_scaler_, y)
+        self._fit(X, y)
+        self.lag_order_ = frame.lag_order
+        self.n_exog_ = frame.n_exog
+        return self
+
+    def _scale(self, X) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return apply_scaler(self.x_scaler_, X) if self.standardize else X
+
+    def _unscale(self, y: np.ndarray) -> np.ndarray:
+        return invert_scaler(self.y_scaler_, y) if self.standardize else y
+
+    def predict_batch(self, X) -> np.ndarray:
         """Predict one target per feature row."""
+        return self._unscale(self._predict(self._scale(X)))
 
     def predict(self, x) -> float:
         """Predict the target for a single feature vector."""
-        return float(self.predict_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+        return float(self.predict_batch(x)[0])
 
-    def _remember_frame(self, frame: SupervisedFrame) -> None:
-        self.lag_order_ = frame.lag_order
-        self.n_exog_ = frame.n_exog
-
-    def predict_series(self, history, horizon, *, mode=MODE_RECURSIVE,
-                       actuals=None, exog=None) -> np.ndarray:
-        """Predict ``horizon`` consecutive values following ``history``.
+    def predict_series(self, history, horizon, *, exog=None) -> np.ndarray:
+        """Recursively predict ``horizon`` consecutive values following ``history``.
 
         ``history`` is a TimeSeries or 1-D array of past target values; its
-        last ``lag_order_`` entries seed the window. In one-step mode
-        ``actuals`` must supply the realized values over the horizon so each
-        step conditions on true history. If the model was fitted with
+        last ``lag_order_`` entries seed the window, and each prediction
+        becomes the newest lag of the next one. If the model was fitted with
         exogenous features, ``exog`` must be a (horizon, n_exog) matrix of
         covariate values at each target step.
         """
@@ -66,32 +92,21 @@ class ForecastModel(ABC):
             raise HistoryTooShort(f"need {p} past values, have {values.size}")
         if horizon < 1:
             raise LengthMismatch("horizon must be >= 1")
-        if mode not in (MODE_ONE_STEP, MODE_RECURSIVE):
-            raise ValueError(f"unknown mode {mode!r}")
         if self.n_exog_:
             exog = np.asarray(exog, dtype=float) if exog is not None else None
             if exog is None or exog.shape != (horizon, self.n_exog_):
                 raise LengthMismatch(
                     f"model uses {self.n_exog_} exogenous features; "
                     f"exog must have shape ({horizon}, {self.n_exog_})")
-        if mode == MODE_ONE_STEP:
-            actuals = np.asarray(actuals, dtype=float) if actuals is not None else None
-            if actuals is None or actuals.size < horizon:
-                raise LengthMismatch("one-step mode needs actuals covering the horizon")
-            feed = np.concatenate([values, actuals[:horizon]])
-        else:
-            feed = np.concatenate([values, np.empty(horizon)])
 
-        n0 = values.size
+        feed = np.concatenate([values[values.size - p:], np.empty(horizon)])
         preds = np.empty(horizon)
         for i in range(horizon):
-            window = feed[n0 + i - p: n0 + i]
+            window = feed[i: i + p]
             if np.isnan(window).any():
                 raise HistoryTooShort(f"missing value inside the lag window at step {i}")
             x = window if not self.n_exog_ else np.concatenate([window, exog[i]])
-            preds[i] = self.predict(x)
-            if mode == MODE_RECURSIVE:
-                feed[n0 + i] = preds[i]
+            preds[i] = feed[p + i] = self.predict(x)
         return preds
 
     def param_arrays(self) -> dict:

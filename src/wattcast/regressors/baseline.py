@@ -8,19 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..transform import SupervisedFrame
 from .base import ForecastModel
 
 
 class MeanModel(ForecastModel):
 
-    def fit(self, frame: SupervisedFrame) -> "MeanModel":
-        self.mean_ = float(frame.y.mean())
-        self._remember_frame(frame)
-        return self
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        self.mean_ = float(y.mean())
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.full(np.atleast_2d(X).shape[0], self.mean_)
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        return np.full(X.shape[0], self.mean_)
 
     def param_arrays(self) -> dict:
         return {"mean": np.array([self.mean_])}

@@ -21,7 +21,6 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from ..errors import CholeskyFailure
-from ..transform import SupervisedFrame, apply_scaler, fit_scaler
 from .base import ForecastModel
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
@@ -48,13 +47,7 @@ class GpModel(ForecastModel):
         K *= self.signal_var
         return K
 
-    def fit(self, frame: SupervisedFrame) -> "GpModel":
-        X, y = frame.X, frame.y
-        if self.standardize:
-            self.x_scaler_ = fit_scaler(X)
-            self.y_scaler_ = fit_scaler(y)
-            X = apply_scaler(self.x_scaler_, X)
-            y = apply_scaler(self.y_scaler_, y)
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         K = self._kernel(X, X)
         n = K.shape[0]
         scale = self.signal_var + self.noise_var
@@ -75,8 +68,6 @@ class GpModel(ForecastModel):
         self.X_ = X
         self.chol_ = factor
         self.alpha_ = cho_solve(factor, y)
-        self._remember_frame(frame)
-        return self
 
     def _posterior(self, X: np.ndarray):
         Kstar = self._kernel(X, self.X_)
@@ -85,25 +76,15 @@ class GpModel(ForecastModel):
         var = self.signal_var - np.einsum("ij,ij->j", V, V) + self.noise_var
         return mean, np.maximum(var, 0.0)
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.standardize:
-            X = apply_scaler(self.x_scaler_, X)
-        mean = self._kernel(X, self.X_) @ self.alpha_
-        if self.standardize:
-            mean = mean * self.y_scaler_.scale + self.y_scaler_.mean
-        return mean
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        return self._kernel(X, self.X_) @ self.alpha_
 
     def predict_with_variance(self, x) -> tuple[float, float]:
         """Posterior mean and variance at a single query, in target units."""
-        X = np.atleast_2d(np.asarray(x, dtype=float))
+        mean, var = self._posterior(self._scale(x))
         if self.standardize:
-            X = apply_scaler(self.x_scaler_, X)
-        mean, var = self._posterior(X)
-        if self.standardize:
-            mean = mean * self.y_scaler_.scale + self.y_scaler_.mean
             var = var * self.y_scaler_.scale ** 2
-        return float(mean[0]), float(var[0])
+        return float(self._unscale(mean)[0]), float(var[0])
 
     def param_arrays(self) -> dict:
         return {"X": self.X_, "alpha": self.alpha_, "chol": self.chol_[0]}

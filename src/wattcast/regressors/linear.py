@@ -11,7 +11,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import SingularDesign, Underdetermined
-from ..transform import SupervisedFrame
 from .base import ForecastModel
 
 #: Relative ridge size used when the Gram matrix is not positive definite.
@@ -47,8 +46,7 @@ def solve_normal_equations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class OlsModel(ForecastModel):
     """Linear model ``y = b0 + b' x`` fitted by least squares."""
 
-    def fit(self, frame: SupervisedFrame) -> "OlsModel":
-        X, y = frame.X, frame.y
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if X.shape[0] < X.shape[1] + 1:
             raise Underdetermined(
                 f"{X.shape[0]} samples cannot determine {X.shape[1] + 1} coefficients")
@@ -56,11 +54,9 @@ class OlsModel(ForecastModel):
         beta = solve_normal_equations(A, y)
         self.intercept_ = float(beta[0])
         self.coef_ = beta[1:]
-        self._remember_frame(frame)
-        return self
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.intercept_ + np.asarray(X, dtype=float) @ self.coef_
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        return self.intercept_ + X @ self.coef_
 
     def param_arrays(self) -> dict:
         return {"intercept": np.array([self.intercept_]), "coef": self.coef_}

@@ -28,7 +28,6 @@ import numpy as np
 from scipy.special import expit
 
 from ..errors import DivergedLoss
-from ..transform import SupervisedFrame, apply_scaler, fit_scaler
 from .base import ForecastModel
 
 
@@ -59,12 +58,12 @@ class MlpModel(ForecastModel):
 
     # --- forward / gradients ------------------------------------------------
 
-    def _forward(self, X: np.ndarray) -> np.ndarray:
+    def _predict(self, X: np.ndarray) -> np.ndarray:
         return expit(X @ self.w_in_.T + self.b_in_) @ self.w_out_ + self.b_out_
 
     def total_loss(self, X: np.ndarray, y: np.ndarray) -> float:
         """Half the summed squared error of the network on (X, y)."""
-        err = self._forward(X) - y
+        err = self._predict(X) - y
         return float(0.5 * err @ err)
 
     def loss_and_gradients(self, X: np.ndarray, y: np.ndarray):
@@ -81,18 +80,12 @@ class MlpModel(ForecastModel):
         return float(0.5 * err @ err), grads
 
     def _rmse(self, X: np.ndarray, y: np.ndarray) -> float:
-        err = self._forward(X) - y
+        err = self._predict(X) - y
         return float(np.sqrt(np.mean(err ** 2)))
 
     # --- training -----------------------------------------------------------
 
-    def fit(self, frame: SupervisedFrame) -> "MlpModel":
-        X, y = frame.X, frame.y
-        if self.standardize:
-            self.x_scaler_ = fit_scaler(X)
-            self.y_scaler_ = fit_scaler(y)
-            X = apply_scaler(self.x_scaler_, X)
-            y = apply_scaler(self.y_scaler_, y)
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         X = np.ascontiguousarray(X, dtype=float)
         n, n_feat = X.shape
         h = self.hidden if self.hidden is not None else default_hidden(n_feat)
@@ -159,24 +152,13 @@ class MlpModel(ForecastModel):
 
         self.loss_curve_ = np.asarray(curve)
         self.final_lr_ = lr
-        self._remember_frame(frame)
-        return self
 
     def _publish(self, w_in, b_in, w_out, theta) -> None:
-        """Expose the packed weights as contiguous arrays for ``_forward``."""
+        """Expose the packed weights as contiguous arrays for ``_predict``."""
         self.w_in_ = w_in.copy()
         self.b_in_ = b_in.copy()
         self.w_out_ = w_out.copy()
         self.b_out_ = float(theta[-1])
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.standardize:
-            X = apply_scaler(self.x_scaler_, X)
-        out = self._forward(X)
-        if self.standardize:
-            out = out * self.y_scaler_.scale + self.y_scaler_.mean
-        return out
 
     def param_arrays(self) -> dict:
         return {

@@ -11,7 +11,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ..errors import KTooLarge
-from ..transform import SupervisedFrame
 from .base import ForecastModel
 
 
@@ -22,16 +21,14 @@ class KnnModel(ForecastModel):
             raise ValueError("k must be >= 1")
         self.k = int(k)
 
-    def fit(self, frame: SupervisedFrame) -> "KnnModel":
-        if self.k > frame.n_samples:
-            raise KTooLarge(f"k={self.k} exceeds {frame.n_samples} training samples")
-        self.X_ = frame.X
-        self.y_ = frame.y
-        self._remember_frame(frame)
-        return self
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        if self.k > X.shape[0]:
+            raise KTooLarge(f"k={self.k} exceeds {X.shape[0]} training samples")
+        self.X_ = X
+        self.y_ = y
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        dists = cdist(np.atleast_2d(np.asarray(X, dtype=float)), self.X_)
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        dists = cdist(X, self.X_)
         order = np.argsort(dists, axis=1, kind="stable")[:, :self.k]
         return self.y_[order].mean(axis=1)
 

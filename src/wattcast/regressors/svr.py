@@ -35,7 +35,6 @@ import warnings
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ..transform import SupervisedFrame, apply_scaler, fit_scaler
 from .base import ForecastModel
 
 _TAU = 1e-12
@@ -111,13 +110,7 @@ class SvrModel(ForecastModel):
         self.max_iter = max_iter
         self.standardize = standardize
 
-    def fit(self, frame: SupervisedFrame) -> "SvrModel":
-        X, y = frame.X, frame.y
-        if self.standardize:
-            self.x_scaler_ = fit_scaler(X)
-            self.y_scaler_ = fit_scaler(y)
-            X = apply_scaler(self.x_scaler_, X)
-            y = apply_scaler(self.y_scaler_, y)
+    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n, n_feat = X.shape
         if self.gamma is None:
             x_var = X.var()
@@ -149,23 +142,12 @@ class SvrModel(ForecastModel):
             warnings.warn(
                 f"SVR stopped after {iterations} iterations with KKT gap above "
                 f"tol={self.tol}; returning best iterate", RuntimeWarning)
-        self._remember_frame(frame)
-        return self
 
-    def _decision(self, X: np.ndarray) -> np.ndarray:
+    def _predict(self, X: np.ndarray) -> np.ndarray:
         if self.support_vectors_.shape[0] == 0:
             return np.full(X.shape[0], self.bias_)
         K = np.exp(-self.gamma_ * cdist(X, self.support_vectors_, "sqeuclidean"))
         return K @ self.dual_coef_ + self.bias_
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.standardize:
-            X = apply_scaler(self.x_scaler_, X)
-        out = self._decision(X)
-        if self.standardize:
-            out = out * self.y_scaler_.scale + self.y_scaler_.mean
-        return out
 
     def param_arrays(self) -> dict:
         return {

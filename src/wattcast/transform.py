@@ -137,7 +137,6 @@ class Decomposition:
     seasonal: np.ndarray
     residual: np.ndarray
     period: int
-    model: str = "additive"
 
     @property
     def seasonal_pattern(self) -> np.ndarray:

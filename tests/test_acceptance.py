@@ -216,8 +216,7 @@ def test_metric_laws():
 
 def _fitted_arrays(fitted) -> list:
     if isinstance(fitted, ArimaModel):
-        return [fitted.ar, fitted.ma, np.array([fitted.intercept, fitted.sigma2]),
-                fitted.initial]
+        return [fitted.ar, fitted.ma, np.array([fitted.intercept, fitted.sigma2])]
     if isinstance(fitted, VarModel):
         return [fitted.coef, fitted.intercept, fitted.resid_cov]
     arrays = list(fitted.param_arrays().values())

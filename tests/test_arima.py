@@ -105,22 +105,22 @@ class TestFit:
 
 class TestForecast:
     def test_intercept_only_repeats_mean(self):
-        model = ArimaModel((0, 0, 0), [], [], 2.5, 1.0, [])
+        model = ArimaModel((0, 0, 0), [], [], 2.5, 1.0)
         forecast = arima_forecast(model, ts([1.0, 2.0, 3.0]), 4)
         assert np.array_equal(forecast, [2.5, 2.5, 2.5, 2.5])
 
     def test_ar1_hand_recursion(self):
-        model = ArimaModel((1, 0, 0), [0.5], [], 0.0, 1.0, [])
+        model = ArimaModel((1, 0, 0), [0.5], [], 0.0, 1.0)
         forecast = arima_forecast(model, ts([3.0, 8.0]), 3)
         assert np.allclose(forecast, [4.0, 2.0, 1.0], atol=1e-12)
 
     def test_random_walk_forecast_is_flat(self):
-        model = ArimaModel((0, 1, 0), [], [], 0.0, 1.0, [5.0])
+        model = ArimaModel((0, 1, 0), [], [], 0.0, 1.0)
         forecast = arima_forecast(model, ts([5.0, 7.0, 4.0]), 3)
         assert np.array_equal(forecast, [4.0, 4.0, 4.0])
 
     def test_arma11_hand_recursion(self):
-        model = ArimaModel((1, 0, 1), [0.5], [0.3], 1.0, 1.0, [])
+        model = ArimaModel((1, 0, 1), [0.5], [0.3], 1.0, 1.0)
         # history w = [2, 4]: u_1 = 4 - 1 - 0.5*2 = 2, e_1 = 2
         # step 1: 1 + 0.5*4 + 0.3*2 = 3.6 ; step 2: 1 + 0.5*3.6 = 2.8
         forecast = arima_forecast(model, ts([2.0, 4.0]), 2)
@@ -138,14 +138,14 @@ class TestForecast:
         assert e.size == w.size - 1
 
     def test_history_too_short(self):
-        model = ArimaModel((2, 1, 0), [0.2, 0.1], [], 0.0, 1.0, [1.0])
+        model = ArimaModel((2, 1, 0), [0.2, 0.1], [], 0.0, 1.0)
         with pytest.raises(HistoryTooShort):
             arima_forecast(model, ts([1.0, 2.0]), 1)
 
 
 class TestOneStep:
     def test_hand_example(self):
-        model = ArimaModel((1, 0, 1), [0.5], [0.3], 1.0, 1.0, [])
+        model = ArimaModel((1, 0, 1), [0.5], [0.3], 1.0, 1.0)
         preds = arima_one_step(model, ts([2.0, 4.0, 3.0]))
         # pred_1 = c + phi*x_0 = 2 ; e_1 = 2 ; pred_2 = 1 + 0.5*4 + 0.3*2 = 3.6
         assert np.isnan(preds[0])
@@ -153,7 +153,7 @@ class TestOneStep:
         assert preds[2] == pytest.approx(3.6, abs=1e-12)
 
     def test_alignment_with_differencing(self):
-        model = ArimaModel((1, 1, 0), [0.5], [], 0.0, 1.0, [0.0])
+        model = ArimaModel((1, 1, 0), [0.5], [], 0.0, 1.0)
         s = ts([0.0, 1.0, 3.0, 4.0])
         preds = arima_one_step(model, s)
         # w = [1, 2, 1]; pred w_2 = 0.5*1 -> x_2 hat = x_1 + 0.5 = 1.5

@@ -9,14 +9,7 @@ from wattcast.arima import arima_fit, arima_forecast
 from wattcast.cli import main, parse_interval
 from wattcast.errors import ConfigError
 from wattcast.ingest import read_energy_csv, write_energy_csv
-from wattcast.regressors import (
-    MODE_RECURSIVE,
-    GpModel,
-    KnnModel,
-    MlpModel,
-    OlsModel,
-    SvrModel,
-)
+from wattcast.regressors import GpModel, KnnModel, MlpModel, OlsModel, SvrModel
 from wattcast.series import TimeSeries
 from wattcast.synthetic import arma_series, household_series
 from wattcast.transform import lag_embed
@@ -100,8 +93,7 @@ class TestForecast:
             "svr": SvrModel(C=3.0, epsilon=0.05, gamma=0.2),
             "mlp": MlpModel(hidden=3, lr=0.1, momentum=0.5, epochs=30, seed=7),
         }
-        expected = {name: model.fit(frame).predict_series(history.values, 6,
-                                                          mode=MODE_RECURSIVE)
+        expected = {name: model.fit(frame).predict_series(history.values, 6)
                     for name, model in regressors.items()}
         expected["arima"] = arima_forecast(arima_fit(history, 4, 1, 1), history, 6)
         expected["var"] = var_forecast(var_fit(history, 4), history, 6)[:, 0]
@@ -152,6 +144,34 @@ class TestForecast:
                         "1970-01-01T01:00:00Z,3.0\n")
         assert main(["forecast", "--input", str(path), "--timestamp-column", "t",
                      "--value-column", "v"]) == 3
+
+
+class TestSchemaFlags:
+    COLUMNS = ["--timestamp-column", "timestamp", "--value-column", "value"]
+
+    @pytest.mark.parametrize("columns", [[], COLUMNS], ids=["inferred", "explicit"])
+    def test_empty_delimiter_exit_2(self, hourly_csv, columns):
+        assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
+                     "--delimiter", "", *columns]) == 2
+
+    def test_one_column_flag_alone_exit_2(self, hourly_csv):
+        assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
+                     "--timestamp-column", "timestamp"]) == 2
+
+    @pytest.mark.parametrize("columns", [["--timestamp-column", "0", "--value-column", "1"],
+                                         []], ids=["explicit", "inferred"])
+    def test_flags_override_either_schema(self, tmp_path, columns):
+        path = tmp_path / "headerless.csv"
+        path.write_text("1970-01-01T02:00:00;1\n1970-01-01T03:00:00;2\n"
+                        "1970-01-01T04:00:00;3\n1970-01-01T05:00:00;4\n")
+        out = tmp_path / "out.csv"
+        code = main(["resample", "--input", str(path), "--interval", "2h",
+                     "--delimiter", ";", "--no-header", "--utc-offset", "2",
+                     "--timestamp-format", "iso", *columns, "--out", str(out)])
+        assert code == 0
+        produced = read_energy_csv(out)
+        assert produced.start == 0.0
+        assert produced.values.tolist() == [3.0, 7.0]
 
 
 class TestBenchmark:

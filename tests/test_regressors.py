@@ -600,26 +600,14 @@ class TestPredictSeries:
 
     def test_recursive_fixed_point(self):
         model = self.identity_model()
-        preds = model.predict_series(np.array([5.0]), 3, mode="recursive")
+        preds = model.predict_series(np.array([5.0]), 3)
         assert np.allclose(preds, [5.0, 5.0, 5.0], atol=1e-8)
-
-    def test_one_step_follows_actuals(self):
-        model = self.identity_model()
-        preds = model.predict_series(np.array([5.0]), 3,
-                                     mode="one_step_true_history",
-                                     actuals=np.array([6.0, 7.0, 8.0]))
-        assert np.allclose(preds, [5.0, 6.0, 7.0], atol=1e-8)
 
     def test_history_too_short(self):
         rng = np.random.default_rng(26)
         model = OlsModel().fit(random_frame(rng, n=20, p=4))
         with pytest.raises(HistoryTooShort):
             model.predict_series(np.array([1.0, 2.0]), 2)
-
-    def test_one_step_requires_actuals(self):
-        model = self.identity_model()
-        with pytest.raises(LengthMismatch):
-            model.predict_series(np.array([5.0]), 3, mode="one_step_true_history")
 
     def test_exog_shape_enforced(self):
         rng = np.random.default_rng(27)
@@ -640,3 +628,35 @@ class TestMeanModel:
         model = MeanModel().fit(frame)
         assert model.predict([123.0]) == pytest.approx(3.0)
         assert np.allclose(model.predict_batch(np.zeros((5, 1))), 3.0)
+
+
+def _six_models():
+    return {"ols": OlsModel(), "knn": KnnModel(), "mean": MeanModel(),
+            "gp": GpModel(), "svr": SvrModel(), "mlp": MlpModel(epochs=30, seed=1)}
+
+
+class TestModelContract:
+    @pytest.mark.parametrize("name", sorted(_six_models()))
+    def test_fit_and_predict_contract(self, name):
+        frame = _exog_frame()
+        model = _six_models()[name]
+        assert model.fit(frame) is model
+        assert (model.lag_order_, model.n_exog_) == (4, 2)
+        row = frame.X[7]
+        batch = model.predict_batch(row[None, :])
+        assert batch.shape == (1,)
+        assert np.float64(model.predict(row.tolist())).tobytes() == batch[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["gp", "mlp", "svr"])
+    def test_standardized_models_are_power_of_two_equivariant(self, name):
+        # train-only standardization removes exact power-of-two rescalings of
+        # X and y, so the fit is unchanged and predictions scale by 2**5
+        frame = lag_embed(household_series(200, 3), 6)
+        scaled = SupervisedFrame(frame.X * 2.0 ** -7, frame.y * 2.0 ** 5, 6,
+                                 frame.feature_names, frame.target_positions)
+        model = _six_models()[name]
+        assert model.standardize
+        expected = model.fit(frame).predict_batch(frame.X)
+        got = _six_models()[name].fit(scaled).predict_batch(scaled.X)
+        assert got.tobytes() == (expected * 2.0 ** 5).tobytes()
+        assert not np.array_equal(expected, frame.y)
