@@ -14,7 +14,9 @@ import numpy as np
 
 from wattcast import infer_schema, read_energy_csv, resample, write_energy_csv
 
-workdir = Path(tempfile.mkdtemp(prefix="wattcast-demo-"))
+# a scratch directory for the files below, removed when the demo ends
+tmp = tempfile.TemporaryDirectory(prefix="wattcast-demo-")
+workdir = Path(tmp.name)
 raw = workdir / "meter_export.csv"
 
 # A vendor-style export: 15-minute readings in milliwatts, one row missing
@@ -55,10 +57,11 @@ for i, value in enumerate(hourly.values):
 # The canonical writer produces the round-trippable exchange format.
 out = workdir / "canonical.csv"
 write_energy_csv(out, series)
-print(f"\ncanonical CSV written to {out}:")
+print("\ncanonical CSV, first lines:")
 print("\n".join(out.read_text().splitlines()[:4] + ["  ..."]))
 
 again = read_energy_csv(out)
 assert again.start == series.start and again.interval == series.interval
 assert np.array_equal(again.values, series.values, equal_nan=True)
 print("round-trip read-back is identical, including the missing slot")
+tmp.cleanup()

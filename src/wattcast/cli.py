@@ -15,6 +15,7 @@ error, 5 when every benchmark cell failed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import re
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ModelError
-from .evaluation import MODELS, benchmark, fit_forecast, spec_for
+from .evaluation import FAMILIES, MODELS, benchmark, fit_forecast, spec_for
 from .ingest import (
     DatasetSchema,
     _format_timestamp,
@@ -44,8 +45,8 @@ from .arima import arima_fit, arima_forecast  # noqa: F401
 from .transform import lag_embed  # noqa: F401
 from .var import var_fit, var_forecast  # noqa: F401
 
-# Every tunable default in one place; --help quotes these, and benchmark
-# reports embed the resolved values so runs are self-describing.
+# The defaults of the command options; --help quotes these. Model
+# hyperparameters default in their constructors, and --help quotes those.
 DEFAULTS = {
     "model": "svr",
     "p": 24,
@@ -61,18 +62,7 @@ DEFAULTS = {
     "seed": 0,
     "jobs": 1,
     "agg": "sum",
-    "knn_k": 3,
-    "gp_signal_var": 1.0,
-    "gp_length_scale": 1.0,
-    "gp_noise_var": 0.01,
-    "svr_c": 1.0,
-    "svr_epsilon": 0.1,
-    "mlp_lr": 0.3,
-    "mlp_momentum": 0.2,
-    "mlp_epochs": 500,
 }
-# svr gamma and mlp hidden-layer width default to data-driven values:
-# 1 / (n_features * var(X)) and ceil((n_features + 1) / 2)
 
 _INTERVAL_RE = re.compile(r"^(\d+)([mhd])$")
 _UNIT_SECONDS = {"m": 60.0, "h": 3600.0, "d": 86400.0}
@@ -94,6 +84,10 @@ def parse_interval(text: str) -> float:
 
 def _dflt(key) -> str:
     return f"(default: {DEFAULTS[key]})"
+
+
+def _model_dflt(name, arg) -> str:
+    return f"(default: {inspect.signature(FAMILIES[name].model).parameters[arg].default})"
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -119,25 +113,25 @@ def _add_schema(p: argparse.ArgumentParser):
 
 
 def _add_hyper(p: argparse.ArgumentParser):
-    p.add_argument("--knn-k", type=int, help=f"neighbour count {_dflt('knn_k')}")
+    p.add_argument("--knn-k", type=int, help=f"neighbour count {_model_dflt('knn', 'k')}")
     p.add_argument("--gp-signal-var", type=float,
-                   help=f"RBF signal variance {_dflt('gp_signal_var')}")
+                   help=f"RBF signal variance {_model_dflt('gp', 'signal_var')}")
     p.add_argument("--gp-length-scale", type=float,
-                   help=f"RBF length scale {_dflt('gp_length_scale')}")
+                   help=f"RBF length scale {_model_dflt('gp', 'length_scale')}")
     p.add_argument("--gp-noise-var", type=float,
-                   help=f"observation noise variance {_dflt('gp_noise_var')}")
-    p.add_argument("--svr-c", type=float, help=f"box constraint {_dflt('svr_c')}")
+                   help=f"observation noise variance {_model_dflt('gp', 'noise_var')}")
+    p.add_argument("--svr-c", type=float, help=f"box constraint {_model_dflt('svr', 'C')}")
     p.add_argument("--svr-epsilon", type=float,
-                   help=f"insensitive-tube half width {_dflt('svr_epsilon')}")
+                   help=f"insensitive-tube half width {_model_dflt('svr', 'epsilon')}")
     p.add_argument("--svr-gamma", type=float,
                    help="RBF gamma (default: 1 / (n_features * var(X)))")
     p.add_argument("--mlp-hidden", type=int,
                    help="hidden units (default: ceil((n_features + 1) / 2))")
-    p.add_argument("--mlp-lr", type=float, help=f"learning rate {_dflt('mlp_lr')}")
+    p.add_argument("--mlp-lr", type=float, help=f"learning rate {_model_dflt('mlp', 'lr')}")
     p.add_argument("--mlp-momentum", type=float,
-                   help=f"momentum factor {_dflt('mlp_momentum')}")
+                   help=f"momentum factor {_model_dflt('mlp', 'momentum')}")
     p.add_argument("--mlp-epochs", type=int,
-                   help=f"training epochs {_dflt('mlp_epochs')}")
+                   help=f"training epochs {_model_dflt('mlp', 'epochs')}")
 
 
 def build_parser():
@@ -291,8 +285,8 @@ def _apply_config(args, actions) -> None:
 def _opt(args) -> dict:
     """Resolved options: explicit flags and config entries over DEFAULTS.
 
-    Keys absent from both (svr_gamma, mlp_hidden unless given) are left out,
-    so their models choose data-driven values at fit time.
+    Model hyperparameters appear only when given; ``spec_for`` leaves the
+    others at their constructor defaults.
     """
     given = {key: value for key, value in vars(args).items() if value is not None}
     return {**DEFAULTS, **given}
@@ -314,7 +308,7 @@ def _read_input(path, args) -> TimeSeries:
                  "delimiter": args.delimiter,
                  "has_header": False if args.no_header else None,
                  "utc_offset_hours": args.utc_offset}
-    # replace() re-runs the schema's checks, so an empty delimiter is refused
+    # replace() re-runs the schema's checks, so an empty delimiter or format is refused
     schema = replace(schema, **{k: v for k, v in overrides.items() if v is not None})
     return read_energy_csv(path, schema)
 

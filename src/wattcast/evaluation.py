@@ -212,7 +212,6 @@ class EvalRecord:
     error: str | None = None
     fit_seconds: float = 0.0
     predict_seconds: float = 0.0
-    fitted: object = None
 
     @property
     def ok(self) -> bool:
@@ -233,7 +232,7 @@ class EvalRecord:
             "model": self.model,
             "dataset": self.dataset,
             "train_fraction": self.train_fraction,
-            "interval": self.interval,
+            "interval": _json_safe(self.interval),
             "horizon": self.horizon,
             "mode": self.mode,
             "n_test": self.n_test,
@@ -420,8 +419,7 @@ def fit_forecast(spec: ModelSpec, dataset, n_train: int, m: int, *, p: int,
 
 
 def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | None = None,
-             mode: str = MODE_ONE_STEP, dataset_name: str = "dataset",
-             keep_model: bool = False) -> EvalRecord:
+             mode: str = MODE_ONE_STEP, dataset_name: str = "dataset") -> EvalRecord:
     """Fit on the chronological train prefix and score the test span."""
     if not isinstance(split, SplitSpec):
         split = SplitSpec(float(split))
@@ -447,8 +445,7 @@ def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | Non
 
     return EvalRecord(spec.name, dataset_name, split.train_fraction, dataset.interval,
                       m_eval, mode, int(keep.sum()), result.rmse, result.mae,
-                      result.rae, None, fc.fit_seconds, fc.predict_seconds,
-                      fc.model if keep_model else None)
+                      result.rae, None, fc.fit_seconds, fc.predict_seconds)
 
 
 # --- benchmark sweep --------------------------------------------------------
@@ -486,21 +483,19 @@ def _interval_label(seconds: float) -> str:
     return f"{seconds:g}s"
 
 
-def _resample_dataset(dataset, target_interval: float, mode: str):
-    """Resample a dataset; the target column uses ``mode``, covariates average."""
+def _resample_dataset(dataset, target_interval: float):
+    """Resample a dataset to ``target_interval``, averaging every column."""
     if isinstance(dataset, TimeSeries):
-        return resample(dataset, target_interval, mode=mode)
-    target, _, _, names = _target_layout(dataset)
-    columns = [resample(dataset.series(name), target_interval,
-                        mode=mode if name == target else "mean")
-               for name in names]
+        return resample(dataset, target_interval, mode="mean")
+    columns = [resample(dataset.series(name), target_interval, mode="mean")
+               for name in dataset.names]
     return MultiSeries(columns[0].start, columns[0].interval, names,
                        np.column_stack([c.values for c in columns]))
 
 
 def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = None,
-              mode: str = MODE_ONE_STEP, intervals=None, resample_mode: str = "mean",
-              jobs: int = 1, config_extra: dict | None = None) -> EvaluationReport:
+              mode: str = MODE_ONE_STEP, intervals=None, jobs: int = 1,
+              config_extra: dict | None = None) -> EvaluationReport:
     """Full Cartesian sweep over models, datasets, splits, and intervals.
 
     ``datasets`` is a list of (name, series) pairs. A failing cell is
@@ -521,8 +516,7 @@ def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = Non
             else:
                 label = f"{name}[{_interval_label(target_interval)}]"
                 try:
-                    variants.append((label, _resample_dataset(dataset, target_interval,
-                                                              resample_mode)))
+                    variants.append((label, _resample_dataset(dataset, target_interval)))
                 except WattcastError as exc:
                     variants.append((label, exc))
 

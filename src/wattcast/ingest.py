@@ -61,6 +61,8 @@ class DatasetSchema:
             raise ConfigError("schema column names must be non-empty")
         if not self.delimiter:
             raise ConfigError("schema delimiter must be non-empty")
+        if not self.timestamp_format:
+            raise ConfigError("schema timestamp format must be non-empty")
 
 
 def parse_timestamp(text: str, fmt: str = "auto", utc_offset_hours: float = 0.0) -> float:

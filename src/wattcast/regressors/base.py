@@ -108,7 +108,3 @@ class ForecastModel(ABC):
             x = window if not self.n_exog_ else np.concatenate([window, exog[i]])
             preds[i] = feed[p + i] = self.predict(x)
         return preds
-
-    def param_arrays(self) -> dict:
-        """Fitted parameters as named arrays (for equality checks)."""
-        raise NotImplementedError

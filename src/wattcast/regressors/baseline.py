@@ -18,6 +18,3 @@ class MeanModel(ForecastModel):
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], self.mean_)
-
-    def param_arrays(self) -> dict:
-        return {"mean": np.array([self.mean_])}

@@ -85,6 +85,3 @@ class GpModel(ForecastModel):
         if self.standardize:
             var = var * self.y_scaler_.scale ** 2
         return float(self._unscale(mean)[0]), float(var[0])
-
-    def param_arrays(self) -> dict:
-        return {"X": self.X_, "alpha": self.alpha_, "chol": self.chol_[0]}

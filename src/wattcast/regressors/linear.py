@@ -57,6 +57,3 @@ class OlsModel(ForecastModel):
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return self.intercept_ + X @ self.coef_
-
-    def param_arrays(self) -> dict:
-        return {"intercept": np.array([self.intercept_]), "coef": self.coef_}

@@ -56,28 +56,10 @@ class MlpModel(ForecastModel):
         self.seed = seed
         self.standardize = standardize
 
-    # --- forward / gradients ------------------------------------------------
+    # --- forward ------------------------------------------------------------
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return expit(X @ self.w_in_.T + self.b_in_) @ self.w_out_ + self.b_out_
-
-    def total_loss(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Half the summed squared error of the network on (X, y)."""
-        err = self._predict(X) - y
-        return float(0.5 * err @ err)
-
-    def loss_and_gradients(self, X: np.ndarray, y: np.ndarray):
-        """Backpropagated gradients of :meth:`total_loss` at the current weights."""
-        hidden_act = expit(X @ self.w_in_.T + self.b_in_)
-        err = hidden_act @ self.w_out_ + self.b_out_ - y
-        delta = (err[:, None] * self.w_out_) * hidden_act * (1.0 - hidden_act)
-        grads = {
-            "w_in": delta.T @ X,
-            "b_in": delta.sum(axis=0),
-            "w_out": hidden_act.T @ err,
-            "b_out": np.array([err.sum()]),
-        }
-        return float(0.5 * err @ err), grads
 
     def _rmse(self, X: np.ndarray, y: np.ndarray) -> float:
         err = self._predict(X) - y
@@ -159,11 +141,3 @@ class MlpModel(ForecastModel):
         self.b_in_ = b_in.copy()
         self.w_out_ = w_out.copy()
         self.b_out_ = float(theta[-1])
-
-    def param_arrays(self) -> dict:
-        return {
-            "w_in": self.w_in_,
-            "b_in": self.b_in_,
-            "w_out": self.w_out_,
-            "b_out": np.array([self.b_out_]),
-        }

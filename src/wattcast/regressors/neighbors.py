@@ -31,6 +31,3 @@ class KnnModel(ForecastModel):
         dists = cdist(X, self.X_)
         order = np.argsort(dists, axis=1, kind="stable")[:, :self.k]
         return self.y_[order].mean(axis=1)
-
-    def param_arrays(self) -> dict:
-        return {"X": self.X_, "y": self.y_}

@@ -148,11 +148,3 @@ class SvrModel(ForecastModel):
             return np.full(X.shape[0], self.bias_)
         K = np.exp(-self.gamma_ * cdist(X, self.support_vectors_, "sqeuclidean"))
         return K @ self.dual_coef_ + self.bias_
-
-    def param_arrays(self) -> dict:
-        return {
-            "alpha": self.alpha_,
-            "alpha_star": self.alpha_star_,
-            "bias": np.array([self.bias_]),
-            "support_vectors": self.support_vectors_,
-        }

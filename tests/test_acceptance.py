@@ -7,26 +7,26 @@ from hand calculations, brute-force solvers, finite differences, or
 counting arguments.
 """
 
+import dataclasses
 import json
-import math
 import time
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from test_arima import ma1_css
-from test_regressors import make_frame, svr_qp_oracle
+from test_regressors import make_frame, sgd_step_gradient_error, svr_qp_oracle
 
-from wattcast.arima import ArimaModel, arima_fit
+from wattcast.arima import arima_fit
 from wattcast.cli import main
-from wattcast.evaluation import benchmark, default_specs, evaluate, metrics
+from wattcast.evaluation import benchmark, default_specs, fit_forecast, metrics
 from wattcast.ingest import write_energy_csv
-from wattcast.regressors import GpModel, KnnModel, MlpModel, OlsModel, SvrModel
+from wattcast.regressors import MODE_ONE_STEP, GpModel, KnnModel, OlsModel, SvrModel
 from wattcast.series import TimeSeries
 from wattcast.synthetic import arma_series, household_series, var_series
 from wattcast.transform import decompose, difference, undifference
-from wattcast.transform import apply_scaler, fit_scaler, invert_scaler
-from wattcast.var import VarModel, var_fit
+from wattcast.transform import Scaler, apply_scaler, fit_scaler, invert_scaler
+from wattcast.var import var_fit
 
 
 def _passed(name: str, elapsed: float, detail: str):
@@ -103,45 +103,19 @@ def test_brute_force_oracles():
 
 def test_mlp_gradient_check():
     t0 = time.perf_counter()
-    step = 1e-5
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
-        X = rng.normal(size=(12, 3))
-        y = rng.normal(size=12)
-        model = MlpModel(hidden=4, epochs=0, seed=seed, standardize=False)
-        model.fit(make_frame(X, y))
-        _, grads = model.loss_and_gradients(X, y)
-
-        for name in ("w_in", "b_in", "w_out"):
-            arr = getattr(model, name + "_")
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + step
-                up = model.total_loss(X, y)
-                arr[idx] = orig - step
-                down = model.total_loss(X, y)
-                arr[idx] = orig
-                fd = (up - down) / (2 * step)
-                g = grads[name][idx]
-                worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-8))
-        b = model.b_out_
-        model.b_out_ = b + step
-        up = model.total_loss(X, y)
-        model.b_out_ = b - step
-        down = model.total_loss(X, y)
-        model.b_out_ = b
-        fd = (up - down) / (2 * step)
-        worst = max(worst, abs(grads["b_out"][0] - fd)
-                    / max(abs(grads["b_out"][0]), abs(fd), 1e-8))
+        X = rng.normal(size=(1, 3))
+        y = rng.normal(size=1)
+        worst = max(worst, sgd_step_gradient_error(X, y, hidden=4, seed=seed))
 
     assert worst <= 1e-4
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _passed("gradient check", elapsed,
-            f"max relative error {worst:.2e} over 20 seeds")
+            f"SGD step vs finite differences, max relative error {worst:.2e} "
+            "over 20 seeds")
 
 
 def test_transform_round_trips():
@@ -214,17 +188,23 @@ def test_metric_laws():
             "(1000 vectors)")
 
 
-def _fitted_arrays(fitted) -> list:
-    if isinstance(fitted, ArimaModel):
-        return [fitted.ar, fitted.ma, np.array([fitted.intercept, fitted.sigma2])]
-    if isinstance(fitted, VarModel):
-        return [fitted.coef, fitted.intercept, fitted.resid_cov]
-    arrays = list(fitted.param_arrays().values())
-    for attr in ("x_scaler_", "y_scaler_"):
-        scaler = getattr(fitted, attr, None)
-        if scaler is not None:
-            arrays += [np.asarray(scaler.mean), np.asarray(scaler.scale)]
-    return arrays
+def _fitted_arrays(fitted) -> dict:
+    """Every fitted value of a model by name: each field of an ARIMA or VAR
+    fit, or each trailing-underscore attribute of a regressor, with scalers
+    split into mean and scale and tuples into their items."""
+    if dataclasses.is_dataclass(fitted):
+        values = {f.name: getattr(fitted, f.name) for f in dataclasses.fields(fitted)}
+    else:
+        values = {name: v for name, v in vars(fitted).items() if name.endswith("_")}
+    arrays = {}
+    for name, value in values.items():
+        if isinstance(value, Scaler):
+            arrays[name + ".mean"], arrays[name + ".scale"] = value.mean, value.scale
+        elif isinstance(value, tuple):
+            arrays.update((f"{name}[{i}]", item) for i, item in enumerate(value))
+        else:
+            arrays[name] = value
+    return {name: np.asarray(v) for name, v in arrays.items()}
 
 
 def test_no_leakage():
@@ -237,15 +217,22 @@ def test_no_leakage():
     mutated_values[-1] *= -2.0
     mutated = TimeSeries(base.start, base.interval, mutated_values)
 
+    compared = 0
     for spec in default_specs(seed=0, arima_order=(2, 0, 1)):
-        before = evaluate(spec, base, 0.8, p=6, keep_model=True)
-        after = evaluate(spec, mutated, 0.8, p=6, keep_model=True)
-        for a, b in zip(_fitted_arrays(before.fitted), _fitted_arrays(after.fitted)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), spec.name
+        before, after = (
+            _fitted_arrays(fit_forecast(spec, s, n_train, len(base) - n_train,
+                                        p=6, mode=MODE_ONE_STEP).model)
+            for s in (base, mutated))
+        assert before.keys() == after.keys(), spec.name
+        for name, a in before.items():
+            b = after[name]
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (spec.name, name)
+            compared += 1
 
     elapsed = time.perf_counter() - t0
     _passed("no leakage", elapsed,
-            "test-suffix mutation leaves all 7 models' parameters bitwise equal")
+            f"test-suffix mutation leaves all {compared} fitted values of the "
+            "7 models bitwise equal")
 
 
 def test_benchmark_protocol():

@@ -11,7 +11,7 @@ from wattcast.errors import ConfigError
 from wattcast.ingest import read_energy_csv, write_energy_csv
 from wattcast.regressors import GpModel, KnnModel, MlpModel, OlsModel, SvrModel
 from wattcast.series import TimeSeries
-from wattcast.synthetic import arma_series, household_series
+from wattcast.synthetic import arma_series
 from wattcast.transform import lag_embed
 from wattcast.var import var_fit, var_forecast
 
@@ -153,6 +153,11 @@ class TestSchemaFlags:
     def test_empty_delimiter_exit_2(self, hourly_csv, columns):
         assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
                      "--delimiter", "", *columns]) == 2
+
+    @pytest.mark.parametrize("columns", [[], COLUMNS], ids=["inferred", "explicit"])
+    def test_empty_timestamp_format_exit_2(self, hourly_csv, columns):
+        assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
+                     "--timestamp-format", "", *columns]) == 2
 
     def test_one_column_flag_alone_exit_2(self, hourly_csv):
         assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",

@@ -9,6 +9,7 @@ import pytest
 
 from wattcast.errors import ConfigError, InsufficientTest, LengthMismatch
 from wattcast.evaluation import (
+    MODELS,
     EvalRecord,
     EvaluationReport,
     ModelSpec,
@@ -22,12 +23,11 @@ from wattcast.evaluation import (
 from wattcast.regressors import (
     MODE_ONE_STEP,
     MODE_RECURSIVE,
-    KnnModel,
     MeanModel,
     OlsModel,
 )
-from wattcast.series import MultiSeries, TimeSeries
-from wattcast.synthetic import arma_series, household_series
+from wattcast.series import MultiSeries, TimeSeries, merge
+from wattcast.synthetic import arma_series, household_series, weather_records
 
 HOUR = 3600.0
 
@@ -208,12 +208,6 @@ class TestEvaluate:
             b = evaluate(spec_for(name, seed=3), s, 0.8, p=6)
             assert (a.rmse, a.mae, a.rae) == (b.rmse, b.mae, b.rae)
 
-    def test_keep_model_exposes_fitted_parameters(self):
-        s = hourly(np.arange(30.0))
-        rec = evaluate(spec_for("ols"), s, 0.8, p=2, keep_model=True)
-        assert isinstance(rec.fitted, OlsModel)
-        assert rec.fitted.coef_ is not None
-
     def test_mean_family_rae_close_to_one(self):
         # the mean predictor averages embedded train targets, which differs
         # from the full train prefix only by the first p rows
@@ -320,6 +314,20 @@ class TestBenchmark:
                 assert record.ok and np.isfinite(record.rae)
         assert len(report.failed) == 2
 
+    def test_weather_covariates_reach_every_family(self):
+        # the paper's second experiment: the same models with and without weather
+        energy = household_series(300, 4)
+        data = [("hh", energy), ("hh+weather", merge(energy, weather_records(300, 4)))]
+        specs = [spec_for(name, hyper={"mlp_epochs": 50}) for name in MODELS]
+        report = benchmark(specs, data, [0.8], p=6)
+        assert len(report.records) == 2 * len(MODELS)
+        assert all(r.ok for r in report.records), [
+            (r.dataset, r.model, r.error) for r in report.failed]
+        rae = {(r.dataset, r.model): r.rae for r in report.records}
+        # univariate VAR(p) is the OLS lag regression; weather sets them apart
+        assert rae["hh", "var"] == pytest.approx(rae["hh", "ols"], rel=1e-9)
+        assert rae["hh+weather", "var"] != pytest.approx(rae["hh+weather", "ols"], rel=1e-6)
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):
             benchmark([], self.make_datasets(), [0.8])
@@ -356,6 +364,18 @@ class TestReportSerialization:
         a, b = self.make_report(), self.make_report()
         assert a.to_text() == b.to_text()
         assert a.to_json() == b.to_json()
+
+    def test_failed_resample_variant_is_strict_json(self):
+        data = [("a", arma_series(100, ar=(0.5,), noise_sd=0.3, seed=8))]
+        report = benchmark([spec_for("ols")], data, [0.8], p=3,
+                           intervals=[None, 1.5 * HOUR])
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(report.to_json(), parse_constant=refuse)
+        assert payload["records"][1]["interval"] is None
+        assert "\ta[90m]\t0.8\tNaN\t" in report.to_text()
 
     def test_nan_serializes_as_null_in_json(self):
         record = EvalRecord("m", "d", 0.8, HOUR, 1, MODE_ONE_STEP, 1,
