@@ -485,10 +485,11 @@ def _interval_label(seconds: float) -> str:
 
 def _resample_dataset(dataset, target_interval: float):
     """Resample a dataset to ``target_interval``, averaging every column."""
-    if isinstance(dataset, TimeSeries):
+    names = _target_layout(dataset)[3]
+    if names is None:
         return resample(dataset, target_interval, mode="mean")
     columns = [resample(dataset.series(name), target_interval, mode="mean")
-               for name in dataset.names]
+               for name in names]
     return MultiSeries(columns[0].start, columns[0].interval, names,
                        np.column_stack([c.values for c in columns]))
 

@@ -277,6 +277,26 @@ class TestBenchmark:
         two_hourly = [r for r in report.records if r.dataset == "a[2h]"]
         assert two_hourly[0].interval == 2 * HOUR
 
+    def test_interval_sweep_resamples_every_column(self):
+        data = [("hw", merge(household_series(200, 4), weather_records(200, 4)))]
+        report = benchmark([spec_for("ols"), spec_for("var")], data, [0.8], p=3,
+                           intervals=[None, 2 * HOUR])
+        assert {r.dataset for r in report.records} == {"hw", "hw[2h]"}
+        assert all(r.ok for r in report.records), [r.error for r in report.failed]
+        assert all(r.interval == 2 * HOUR for r in report.records
+                   if r.dataset == "hw[2h]")
+
+    def test_unknown_dataset_type_fails_only_its_variant(self):
+        class NotASeries:
+            interval = HOUR
+
+        data = [("odd", NotASeries()),
+                ("a", arma_series(120, ar=(0.5,), noise_sd=0.3, seed=8))]
+        report = benchmark([spec_for("ols")], data, [0.8], p=3, intervals=[2 * HOUR])
+        odd, native = report.records
+        assert not odd.ok and odd.error.startswith("ConfigError: ")
+        assert native.ok
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_impossible_resample_recorded_as_failure(self, jobs):
         data = [("a", arma_series(100, ar=(0.5,), noise_sd=0.3, seed=8))]
