@@ -11,6 +11,8 @@ ranking.
 
 from .arima import ArimaModel, arima_fit, arima_forecast, arima_one_step
 from .evaluation import (
+    MODE_ONE_STEP,
+    MODE_RECURSIVE,
     EvalRecord,
     EvaluationReport,
     Metrics,
@@ -30,8 +32,6 @@ from .ingest import (
     write_energy_csv,
 )
 from .regressors import (
-    MODE_ONE_STEP,
-    MODE_RECURSIVE,
     ForecastModel,
     GpModel,
     KnnModel,

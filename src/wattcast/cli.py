@@ -25,7 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ModelError
-from .evaluation import FAMILIES, MODELS, benchmark, fit_forecast, spec_for
+from .evaluation import (
+    FAMILIES,
+    MODE_ONE_STEP,
+    MODE_RECURSIVE,
+    MODELS,
+    benchmark,
+    fit_forecast,
+    spec_for,
+)
 from .ingest import (
     DatasetSchema,
     _format_timestamp,
@@ -33,7 +41,6 @@ from .ingest import (
     read_energy_csv,
     write_energy_csv,
 )
-from .regressors import MODE_ONE_STEP, MODE_RECURSIVE
 from .series import TimeSeries, resample
 from .svgplot import decomposition_chart, forecast_chart
 from .transform import decompose

@@ -1,16 +1,19 @@
 """Chronological forecast evaluation and the cross-dataset benchmark sweep.
 
 The protocol: split each series chronologically (train = prefix), fit on
-the train prefix only — scalers, decomposition patterns, and model
-parameters never see the test suffix — then score predictions on the test
-span with RMSE, MAE, and RAE. RAE divides the summed absolute error by the
-error of the naive train-mean predictor, which makes it unit-free and
-comparable across datasets; models are ranked per dataset by RAE and
-overall by mean rank.
+the train prefix only — scalers and model parameters never see the test
+suffix — then score predictions on the test span with RMSE, MAE, and RAE.
+RAE divides the summed absolute error by the error of the naive train-mean
+predictor, which makes it unit-free and comparable across datasets; models
+are ranked per dataset by RAE and overall by mean rank.
 
 Two prediction modes are supported: ``one_step_true_history`` conditions
 every test prediction on actually observed values, ``recursive`` feeds
 predictions back to cover the whole test span.
+
+Every dataset is evaluated as one table: a MultiSeries whose target column
+is "energy" (or its first column), with any other columns as covariates. A
+TimeSeries is a one-column table named "energy".
 """
 
 from __future__ import annotations
@@ -35,21 +38,19 @@ from .errors import (
     TooShort,
     WattcastError,
 )
-from .regressors import (
-    MODE_ONE_STEP,
-    MODE_RECURSIVE,
-    GpModel,
-    KnnModel,
-    MlpModel,
-    OlsModel,
-    SvrModel,
-)
+from .regressors import GpModel, KnnModel, MlpModel, OlsModel, SvrModel
 from .series import MultiSeries, TimeSeries, resample
-from .transform import SupervisedFrame, decompose, lag_embed
+from .transform import SupervisedFrame, lag_embed
 from .var import var_fit, var_forecast, var_one_step
 
-PREPROCESS_CHOICES = ("none", "difference", "deseasonalize")
+# Not called here, but kept bound: perfbench/tracing.py wraps this name in
+# this module by attribute lookup.
+from .transform import decompose  # noqa: F401
+
 KINDS = ("lag", "arima", "var")
+# prediction modes of evaluate and fit_forecast
+MODE_ONE_STEP = "one_step_true_history"
+MODE_RECURSIVE = "recursive"
 
 
 # --- metrics ----------------------------------------------------------------
@@ -110,7 +111,7 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One entry of a benchmark: a model family plus its preprocessing.
+    """One entry of a benchmark: a named model family.
 
     ``make`` builds a fresh lag-embedding regressor (kind "lag"); ARIMA
     entries carry their (p, d, q) ``order``; VAR entries use the sweep's
@@ -121,21 +122,12 @@ class ModelSpec:
     kind: str
     make: Callable | None = None
     order: tuple = (1, 0, 0)
-    preprocess: str = "none"
-    period: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}")
         if self.kind == "lag" and self.make is None:
             raise ConfigError(f"model {self.name!r} needs a factory")
-        if self.preprocess not in PREPROCESS_CHOICES:
-            raise ConfigError(f"unknown preprocessing {self.preprocess!r}")
-        if self.kind != "lag" and self.preprocess != "none":
-            raise ConfigError(f"{self.kind} models handle their own transforms; "
-                              "preprocess must be 'none'")
-        if self.preprocess == "deseasonalize" and (self.period is None or self.period < 2):
-            raise ConfigError("deseasonalize needs a period >= 2")
 
 
 class Family(NamedTuple):
@@ -167,23 +159,22 @@ MODELS = tuple(FAMILIES)
 
 
 def spec_for(name: str, seed: int = 0, arima_order: tuple = (2, 0, 1), *,
-             hyper=None, **overrides) -> ModelSpec:
+             hyper=None) -> ModelSpec:
     """Look up a single model family by CLI name.
 
     ``hyper`` maps hyperparameter keys to values and wins over ``seed`` and
     ``arima_order``; keys it lacks keep the constructor's defaults.
-    ``overrides`` set further ModelSpec fields (preprocessing).
     """
     if name not in FAMILIES:
         raise ConfigError(f"unknown model {name!r} (choose from {', '.join(MODELS)})")
     family = FAMILIES[name]
     hyper = {"seed": seed, "arima_order": arima_order, **(hyper or {})}
     if family.kind == "arima":
-        overrides["order"] = tuple(hyper["arima_order"])
-    elif family.kind == "lag":
-        overrides["make"] = functools.partial(
-            family.model, **{arg: hyper[key] for arg, key in family.params if key in hyper})
-    return ModelSpec(name, family.kind, **overrides)
+        return ModelSpec(name, family.kind, order=tuple(hyper["arima_order"]))
+    if family.kind == "lag":
+        return ModelSpec(name, family.kind, functools.partial(
+            family.model, **{arg: hyper[key] for arg, key in family.params if key in hyper}))
+    return ModelSpec(name, family.kind)
 
 
 def default_specs(seed: int = 0, arima_order: tuple = (2, 0, 1)) -> list:
@@ -297,46 +288,14 @@ class EvaluationReport:
 
 # --- single-cell evaluation -------------------------------------------------
 
-def _target_layout(dataset):
-    """(target name, target values, full matrix or None, names) of a dataset."""
+def _table(dataset):
+    """(target name, MultiSeries) of a dataset; a TimeSeries is one "energy" column."""
     if isinstance(dataset, TimeSeries):
-        return None, dataset.values, None, None
+        return "energy", MultiSeries(dataset.start, dataset.interval, ("energy",),
+                                     dataset.values[:, None])
     if isinstance(dataset, MultiSeries):
-        name = "energy" if "energy" in dataset.names else dataset.names[0]
-        return name, dataset.column(name), dataset.values, dataset.names
+        return ("energy" if "energy" in dataset.names else dataset.names[0]), dataset
     raise ConfigError(f"cannot evaluate a {type(dataset).__name__}")
-
-
-def _with_target(dataset, values, offset: int):
-    """``dataset`` from row ``offset`` on, with ``values`` as its target column
-    (the first column of a MultiSeries)."""
-    target, _, matrix, names = _target_layout(dataset)
-    start = dataset.start + offset * dataset.interval
-    if matrix is None:
-        return TimeSeries(start, dataset.interval, values)
-    cols = np.column_stack(
-        [values] + [matrix[offset:, j] for j, nm in enumerate(names) if nm != target])
-    kept = (target,) + tuple(nm for nm in names if nm != target)
-    return MultiSeries(start, dataset.interval, kept, cols)
-
-
-def _preprocessed(dataset, spec: ModelSpec, n_train: int):
-    """Train-only preprocessing. Returns (Z, offset, pattern).
-
-    Z is the series the model actually sees; ``offset`` maps Z indices to
-    original positions (Z index j is original position j + offset);
-    ``pattern`` is the train-fitted seasonal pattern when deseasonalizing.
-    """
-    _, tvals, _, _ = _target_layout(dataset)
-    if spec.preprocess == "none":
-        return dataset, 0, None
-    if spec.preprocess == "difference":
-        return _with_target(dataset, np.diff(tvals), 1), 1, None
-    # deseasonalize: pattern fitted on the train prefix only
-    train_ts = TimeSeries(dataset.start, dataset.interval, tvals[:n_train])
-    pattern = decompose(train_ts, spec.period).seasonal_pattern
-    adjusted = tvals - pattern[np.arange(tvals.size) % spec.period]
-    return _with_target(dataset, adjusted, 0), 0, pattern
 
 
 class Forecast(NamedTuple):
@@ -355,11 +314,12 @@ def fit_forecast(spec: ModelSpec, dataset, n_train: int, m: int, *, p: int,
     recursive mode they are ``n_train .. n_train + m - 1``; in one-step mode a
     lag model predicts only the positions with a complete lag window.
     """
-    target, tvals, matrix, names = _target_layout(dataset)
+    target, table = _table(dataset)
+    tvals = table.column(target)
     positions = np.arange(n_train, n_train + m)
     if spec.kind == "arima":
-        full = TimeSeries(dataset.start, dataset.interval, tvals)
-        train = TimeSeries(dataset.start, dataset.interval, tvals[:n_train])
+        full = TimeSeries(table.start, table.interval, tvals)
+        train = TimeSeries(table.start, table.interval, tvals[:n_train])
         t0 = time.perf_counter()
         model = arima_fit(train, *spec.order)
         t1 = time.perf_counter()
@@ -368,23 +328,20 @@ def fit_forecast(spec: ModelSpec, dataset, n_train: int, m: int, *, p: int,
         else:
             preds = arima_forecast(model, train, m)
     elif spec.kind == "var":
-        if matrix is None:
-            matrix, names, target = tvals[:, None], ("value",), "value"
-        col = names.index(target)
+        col = table.names.index(target)
         t0 = time.perf_counter()
-        model = var_fit(MultiSeries(0.0, 1.0, names, matrix[:n_train]), p)
+        model = var_fit(MultiSeries(table.start, table.interval, table.names,
+                                    table.values[:n_train]), p)
         t1 = time.perf_counter()
         if mode == MODE_ONE_STEP:
-            preds = var_one_step(model, matrix)[n_train: n_train + m, col]
+            preds = var_one_step(model, table)[n_train: n_train + m, col]
         else:
-            preds = var_forecast(model, matrix[:n_train], m)[:, col]
+            preds = var_forecast(model, table.values[:n_train], m)[:, col]
     else:
-        z, offset, pattern = _preprocessed(dataset, spec, n_train)
-        frame = lag_embed(z, p, target if target is not None else "energy")
-        z_positions = frame.target_positions + offset
-        train_mask = z_positions < n_train
+        frame = lag_embed(table, p, target)
+        train_mask = frame.target_positions < n_train
         if not train_mask.any():
-            raise TooShort("no complete training windows after preprocessing")
+            raise TooShort("no complete training windows")
         # a forecast from the whole series trains on every window: skip the copy
         train_frame = frame if train_mask.all() else SupervisedFrame(
             frame.X[train_mask], frame.y[train_mask], p, frame.feature_names,
@@ -393,28 +350,17 @@ def fit_forecast(spec: ModelSpec, dataset, n_train: int, m: int, *, p: int,
         model = spec.make().fit(train_frame)
         t1 = time.perf_counter()
         if mode == MODE_ONE_STEP:
-            test_mask = (z_positions >= n_train) & (z_positions < n_train + m)
+            test_mask = ~train_mask & (frame.target_positions < n_train + m)
             if not test_mask.any():
                 raise InsufficientTest("no complete test windows")
-            raw = model.predict_batch(frame.X[test_mask])
-            positions = z_positions[test_mask]
+            preds = model.predict_batch(frame.X[test_mask])
+            positions = frame.target_positions[test_mask]
         else:
-            z_target = z.values if isinstance(z, TimeSeries) else z.column(target)
             exog = None
             if frame.n_exog:
-                start_z = n_train - offset
-                exog_cols = [z.names.index(n) for n in z.names if n != target]
-                exog = z.values[start_z: start_z + m, exog_cols]
-            raw = model.predict_series(z_target[: n_train - offset], m, exog=exog)
-        if spec.preprocess == "difference":
-            if mode == MODE_ONE_STEP:
-                preds = tvals[positions - 1] + raw
-            else:
-                preds = tvals[n_train - 1] + np.cumsum(raw)
-        elif spec.preprocess == "deseasonalize":
-            preds = raw + pattern[positions % spec.period]
-        else:
-            preds = raw
+                exog_cols = [j for j, name in enumerate(table.names) if name != target]
+                exog = table.values[n_train: n_train + m, exog_cols]
+            preds = model.predict_series(tvals[:n_train], m, exog=exog)
     return Forecast(positions, preds, t1 - t0, time.perf_counter() - t1, model)
 
 
@@ -425,7 +371,8 @@ def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | Non
         split = SplitSpec(float(split))
     if mode not in (MODE_ONE_STEP, MODE_RECURSIVE):
         raise ConfigError(f"unknown mode {mode!r}")
-    _, tvals, _, _ = _target_layout(dataset)
+    target, table = _table(dataset)
+    tvals = table.column(target)
     n = tvals.size
     n_train = split.train_length(n)
     m = n - n_train
@@ -433,7 +380,7 @@ def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | Non
     if m_eval < 1:
         raise InsufficientTest("horizon leaves no test observations")
 
-    fc = fit_forecast(spec, dataset, n_train, m_eval, p=p, mode=mode)
+    fc = fit_forecast(spec, table, n_train, m_eval, p=p, mode=mode)
     actual = tvals[fc.positions]
     keep = ~np.isnan(actual)
     if not keep.any():
@@ -443,7 +390,7 @@ def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | Non
     result = metrics(actual[keep], fc.predictions[keep], train_targets)
     assert result.rmse >= result.mae - 1e-12
 
-    return EvalRecord(spec.name, dataset_name, split.train_fraction, dataset.interval,
+    return EvalRecord(spec.name, dataset_name, split.train_fraction, table.interval,
                       m_eval, mode, int(keep.sum()), result.rmse, result.mae,
                       result.rae, None, fc.fit_seconds, fc.predict_seconds)
 
@@ -451,19 +398,19 @@ def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | Non
 # --- benchmark sweep --------------------------------------------------------
 
 def _run_cell(cell):
-    """Evaluate one cell; any fault, or a variant whose resampling failed
-    (its dataset slot holds the error), becomes a failed record."""
-    (spec, dataset_key, dataset, split, p, horizon, mode) = cell
+    """Evaluate one cell; any fault, or a variant whose table could not be
+    built (its table slot holds the error), becomes a failed record."""
+    (spec, dataset_key, table, split, p, horizon, mode) = cell
     try:
-        if isinstance(dataset, WattcastError):
-            raise dataset
-        return evaluate(spec, dataset, split, p=p, horizon=horizon, mode=mode,
+        if isinstance(table, WattcastError):
+            raise table
+        return evaluate(spec, table, split, p=p, horizon=horizon, mode=mode,
                         dataset_name=dataset_key)
     except Exception as exc:  # any model fault fails its own cell, not the sweep
         interval, m_eval = float("nan"), 0
-        if not isinstance(dataset, WattcastError):
-            n = _target_layout(dataset)[1].size
-            interval = dataset.interval
+        if not isinstance(table, WattcastError):
+            n = len(table)
+            interval = table.interval
             try:
                 m = n - split.train_length(n)
             except WattcastError:
@@ -483,14 +430,11 @@ def _interval_label(seconds: float) -> str:
     return f"{seconds:g}s"
 
 
-def _resample_dataset(dataset, target_interval: float):
-    """Resample a dataset to ``target_interval``, averaging every column."""
-    names = _target_layout(dataset)[3]
-    if names is None:
-        return resample(dataset, target_interval, mode="mean")
-    columns = [resample(dataset.series(name), target_interval, mode="mean")
-               for name in names]
-    return MultiSeries(columns[0].start, columns[0].interval, names,
+def _resample_dataset(table: MultiSeries, target_interval: float) -> MultiSeries:
+    """Resample a table to ``target_interval``, averaging every column."""
+    columns = [resample(table.series(name), target_interval, mode="mean")
+               for name in table.names]
+    return MultiSeries(columns[0].start, columns[0].interval, table.names,
                        np.column_stack([c.values for c in columns]))
 
 
@@ -509,17 +453,19 @@ def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = Non
     splits = [s if isinstance(s, SplitSpec) else SplitSpec(float(s)) for s in splits]
     intervals = list(intervals) if intervals else [None]
 
+    # each variant's table is built once; an error that stops it fills the slot
     variants = []
-    for name, dataset in datasets:
-        for target_interval in intervals:
-            if target_interval is None or target_interval == dataset.interval:
-                variants.append((name, dataset))
-            else:
-                label = f"{name}[{_interval_label(target_interval)}]"
-                try:
-                    variants.append((label, _resample_dataset(dataset, target_interval)))
-                except WattcastError as exc:
-                    variants.append((label, exc))
+    for (name, dataset), target_interval in product(datasets, intervals):
+        native = (target_interval is None
+                  or target_interval == getattr(dataset, "interval", None))
+        key = name if native else f"{name}[{_interval_label(target_interval)}]"
+        try:
+            table = _table(dataset)[1]
+            if not native:
+                table = _resample_dataset(table, target_interval)
+        except WattcastError as exc:
+            table = exc
+        variants.append((key, table))
 
     cells = [(spec, key, data, split, p, horizon, mode)
              for (key, data), split, spec in product(variants, splits, specs)]

@@ -1,4 +1,4 @@
-from .base import MODE_ONE_STEP, MODE_RECURSIVE, ForecastModel
+from .base import ForecastModel
 from .baseline import MeanModel
 from .gaussian_process import GpModel
 from .linear import OlsModel, solve_normal_equations
@@ -7,8 +7,6 @@ from .neighbors import KnnModel
 from .svr import SvrModel, dual_objective
 
 __all__ = [
-    "MODE_ONE_STEP",
-    "MODE_RECURSIVE",
     "ForecastModel",
     "GpModel",
     "KnnModel",

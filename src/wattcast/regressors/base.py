@@ -23,10 +23,6 @@ from ..errors import HistoryTooShort, LengthMismatch
 from ..series import TimeSeries
 from ..transform import SupervisedFrame, apply_scaler, fit_scaler, invert_scaler
 
-# prediction modes of wattcast.evaluation.evaluate
-MODE_ONE_STEP = "one_step_true_history"
-MODE_RECURSIVE = "recursive"
-
 
 class ForecastModel(ABC):
     """Base class for lag-embedding regressors.

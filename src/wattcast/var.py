@@ -49,9 +49,9 @@ def _as_matrix(data) -> tuple[np.ndarray, tuple]:
         return data.values[:, None], ("value",)
     if isinstance(data, MultiSeries):
         return data.values, data.names
-    arr = np.atleast_2d(np.asarray(data, dtype=float))
-    if arr.shape[0] == 1 and arr.ndim == 2 and arr.shape[1] > 1:
-        arr = arr.T
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim < 2:  # one variable: a column
+        arr = arr.reshape(-1, 1)
     return arr, tuple(f"y{j}" for j in range(arr.shape[1]))
 
 

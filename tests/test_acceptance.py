@@ -19,9 +19,15 @@ from test_regressors import make_frame, sgd_step_gradient_error, svr_qp_oracle
 
 from wattcast.arima import arima_fit
 from wattcast.cli import main
-from wattcast.evaluation import benchmark, default_specs, fit_forecast, metrics
+from wattcast.evaluation import (
+    MODE_ONE_STEP,
+    benchmark,
+    default_specs,
+    fit_forecast,
+    metrics,
+)
 from wattcast.ingest import write_energy_csv
-from wattcast.regressors import MODE_ONE_STEP, GpModel, KnnModel, OlsModel, SvrModel
+from wattcast.regressors import GpModel, KnnModel, OlsModel, SvrModel
 from wattcast.series import TimeSeries
 from wattcast.synthetic import arma_series, household_series, var_series
 from wattcast.transform import decompose, difference, undifference

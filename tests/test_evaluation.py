@@ -9,6 +9,8 @@ import pytest
 
 from wattcast.errors import ConfigError, InsufficientTest, LengthMismatch
 from wattcast.evaluation import (
+    MODE_ONE_STEP,
+    MODE_RECURSIVE,
     MODELS,
     EvalRecord,
     EvaluationReport,
@@ -20,12 +22,7 @@ from wattcast.evaluation import (
     metrics,
     spec_for,
 )
-from wattcast.regressors import (
-    MODE_ONE_STEP,
-    MODE_RECURSIVE,
-    MeanModel,
-    OlsModel,
-)
+from wattcast.regressors import MeanModel, OlsModel
 from wattcast.series import MultiSeries, TimeSeries, merge
 from wattcast.synthetic import arma_series, household_series, weather_records
 
@@ -119,14 +116,6 @@ class TestModelSpec:
         with pytest.raises(ConfigError):
             ModelSpec("ols", "lag")
 
-    def test_arima_rejects_preprocessing(self):
-        with pytest.raises(ConfigError):
-            ModelSpec("arima", "arima", preprocess="difference")
-
-    def test_deseasonalize_needs_period(self):
-        with pytest.raises(ConfigError):
-            ModelSpec("ols", "lag", OlsModel, preprocess="deseasonalize")
-
     def test_default_suite_has_seven_members(self):
         names = [s.name for s in default_specs()]
         assert names == ["ols", "gp", "mlp", "svr", "knn", "arima", "var"]
@@ -163,24 +152,6 @@ class TestEvaluate:
         assert rec.n_test == 120 - 90
         assert np.isfinite(rec.rmse)
 
-    def test_difference_preprocessing_round_trips_a_ramp(self):
-        # x_t = 2t has constant first difference, so a differenced OLS model
-        # continues the ramp exactly in recursive mode
-        s = hourly(2.0 * np.arange(60.0))
-        spec = ModelSpec("ols_diff", "lag", OlsModel, preprocess="difference")
-        rec = evaluate(spec, s, 0.8, p=3, mode=MODE_RECURSIVE)
-        assert rec.rmse == pytest.approx(0.0, abs=1e-7)
-
-    def test_deseasonalize_preprocessing_helps_seasonal_data(self):
-        i = np.arange(200.0)
-        s = hourly(10.0 + 0.05 * i + 3.0 * np.sin(2 * np.pi * i / 24))
-        plain = evaluate(spec_for("ols"), s, 0.8, p=4)
-        spec = ModelSpec("ols_season", "lag", OlsModel,
-                         preprocess="deseasonalize", period=24)
-        adjusted = evaluate(spec, s, 0.8, p=4)
-        assert adjusted.ok and adjusted.rae < 1.0
-        assert adjusted.rmse <= plain.rmse * 1.5
-
     def test_arima_and_var_kinds(self):
         s = arma_series(150, ar=(0.5,), intercept=1.0, noise_sd=0.2, seed=9)
         rec_a = evaluate(spec_for("arima", arima_order=(1, 0, 0)), s, 0.8)
@@ -200,6 +171,18 @@ class TestEvaluate:
         for mode in (MODE_ONE_STEP, MODE_RECURSIVE):
             rec = evaluate(spec_for("ols"), ms, 0.8, p=2, mode=mode)
             assert rec.ok and rec.rae < 0.5
+
+    @pytest.mark.parametrize("mode", [MODE_ONE_STEP, MODE_RECURSIVE])
+    def test_series_equals_its_one_column_table(self, mode):
+        # a TimeSeries is evaluated as the one-column table "energy"
+        s = household_series(150, seed=6)
+        table = MultiSeries(s.start, s.interval, ("energy",), s.values[:, None])
+        for name in MODELS:
+            spec = spec_for(name, hyper={"mlp_epochs": 20})
+            as_series = evaluate(spec, s, 0.8, p=4, mode=mode)
+            as_table = evaluate(spec, table, 0.8, p=4, mode=mode)
+            assert as_series.ok, as_series.error
+            assert as_series.to_row() == as_table.to_row()
 
     def test_run_twice_is_bit_identical(self):
         s = household_series(260, seed=2)
@@ -286,13 +269,14 @@ class TestBenchmark:
         assert all(r.interval == 2 * HOUR for r in report.records
                    if r.dataset == "hw[2h]")
 
-    def test_unknown_dataset_type_fails_only_its_variant(self):
+    @pytest.mark.parametrize("intervals", [[None], [2 * HOUR]], ids=["native", "2h"])
+    def test_unknown_dataset_type_fails_only_its_variant(self, intervals):
         class NotASeries:
             interval = HOUR
 
         data = [("odd", NotASeries()),
                 ("a", arma_series(120, ar=(0.5,), noise_sd=0.3, seed=8))]
-        report = benchmark([spec_for("ols")], data, [0.8], p=3, intervals=[2 * HOUR])
+        report = benchmark([spec_for("ols")], data, [0.8], p=3, intervals=intervals)
         odd, native = report.records
         assert not odd.ok and odd.error.startswith("ConfigError: ")
         assert native.ok

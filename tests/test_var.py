@@ -90,6 +90,13 @@ class TestForecast:
         forecast = var_forecast(model, history, 2)
         assert np.max(np.abs(forecast - np.vstack([step1, step2]))) <= 1e-10
 
+    def test_one_row_history_is_one_row(self):
+        # a (1, k) history is one observation of k variables, not k observations
+        data = var_series(60, A_TRI, noise_sd=0.5, seed=36)
+        model = var_fit(data, 1)
+        from_last_row = var_forecast(model, data.values[-1:], 2)
+        assert np.array_equal(from_last_row, var_forecast(model, data, 2))
+
     def test_history_too_short(self):
         model = VarModel(3, np.zeros((3, 2, 2)), np.zeros(2), ("a", "b"), np.eye(2))
         history = MultiSeries(0.0, 3600.0, ("a", "b"), np.ones((2, 2)))
