@@ -448,7 +448,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"wattcast: model error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # bad hyperparameter values from constructors
+    except ValueError as exc:  # e.g. a lag order the transforms reject
         print(f"wattcast: configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -163,7 +163,8 @@ def spec_for(name: str, seed: int = 0, arima_order: tuple = (2, 0, 1), *,
     """Look up a single model family by CLI name.
 
     ``hyper`` maps hyperparameter keys to values and wins over ``seed`` and
-    ``arima_order``; keys it lacks keep the constructor's defaults.
+    ``arima_order``; keys it lacks keep the constructor's defaults. A value
+    the constructor rejects raises ``ConfigError`` here, before any cell runs.
     """
     if name not in FAMILIES:
         raise ConfigError(f"unknown model {name!r} (choose from {', '.join(MODELS)})")
@@ -172,8 +173,13 @@ def spec_for(name: str, seed: int = 0, arima_order: tuple = (2, 0, 1), *,
     if family.kind == "arima":
         return ModelSpec(name, family.kind, order=tuple(hyper["arima_order"]))
     if family.kind == "lag":
-        return ModelSpec(name, family.kind, functools.partial(
-            family.model, **{arg: hyper[key] for arg, key in family.params if key in hyper}))
+        make = functools.partial(
+            family.model, **{arg: hyper[key] for arg, key in family.params if key in hyper})
+        try:
+            make()
+        except ValueError as exc:
+            raise ConfigError(f"model {name!r}: {exc}") from None
+        return ModelSpec(name, family.kind, make)
     return ModelSpec(name, family.kind)
 
 

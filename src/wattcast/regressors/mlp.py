@@ -12,17 +12,36 @@ the recorded loss curve non-increasing by construction.
 Training keeps every weight in one flat float64 vector laid out as
 ``[W_aug = [w_in | b_in] (h x (p+1)), w_out (h), b_out (1)]``; the momentum
 velocity and the per-row gradient share that layout, and the standardized
-inputs carry an appended ones column, so one outer product yields both
-input-layer gradients and a row update is a fixed handful of in-place numpy
-calls. The contract is that a fit is bitwise-identical to per-sample SGD in
-row order: each weight sees the same floating-point operations in the same
-order as the plain per-array loop. After ``fit`` the weights are published
-as contiguous ``w_in_``, ``b_in_``, ``w_out_`` and a float ``b_out_``.
+inputs carry an appended ones column. After ``fit`` the weights are
+published as contiguous ``w_in_``, ``b_in_``, ``w_out_`` and a float
+``b_out_``.
+
+An epoch runs on one of two backends; the epoch loop, rollback and loss
+curve around it are shared:
+
+- **C** (``_mlp_epoch.c``): one call per epoch. The first fit in a process
+  compiles it with the system C compiler into a private temporary directory,
+  loads it through ``ctypes`` and removes the directory. Every weight sees
+  the same floating-point operations in the same order as the numpy loop,
+  except that the two dot products of a row are summed in plain loop order
+  rather than by BLAS, so its weights equal the numpy loop's to within
+  rounding, not bitwise.
+- **numpy**: a fixed handful of in-place numpy calls per row, used when no
+  compiler is found or the build or load fails. It is bitwise-identical to
+  per-sample SGD written with one array per weight block: each weight sees
+  the same floating-point operations in the same order.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -30,10 +49,78 @@ from scipy.special import expit
 from ..errors import DivergedLoss
 from .base import ForecastModel
 
+_KERNEL_SOURCE = Path(__file__).with_name("_mlp_epoch.c")
+
 
 def default_hidden(n_features: int) -> int:
     """Default hidden width: half of (features + output), rounded up."""
     return math.ceil((n_features + 1) / 2)
+
+
+def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum) -> None:
+    """One epoch of per-sample SGD with momentum, updating theta and vel in place."""
+    n_feat = X_aug.shape[1] - 1
+    size = h * (n_feat + 1)
+    W = theta[:size].reshape(h, n_feat + 1)
+    w_in, b_in, w_out = W[:, :n_feat], W[:, n_feat], theta[size:-1]
+    grad = np.empty_like(theta)
+    g_W, g_out = grad[:size].reshape(h, n_feat + 1), grad[size:-1]
+    z, act, delta, slope = (np.empty(h) for _ in range(4))
+    delta_col = delta[:, None]
+    dot, multiply, subtract = np.dot, np.multiply, np.subtract
+    for x_row, x_aug, target in zip(X_aug[:, :n_feat], X_aug, y.tolist()):
+        dot(w_in, x_row, out=z)
+        z += b_in
+        expit(z, out=act)
+        err = float(dot(w_out, act)) + theta.item(-1) - target
+        multiply(w_out, err, out=delta)
+        delta *= act
+        subtract(1.0, act, out=slope)
+        delta *= slope
+        step = lr * err
+        multiply(act, step, out=g_out)
+        grad[-1] = step
+        multiply(delta_col, x_aug, out=g_W)
+        g_W *= lr
+        vel *= momentum
+        vel -= grad
+        theta += vel
+
+
+@functools.cache
+def _load_kernel():
+    """The C epoch with ``_numpy_epoch``'s signature, or None when no C
+    compiler is found or the build or load fails."""
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        return None
+    try:
+        # the loaded library stays mapped after its directory is removed
+        with tempfile.TemporaryDirectory(prefix="wattcast-mlp-",
+                                         ignore_cleanup_errors=True) as build_dir:
+            library = os.path.join(build_dir, "_mlp_epoch.so")
+            built = subprocess.run(
+                [compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC",
+                 "-o", library, str(_KERNEL_SOURCE), "-lm"],
+                stdin=subprocess.DEVNULL, capture_output=True)
+            if built.returncode != 0:
+                return None
+            lib = ctypes.CDLL(library)
+    except OSError:
+        return None
+
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.mlp_epoch.restype = None
+    lib.mlp_epoch.argtypes = [array, array, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                              ctypes.c_double, ctypes.c_double, array, array, array]
+
+    def c_epoch(X_aug, y, theta, vel, h, lr, momentum) -> None:
+        n, cols = X_aug.shape
+        if y.shape != (n,) or theta.shape != vel.shape or theta.size != h * (cols + 1) + 1:
+            raise ValueError("MLP epoch buffers do not match the packed layout")
+        lib.mlp_epoch(X_aug, y, n, cols - 1, h, lr, momentum, theta, vel, np.empty(2 * h))
+
+    return c_epoch
 
 
 class MlpModel(ForecastModel):
@@ -69,18 +156,17 @@ class MlpModel(ForecastModel):
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         X = np.ascontiguousarray(X, dtype=float)
+        y = np.ascontiguousarray(y, dtype=float)
         n, n_feat = X.shape
         h = self.hidden if self.hidden is not None else default_hidden(n_feat)
         X_aug = np.hstack([X, np.ones((n, 1))])
 
-        # packed layout as in the module docstring; vel and grad share it
+        # packed layout as in the module docstring; vel shares it
         size = h * (n_feat + 1)
         theta = np.empty(size + h + 1)
         vel = np.zeros_like(theta)
-        grad = np.empty_like(theta)
         W = theta[:size].reshape(h, n_feat + 1)
         w_in, b_in, w_out = W[:, :n_feat], W[:, n_feat], theta[size:-1]
-        g_W, g_out = grad[:size].reshape(h, n_feat + 1), grad[size:-1]
 
         rng = np.random.default_rng(self.seed)
         w_in[:] = rng.uniform(-0.5, 0.5, size=(h, n_feat))
@@ -89,32 +175,13 @@ class MlpModel(ForecastModel):
         theta[-1] = rng.uniform(-0.5, 0.5)
         self._publish(w_in, b_in, w_out, theta)
 
-        z, act, delta, slope = (np.empty(h) for _ in range(4))
-        delta_col = delta[:, None]
-        dot, multiply, subtract = np.dot, np.multiply, np.subtract
-        lr, momentum = self.lr, self.momentum
-        rows = list(zip(X, X_aug, y.tolist()))
+        run_epoch = _load_kernel() or _numpy_epoch
+        lr = self.lr
         prev_loss = self._rmse(X, y)
         curve = [prev_loss]
         for epoch in range(self.epochs):
             snapshot = theta.copy()
-            for x_row, x_aug, target in rows:
-                dot(w_in, x_row, out=z)
-                z += b_in
-                expit(z, out=act)
-                err = float(dot(w_out, act)) + theta.item(-1) - target
-                multiply(w_out, err, out=delta)
-                delta *= act
-                subtract(1.0, act, out=slope)
-                delta *= slope
-                step = lr * err
-                multiply(act, step, out=g_out)
-                grad[-1] = step
-                multiply(delta_col, x_aug, out=g_W)
-                g_W *= lr
-                vel *= momentum
-                vel -= grad
-                theta += vel
+            run_epoch(X_aug, y, theta, vel, h, lr, self.momentum)
 
             self._publish(w_in, b_in, w_out, theta)
             loss = self._rmse(X, y)

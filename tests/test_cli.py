@@ -196,6 +196,15 @@ class TestBenchmark:
         assert main(["benchmark", "--input", str(hourly_csv),
                      "--models", ""]) == 2
 
+    @pytest.mark.parametrize("flags", [["--models", "ols,mlp", "--mlp-momentum", "1.5"],
+                                       ["--models", "mlp", "--mlp-hidden", "0"]],
+                             ids=["momentum", "hidden"])
+    def test_invalid_hyperparameter_exit_2(self, hourly_csv, tmp_path, flags):
+        report = tmp_path / "report.txt"
+        assert main(["benchmark", "--input", str(hourly_csv), *flags,
+                     "--report", str(report)]) == 2
+        assert not report.exists()
+
     def test_short_dataset_flags_only_the_failing_model(self, tmp_path):
         path = tmp_path / "short.csv"
         write_energy_csv(path, arma_series(60, ar=(0.5,), noise_sd=0.3, seed=3))

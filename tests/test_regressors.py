@@ -1,3 +1,6 @@
+import ctypes
+import shutil
+import tempfile
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 from scipy.spatial.distance import cdist
 
+import wattcast.regressors.mlp as mlp_module
 import wattcast.regressors.svr as svr_module
 from wattcast.errors import (
     DivergedLoss,
@@ -578,9 +582,8 @@ class TestMlpMatchesReferenceLoop:
         "rollbacks": (_household_frame, dict(epochs=12, seed=1, lr=0.6)),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bitwise_equal_to_reference(self, case):
-        make, params = self.CASES[case]
+    @staticmethod
+    def assert_bitwise_equal_to_reference(make, params):
         frame = make()
         fitted = MlpModel(**params).fit(frame)
         expected = _reference_fit(MlpModel(**params), frame)
@@ -589,13 +592,97 @@ class TestMlpMatchesReferenceLoop:
         assert np.float64(fitted.b_out_).tobytes() == np.float64(expected.b_out_).tobytes()
         assert np.float64(fitted.final_lr_).tobytes() == np.float64(expected.final_lr_).tobytes()
         assert fitted.w_in_.flags.c_contiguous and fitted.b_in_.flags.c_contiguous
+        return fitted
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_reference(self, case, monkeypatch):
+        # pins the numpy loop, the fallback when no C kernel can be built
+        monkeypatch.setattr(mlp_module, "_load_kernel", lambda: None)
+        make, params = self.CASES[case]
+        fitted = self.assert_bitwise_equal_to_reference(make, params)
         if case == "rollbacks":
             assert fitted.final_lr_ < params["lr"]
+
+    @pytest.mark.parametrize("breakage", ["no_compiler", "build_fails", "load_fails"])
+    def test_fallback_is_the_numpy_loop(self, breakage, monkeypatch, tmp_path):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        if breakage == "no_compiler":
+            monkeypatch.setattr(shutil, "which", lambda name: None)
+        elif breakage == "build_fails":
+            broken = tmp_path / "_mlp_epoch.c"
+            broken.write_text("this is not C\n")
+            monkeypatch.setattr(mlp_module, "_KERNEL_SOURCE", broken)
+        else:
+            def refuse(path):
+                raise OSError(f"cannot load {path}")
+            monkeypatch.setattr(ctypes, "CDLL", refuse)
+        load = mlp_module._load_kernel.__wrapped__  # uncached: this process may hold a kernel
+        assert load() is None
+        assert list(scratch.iterdir()) == []  # the build directory is removed
+        monkeypatch.setattr(mlp_module, "_load_kernel", load)
+        make, params = self.CASES["rollbacks"]
+        self.assert_bitwise_equal_to_reference(make, params)
 
     def test_default_case_shape(self):
         frame = _household_frame()
         assert frame.n_features == 24 and frame.n_samples >= 300
         assert MlpModel(epochs=0).fit(frame).w_in_.shape == (default_hidden(24), 24)
+
+
+def _kernel_or_skip():
+    kernel = mlp_module._load_kernel()
+    if kernel is None:
+        pytest.skip("no C compiler could build the MLP epoch kernel")
+    return kernel
+
+
+class TestMlpKernelMatchesNumpy:
+    """The C epoch against the numpy loop: equal to within rounding, since
+    only the two dot products per row are summed in a different order."""
+
+    @pytest.mark.parametrize("case", sorted(TestMlpMatchesReferenceLoop.CASES))
+    def test_within_rounding_of_numpy_loop(self, case, monkeypatch):
+        kernel = _kernel_or_skip()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            kernel(*args)
+
+        monkeypatch.setattr(mlp_module, "_load_kernel", lambda: counted)
+        make, params = TestMlpMatchesReferenceLoop.CASES[case]
+        frame = make()
+        compiled = MlpModel(**params).fit(frame)
+        assert len(calls) == params["epochs"]  # every epoch ran in C
+        monkeypatch.setattr(mlp_module, "_load_kernel", lambda: None)
+        looped = MlpModel(**params).fit(frame)
+
+        names = ("w_in_", "b_in_", "w_out_", "b_out_")
+        gap = max(np.max(np.abs(np.subtract(getattr(compiled, n), getattr(looped, n))))
+                  for n in names)
+        scale = max(np.max(np.abs(getattr(looped, n))) for n in names)
+        assert gap <= 1e-12 * scale
+        np.testing.assert_allclose(compiled.loss_curve_, looped.loss_curve_, rtol=1e-12, atol=0)
+        assert compiled.final_lr_ == looped.final_lr_
+        rollbacks = [np.flatnonzero(np.diff(m.loss_curve_) == 0) for m in (compiled, looped)]
+        assert np.array_equal(*rollbacks)
+        if case == "rollbacks":
+            assert rollbacks[0].size > 0
+
+    def test_loader_leaves_no_build_directory(self, monkeypatch, tmp_path):
+        _kernel_or_skip()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert callable(mlp_module._load_kernel.__wrapped__())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejects_buffers_off_the_packed_layout(self):
+        kernel = _kernel_or_skip()
+        X_aug = np.ones((4, 3))
+        theta, vel = np.zeros(2 * 4 + 1), np.zeros(2 * 4 + 1)
+        with pytest.raises(ValueError):
+            kernel(X_aug, np.zeros(4), theta, vel, 3, 0.1, 0.0)  # sized for h=2
 
 
 class TestPredictSeries:
