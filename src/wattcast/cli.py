@@ -22,8 +22,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, DataError, ModelError
 from .evaluation import (
     FAMILIES,
@@ -36,9 +34,9 @@ from .evaluation import (
 )
 from .ingest import (
     DatasetSchema,
-    _format_timestamp,
     infer_schema,
     read_energy_csv,
+    write_columns,
     write_energy_csv,
 )
 from .series import TimeSeries, resample
@@ -328,11 +326,7 @@ def _write_text(destination, text: str) -> None:
 
 
 def _write_series(destination, s: TimeSeries) -> None:
-    if destination is None:
-        write_energy_csv(sys.stdout, s)
-    else:
-        with open(destination, "w", newline="", encoding="utf-8") as fh:
-            write_energy_csv(fh, s)
+    write_energy_csv(sys.stdout if destination is None else destination, s)
 
 
 # --- commands ---------------------------------------------------------------
@@ -404,16 +398,9 @@ def cmd_decompose(args) -> int:
     period = _opt(args)["period"]
     s = _read_input(args.input, args)
     parts = decompose(s, period)
-
-    def cell(x: float) -> str:
-        return "NaN" if np.isnan(x) else repr(float(x))
-
-    lines = ["timestamp,value,trend,seasonal,residual"]
-    for i in range(len(s)):
-        stamp = _format_timestamp(s.start + i * s.interval)
-        lines.append(",".join([stamp, cell(s.values[i]), cell(parts.trend[i]),
-                               cell(parts.seasonal[i]), cell(parts.residual[i])]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_columns(sys.stdout if args.out is None else args.out, s.timestamps,
+                  {"value": s.values, "trend": parts.trend,
+                   "seasonal": parts.seasonal, "residual": parts.residual})
     if args.plot:
         _write_text(args.plot, decomposition_chart(s, parts))
     return 0

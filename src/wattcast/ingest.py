@@ -38,6 +38,13 @@ _EPOCH_MAX = 1e11
 
 _MISSING_TOKENS = ("", "nan", "na", "null", "none")
 
+# 1000-01-01 and 10000-01-01 UTC in epoch seconds: the years numpy's
+# datetime strings share with strftime's
+_YEAR_1000 = -30_610_224_000.0
+_YEAR_10000 = 253_402_300_800.0
+# rows of CSV text formatted and written at a time
+_CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class DatasetSchema:
@@ -63,6 +70,46 @@ class DatasetSchema:
             raise ConfigError("schema delimiter must be non-empty")
         if not self.timestamp_format:
             raise ConfigError("schema timestamp format must be non-empty")
+        try:
+            timezone(timedelta(hours=self.utc_offset_hours))
+        except (ValueError, OverflowError):
+            raise ConfigError("UTC offset must be finite and strictly between -24 "
+                              f"and 24 hours, got {self.utc_offset_hours!r}") from None
+
+
+def _timestamp_parser(fmt: str, utc_offset_hours: float):
+    """The one-cell parser of ``parse_timestamp`` for ``fmt`` and the offset,
+    with the timezone built once for every cell it parses."""
+    tz = timezone(timedelta(hours=utc_offset_hours))
+
+    def parse(text: str) -> float:
+        text = text.strip()
+        if not text:
+            raise ValueError("empty timestamp")
+        if fmt == "epoch":
+            return float(text)
+        if "%" in fmt:
+            stamp = datetime.strptime(text, fmt)
+            if stamp.tzinfo is None:
+                stamp = stamp.replace(tzinfo=tz)
+            return stamp.timestamp()
+
+        # "auto" and "iso": ISO-8601 with optional trailing Z
+        try:
+            stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            if stamp.tzinfo is None:
+                stamp = stamp.replace(tzinfo=tz)
+            return stamp.timestamp()
+        except ValueError:
+            if fmt == "iso":
+                raise
+        # auto fallback: epoch seconds, restricted to a plausible range
+        seconds = float(text)
+        if not _EPOCH_MIN <= seconds <= _EPOCH_MAX:
+            raise ValueError(f"{text!r} is neither ISO-8601 nor plausible epoch seconds")
+        return seconds
+
+    return parse
 
 
 def parse_timestamp(text: str, fmt: str = "auto", utc_offset_hours: float = 0.0) -> float:
@@ -70,42 +117,31 @@ def parse_timestamp(text: str, fmt: str = "auto", utc_offset_hours: float = 0.0)
 
     Raises ValueError when the cell does not match the format.
     """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty timestamp")
-    tz = timezone(timedelta(hours=utc_offset_hours))
-
-    if fmt == "epoch":
-        return float(text)
-    if "%" in fmt:
-        stamp = datetime.strptime(text, fmt)
-        if stamp.tzinfo is None:
-            stamp = stamp.replace(tzinfo=tz)
-        return stamp.timestamp()
-
-    # "auto" and "iso": ISO-8601 with optional trailing Z
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        if stamp.tzinfo is None:
-            stamp = stamp.replace(tzinfo=tz)
-        return stamp.timestamp()
-    except ValueError:
-        if fmt == "iso":
-            raise
-    # auto fallback: epoch seconds, restricted to a plausible range
-    seconds = float(text)
-    if not _EPOCH_MIN <= seconds <= _EPOCH_MAX:
-        raise ValueError(f"{text!r} is neither ISO-8601 nor plausible epoch seconds")
-    return seconds
+    return _timestamp_parser(fmt, utc_offset_hours)(text)
 
 
-def _parse_value(text: str, line: int) -> float:
-    if text.strip().lower() in _MISSING_TOKENS:
-        return float("nan")
+def _parse_value(text: str) -> float:
+    """A value cell: a float, or NaN for a missing token."""
     try:
         return float(text)
     except ValueError:
-        raise ParseError(f"bad numeric value {text!r}", line=line) from None
+        # float() already reads the "nan" token; the other tokens are not numbers
+        if text.strip().lower() in _MISSING_TOKENS:
+            return math.nan
+        raise
+
+
+def _parse_column(parse, cells):
+    """``parse`` of each cell up to the first ValueError. Returns the parsed
+    values and that error, or None; the failing cell is ``cells[len(values)]``."""
+    out = []
+    append = out.append
+    try:
+        for cell in cells:
+            append(parse(cell))
+    except ValueError as exc:
+        return out, exc
+    return out, None
 
 
 def _read_rows(path, delimiter: str):
@@ -143,22 +179,39 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
     n_columns = len(rows[0])
     ts_col = _column_index(schema.timestamp_column, header, n_columns, "timestamp")
     val_col = _column_index(schema.value_column, header, n_columns, "value")
+    width = max(ts_col, val_col) + 1
 
-    stamps, values = [], []
-    for offset, row in enumerate(body):
-        line = body_start + offset
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) <= max(ts_col, val_col):
-            raise ParseError(f"expected at least {max(ts_col, val_col) + 1} "
-                             f"columns, got {len(row)}", line=line)
-        try:
-            stamps.append(parse_timestamp(row[ts_col], schema.timestamp_format,
-                                          schema.utc_offset_hours))
-        except ValueError as exc:
-            raise ParseError(f"bad timestamp {row[ts_col]!r} ({exc})",
-                             line=line) from None
-        values.append(_parse_value(row[val_col], line))
+    # blank rows are skipped; their positions give the file line of a bad row
+    blank = []
+    if not all(map(str.strip, map("".join, body))):
+        blank = [i for i, row in enumerate(body) if not "".join(row).strip()]
+        body = [row for row in body if "".join(row).strip()]
+    short = len(body)
+    if min(map(len, body), default=width) < width:
+        short = next(k for k, row in enumerate(body) if len(row) < width)
+    stamp_cells = [row[ts_col] for row in body[:short]]
+    value_cells = [row[val_col] for row in body[:short]]
+    problems = []
+    if short < len(body):
+        problems.append((short, 0, f"expected at least {width} columns, "
+                                   f"got {len(body[short])}"))
+    del rows, body
+
+    parse = _timestamp_parser(schema.timestamp_format, schema.utc_offset_hours)
+    stamps, error = _parse_column(parse, stamp_cells)
+    if error is not None:
+        problems.append((len(stamps), 1,
+                         f"bad timestamp {stamp_cells[len(stamps)]!r} ({error})"))
+    values, error = _parse_column(_parse_value, value_cells)
+    if error is not None:
+        problems.append((len(values), 2, f"bad numeric value {value_cells[len(values)]!r}"))
+    if problems:
+        # the first bad row is reported, its width checked first, then its timestamp
+        row, _, message = min(problems)
+        for skipped in blank:  # ascending
+            if skipped <= row:
+                row += 1
+        raise ParseError(message, line=body_start + row)
 
     if not stamps:
         raise ParseError("no data rows", line=body_start)
@@ -203,8 +256,8 @@ def read_weather(path, schema: DatasetSchema | None = None) -> list:
         return _read_weather_json(path)
 
     delimiter = schema.delimiter if schema else ","
-    fmt = schema.timestamp_format if schema else "auto"
-    offset_hours = schema.utc_offset_hours if schema else 0.0
+    parse = _timestamp_parser(schema.timestamp_format if schema else "auto",
+                              schema.utc_offset_hours if schema else 0.0)
     rows = _read_rows(path, delimiter)
     if len(rows) < 2:
         raise ParseError("weather CSV needs a header and at least one row", line=1)
@@ -223,7 +276,7 @@ def read_weather(path, schema: DatasetSchema | None = None) -> list:
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
-            stamp = parse_timestamp(row[ts_col], fmt, offset_hours)
+            stamp = parse(row[ts_col])
         except ValueError as exc:
             raise ParseError(f"bad timestamp {row[ts_col]!r} ({exc})",
                              line=line) from None
@@ -352,20 +405,62 @@ def _format_timestamp(seconds: float) -> str:
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _format_timestamps(seconds) -> list:
+    """``[_format_timestamp(x) for x in seconds]``, computed on the array."""
+    seconds = np.asarray(seconds, dtype=np.float64)
+    # fromtimestamp rounds to the microsecond, half to even, and %S drops the
+    # microseconds: this is the second it shows, also before 1970
+    fraction, whole = np.modf(seconds)
+    micros = np.rint(fraction * 1e6)
+    whole = whole + (micros >= 1e6) - (micros < 0)
+    # numpy zero-pads years below 1000, which strftime need not do, and
+    # fromtimestamp raises outside years 1-9999: those stamps (and NaN) take
+    # the scalar path, which formats or raises as it always did
+    outside = ~((whole >= _YEAR_1000) & (whole < _YEAR_10000))
+    whole[outside] = 0.0
+    text = np.datetime_as_string(whole.astype("datetime64[s]"), unit="s",
+                                 timezone="UTC").tolist()
+    for k in np.flatnonzero(outside).tolist():
+        text[k] = _format_timestamp(float(seconds[k]))
+    return text
+
+
+def _format_values(values: np.ndarray) -> list:
+    """``repr`` of each value, and ``NaN`` for NaN."""
+    text = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        text[k] = "NaN"
+    return text
+
+
+def write_columns(destination, timestamps, columns: dict) -> None:
+    """Write a canonical CSV table: ``timestamp`` in ISO-8601 UTC at
+    whole-second resolution, then one column per ``columns`` entry (name ->
+    values) at full float precision, with NaN written as ``NaN``.
+
+    ``destination`` is a path or an open text handle. Rows are formatted and
+    written a bounded chunk at a time.
+    """
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    arrays = [np.asarray(values, dtype=np.float64) for values in columns.values()]
+    own = not hasattr(destination, "write")
+    fh = open(destination, "w", newline="", encoding="utf-8") if own else destination
+    try:
+        fh.write(",".join(["timestamp", *columns]) + "\n")
+        for begin in range(0, timestamps.size, _CHUNK_ROWS):
+            chunk = slice(begin, begin + _CHUNK_ROWS)
+            cells = [_format_timestamps(timestamps[chunk]),
+                     *(_format_values(a[chunk]) for a in arrays)]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    finally:
+        if own:
+            fh.close()
+
+
 def write_energy_csv(destination, s: TimeSeries) -> None:
     """Write the canonical CSV form: ``timestamp,value``, ISO-8601 UTC, NaN
     literal for missing. ``read_energy_csv`` round-trips it exactly.
 
     Timestamps are written at whole-second resolution.
     """
-    own = not hasattr(destination, "write")
-    fh = open(destination, "w", newline="", encoding="utf-8") if own else destination
-    try:
-        fh.write("timestamp,value\n")
-        for i, value in enumerate(s.values):
-            stamp = _format_timestamp(s.start + i * s.interval)
-            text = "NaN" if math.isnan(value) else repr(float(value))
-            fh.write(f"{stamp},{text}\n")
-    finally:
-        if own:
-            fh.close()
+    write_columns(destination, s.timestamps, {"value": s.values})

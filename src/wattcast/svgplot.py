@@ -9,6 +9,7 @@ CSV and report outputs.
 
 from __future__ import annotations
 
+import html
 import math
 from datetime import datetime, timezone
 
@@ -103,16 +104,22 @@ class _Panel:
                        f'{_time_label(tick, span)}</text>')
 
     def series(self, out: list, times, values, color: str):
+        """A polyline and point markers per finite run. ``x`` and ``y`` run on
+        whole arrays, so each coordinate is the double a per-point call gives,
+        and ``'%.2f'`` formats it as ``_f`` does. One string holds a run's
+        markers, one per line."""
         values = np.asarray(values, dtype=float)
+        xs = self.x(np.asarray(times, dtype=float))
+        ys = self.y(values)
+        circle = f'<circle cx="%.2f" cy="%.2f" r="2" fill="{color}"/>'
         for begin, end in _finite_runs(values):
-            points = " ".join(f"{_f(self.x(times[i]))},{_f(self.y(values[i]))}"
-                              for i in range(begin, end))
-            if end - begin > 1:
+            count = end - begin
+            xy = tuple(np.column_stack([xs[begin:end], ys[begin:end]]).ravel().tolist())
+            if count > 1:
+                points = " ".join(["%.2f,%.2f"] * count) % xy
                 out.append(f'<polyline points="{points}" fill="none" '
                            f'stroke="{color}" stroke-width="1.5"/>')
-            for i in range(begin, end):
-                out.append(f'<circle cx="{_f(self.x(times[i]))}" '
-                           f'cy="{_f(self.y(values[i]))}" r="2" fill="{color}"/>')
+            out.append("\n".join([circle] * count) % xy)
 
 
 def _bounds(pairs):
@@ -129,7 +136,7 @@ def _document(width: int, height: int, body: list) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">')
     background = f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>'
-    return "\n".join([head, background, *body, "</svg>"]) + "\n"
+    return "\n".join([head, background, *body, "</svg>\n"])
 
 
 def _legend(out: list, x: float, y: float, entries):
@@ -138,7 +145,7 @@ def _legend(out: list, x: float, y: float, entries):
         out.append(f'<rect x="{_f(x)}" y="{_f(row)}" width="18" height="4" '
                    f'fill="{color}"/>')
         out.append(f'<text x="{_f(x + 24)}" y="{_f(row + 6)}" {_FONT} '
-                   f'font-size="11">{label}</text>')
+                   f'font-size="11">{html.escape(label, quote=False)}</text>')
 
 
 def forecast_chart(actual: TimeSeries, predicted: TimeSeries, *,
@@ -157,7 +164,7 @@ def forecast_chart(actual: TimeSeries, predicted: TimeSeries, *,
     panel.series(body, *pairs[0], ACTUAL_COLOR)
     panel.series(body, *pairs[1], PREDICTED_COLOR)
     body.append(f'<text x="{_f(width / 2)}" y="20" {_FONT} font-size="14" '
-                f'text-anchor="middle">{title}</text>')
+                f'text-anchor="middle">{html.escape(title, quote=False)}</text>')
     _legend(body, width - 150, 42, [("actual", ACTUAL_COLOR),
                                     ("predicted", PREDICTED_COLOR)])
     return _document(width, height, body)
@@ -192,5 +199,5 @@ def decomposition_chart(observed: TimeSeries, decomposition, *,
         body.append(f'<text x="{_f(74)}" y="{_f(y0 + 12)}" {_FONT} '
                     f'font-size="11" fill="#333333">{label}</text>')
     body.append(f'<text x="{_f(width / 2)}" y="20" {_FONT} font-size="14" '
-                f'text-anchor="middle">{title}</text>')
+                f'text-anchor="middle">{html.escape(title, quote=False)}</text>')
     return _document(width, height, body)

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +10,27 @@ import pytest
 from wattcast.arima import arima_fit, arima_forecast
 from wattcast.cli import main, parse_interval
 from wattcast.errors import ConfigError
-from wattcast.ingest import read_energy_csv, write_energy_csv
+from wattcast.ingest import _format_timestamp, read_energy_csv, write_columns, write_energy_csv
 from wattcast.regressors import GpModel, KnnModel, MlpModel, OlsModel, SvrModel
 from wattcast.series import TimeSeries
 from wattcast.synthetic import arma_series
-from wattcast.transform import lag_embed
+from wattcast.transform import decompose, lag_embed
 from wattcast.var import var_fit, var_forecast
 
 HOUR = 3600.0
+
+
+def _reference_decompose_csv(s, parts):
+    """The per-row text ``decompose`` wrote before the column writer: the oracle."""
+    def cell(x):
+        return "NaN" if np.isnan(x) else repr(float(x))
+
+    lines = ["timestamp,value,trend,seasonal,residual"]
+    for i in range(len(s)):
+        stamp = _format_timestamp(s.start + i * s.interval)
+        lines.append(",".join([stamp, cell(s.values[i]), cell(parts.trend[i]),
+                               cell(parts.seasonal[i]), cell(parts.residual[i])]))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -158,6 +173,12 @@ class TestSchemaFlags:
     def test_empty_timestamp_format_exit_2(self, hourly_csv, columns):
         assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
                      "--timestamp-format", "", *columns]) == 2
+
+    @pytest.mark.parametrize("offset", ["30", "nan", "-24"])
+    def test_utc_offset_outside_a_day_exit_2(self, hourly_csv, offset, capsys):
+        assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
+                     "--utc-offset", offset]) == 2
+        assert "configuration error: UTC offset" in capsys.readouterr().err
 
     def test_one_column_flag_alone_exit_2(self, hourly_csv):
         assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
@@ -392,6 +413,31 @@ class TestDecompose:
                      "--out", str(tmp_path / "parts.csv"), "--plot", str(plot)])
         assert code == 0
         assert plot.read_text().startswith("<svg")
+
+    def test_csv_matches_reference_loop(self, tmp_path, capsys):
+        path = tmp_path / "gappy.csv"
+        i = np.arange(150.0)
+        values = np.where(i % 37 == 5, np.nan, 10 + 0.1 * i + np.sin(2 * np.pi * i / 24))
+        write_energy_csv(path, TimeSeries(-7200.0, 1800.0, values))
+        out = tmp_path / "parts.csv"
+        assert main(["decompose", "--input", str(path), "--period", "24",
+                     "--out", str(out)]) == 0
+        s = read_energy_csv(path)
+        expected = _reference_decompose_csv(s, decompose(s, 24))
+        assert out.read_bytes() == expected.encode()
+        assert main(["decompose", "--input", str(path), "--period", "24"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_column_writer_matches_reference_on_edge_values(self):
+        s = TimeSeries(-0.0000015, 0.5, np.array([-0.0, 1e16, np.nan, 1e-5, 2.0]))
+        parts = SimpleNamespace(trend=np.array([np.inf, -np.inf, 0.1, np.nan, -0.0]),
+                                seasonal=np.array([1e-300, np.nan, np.nan, 3.0, 1 / 3]),
+                                residual=np.array([np.nan, -1e16, 5e-324, 0.0, -2.5]))
+        got = io.StringIO()
+        write_columns(got, s.timestamps, {"value": s.values, "trend": parts.trend,
+                                          "seasonal": parts.seasonal,
+                                          "residual": parts.residual})
+        assert got.getvalue() == _reference_decompose_csv(s, parts)
 
     def test_too_short_exit_3(self, tmp_path):
         path = tmp_path / "tiny.csv"

@@ -1,20 +1,28 @@
 """Tests for CSV/JSON ingestion, schema inference, and the canonical writer."""
 
+import csv
 import io
 import json
 import math
+from collections import Counter
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from wattcast.errors import (
     CannotInfer,
+    ConfigError,
     DuplicateTimestamp,
     NonUniformInterval,
     ParseError,
 )
 from wattcast.ingest import (
     DatasetSchema,
+    _column_index,
+    _format_timestamp,
+    _format_timestamps,
+    _timestamp_parser,
     infer_schema,
     parse_timestamp,
     read_energy_csv,
@@ -24,6 +32,128 @@ from wattcast.ingest import (
 from wattcast.series import TimeSeries
 
 HOUR = 3600.0
+MISSING_TOKENS = ["", "nan", "NaN", "na", "NA", "null", "NULL", "none", "None", " none "]
+
+
+# --- the per-row reader and writer that the column code replaced ------------
+# Kept as reference oracles: the column code must give the same
+# series, the same bytes and the same errors.
+
+def _reference_parse_timestamp(text, fmt="auto", utc_offset_hours=0.0):
+    text = text.strip()
+    if not text:
+        raise ValueError("empty timestamp")
+    tz = timezone(timedelta(hours=utc_offset_hours))
+
+    if fmt == "epoch":
+        return float(text)
+    if "%" in fmt:
+        stamp = datetime.strptime(text, fmt)
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=tz)
+        return stamp.timestamp()
+
+    try:
+        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=tz)
+        return stamp.timestamp()
+    except ValueError:
+        if fmt == "iso":
+            raise
+    seconds = float(text)
+    if not 1e8 <= seconds <= 1e11:
+        raise ValueError(f"{text!r} is neither ISO-8601 nor plausible epoch seconds")
+    return seconds
+
+
+def _reference_parse_value(text, line):
+    if text.strip().lower() in ("", "nan", "na", "null", "none"):
+        return float("nan")
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"bad numeric value {text!r}", line=line) from None
+
+
+def _reference_read_energy_csv(path, schema):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh, delimiter=schema.delimiter)]
+    header = rows[0] if schema.has_header and rows else None
+    body_start = 2 if schema.has_header else 1
+    body = rows[1:] if schema.has_header else rows
+    if not body:
+        raise ParseError("no data rows", line=body_start - 1 or 1)
+
+    n_columns = len(rows[0])
+    ts_col = _column_index(schema.timestamp_column, header, n_columns, "timestamp")
+    val_col = _column_index(schema.value_column, header, n_columns, "value")
+
+    stamps, values = [], []
+    for offset, row in enumerate(body):
+        line = body_start + offset
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) <= max(ts_col, val_col):
+            raise ParseError(f"expected at least {max(ts_col, val_col) + 1} "
+                             f"columns, got {len(row)}", line=line)
+        try:
+            stamps.append(_reference_parse_timestamp(
+                row[ts_col], schema.timestamp_format, schema.utc_offset_hours))
+        except ValueError as exc:
+            raise ParseError(f"bad timestamp {row[ts_col]!r} ({exc})",
+                             line=line) from None
+        values.append(_reference_parse_value(row[val_col], line))
+
+    if not stamps:
+        raise ParseError("no data rows", line=body_start)
+    order = np.argsort(np.asarray(stamps), kind="stable")
+    stamps = np.asarray(stamps, dtype=np.float64)[order]
+    values = np.asarray(values, dtype=np.float64)[order]
+
+    dup = np.flatnonzero(np.diff(stamps) == 0)
+    if dup.size:
+        raise DuplicateTimestamp(
+            f"timestamp {_format_timestamp(stamps[dup[0] + 1])} appears twice")
+    if stamps.size == 1:
+        raise NonUniformInterval("cannot infer a sampling interval from one row")
+
+    gaps = np.diff(stamps)
+    modal = Counter(gaps.tolist()).most_common(1)[0][0]
+    multiples = gaps / modal
+    on_grid = np.abs(multiples - np.round(multiples)) < 1e-6
+    coverage = on_grid.mean()
+    if coverage < 0.9:
+        raise NonUniformInterval(
+            f"modal interval {modal:g}s covers only {coverage:.0%} of gaps")
+
+    steps = (stamps - stamps[0]) / modal
+    grid = np.abs(steps - np.round(steps)) < 1e-6
+    length = int(round(steps[grid][-1])) + 1
+    out = np.full(length, np.nan)
+    out[np.round(steps[grid]).astype(int)] = values[grid]
+    return TimeSeries(float(stamps[0]), float(modal), out)
+
+
+def _reference_write_energy_csv(fh, s):
+    fh.write("timestamp,value\n")
+    for i, value in enumerate(s.values):
+        stamp = _format_timestamp(s.start + i * s.interval)
+        text = "NaN" if math.isnan(value) else repr(float(value))
+        fh.write(f"{stamp},{text}\n")
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any failure
+        return type(exc), str(exc)
+    if isinstance(result, TimeSeries):
+        return result.start, result.interval, result.values.tobytes()
+    if isinstance(result, float):
+        return np.float64(result).tobytes()  # NaN equals NaN, 0.0 differs from -0.0
+    return result
 
 
 def write(tmp_path, name, text):
@@ -293,3 +423,169 @@ class TestCanonicalWriter:
         path = write(tmp_path, "a.csv", "t,v\n" + "\n".join(lines) + "\n")
         s = read_energy_csv(path)
         assert np.count_nonzero(~np.isnan(s.values)) <= len(lines)
+
+
+class TestSchemaChecks:
+    @pytest.mark.parametrize("offset", [30.0, 24.0, -24.0, math.nan, math.inf, 1e300])
+    def test_offset_outside_a_day_is_config_error(self, offset):
+        with pytest.raises(ConfigError, match="UTC offset"):
+            DatasetSchema("t", "v", utc_offset_hours=offset)
+
+
+ISO_SCHEMA = DatasetSchema("t", "v")
+READER_CASES = {
+    "mixed_iso_and_epoch": (
+        "t,v\n2021-01-01T00:00:00Z,1\n1609462800,2\n2021-01-01T02:00:00+00:00,3\n"
+        "1609470000.0,4\n", ISO_SCHEMA),
+    # bare digits parse as ISO where fromisoformat accepts them, else as epoch
+    "digits_8_and_10": ("t,v\n20210101,1\n1609462800,2\n1609466400,3\n", ISO_SCHEMA),
+    "digits_9": ("t,v\n100000000,1\n100003600,2\n100007200,3\n", ISO_SCHEMA),
+    "digits_11_and_12": ("t,v\n20210101120,1\n1609534800,2\n1609538400.0,3\n", ISO_SCHEMA),
+    "digits_12_out_of_range": ("t,v\n1609459200,1\n160946280000,2\n", ISO_SCHEMA),
+    "padded_cells_and_missing_tokens": (
+        "t,v\n" + "".join(f" {3600 * i + 1_000_000_000} ,{token}\n"
+                          for i, token in enumerate(["  1.5 "] + MISSING_TOKENS + ["\t2\t"])),
+        ISO_SCHEMA),
+    "bom": ("\ufefft,v\n1970-01-02T00:00:00Z,1\n1970-01-02T01:00:00Z,2\n", ISO_SCHEMA),
+    "edge_values": (
+        "t,v\n" + "".join(f"{3600 * i + 1_000_000_000},{value}\n" for i, value in
+                          enumerate(["-0.0", "1e16", "1e-5", "NaN", "-nan", "1_000", "0.1"])),
+        ISO_SCHEMA),
+    "inf_value": ("t,v\n1000000000,1\n1000003600,inf\n", ISO_SCHEMA),
+    "fractional_epoch": ("t,v\n1609459200.25,1\n1609459200.75,2\n1609459201.25,3\n"
+                         "1609459202.25,4\n", ISO_SCHEMA),
+    "blank_rows_skipped": ("t,v\n\n1970-01-02T00:00:00Z,1\n,\n  \n , \n"
+                           "1970-01-02T01:00:00Z,2\n\n", ISO_SCHEMA),
+    "unsorted_with_gap": ("t,v\n1000007200,3\n1000000000,1\n1000003600,2\n1000014400,5\n",
+                          ISO_SCHEMA),
+    "headerless_text_column": (
+        "HH-1;1000000000;5\nHH-1;1000000900;6\nHH-1;1000001800;7\n",
+        DatasetSchema("1", "2", delimiter=";", has_header=False)),
+    "naive_iso_with_offset": ("t,v\n1970-01-02 02:00:00,1\n1970-01-02 03:00:00,2\n",
+                              DatasetSchema("t", "v", utc_offset_hours=5.5)),
+    "strptime_with_offset": ("t,v\n02/01/1970 00:00,1\n02/01/1970 01:00,2\n",
+                             DatasetSchema("t", "v", timestamp_format="%d/%m/%Y %H:%M",
+                                           utc_offset_hours=-3.0)),
+    "epoch_format": ("t|v\n 7200 |1\n10800|2\n", DatasetSchema("t", "v", "epoch", "|")),
+    "duplicate": ("t,v\n1000000000,1\n1000000000,2\n", ISO_SCHEMA),
+}
+# (file, the ParseError text the per-row reader raised)
+READER_ERRORS = {
+    "bad_timestamp_after_blank_rows": (
+        "t,v\n2021-01-01T00:00:00Z,1\n\n  \nyesterday,2\n",
+        "line 5: bad timestamp 'yesterday' "
+        "(could not convert string to float: 'yesterday')"),
+    "bad_value": ("t,v\n2021-01-01T00:00:00Z,1\n2021-01-01T01:00:00Z,2\n"
+                  "2021-01-01T02:00:00Z, oops\n", "line 4: bad numeric value ' oops'"),
+    "short_row": ("t,v\n2021-01-01T00:00:00Z,1\n2021-01-01T01:00:00Z\n",
+                  "line 3: expected at least 2 columns, got 1"),
+    "timestamp_before_value_in_a_row": ("t,v\n2021-01-01T00:00:00Z,1\nnoon,oops\n",
+                                        "line 3: bad timestamp 'noon' "
+                                        "(could not convert string to float: 'noon')"),
+    "earlier_value_before_later_timestamp": (
+        "t,v\n2021-01-01T00:00:00Z,oops\nnoon,1\n", "line 2: bad numeric value 'oops'"),
+    "earlier_short_row_before_timestamp": ("t,v\n2021-01-01T00:00:00Z\nnoon,1\n",
+                                           "line 2: expected at least 2 columns, got 1"),
+    "empty_timestamp_in_a_row": ("t,v\n2021-01-01T00:00:00Z,1\n ,2\n",
+                                 "line 3: bad timestamp ' ' (empty timestamp)"),
+    "implausible_epoch": ("t,v\n42,1\n", "line 2: bad timestamp '42' "
+                                         "('42' is neither ISO-8601 nor plausible "
+                                         "epoch seconds)"),
+    "only_blank_rows": ("t,v\n\n,\n", "line 2: no data rows"),
+}
+TIMESTAMP_CELLS = ["20210101", "202101011", "2021010112", "20210101120", "202101011200",
+                   "1609459200", "160945920", "160945920000", "1e9", " 1609459200.5 ",
+                   "2021-01-01T00:00:00Z", "2021-01-01 05:30", "2021-01-01T00:00:00+02:00",
+                   "02/01/1970 00:00", "", "  ", "noon", "42", "-1609459200", "nan"]
+
+
+class TestReaderMatchesReferenceLoop:
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_same_series_or_error(self, case, tmp_path):
+        text, schema = READER_CASES[case]
+        path = write(tmp_path, "a.csv", text)
+        got = _outcome(read_energy_csv, path, schema)
+        assert got == _outcome(_reference_read_energy_csv, path, schema)
+        if case == "digits_12_out_of_range":
+            assert got[0] is ParseError and got[1].startswith("line 3: bad timestamp")
+
+    @pytest.mark.parametrize("case", sorted(READER_ERRORS))
+    def test_same_parse_error_line_and_text(self, case, tmp_path):
+        text, message = READER_ERRORS[case]
+        path = write(tmp_path, "a.csv", text)
+        expected = _outcome(_reference_read_energy_csv, path, ISO_SCHEMA)
+        assert expected == (ParseError, message)
+        assert _outcome(read_energy_csv, path, ISO_SCHEMA) == expected
+
+    @pytest.mark.parametrize("fmt", ["auto", "iso", "epoch", "%Y%m%d%H", "%d/%m/%Y %H:%M"])
+    @pytest.mark.parametrize("offset", [0.0, 5.5, -3.0])
+    def test_cell_parser_is_parse_timestamp(self, fmt, offset):
+        parse = _timestamp_parser(fmt, offset)
+        for cell in TIMESTAMP_CELLS:
+            expected = _outcome(_reference_parse_timestamp, cell, fmt, offset)
+            assert _outcome(parse, cell) == expected, cell
+            assert _outcome(parse_timestamp, cell, fmt, offset) == expected, cell
+
+
+def _stamps_near_second_boundaries():
+    offsets = np.arange(-30, 31) * 1e-7
+    bases = [-86401.0, -1.0, 0.0, 59.0, 1e9, 1609459199.0]
+    extra = [0.9999995, -0.0000005, -0.5, -0.9999995, -1e-7, -0.0, 0.5, 1.4999995,
+             2.5e-7, -2.5e-7, 86399.9999995, 1609459200.25]
+    return [b + d for b in bases for d in offsets.tolist()] + extra
+
+
+class TestWriterMatchesReferenceLoop:
+    VALUES = np.array([-0.0, 1e16, 1e-5, np.nan, 1.5, 0.1, 1 / 3, -2.5e-300, np.nan])
+    STARTS = {
+        "fractional": (1609459200.25, 0.1),
+        "half_microsecond": (0.0000005, 0.9999995),
+        "pre_1970": (-86400.75, 3600.5),
+        "pre_1970_fractional_interval": (-0.0000015, 1e-6),
+        "year_below_1000": (-5e10, 86400.0),
+        "whole_hours": (1609459200.0, 3600.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STARTS))
+    def test_same_bytes(self, case, tmp_path):
+        start, interval = self.STARTS[case]
+        s = TimeSeries(start, interval, self.VALUES)
+        expected = io.StringIO()
+        _reference_write_energy_csv(expected, s)
+        got = io.StringIO()
+        write_energy_csv(got, s)
+        assert got.getvalue() == expected.getvalue()
+        path = tmp_path / "out.csv"
+        write_energy_csv(path, s)
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_rows_span_several_chunks(self):
+        s = TimeSeries(-1000.5, 0.75, np.where(np.arange(10_000) % 7 == 0, np.nan,
+                                               np.arange(10_000) / 3))
+        expected, got = io.StringIO(), io.StringIO()
+        _reference_write_energy_csv(expected, s)
+        write_energy_csv(got, s)
+        assert got.getvalue() == expected.getvalue()
+
+    def test_empty_series_writes_the_header(self):
+        got = io.StringIO()
+        write_energy_csv(got, TimeSeries(0.0, HOUR, np.array([])))
+        assert got.getvalue() == "timestamp,value\n"
+
+    def test_format_timestamps_rounds_like_fromtimestamp(self):
+        seconds = _stamps_near_second_boundaries()
+        assert _format_timestamps(seconds) == [_format_timestamp(x) for x in seconds]
+
+    def test_years_below_1000_match_strftime(self):
+        seconds = [-62135596800.0, -5e10, -30610224000.5, -30610224000.0, 0.0]
+        assert _format_timestamps(seconds) == [_format_timestamp(x) for x in seconds]
+
+    @pytest.mark.parametrize("bad", [-62135596801.0, 253402300800.0, 253402300799.9999996,
+                                     math.nan, 1e20])
+    def test_out_of_range_year_raises_as_before(self, bad):
+        expected = _outcome(_format_timestamp, bad)
+        assert expected[0] in (ValueError, OverflowError)
+        assert _outcome(_format_timestamps, [0.0, bad, 1.0]) == expected
+        s = TimeSeries(bad, HOUR, np.array([1.0, 2.0]))
+        assert _outcome(write_energy_csv, io.StringIO(), s) == \
+            _outcome(_reference_write_energy_csv, io.StringIO(), s)

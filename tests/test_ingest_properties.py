@@ -1,0 +1,80 @@
+"""Property tests for ingest: CSV dialects round-trip, and the column
+timestamp formatter equals the scalar one."""
+
+import string
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from wattcast.ingest import (  # noqa: E402
+    DatasetSchema,
+    _format_timestamp,
+    _format_timestamps,
+    read_energy_csv,
+)
+
+MISSING_TOKENS = ["", "nan", "NaN", "na", "NA", "null", "None", " none "]
+# 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z
+FIRST_SECOND, LAST_SECOND = -62135596800.0, 253402300799.0
+
+
+@st.composite
+def dialect_files(draw):
+    """(file text, schema, start, interval, expected values) of one export."""
+    n = draw(st.integers(3, 40))
+    interval = draw(st.sampled_from([60, 900, 3600, 86400]))
+    start = draw(st.integers(100_000_000, 4_000_000_000))
+    readings = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.none(),
+                             min_size=n, max_size=n))
+    # fewer than a third of the gaps widen, so the interval stays the modal gap
+    dropped = draw(st.sets(st.integers(1, n - 2), max_size=(n - 2) // 3))
+    delimiter = draw(st.sampled_from(",;\t|"))
+    has_header = draw(st.booleans())
+    iso = draw(st.booleans())
+    fmt = draw(st.sampled_from(["auto", "iso"] if iso else ["auto", "epoch"]))
+    order = draw(st.permutations(["text", "time", "value"]))
+
+    rows = []
+    for i, reading in enumerate(readings):
+        if i in dropped:
+            continue
+        stamp = start + i * interval
+        cells = {"text": draw(st.text(string.ascii_letters, min_size=1, max_size=6)),
+                 "time": _format_timestamp(stamp) if iso else str(stamp),
+                 "value": (draw(st.sampled_from(MISSING_TOKENS)) if reading is None
+                           else repr(reading))}
+        rows.append(delimiter.join(cells[name] for name in order))
+    if has_header:
+        rows.insert(0, delimiter.join(order))
+        columns = ("time", "value")
+    else:
+        columns = (str(order.index("time")), str(order.index("value")))
+    schema = DatasetSchema(*columns, timestamp_format=fmt, delimiter=delimiter,
+                           has_header=has_header)
+    expected = np.array([np.nan if reading is None or i in dropped else reading
+                         for i, reading in enumerate(readings)])
+    return "\n".join(rows) + "\n", schema, float(start), float(interval), expected
+
+
+@settings(deadline=None)
+@given(dialect_files())
+def test_dialects_round_trip(case):
+    text, schema, start, interval, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.csv"
+        path.write_text(text, encoding="utf-8")
+        s = read_energy_csv(path, schema)
+    assert (s.start, s.interval) == (start, interval)
+    assert s.values.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(FIRST_SECOND, LAST_SECOND), max_size=50))
+def test_format_timestamps_is_format_timestamp(seconds):
+    assert _format_timestamps(seconds) == [_format_timestamp(x) for x in seconds]

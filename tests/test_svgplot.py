@@ -1,19 +1,38 @@
 """Tests for the dependency-free SVG chart output."""
 
 import xml.etree.ElementTree as ET
+import xml.parsers.expat
 
 import numpy as np
+import pytest
 
 from wattcast.series import TimeSeries
 from wattcast.svgplot import (
     ACTUAL_COLOR,
     PREDICTED_COLOR,
+    _f,
+    _finite_runs,
+    _Panel,
     decomposition_chart,
     forecast_chart,
 )
 from wattcast.transform import decompose
 
 HOUR = 3600.0
+
+
+def _reference_series(panel, out, times, values, color):
+    """``_Panel.series`` as it was, one element per point: the oracle."""
+    values = np.asarray(values, dtype=float)
+    for begin, end in _finite_runs(values):
+        points = " ".join(f"{_f(panel.x(times[i]))},{_f(panel.y(values[i]))}"
+                          for i in range(begin, end))
+        if end - begin > 1:
+            out.append(f'<polyline points="{points}" fill="none" '
+                       f'stroke="{color}" stroke-width="1.5"/>')
+        for i in range(begin, end):
+            out.append(f'<circle cx="{_f(panel.x(times[i]))}" '
+                       f'cy="{_f(panel.y(values[i]))}" r="2" fill="{color}"/>')
 
 
 def sample_pair():
@@ -79,3 +98,62 @@ class TestDecompositionChart:
     def test_deterministic_output(self):
         s, dec = self.make()
         assert decomposition_chart(s, dec) == decomposition_chart(s, dec)
+
+
+NAN = np.nan
+SERIES_CASES = {
+    "nan_runs_at_start_middle_end": [NAN, NAN, 1.0, 2.5, NAN, 3.0, 4.0, NAN, NAN, 4.0,
+                                     5.0, -6.125, NAN],
+    "single_point_runs": [1.0, NAN, 2.0, NAN, NAN, 3.0],
+    "one_point": [7.0],
+    "all_missing": [NAN, NAN, NAN],
+    "fractional_values": np.linspace(-3.333, 7.777, 57).tolist(),
+    "constant": [5.0, 5.0, 5.0],
+}
+
+
+class TestSeriesMatchesReferenceLoop:
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    @pytest.mark.parametrize("start", [1609459200.25, -86400.75])
+    def test_same_text(self, case, start):
+        values = np.array(SERIES_CASES[case])
+        times = start + 900.5 * np.arange(values.size)
+        finite = values[np.isfinite(values)]
+        lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 1.0)
+        panel = _Panel(70, 34.5, 870, 391.25, float(times[0]), float(times[-1]), lo, hi)
+        got, expected = [], []
+        panel.series(got, times, values, ACTUAL_COLOR)
+        _reference_series(panel, expected, times, values, ACTUAL_COLOR)
+        assert "\n".join(got) == "\n".join(expected)
+
+    def test_whole_charts_unchanged(self, monkeypatch):
+        i = np.arange(200.0)
+        values = np.where(i % 41 == 3, np.nan, 10 + 0.1 * i + np.sin(2 * np.pi * i / 24))
+        s = TimeSeries(1609459200.5, 900.0, values)
+        dec = decompose(s, 24)
+        tail = TimeSeries(s.start + 200 * 900.0, 900.0, np.array([1.0, NAN, 2.0, 3.0]))
+        charts = decomposition_chart(s, dec), forecast_chart(s, tail)
+        monkeypatch.setattr(_Panel, "series", _reference_series)
+        assert (decomposition_chart(s, dec), forecast_chart(s, tail)) == charts
+
+
+def _character_data(svg: str) -> str:
+    texts = []
+    parser = xml.parsers.expat.ParserCreate()
+    parser.buffer_text = True
+    parser.CharacterDataHandler = texts.append
+    parser.Parse(svg, True)
+    return "\n".join(texts)
+
+
+class TestTextEscaping:
+    TITLE = "A & B <kWh>"
+
+    def test_forecast_title_is_escaped(self):
+        svg = forecast_chart(*sample_pair(), title=self.TITLE)
+        assert self.TITLE in _character_data(svg)
+
+    def test_decomposition_title_is_escaped(self):
+        s = TimeSeries(0.0, HOUR, np.sin(2 * np.pi * np.arange(48.0) / 24))
+        svg = decomposition_chart(s, decompose(s, 24), title=self.TITLE)
+        assert self.TITLE in _character_data(svg)
