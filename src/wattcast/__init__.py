@@ -7,6 +7,10 @@ seasonal decomposition), seven natively implemented forecast models (OLS,
 KNN, Gaussian process, epsilon-SVR, MLP, ARIMA, VAR), and a chronological
 train/test evaluation harness with RMSE/MAE/RAE metrics and cross-dataset
 ranking.
+
+Importing the package loads numpy but no scipy: each scipy import sits in
+the function that calls it, so a command loads only the scipy submodules of
+the models it runs, and a module-level scipy import is a start-up regression.
 """
 
 from .arima import ArimaModel, arima_fit, arima_forecast, arima_one_step

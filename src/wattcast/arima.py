@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .errors import (
     ConfigError,
@@ -62,6 +60,8 @@ class ArimaModel:
 def css_residuals(w: np.ndarray, ar: np.ndarray, ma: np.ndarray,
                   intercept: float) -> np.ndarray:
     """One-step residuals e_p .. e_{n-1} with zero pre-sample shocks."""
+    from scipy.signal import lfilter
+
     p, q = len(ar), len(ma)
     n = len(w)
     if p:
@@ -108,6 +108,8 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int):
 
 def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
     """Estimate an ARIMA(p, d, q) model by CSS with Hannan-Rissanen starts."""
+    from scipy.optimize import minimize
+
     if p < 0 or d < 0 or q < 0:
         raise ConfigError("orders must be non-negative")
     if p == 0 and q == 0 and d == 0:

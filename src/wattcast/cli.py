@@ -9,7 +9,7 @@ config file (``--config``, or the ``WATTCAST_CONFIG`` environment
 variable); explicit flags win over the file, the file wins over defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 model
-error, 5 when every benchmark cell failed.
+error (running out of memory included), 5 when every benchmark cell failed.
 """
 
 from __future__ import annotations
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"wattcast: data error: {exc}", file=sys.stderr)
         return 3
-    except ModelError as exc:
+    except (ModelError, MemoryError) as exc:
         print(f"wattcast: model error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:  # e.g. a lag order the transforms reject

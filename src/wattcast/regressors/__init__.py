@@ -4,7 +4,7 @@ from .gaussian_process import GpModel
 from .linear import OlsModel, solve_normal_equations
 from .mlp import MlpModel, default_hidden
 from .neighbors import KnnModel
-from .svr import SvrModel, dual_objective
+from .svr import SvrModel
 
 __all__ = [
     "ForecastModel",
@@ -15,6 +15,5 @@ __all__ = [
     "OlsModel",
     "SvrModel",
     "default_hidden",
-    "dual_objective",
     "solve_normal_equations",
 ]

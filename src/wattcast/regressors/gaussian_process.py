@@ -17,8 +17,6 @@ so the unit defaults ``sf2 = 1, l = 1, sn2 = 0.01`` are sensible; with
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.spatial.distance import cdist
 
 from ..errors import CholeskyFailure
 from .base import ForecastModel
@@ -40,6 +38,8 @@ class GpModel(ForecastModel):
         self.standardize = standardize
 
     def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        from scipy.spatial.distance import cdist
+
         K = cdist(A, B, "sqeuclidean")
         np.negative(K, out=K)
         K /= 2.0 * self.length_scale ** 2
@@ -48,6 +48,8 @@ class GpModel(ForecastModel):
         return K
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        from scipy.linalg import cho_factor, cho_solve
+
         K = self._kernel(X, X)
         n = K.shape[0]
         scale = self.signal_var + self.noise_var
@@ -70,6 +72,8 @@ class GpModel(ForecastModel):
         self.alpha_ = cho_solve(factor, y)
 
     def _posterior(self, X: np.ndarray):
+        from scipy.linalg import solve_triangular
+
         Kstar = self._kernel(X, self.X_)
         mean = Kstar @ self.alpha_
         V = solve_triangular(self.chol_[0], Kstar.T, lower=True)

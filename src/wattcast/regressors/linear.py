@@ -8,7 +8,6 @@ with a tiny ridge term on the non-intercept diagonal before giving up.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import SingularDesign, Underdetermined
 from .base import ForecastModel
@@ -25,6 +24,8 @@ def solve_normal_equations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     onto the intercept (slopes pushed to zero) instead of splitting the fit
     across redundant columns. ``B`` may hold several right-hand sides.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     gram = A.T @ A
     rhs = A.T @ B
     try:

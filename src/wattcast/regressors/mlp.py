@@ -44,7 +44,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import DivergedLoss
 from .base import ForecastModel
@@ -59,6 +58,8 @@ def default_hidden(n_features: int) -> int:
 
 def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum) -> None:
     """One epoch of per-sample SGD with momentum, updating theta and vel in place."""
+    from scipy.special import expit
+
     n_feat = X_aug.shape[1] - 1
     size = h * (n_feat + 1)
     W = theta[:size].reshape(h, n_feat + 1)
@@ -146,6 +147,8 @@ class MlpModel(ForecastModel):
     # --- forward ------------------------------------------------------------
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
+        from scipy.special import expit
+
         return expit(X @ self.w_in_.T + self.b_in_) @ self.w_out_ + self.b_out_
 
     def _rmse(self, X: np.ndarray, y: np.ndarray) -> float:

@@ -8,7 +8,6 @@ index (stable sort), which makes the estimator deterministic.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..errors import KTooLarge
 from .base import ForecastModel
@@ -28,6 +27,8 @@ class KnnModel(ForecastModel):
         self.y_ = y
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
+        from scipy.spatial.distance import cdist
+
         dists = cdist(X, self.X_)
         order = np.argsort(dists, axis=1, kind="stable")[:, :self.k]
         return self.y_[order].mean(axis=1)

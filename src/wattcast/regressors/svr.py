@@ -33,18 +33,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .base import ForecastModel
 
 _TAU = 1e-12
-
-
-def dual_objective(K: np.ndarray, y: np.ndarray, epsilon: float,
-                   alpha: np.ndarray, alpha_star: np.ndarray) -> float:
-    """Dual objective in minimization form (lower is better)."""
-    beta = alpha - alpha_star
-    return float(0.5 * beta @ K @ beta + epsilon * np.sum(alpha + alpha_star) - y @ beta)
 
 
 def _smo(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
@@ -111,6 +103,8 @@ class SvrModel(ForecastModel):
         self.standardize = standardize
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        from scipy.spatial.distance import cdist
+
         n, n_feat = X.shape
         if self.gamma is None:
             x_var = X.var()
@@ -144,6 +138,8 @@ class SvrModel(ForecastModel):
                 f"tol={self.tol}; returning best iterate", RuntimeWarning)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
+        from scipy.spatial.distance import cdist
+
         if self.support_vectors_.shape[0] == 0:
             return np.full(X.shape[0], self.bias_)
         K = np.exp(-self.gamma_ * cdist(X, self.support_vectors_, "sqeuclidean"))

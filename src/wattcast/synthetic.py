@@ -7,7 +7,6 @@ stream comes from ``numpy.random.default_rng(seed)``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .series import MultiSeries, TimeSeries, WeatherRecord
 
@@ -77,6 +76,8 @@ def household_series(n: int = 2000, seed: int = 0, base: float = 500_000.0,
                      ar: float = 0.6, start: float = 0.0,
                      interval: float = HOUR) -> TimeSeries:
     """Hourly consumption stand-in: daily sinusoid plus AR(1) noise, in mW."""
+    from scipy.signal import lfilter
+
     rng = np.random.default_rng(seed)
     noise = lfilter([1.0], [1.0, -ar], noise_sd * rng.standard_normal(n))
     i = np.arange(n)

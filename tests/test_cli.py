@@ -151,6 +151,17 @@ class TestForecast:
         assert captured.out.startswith("timestamp,value\n")
         assert len(captured.out.strip().splitlines()) == 3
 
+    def test_out_of_memory_is_model_error_exit_4(self, hourly_csv, monkeypatch, capsys):
+        def exhausted(self, X, y):
+            raise MemoryError("kernel matrix too large")
+
+        monkeypatch.setattr(GpModel, "_fit", exhausted)
+        code = main(["forecast", "--model", "gp", "--p", "3", "--horizon", "2",
+                     "--input", str(hourly_csv)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "wattcast: model error: MemoryError: kernel matrix too large\n")
+
     def test_duplicate_timestamps_exit_3(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("t,v\n"

@@ -26,7 +26,6 @@ from wattcast.regressors import (
     OlsModel,
     SvrModel,
     default_hidden,
-    dual_objective,
 )
 from wattcast.synthetic import household_series
 from wattcast.transform import SupervisedFrame, apply_scaler, fit_scaler, lag_embed
@@ -216,6 +215,12 @@ def project_box_hyperplane(v, z, box):
         else:
             hi = mid
     return np.clip(v - 0.5 * (lo + hi) * z, 0.0, box)
+
+
+def dual_objective(K, y, epsilon, alpha, alpha_star):
+    """Epsilon-SVR dual objective in minimization form (lower is better)."""
+    beta = alpha - alpha_star
+    return float(0.5 * beta @ K @ beta + epsilon * np.sum(alpha + alpha_star) - y @ beta)
 
 
 def svr_qp_oracle(K, y, C, epsilon, iters=400_000):
