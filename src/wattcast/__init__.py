@@ -39,7 +39,6 @@ from .regressors import (
     ForecastModel,
     GpModel,
     KnnModel,
-    MeanModel,
     MlpModel,
     OlsModel,
     SvrModel,
@@ -85,7 +84,6 @@ __all__ = [
     "GpModel",
     "SvrModel",
     "MlpModel",
-    "MeanModel",
     "ArimaModel",
     "arima_fit",
     "arima_forecast",

@@ -360,6 +360,9 @@ def cmd_benchmark(args) -> int:
         raise ConfigError(f"bad --splits value: {exc}") from None
     if not splits:
         raise ConfigError("no splits selected")
+    for key, value in (("p", opts["p"]), ("horizon", args.horizon), ("jobs", opts["jobs"])):
+        if value is not None and value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
 
     if not args.input:
         raise ConfigError("--input is required (repeat for several datasets)")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -35,6 +35,10 @@ from .series import TimeSeries, WeatherRecord
 # stay well below this band, so the two never collide during inference
 _EPOCH_MIN = 1e8
 _EPOCH_MAX = 1e11
+# a column of 9- and 10-digit epoch seconds, one cell a line: every such cell
+# lies in [_EPOCH_MIN, _EPOCH_MAX), and ``datetime.fromisoformat`` takes no
+# digit string of those lengths (it does take some of 8, 11 and 13)
+_EPOCH_COLUMN = re.compile(r"[1-9][0-9]{8,9}(?:\n[1-9][0-9]{8,9})*")
 
 _MISSING_TOKENS = ("", "nan", "na", "null", "none")
 
@@ -144,6 +148,27 @@ def _parse_column(parse, cells):
     return out, None
 
 
+def _parse_timestamps(cells, fmt: str, utc_offset_hours: float):
+    """``_parse_column`` of the ``fmt`` cell parser over ``cells``. An
+    ``epoch`` column, or an ``auto`` column of plain 9- and 10-digit epoch
+    seconds, is read in one ``float`` pass; if that pass fails, the cell loop
+    finds the first bad cell and its error."""
+    if fmt == "epoch" or (fmt == "auto" and _EPOCH_COLUMN.fullmatch("\n".join(cells))):
+        try:
+            return list(map(float, cells)), None
+        except ValueError:
+            pass
+    return _parse_column(_timestamp_parser(fmt, utc_offset_hours), cells)
+
+
+def _modal_gap(gaps: np.ndarray) -> float:
+    """The most common gap; among equally common gaps, the one seen first."""
+    distinct, first, counts = np.unique(gaps, return_index=True,
+                                        return_counts=True, equal_nan=False)
+    tied = np.flatnonzero(counts == counts.max())
+    return float(distinct[tied[np.argmin(first[tied])]])
+
+
 def _read_rows(path, delimiter: str):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         return [row for row in csv.reader(fh, delimiter=delimiter)]
@@ -197,8 +222,8 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
                                    f"got {len(body[short])}"))
     del rows, body
 
-    parse = _timestamp_parser(schema.timestamp_format, schema.utc_offset_hours)
-    stamps, error = _parse_column(parse, stamp_cells)
+    stamps, error = _parse_timestamps(stamp_cells, schema.timestamp_format,
+                                      schema.utc_offset_hours)
     if error is not None:
         problems.append((len(stamps), 1,
                          f"bad timestamp {stamp_cells[len(stamps)]!r} ({error})"))
@@ -227,7 +252,7 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
         raise NonUniformInterval("cannot infer a sampling interval from one row")
 
     gaps = np.diff(stamps)
-    modal = Counter(gaps.tolist()).most_common(1)[0][0]
+    modal = _modal_gap(gaps)
     multiples = gaps / modal
     on_grid = np.abs(multiples - np.round(multiples)) < 1e-6
     coverage = on_grid.mean()

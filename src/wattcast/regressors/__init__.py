@@ -1,5 +1,4 @@
 from .base import ForecastModel
-from .baseline import MeanModel
 from .gaussian_process import GpModel
 from .linear import OlsModel, solve_normal_equations
 from .mlp import MlpModel, default_hidden
@@ -10,7 +9,6 @@ __all__ = [
     "ForecastModel",
     "GpModel",
     "KnnModel",
-    "MeanModel",
     "MlpModel",
     "OlsModel",
     "SvrModel",

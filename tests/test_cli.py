@@ -237,6 +237,16 @@ class TestBenchmark:
                      "--report", str(report)]) == 2
         assert not report.exists()
 
+    @pytest.mark.parametrize("flag", ["--p=-1", "--horizon=0", "--jobs=0"])
+    def test_option_below_one_exit_2_before_any_cell(self, hourly_csv, tmp_path,
+                                                     capsys, flag):
+        report = tmp_path / "report.txt"
+        assert main(["benchmark", "--input", str(hourly_csv), "--models", "ols",
+                     flag, "--report", str(report)]) == 2
+        name = flag[2:flag.index("=")]
+        assert f"{name} must be >= 1" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_short_dataset_flags_only_the_failing_model(self, tmp_path):
         path = tmp_path / "short.csv"
         write_energy_csv(path, arma_series(60, ar=(0.5,), noise_sd=0.3, seed=3))

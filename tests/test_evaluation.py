@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from test_regressors import MeanModel
+
 from wattcast.errors import ConfigError, InsufficientTest, LengthMismatch
 from wattcast.evaluation import (
     MODE_ONE_STEP,
@@ -22,7 +24,7 @@ from wattcast.evaluation import (
     metrics,
     spec_for,
 )
-from wattcast.regressors import MeanModel, OlsModel
+from wattcast.regressors import OlsModel
 from wattcast.series import MultiSeries, TimeSeries, merge
 from wattcast.synthetic import arma_series, household_series, weather_records
 

@@ -17,5 +17,5 @@ def test_every_exported_name_resolves(module):
 def test_regressors_export_models_and_shared_helpers_only():
     # test-only helpers (the SVR dual objective) live in the tests
     assert sorted(wattcast.regressors.__all__) == [
-        "ForecastModel", "GpModel", "KnnModel", "MeanModel", "MlpModel",
-        "OlsModel", "SvrModel", "default_hidden", "solve_normal_equations"]
+        "ForecastModel", "GpModel", "KnnModel", "MlpModel", "OlsModel",
+        "SvrModel", "default_hidden", "solve_normal_equations"]

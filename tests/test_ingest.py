@@ -468,6 +468,21 @@ READER_CASES = {
                                            utc_offset_hours=-3.0)),
     "epoch_format": ("t|v\n 7200 |1\n10800|2\n", DatasetSchema("t", "v", "epoch", "|")),
     "duplicate": ("t,v\n1000000000,1\n1000000000,2\n", ISO_SCHEMA),
+    # auto columns of 9- and 10-digit cells take one float pass
+    "epoch_column": ("t,v\n1609459200,1\n1609462800,2\n1609470000,4\n", ISO_SCHEMA),
+    "epoch_column_with_leading_zero": ("t,v\n0999999000,1\n0999999900,2\n", ISO_SCHEMA),
+    "epoch_column_cell_holding_a_newline": (
+        't,v\n1609459200,1\n"1609462800\n1609466400",2\n', ISO_SCHEMA),
+    "epoch_format_empty_cell": ("t,v\n7200,1\n ,2\n", DatasetSchema("t", "v", "epoch")),
+    "epoch_format_bad_cell": ("t,v\n7200,1\n10800,2\nnoon,3\n",
+                              DatasetSchema("t", "v", "epoch")),
+    "epoch_format_nan_stamps": ("t,v\n1000000000,1\nnan,2\nnan,3\n1000000900,4\n",
+                                DatasetSchema("t", "v", "epoch")),
+    # equally common gaps: the first seen is modal
+    "tied_gaps_larger_first": ("t,v\n" + "".join(f"{1_000_000_000 + t},1\n" for t in
+                                                 (0, 1800, 3600, 4500, 5400)), ISO_SCHEMA),
+    "tied_gaps_smaller_first": ("t,v\n" + "".join(f"{1_000_000_000 + t},1\n" for t in
+                                                  (0, 900, 1800, 3600, 5400)), ISO_SCHEMA),
 }
 # (file, the ParseError text the per-row reader raised)
 READER_ERRORS = {
@@ -508,6 +523,23 @@ class TestReaderMatchesReferenceLoop:
         assert got == _outcome(_reference_read_energy_csv, path, schema)
         if case == "digits_12_out_of_range":
             assert got[0] is ParseError and got[1].startswith("line 3: bad timestamp")
+        if case == "tied_gaps_larger_first":
+            assert got == (NonUniformInterval, "modal interval 1800s covers only 50% of gaps")
+        if case == "tied_gaps_smaller_first":
+            assert got[1] == 900.0
+        if case == "epoch_format_empty_cell":
+            assert got == (ParseError, "line 3: bad timestamp ' ' (empty timestamp)")
+
+    @pytest.mark.parametrize("fmt", ["auto", "epoch"])
+    def test_epoch_column_skips_the_cell_loop(self, tmp_path, monkeypatch, fmt):
+        path = write(tmp_path, "a.csv", "t,v\n1609459200,1\n1609462800,2\n")
+        expected = _outcome(read_energy_csv, path, DatasetSchema("t", "v", fmt))
+
+        def no_cell_parser(*args):
+            raise AssertionError("the cell parser ran")
+
+        monkeypatch.setattr("wattcast.ingest._timestamp_parser", no_cell_parser)
+        assert _outcome(read_energy_csv, path, DatasetSchema("t", "v", fmt)) == expected
 
     @pytest.mark.parametrize("case", sorted(READER_ERRORS))
     def test_same_parse_error_line_and_text(self, case, tmp_path):

@@ -1,5 +1,6 @@
-"""Property tests for ingest: CSV dialects round-trip, and the column
-timestamp formatter equals the scalar one."""
+"""Property tests for ingest: CSV dialects round-trip, the column
+timestamp parser equals the scalar one, and the column timestamp formatter
+equals the scalar one."""
 
 import string
 import tempfile
@@ -12,10 +13,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from test_ingest import _reference_parse_timestamp  # noqa: E402
 from wattcast.ingest import (  # noqa: E402
     DatasetSchema,
     _format_timestamp,
     _format_timestamps,
+    _parse_timestamps,
     read_energy_csv,
 )
 
@@ -78,3 +81,50 @@ def test_dialects_round_trip(case):
 @given(st.lists(st.floats(FIRST_SECOND, LAST_SECOND), max_size=50))
 def test_format_timestamps_is_format_timestamp(seconds):
     assert _format_timestamps(seconds) == [_format_timestamp(x) for x in seconds]
+
+
+@st.composite
+def digit_cells(draw):
+    """A digit string of 1 to 14 characters: a plain 9- or 10-digit epoch
+    second, a basic-format date with a digit suffix (the strings
+    ``fromisoformat`` may take), or any digits; sometimes with a leading zero
+    or whitespace padding."""
+    digits = draw(st.integers(10 ** 8, 10 ** 10 - 1).map(str)
+                  | st.builds(lambda day, suffix: day.strftime("%Y%m%d") + suffix,
+                              st.dates(), st.text("0123456789", max_size=6))
+                  | st.text("0123456789", min_size=1, max_size=14))
+    if len(digits) < 14 and draw(st.booleans()):
+        digits = "0" + digits
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    return draw(pad) + digits + draw(pad)
+
+
+def _reference_column(cells, fmt, offset):
+    """The scalar parser over each cell, up to the first error."""
+    out = []
+    for cell in cells:
+        try:
+            out.append(_reference_parse_timestamp(cell, fmt, offset))
+        except ValueError as exc:
+            return out, (type(exc), str(exc))
+    return out, None
+
+
+@settings(deadline=None)
+@given(st.lists(digit_cells(), min_size=1, max_size=12),
+       st.sampled_from(["auto", "epoch"]), st.sampled_from([0.0, 5.5]))
+def test_parse_timestamps_is_parse_timestamp(cells, fmt, offset):
+    values, error = _parse_timestamps(cells, fmt, offset)
+    got = values, None if error is None else (type(error), str(error))
+    assert got == _reference_column(cells, fmt, offset)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(10 ** 8, 10 ** 10 - 1).map(str), min_size=1, max_size=12),
+       st.integers(0, 11), st.sampled_from(["auto", "epoch"]))
+def test_parse_timestamps_of_an_epoch_column_with_one_odd_cell(cells, at, fmt):
+    """A column that fails the one-pass read at one cell: the loop reports it."""
+    cells = [*cells[:at], "", *cells[at:]]
+    values, error = _parse_timestamps(cells, fmt, 0.0)
+    got = values, None if error is None else (type(error), str(error))
+    assert got == _reference_column(cells, fmt, 0.0)

@@ -19,9 +19,9 @@ from wattcast.errors import (
     Underdetermined,
 )
 from wattcast.regressors import (
+    ForecastModel,
     GpModel,
     KnnModel,
-    MeanModel,
     MlpModel,
     OlsModel,
     SvrModel,
@@ -29,6 +29,17 @@ from wattcast.regressors import (
 )
 from wattcast.synthetic import household_series
 from wattcast.transform import SupervisedFrame, apply_scaler, fit_scaler, lag_embed
+
+
+class MeanModel(ForecastModel):
+    """Predicts the training-target mean (RAE 1 by construction): the
+    smallest model the base class can run."""
+
+    def _fit(self, X, y):
+        self.mean_ = float(y.mean())
+
+    def _predict(self, X):
+        return np.full(X.shape[0], self.mean_)
 
 
 def make_frame(X, y, lag_order=None):

@@ -157,3 +157,69 @@ class TestTextEscaping:
         s = TimeSeries(0.0, HOUR, np.sin(2 * np.pi * np.arange(48.0) / 24))
         svg = decomposition_chart(s, decompose(s, 24), title=self.TITLE)
         assert self.TITLE in _character_data(svg)
+
+
+def _polylines(svg: str) -> list:
+    """The point lists of every ``<polyline>``, as coordinate strings."""
+    return [chunk.split('"', 1)[0].split(" ")
+            for chunk in svg.split('<polyline points="')[1:]]
+
+
+class TestDecimation:
+    N = 60_000
+
+    def long_series(self, n=N):
+        rng = np.random.default_rng(4)
+        i = np.arange(n, dtype=float)
+        values = 100 + 30 * np.sin(2 * np.pi * i / 96) + rng.normal(0, 5, n).round()
+        return 1609459200.0 + 900.0 * i, values
+
+    def panel(self, times, values):
+        return _Panel(70, 34, 870, 400, float(times[0]), float(times[-1]),
+                      float(np.nanmin(values)), float(np.nanmax(values)))
+
+    def test_keeps_each_columns_first_last_min_and_max(self):
+        times, values = self.long_series()
+        panel = self.panel(times, values)
+        out = []
+        panel.series(out, times, values, ACTUAL_COLOR)
+        xs, ys = panel.x(times), panel.y(values)
+        columns = {}
+        for i, column in enumerate(np.floor(xs - panel.x0).tolist()):
+            columns.setdefault(column, []).append(i)
+        kept = set()
+        for members in columns.values():
+            kept.update([members[0], members[-1],
+                         min(members, key=lambda i: (ys[i], i)),
+                         max(members, key=lambda i: (ys[i], -i))])
+        expected = [f"{_f(xs[i])},{_f(ys[i])}" for i in sorted(kept)]
+        assert len(columns) <= 871 and len(out) == 1
+        assert _polylines(out[0]) == [expected]
+
+    def test_no_markers_in_a_decimated_chart(self):
+        times, values = self.long_series()
+        values[self.N // 3] = np.nan
+        s = TimeSeries(float(times[0]), 900.0, values)
+        svg = decomposition_chart(s, decompose(s, 96))
+        assert svg.count("<circle") == 0
+        ET.fromstring(svg)
+
+    def test_one_missing_point_still_breaks_the_line(self):
+        times, values = self.long_series()
+        values[self.N // 2] = np.nan
+        out = []
+        self.panel(times, values).series(out, times, values, ACTUAL_COLOR)
+        lines = _polylines("\n".join(out))
+        assert len(lines) == 2
+        gap = float(lines[1][0].split(",")[0]) - float(lines[0][-1].split(",")[0])
+        assert 0 < gap < 1  # narrower than a pixel column
+
+    def test_size_follows_width_not_length(self):
+        sizes = []
+        for n in (self.N, 4 * self.N):
+            times, values = self.long_series(n)
+            out = []
+            self.panel(times, values).series(out, times, values, ACTUAL_COLOR)
+            sizes.append(len(out[0]))
+        # at most four points of 14 characters in each of 871 columns
+        assert max(sizes) < 4 * 871 * 14 + 100
