@@ -90,6 +90,10 @@ class KTooLarge(ModelError):
     pass
 
 
+class KernelTooLarge(ModelError):
+    """An n x n kernel matrix would not fit in the machine's physical memory."""
+
+
 class DivergedLoss(ModelError):
     """Training loss became non-finite."""
 

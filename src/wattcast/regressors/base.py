@@ -6,7 +6,8 @@ values plus optional exogenous features). The base class owns the contract:
 and records the frame's shape; ``predict_batch`` coerces and scales the
 features, calls ``_predict`` and maps the result back to target units. A
 model implements only ``_fit(X, y)`` and ``_predict(X)``, and sets
-``standardize`` to opt into scaling.
+``standardize`` to opt into scaling. ``fit`` refuses a frame with a
+non-finite cell, so every ``_fit`` sees finite data.
 
 ``predict_series`` forecasts recursively, feeding each prediction back as
 the newest lag. One-step prediction on true history is ``predict_batch`` on
@@ -15,13 +16,34 @@ lag-embedded windows, as :func:`wattcast.evaluation.evaluate` does it.
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..errors import HistoryTooShort, LengthMismatch
+from ..errors import HistoryTooShort, KernelTooLarge, LengthMismatch, MissingCells
 from ..series import TimeSeries
 from ..transform import SupervisedFrame, apply_scaler, fit_scaler, invert_scaler
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory in this machine, or None where ``os.sysconf``
+    cannot tell."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+def check_kernel_fits(n: int) -> None:
+    """Raise ``KernelTooLarge`` before a model builds an n x n float64 matrix
+    larger than the machine's physical memory."""
+    need, have = 8 * n * n, physical_memory()
+    if have is not None and need > have:
+        raise KernelTooLarge(
+            f"a kernel matrix over {n} training rows needs {need / 2 ** 30:.1f} GiB; "
+            f"this machine has {have / 2 ** 30:.1f} GiB of physical memory")
 
 
 class ForecastModel(ABC):
@@ -48,6 +70,10 @@ class ForecastModel(ABC):
     def fit(self, frame: SupervisedFrame) -> "ForecastModel":
         """Estimate parameters from a supervised frame; returns ``self``."""
         X, y = frame.X, frame.y
+        bad = np.count_nonzero(~np.isfinite(X)) + np.count_nonzero(~np.isfinite(y))
+        if bad:
+            raise MissingCells(f"{bad} of the training frame's {X.size + y.size} cells "
+                               "are missing or non-finite")
         if self.standardize:
             self.x_scaler_ = fit_scaler(X)
             self.y_scaler_ = fit_scaler(y)

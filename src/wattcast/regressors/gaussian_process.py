@@ -7,7 +7,10 @@ The posterior predictive at a query ``x*`` is
 
 with ``k(x, x') = sf2 * exp(-||x - x'||^2 / (2 l^2))``. The noisy kernel
 matrix is factored once by Cholesky at fit time; if it is not positive
-definite a ladder of diagonal jitters is tried before giving up.
+definite a ladder of diagonal jitters is tried before giving up. The fit
+factors the kernel matrix in place and keeps a copy of its diagonal only,
+so it holds one n x n matrix; it refuses, before building it, one larger
+than the machine's physical memory (``KernelTooLarge``).
 
 By default inputs and targets are standardized with train-only statistics,
 so the unit defaults ``sf2 = 1, l = 1, sn2 = 0.01`` are sensible; with
@@ -19,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CholeskyFailure
-from .base import ForecastModel
+from .base import ForecastModel, check_kernel_fits
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
@@ -50,16 +53,22 @@ class GpModel(ForecastModel):
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         from scipy.linalg import cho_factor, cho_solve
 
+        check_kernel_fits(X.shape[0])
         K = self._kernel(X, X)
         n = K.shape[0]
+        diag = K.diagonal().copy()
         scale = self.signal_var + self.noise_var
-        for jitter in _JITTER_LADDER:
-            noisy = K.copy()
-            noisy.flat[::n + 1] += self.noise_var + jitter * scale
+        for rung, jitter in enumerate(_JITTER_LADDER):
+            if rung:
+                # the failed factorisation overwrote the C-upper triangle;
+                # K is symmetric bit for bit, so the intact C-lower one restores it
+                for r in range(n - 1):
+                    K[r, r + 1:] = K[r + 1:, r]
+            K.flat[::n + 1] = diag + (self.noise_var + jitter * scale)
             try:
-                # noisy is symmetric, so its transpose is the same matrix in
-                # Fortran order, which LAPACK factors in place
-                factor = cho_factor(noisy.T, lower=True, overwrite_a=True)
+                # K.T is the same matrix in Fortran order, which LAPACK factors
+                # in place, writing only its lower (K's C-upper) triangle
+                factor = cho_factor(K.T, lower=True, overwrite_a=True)
                 break
             except np.linalg.LinAlgError:
                 continue

@@ -20,12 +20,11 @@ An epoch runs on one of two backends; the epoch loop, rollback and loss
 curve around it are shared:
 
 - **C** (``_mlp_epoch.c``): one call per epoch. The first fit in a process
-  compiles it with the system C compiler into a private temporary directory,
-  loads it through ``ctypes`` and removes the directory. Every weight sees
-  the same floating-point operations in the same order as the numpy loop,
-  except that the two dot products of a row are summed in plain loop order
-  rather than by BLAS, so its weights equal the numpy loop's to within
-  rounding, not bitwise.
+  compiles and loads it (``_native.build``). Every weight sees the same
+  floating-point operations in the same order as the numpy loop, except
+  that the two dot products of a row are summed in plain loop order rather
+  than by BLAS, so its weights equal the numpy loop's to within rounding,
+  not bitwise.
 - **numpy**: a fixed handful of in-place numpy calls per row, used when no
   compiler is found or the build or load fails. It is bitwise-identical to
   per-sample SGD written with one array per weight block: each weight sees
@@ -37,15 +36,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DivergedLoss
+from . import _native
 from .base import ForecastModel
 
 _KERNEL_SOURCE = Path(__file__).with_name("_mlp_epoch.c")
@@ -90,24 +86,10 @@ def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum) -> None:
 
 @functools.cache
 def _load_kernel():
-    """The C epoch with ``_numpy_epoch``'s signature, or None when no C
-    compiler is found or the build or load fails."""
-    compiler = shutil.which("gcc") or shutil.which("cc")
-    if compiler is None:
-        return None
-    try:
-        # the loaded library stays mapped after its directory is removed
-        with tempfile.TemporaryDirectory(prefix="wattcast-mlp-",
-                                         ignore_cleanup_errors=True) as build_dir:
-            library = os.path.join(build_dir, "_mlp_epoch.so")
-            built = subprocess.run(
-                [compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC",
-                 "-o", library, str(_KERNEL_SOURCE), "-lm"],
-                stdin=subprocess.DEVNULL, capture_output=True)
-            if built.returncode != 0:
-                return None
-            lib = ctypes.CDLL(library)
-    except OSError:
+    """The C epoch with ``_numpy_epoch``'s signature, or None when the
+    kernel cannot be built (see ``_native.build``)."""
+    lib = _native.build(_KERNEL_SOURCE)
+    if lib is None:
         return None
 
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")

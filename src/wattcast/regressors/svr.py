@@ -24,19 +24,36 @@ iterates, the iteration count, the bias and the convergence flag are
 bitwise-identical to recomputing the score and both masks on every
 iteration; ``tests/test_regressors.py`` keeps that loop as its oracle.
 
+``_smo`` sets up that state and computes the bias; the loop between runs on
+one of two backends with one signature, and both give the same bits:
+
+- **C** (``_svr_smo.c``): the whole loop in one call. The first fit in a
+  process compiles and loads it (``_native.build``). Each step makes one
+  pass over the 2n scores that applies the update and finds the next pair.
+- **numpy** (``_numpy_loop``): a handful of in-place numpy calls per step,
+  used when no compiler is found or the build or load fails.
+
+A fit refuses non-finite data and, before it builds K, a K larger than the
+machine's physical memory (``KernelTooLarge``).
+
 Targets (and inputs) are standardized with train-only statistics by
 default, so ``epsilon`` is expressed in standard deviations of the target.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import warnings
+from pathlib import Path
 
 import numpy as np
 
-from .base import ForecastModel
+from . import _native
+from .base import ForecastModel, check_kernel_fits
 
 _TAU = 1e-12
+_KERNEL_SOURCE = Path(__file__).with_name("_svr_smo.c")
 
 
 def _smo(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
@@ -47,6 +64,16 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     # at theta = 0 the up set is the alpha half and the low set the alpha* half
     off_up = np.concatenate([np.zeros(n), np.full(n, -np.inf)])
     off_low = np.concatenate([np.full(n, np.inf), np.zeros(n)])
+    run = _load_kernel() or _numpy_loop
+    converged, iterations = run(K, C, tol, max_iter, theta, score, off_up, off_low)
+    bias = 0.5 * (np.max(score[off_up == 0.0]) + np.min(score[off_low == 0.0]))
+    return theta[:n], theta[n:], bias, converged, iterations
+
+
+def _numpy_loop(K, C, tol, max_iter, theta, score, off_up, off_low):
+    """Run SMO from the state ``_smo`` sets up, updating it in place.
+    Returns ``(converged, iterations)``."""
+    n = K.shape[0]
     masked = np.empty(2 * n)
     diff = np.empty(n)
     halves = score.reshape(2, n)
@@ -80,9 +107,34 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
         diff *= step
         halves -= diff
         iterations += 1
+    return converged, iterations
 
-    bias = 0.5 * (np.max(score[off_up == 0.0]) + np.min(score[off_low == 0.0]))
-    return theta[:n], theta[n:], bias, converged, iterations
+
+@functools.cache
+def _load_kernel():
+    """The C loop with ``_numpy_loop``'s signature, or None when the kernel
+    cannot be built (see ``_native.build``)."""
+    lib = _native.build(_KERNEL_SOURCE)
+    if lib is None:
+        return None
+
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.svr_smo.restype = ctypes.c_long
+    lib.svr_smo.argtypes = [array, ctypes.c_long, ctypes.c_double, ctypes.c_double,
+                            ctypes.c_double, ctypes.c_long, array, array, array, array,
+                            ctypes.POINTER(ctypes.c_int)]
+
+    def c_loop(K, C, tol, max_iter, theta, score, off_up, off_low):
+        n = K.shape[0]
+        if K.shape != (n, n) or any(v.shape != (2 * n,)
+                                    for v in (theta, score, off_up, off_low)):
+            raise ValueError("SMO buffers do not match an n x n kernel")
+        converged = ctypes.c_int(0)
+        iterations = lib.svr_smo(K, n, C, tol, _TAU, max_iter, theta, score, off_up,
+                                 off_low, ctypes.byref(converged))
+        return bool(converged.value), iterations
+
+    return c_loop
 
 
 class SvrModel(ForecastModel):
@@ -113,6 +165,7 @@ class SvrModel(ForecastModel):
             self.gamma_ = float(self.gamma)
         max_iter = self.max_iter if self.max_iter is not None else 10_000 * n
 
+        check_kernel_fits(n)
         K = cdist(X, X, "sqeuclidean")
         np.multiply(K, -self.gamma_, out=K)
         np.exp(K, out=K)

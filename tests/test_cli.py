@@ -9,6 +9,7 @@ import pytest
 
 from wattcast.arima import arima_fit, arima_forecast
 from wattcast.cli import main, parse_interval
+import wattcast.regressors.base as regressor_base
 from wattcast.errors import ConfigError
 from wattcast.ingest import _format_timestamp, read_energy_csv, write_columns, write_energy_csv
 from wattcast.regressors import GpModel, KnnModel, MlpModel, OlsModel, SvrModel
@@ -161,6 +162,27 @@ class TestForecast:
         assert code == 4
         assert capsys.readouterr().err == (
             "wattcast: model error: MemoryError: kernel matrix too large\n")
+
+    def test_kernel_larger_than_memory_exit_4(self, hourly_csv, monkeypatch, capsys):
+        monkeypatch.setattr(regressor_base, "physical_memory", lambda: 1 << 16)
+        code = main(["forecast", "--model", "gp", "--p", "3", "--horizon", "2",
+                     "--input", str(hourly_csv)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "wattcast: model error: KernelTooLarge: a kernel matrix over 197 training rows")
+
+    def test_kernel_larger_than_memory_fails_its_cells(self, hourly_csv, monkeypatch,
+                                                       tmp_path):
+        monkeypatch.setattr(regressor_base, "physical_memory", lambda: 1 << 16)
+        out_json = tmp_path / "report.json"
+        code = main(["benchmark", "--input", str(hourly_csv), "--models", "gp,svr,ols",
+                     "--p", "3", "--splits", "0.8", "--report", str(tmp_path / "r.txt"),
+                     "--json", str(out_json)])
+        assert code == 0
+        errors = {r["model"]: r["error"] for r in json.loads(out_json.read_text())["records"]}
+        assert errors["ols"] is None
+        assert errors["gp"].startswith("KernelTooLarge: ")
+        assert errors["svr"].startswith("KernelTooLarge: ")
 
     def test_duplicate_timestamps_exit_3(self, tmp_path):
         path = tmp_path / "dup.csv"

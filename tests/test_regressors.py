@@ -1,7 +1,11 @@
 import ctypes
+import importlib
+import pkgutil
 import shutil
 import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +13,20 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 from scipy.spatial.distance import cdist
 
+import wattcast.regressors
+import wattcast.regressors._native as native_module
+import wattcast.regressors.base as base_module
+import wattcast.regressors.gaussian_process as gp_module
 import wattcast.regressors.mlp as mlp_module
 import wattcast.regressors.svr as svr_module
 from wattcast.errors import (
+    CholeskyFailure,
     DivergedLoss,
     HistoryTooShort,
+    KernelTooLarge,
     KTooLarge,
     LengthMismatch,
+    MissingCells,
     Underdetermined,
 )
 from wattcast.regressors import (
@@ -214,6 +225,40 @@ class TestGp:
         assert np.tril(model.chol_[0]).tobytes() == np.tril(expected[0]).tobytes()
         assert model.alpha_.tobytes() == cho_solve(expected, frame.y).tobytes()
 
+    def test_failed_rung_leaves_the_kernel_intact(self):
+        # the last row repeats the first, so rung 0 fails at the last pivot,
+        # after overwriting the whole triangle it factors; the rows differ
+        # otherwise, so a triangle restored the wrong way round shows
+        X = np.append(np.linspace(0.0, 2.0, 25), 0.0)[:, None]
+        y = np.sin(3 * X[:, 0])
+        model = GpModel(noise_var=1e-300, standardize=False).fit(make_frame(X, y))
+        K = np.exp(-cdist(X, X, "sqeuclidean") / 2.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(K + 1e-300 * np.eye(26), lower=True)
+        expected = cho_factor(K + (1e-300 + 1e-10 * (1.0 + 1e-300)) * np.eye(26), lower=True)
+        assert np.tril(model.chol_[0]).tobytes() == np.tril(expected[0]).tobytes()
+        assert model.alpha_.tobytes() == cho_solve(expected, y).tobytes()
+
+    def test_exhausted_ladder_raises_cholesky_failure(self, monkeypatch):
+        # K is all ones: every rung of a ladder without jitter fails
+        monkeypatch.setattr(gp_module, "_JITTER_LADDER", (0.0, 0.0))
+        frame = make_frame(np.zeros((40, 2)), np.arange(40.0))
+        with pytest.raises(CholeskyFailure, match="after maximum jitter 0$"):
+            GpModel(noise_var=1e-300, standardize=False).fit(frame)
+
+    def test_fit_holds_one_kernel_matrix(self):
+        frame = lag_embed(household_series(324, seed=4), 24)
+        n = frame.n_samples
+        assert n == 300
+        GpModel().fit(frame)  # loads what the fit imports outside the trace
+        tracemalloc.start()
+        try:
+            GpModel().fit(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
 
 def project_box_hyperplane(v, z, box):
     """Euclidean projection onto {0 <= t <= box, z't = 0} by bisection."""
@@ -374,6 +419,7 @@ class TestSmoMatchesReferenceLoop:
         "four_points": (_four_point_frame,
                         dict(C=1.0, epsilon=0.1, gamma=0.5, tol=1e-8, standardize=False)),
         "random_n30": (lambda: random_frame(np.random.default_rng(16), n=30), {}),
+        "odd_n131": (lambda: random_frame(np.random.default_rng(33), n=131), {}),
         "small_c": (lambda: random_frame(np.random.default_rng(31), n=40), dict(C=0.05)),
         "epsilon_0": (lambda: random_frame(np.random.default_rng(32), n=30),
                       dict(epsilon=0.0)),
@@ -383,26 +429,40 @@ class TestSmoMatchesReferenceLoop:
         "household_p24": (lambda: _household_frame(), {}),
     }
 
-    def _solve(self, case, monkeypatch):
-        """Fit the case, returning the solver's inputs and its result."""
+    def _solve(self, case, monkeypatch, backend="c"):
+        """Fit the case, returning the solver's inputs and its result.
+        ``backend`` "c" or "numpy" picks the loop; None keeps the installed
+        loader, which must then fall back to the numpy loop."""
         make, params = self.CASES[case]
-        real, calls = svr_module._smo, []
+        real, calls, loops = svr_module._smo, [], []
 
         def spy(*args):
             calls.append((args, real(*args)))
             return calls[-1][1]
 
+        loop = _kernel_or_skip(svr_module) if backend == "c" else svr_module._numpy_loop
+
+        def counted(*args):
+            loops.append(args)
+            return loop(*args)
+
         monkeypatch.setattr(svr_module, "_smo", spy)
+        if backend == "c":
+            monkeypatch.setattr(svr_module, "_load_kernel", lambda: counted)
+        else:
+            monkeypatch.setattr(svr_module, "_numpy_loop", counted)
+        if backend == "numpy":
+            monkeypatch.setattr(svr_module, "_load_kernel", lambda: None)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             SvrModel(**params).fit(make())
         (args, result), = calls
+        assert len(loops) == 1  # the loop ran on the backend asked for
         return args, result
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bitwise_equal_to_reference(self, case, monkeypatch):
-        args, (alpha, alpha_star, bias, converged, iterations) = self._solve(
-            case, monkeypatch)
+    @staticmethod
+    def assert_bitwise_equal_to_reference(args, result):
+        alpha, alpha_star, bias, converged, iterations = result
         ref_alpha, ref_alpha_star, ref_bias, ref_converged, ref_iterations = \
             _reference_smo(*args)
         assert alpha.tobytes() == ref_alpha.tobytes()
@@ -410,17 +470,121 @@ class TestSmoMatchesReferenceLoop:
         assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
         assert converged == ref_converged
         assert iterations == ref_iterations
+        return converged
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_reference(self, case, monkeypatch):
+        converged = self.assert_bitwise_equal_to_reference(*self._solve(case, monkeypatch))
+        assert converged == (case != "max_iter_3")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_numpy_loop_bitwise_equal_to_reference(self, case, monkeypatch):
+        # pins the numpy loop, the fallback when no C kernel can be built
+        converged = self.assert_bitwise_equal_to_reference(
+            *self._solve(case, monkeypatch, "numpy"))
         assert converged == (case != "max_iter_3")
 
     def test_cases_reach_their_regimes(self, monkeypatch):
-        (K, y, C, *_), (alpha, alpha_star, *_) = self._solve("small_c", monkeypatch)
+        (K, y, C, *_), (alpha, alpha_star, *_) = self._solve("small_c", monkeypatch, "numpy")
         assert np.count_nonzero((alpha == C) | (alpha_star == C)) >= 10
         monkeypatch.undo()
-        (K, y, *_), _ = self._solve("duplicated_rows", monkeypatch)
+        (K, y, *_), _ = self._solve("duplicated_rows", monkeypatch, "numpy")
         assert np.unique(K, axis=0).shape[0] == 10 and np.unique(y).size == 10
         monkeypatch.undo()
-        (K, *_), _ = self._solve("household_p24", monkeypatch)
+        (K, *_), _ = self._solve("household_p24", monkeypatch, "numpy")
         assert K.shape[0] >= 300
+        monkeypatch.undo()
+        (K, *_), _ = self._solve("odd_n131", monkeypatch, "numpy")
+        assert K.shape[0] % 2 == 1 and K.shape[0] > 128  # past two whole C blocks
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 131])
+    @pytest.mark.parametrize("state", ["empty_up_set", "empty_low_set", "tied_scores",
+                                       "nan_kernel", "infinite_score"])
+    def test_c_loop_matches_numpy_loop_on_degenerate_states(self, state, n):
+        """States no fit reaches: a set with no member, where numpy's argmax and
+        argmin return index 0; ties across the C pass's blocks; and
+        non-finite values, where the first NaN wins."""
+        c_loop = _kernel_or_skip(svr_module)
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 2))
+        K = np.exp(-cdist(X, X, "sqeuclidean"))
+        y = rng.normal(size=n)
+        if state == "tied_scores":
+            y = np.round(y)
+        score = np.concatenate([y - 0.1, 0.1 + y])
+        off_up = np.concatenate([np.zeros(n), np.full(n, -np.inf)])
+        off_low = np.concatenate([np.full(n, np.inf), np.zeros(n)])
+        if state == "empty_up_set":
+            off_up[:] = -np.inf
+        elif state == "empty_low_set":
+            off_low[:] = np.inf
+        elif state == "nan_kernel":
+            K[:] = np.nan
+        elif state == "infinite_score":
+            score[n - 1] = np.inf
+        runs = []
+        for loop in (c_loop, svr_module._numpy_loop):
+            state_arrays = [np.zeros(2 * n), score.copy(), off_up.copy(), off_low.copy()]
+            with np.errstate(invalid="ignore"):
+                outcome = loop(K, 0.5, 1e-3, 6, *state_arrays)
+            # IEEE 754 leaves the sign of a NaN result open, so NaNs compare as one
+            runs.append((outcome, [np.where(np.isnan(a), np.nan, a).tobytes()
+                                   for a in state_arrays]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("breakage", ["no_compiler", "build_fails", "load_fails"])
+    def test_fallback_is_the_numpy_loop(self, breakage, monkeypatch, tmp_path):
+        _break_the_build(svr_module, breakage, monkeypatch, tmp_path)
+        self.assert_bitwise_equal_to_reference(*self._solve("odd_n131", monkeypatch, None))
+
+    def test_loader_leaves_no_build_directory(self, monkeypatch, tmp_path):
+        _kernel_or_skip(svr_module)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert callable(svr_module._load_kernel.__wrapped__())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejects_buffers_off_an_n_by_n_kernel(self):
+        c_loop = _kernel_or_skip(svr_module)
+        with pytest.raises(ValueError):
+            c_loop(np.eye(3), 1.0, 1e-3, 5, *(np.zeros(4) for _ in range(4)))
+
+
+def _break_the_build(module, breakage, monkeypatch, tmp_path):
+    """Make ``module``'s kernel unbuildable, check that its uncached loader
+    returns None and removes its build directory, and install that loader."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    if breakage == "no_compiler":
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+    elif breakage == "build_fails":
+        broken = tmp_path / module._KERNEL_SOURCE.name
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(module, "_KERNEL_SOURCE", broken)
+    else:
+        def refuse(path):
+            raise OSError(f"cannot load {path}")
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+    load = module._load_kernel.__wrapped__  # uncached: this process may hold a kernel
+    assert load() is None
+    assert list(scratch.iterdir()) == []  # the build directory is removed
+    monkeypatch.setattr(module, "_load_kernel", load)
+
+
+def test_every_compiled_source_is_packaged(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    built = []
+    monkeypatch.setattr(native_module, "build", lambda source: built.append(source))
+    for info in pkgutil.iter_modules(wattcast.regressors.__path__):
+        module = importlib.import_module(f"wattcast.regressors.{info.name}")
+        if hasattr(module, "_load_kernel"):
+            assert module._load_kernel.__wrapped__() is None
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    listed = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
+    package_dir = Path(wattcast.regressors.__file__).parent
+    assert sorted(built) == sorted(package_dir / name
+                                   for name in listed["wattcast.regressors"])
+    assert all(source.is_file() for source in built)
 
 
 def sgd_step_gradient_error(X, y, hidden, seed, lr=0.01, step=1e-5):
@@ -621,23 +785,7 @@ class TestMlpMatchesReferenceLoop:
 
     @pytest.mark.parametrize("breakage", ["no_compiler", "build_fails", "load_fails"])
     def test_fallback_is_the_numpy_loop(self, breakage, monkeypatch, tmp_path):
-        scratch = tmp_path / "tmp"
-        scratch.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-        if breakage == "no_compiler":
-            monkeypatch.setattr(shutil, "which", lambda name: None)
-        elif breakage == "build_fails":
-            broken = tmp_path / "_mlp_epoch.c"
-            broken.write_text("this is not C\n")
-            monkeypatch.setattr(mlp_module, "_KERNEL_SOURCE", broken)
-        else:
-            def refuse(path):
-                raise OSError(f"cannot load {path}")
-            monkeypatch.setattr(ctypes, "CDLL", refuse)
-        load = mlp_module._load_kernel.__wrapped__  # uncached: this process may hold a kernel
-        assert load() is None
-        assert list(scratch.iterdir()) == []  # the build directory is removed
-        monkeypatch.setattr(mlp_module, "_load_kernel", load)
+        _break_the_build(mlp_module, breakage, monkeypatch, tmp_path)
         make, params = self.CASES["rollbacks"]
         self.assert_bitwise_equal_to_reference(make, params)
 
@@ -647,10 +795,10 @@ class TestMlpMatchesReferenceLoop:
         assert MlpModel(epochs=0).fit(frame).w_in_.shape == (default_hidden(24), 24)
 
 
-def _kernel_or_skip():
-    kernel = mlp_module._load_kernel()
+def _kernel_or_skip(module=mlp_module):
+    kernel = module._load_kernel()
     if kernel is None:
-        pytest.skip("no C compiler could build the MLP epoch kernel")
+        pytest.skip(f"no C compiler could build {module._KERNEL_SOURCE.name}")
     return kernel
 
 
@@ -768,3 +916,54 @@ class TestModelContract:
         got = _six_models()[name].fit(scaled).predict_batch(scaled.X)
         assert got.tobytes() == (expected * 2.0 ** 5).tobytes()
         assert not np.array_equal(expected, frame.y)
+
+
+class TestTrainingFrameChecks:
+    @pytest.mark.parametrize("cell", ["nan_target", "inf_feature"])
+    @pytest.mark.parametrize("name", sorted(_six_models()))
+    def test_non_finite_cell_fails_before_any_fit(self, name, cell, monkeypatch):
+        frame = _exog_frame()
+        X, y = frame.X.copy(), frame.y.copy()
+        if cell == "nan_target":
+            y[17] = np.nan
+        else:
+            X[17, 5] = np.inf
+        model = _six_models()[name]
+
+        def never(self, X, y):
+            raise AssertionError("_fit ran on a frame with a non-finite cell")
+
+        monkeypatch.setattr(type(model), "_fit", never)
+        with pytest.raises(MissingCells, match="^1 of the training frame's"):
+            model.fit(SupervisedFrame(X, y, frame.lag_order, frame.feature_names,
+                                      frame.target_positions))
+
+    @pytest.mark.parametrize("model", [GpModel, SvrModel])
+    def test_kernel_larger_than_physical_memory_is_refused(self, model, monkeypatch):
+        frame = random_frame(np.random.default_rng(40), n=20)
+        monkeypatch.setattr(base_module, "physical_memory", lambda: 8 * 20 * 20 - 1)
+        with pytest.raises(KernelTooLarge, match="20 training rows"):
+            model().fit(frame)
+        monkeypatch.setattr(base_module, "physical_memory", lambda: 8 * 20 * 20)
+        model().fit(frame)  # a kernel of exactly that size fits
+        monkeypatch.setattr(base_module, "physical_memory", lambda: None)  # unknown
+        model().fit(frame)
+
+    def test_memory_guard_runs_before_the_kernel_is_built(self, monkeypatch):
+        def never(self, A, B):
+            raise AssertionError("the kernel was built")
+
+        monkeypatch.setattr(base_module, "physical_memory", lambda: 1)
+        monkeypatch.setattr(GpModel, "_kernel", never)
+        with pytest.raises(KernelTooLarge):
+            GpModel().fit(random_frame(np.random.default_rng(41), n=5))
+
+    def test_physical_memory_probe(self, monkeypatch):
+        have = base_module.physical_memory()
+        assert have is None or have > 0
+
+        def unsupported(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+
+        monkeypatch.setattr(base_module.os, "sysconf", unsupported)
+        assert base_module.physical_memory() is None
