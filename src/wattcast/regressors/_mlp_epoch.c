@@ -1,58 +1,172 @@
-/* One epoch of per-sample SGD with momentum for MlpModel (see mlp.py).
+/* One epoch of per-sample SGD with momentum for MlpModel (see mlp.py), and
+   the training RMSE of the weights it leaves.
 
    theta and vel share the packed layout
    [W_aug = [w_in | b_in] (h x (p+1)), w_out (h), b_out]; x_aug holds n rows
-   of p+1 values whose last value is 1.0; work holds 2h doubles.
+   of p+1 values whose last value is 1.0; work holds mlp_work_size(p, h)
+   doubles.
+
+   The hidden units run as vector lanes. At the start of a call W_aug and its
+   velocity are copied, transposed, into (p+1) x hp blocks whose rows are
+   padded with zeros to hp, h rounded up to LANES; at the end both blocks are
+   copied back. A row's forward pass adds W[j, :] * x[j] to every hidden sum
+   for j ascending, and its update sets v[j, :] = v * momentum
+   - (delta * x[j]) * lr, then w += v, one input at a time. The padding lanes
+   hold zero weights and zero deltas and never reach the output.
 
    Every weight sees the same floating-point operations, in the same order,
    as the numpy loop in mlp.py, provided the compiler fuses no multiply-add
-   (build with -ffp-contract=off). Only the two dot products are summed in
-   plain loop order, where numpy calls BLAS. */
+   (build with -ffp-contract=off). Only the two dot products of a row are
+   summed in plain loop order, where numpy calls BLAS; each hidden sum adds
+   its terms for j ascending whatever the lane width, so the weights are the
+   same bits as a loop over one hidden unit at a time.
+
+   The returned RMSE needs no particular bits: it starts each hidden sum at
+   the bias and runs four rows at once, so that each vector of W is loaded
+   once per four rows. With train == 0 the call only scores the weights it
+   was given.
+
+   The lane vectors use the vector extension of gcc and clang. */
 
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
-void mlp_epoch(const double *x_aug, const double *y, long n, long p, long h,
-               double lr, double momentum, double *theta, double *vel,
-               double *work)
+#define LANES 8
+
+typedef double vd __attribute__((vector_size(LANES * sizeof(double)), may_alias));
+
+static long vectors(long h)
 {
-    const long cols = p + 1, size = h * cols;
-    double *w_out = theta + size, *v_out = vel + size;
-    double *act = work, *delta = work + h;
+    return (h + LANES - 1) / LANES;
+}
 
-    for (long r = 0; r < n; r++) {
+/* the two weight blocks, the hidden sums of four rows, the activations and
+   the deltas, in vectors of hv = vectors(h) */
+static long block_vectors(long p, long hv)
+{
+    return (2 * (p + 1) + 6) * hv;
+}
+
+long mlp_work_size(long p, long h)
+{
+    /* one vector of slack to align the blocks */
+    return (block_vectors(p, vectors(h)) + 1) * LANES;
+}
+
+/* the hidden sums of one row: x[j] * W[j, :] added for j ascending, then
+   the bias W[p, :] */
+static void hidden_sums(const vd *W, long hv, long p, const double *x, vd *z)
+{
+    for (long b = 0; b < hv; b++) {
+        vd acc = {0.0};
+        for (long j = 0; j < p; j++)
+            acc += W[j * hv + b] * x[j];
+        z[b] = acc + W[p * hv + b];
+    }
+}
+
+static double output(const double *z, long h, const double *w_out, double b_out)
+{
+    double out = b_out;
+    for (long i = 0; i < h; i++)
+        out += w_out[i] / (1.0 + exp(-z[i]));
+    return out;
+}
+
+static double rmse(const double *x_aug, const double *y, long n, long p, long h,
+                   long hv, const vd *W, const double *w_out, double b_out, vd *z)
+{
+    const long cols = p + 1;
+    double total = 0.0;
+    long r = 0;
+    for (; r + 4 <= n; r += 4) {
+        const double *x0 = x_aug + r * cols, *x1 = x0 + cols, *x2 = x1 + cols,
+                     *x3 = x2 + cols;
+        for (long b = 0; b < hv; b++) {
+            vd a0 = W[p * hv + b], a1 = a0, a2 = a0, a3 = a0;
+            for (long j = 0; j < p; j++) {
+                const vd w = W[j * hv + b];
+                a0 += w * x0[j];
+                a1 += w * x1[j];
+                a2 += w * x2[j];
+                a3 += w * x3[j];
+            }
+            z[b] = a0;
+            z[hv + b] = a1;
+            z[2 * hv + b] = a2;
+            z[3 * hv + b] = a3;
+        }
+        for (long k = 0; k < 4; k++) {
+            const double err = output((const double *)(z + k * hv), h, w_out, b_out)
+                               - y[r + k];
+            total += err * err;
+        }
+    }
+    for (; r < n; r++) {
+        hidden_sums(W, hv, p, x_aug + r * cols, z);
+        const double err = output((const double *)z, h, w_out, b_out) - y[r];
+        total += err * err;
+    }
+    return sqrt(total / n);
+}
+
+double mlp_epoch(const double *x_aug, const double *y, long n, long p, long h,
+                 int train, double lr, double momentum, double *theta, double *vel,
+                 double *work)
+{
+    const long cols = p + 1, size = h * cols, hv = vectors(h), hp = hv * LANES;
+    double *w_out = theta + size, *v_out = vel + size;
+    vd *W = (vd *)(((uintptr_t)work + sizeof(vd) - 1) & ~(uintptr_t)(sizeof(vd) - 1));
+    vd *V = W + cols * hv, *z = V + cols * hv, *act = z + 4 * hv, *delta = act + hv;
+    double *Ws = (double *)W, *Vs = (double *)V, *zs = (double *)z;
+    double *as = (double *)act, *ds = (double *)delta;
+
+    memset(W, 0, block_vectors(p, hv) * sizeof(vd));
+    for (long i = 0; i < h; i++)
+        for (long j = 0; j < cols; j++) {
+            Ws[j * hp + i] = theta[i * cols + j];
+            Vs[j * hp + i] = vel[i * cols + j];
+        }
+
+    for (long r = 0; train && r < n; r++) {
         const double *x = x_aug + r * cols;
+        hidden_sums(W, hv, p, x, z);
         double out = 0.0;
         for (long i = 0; i < h; i++) {
-            const double *w = theta + i * cols;
-            double z = 0.0;
-            for (long j = 0; j < p; j++)
-                z += w[j] * x[j];
-            z += w[p];
-            act[i] = 1.0 / (1.0 + exp(-z));
-            out += w_out[i] * act[i];
+            as[i] = 1.0 / (1.0 + exp(-zs[i]));
+            out += w_out[i] * as[i];
         }
         const double err = out + theta[size + h] - y[r];
         const double step = lr * err;
         for (long i = 0; i < h; i++) {
             double d = w_out[i] * err;
-            d *= act[i];
-            d *= 1.0 - act[i];
-            delta[i] = d;
+            d *= as[i];
+            d *= 1.0 - as[i];
+            ds[i] = d;
         }
 
         /* gradients are complete: vel = vel * momentum - grad; theta += vel */
-        for (long i = 0; i < h; i++) {
-            double *w = theta + i * cols, *v = vel + i * cols;
-            for (long j = 0; j < cols; j++) {
-                v[j] = v[j] * momentum - (delta[i] * x[j]) * lr;
-                w[j] += v[j];
+        for (long j = 0; j < cols; j++) {
+            const double xj = x[j];
+            for (long b = 0; b < hv; b++) {
+                const vd v = V[j * hv + b] * momentum - (delta[b] * xj) * lr;
+                V[j * hv + b] = v;
+                W[j * hv + b] += v;
             }
         }
         for (long i = 0; i < h; i++) {
-            v_out[i] = v_out[i] * momentum - act[i] * step;
+            v_out[i] = v_out[i] * momentum - as[i] * step;
             w_out[i] += v_out[i];
         }
         v_out[h] = v_out[h] * momentum - step;
         theta[size + h] += v_out[h];
     }
+
+    for (long i = 0; i < h; i++)
+        for (long j = 0; j < cols; j++) {
+            theta[i * cols + j] = Ws[j * hp + i];
+            vel[i * cols + j] = Vs[j * hp + i];
+        }
+    return rmse(x_aug, y, n, p, h, hv, W, w_out, theta[size + h], z);
 }

@@ -7,10 +7,12 @@ directory; the loaded library stays mapped. Nothing is cached on disk and
 nothing is compiled at import. The caller keeps its numpy path for a
 ``None``: no compiler found, a failed build or a failed load.
 
-Every kernel is built with the same flags. ``-ffp-contract=off`` keeps the
-compiler from fusing a multiply and an add into one rounding, so each kernel
-does the floating-point operations its numpy path does, in the order it
-states.
+Every kernel is built with the same flags. ``-march=native`` lets the
+compiler use every vector instruction of the machine that loads the library,
+which is the machine that built it; a compiler that rejects the flag gets one
+more try without it. ``-ffp-contract=off`` keeps the compiler from fusing a
+multiply and an add into one rounding, so each kernel does the
+floating-point operations its numpy path does, in the order it states.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def build(source: Path) -> ctypes.CDLL | None:
@@ -35,10 +37,11 @@ def build(source: Path) -> ctypes.CDLL | None:
         with tempfile.TemporaryDirectory(prefix=f"wattcast-{source.stem.lstrip('_')}-",
                                          ignore_cleanup_errors=True) as build_dir:
             library = os.path.join(build_dir, source.stem + ".so")
-            built = subprocess.run([compiler, *_FLAGS, "-o", library, str(source), "-lm"],
-                                   stdin=subprocess.DEVNULL, capture_output=True)
-            if built.returncode != 0:
-                return None
-            return ctypes.CDLL(library)
+            for flags in (_FLAGS, tuple(f for f in _FLAGS if f != "-march=native")):
+                built = subprocess.run([compiler, *flags, "-o", library, str(source), "-lm"],
+                                       stdin=subprocess.DEVNULL, capture_output=True)
+                if built.returncode == 0:
+                    return ctypes.CDLL(library)
+            return None
     except OSError:
         return None

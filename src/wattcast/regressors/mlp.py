@@ -16,19 +16,29 @@ inputs carry an appended ones column. After ``fit`` the weights are
 published as contiguous ``w_in_``, ``b_in_``, ``w_out_`` and a float
 ``b_out_``.
 
-An epoch runs on one of two backends; the epoch loop, rollback and loss
-curve around it are shared:
+An epoch runs on one of two backends with one signature: each runs the
+epoch's rows (unless told only to score) and returns the training RMSE of
+the weights it leaves. The epoch loop, rollback and loss curve around them
+are shared:
 
-- **C** (``_mlp_epoch.c``): one call per epoch. The first fit in a process
-  compiles and loads it (``_native.build``). Every weight sees the same
-  floating-point operations in the same order as the numpy loop, except
-  that the two dot products of a row are summed in plain loop order rather
-  than by BLAS, so its weights equal the numpy loop's to within rounding,
-  not bitwise.
+- **C** (``_mlp_epoch.c``): one call per epoch, which also scores it. The
+  first fit in a process compiles and loads it (``_native.build``). The
+  hidden units run as vector lanes: the call copies ``W_aug`` and its
+  velocity, transposed and zero-padded, into (p+1) x hp blocks (hp is h
+  rounded up to the lane width), adds ``W[j, :] * x[j]`` to every hidden
+  sum for j ascending, and updates one input's weights across all units at
+  once. Each hidden sum still adds its terms in input order, so weights and
+  velocities are the same bits at any lane width as a loop over one unit
+  at a time. Against the numpy loop, every weight sees the same
+  floating-point operations in the same order, except that the two dot
+  products of a row are summed in plain loop order rather than by BLAS, so
+  its weights equal the numpy loop's to within rounding, not bitwise; its
+  RMSE is summed in its own order and also matches to within rounding.
 - **numpy**: a fixed handful of in-place numpy calls per row, used when no
-  compiler is found or the build or load fails. It is bitwise-identical to
-  per-sample SGD written with one array per weight block: each weight sees
-  the same floating-point operations in the same order.
+  compiler is found or the build or load fails, then the RMSE through BLAS
+  and ``expit``. It is bitwise-identical to per-sample SGD written with one
+  array per weight block: each weight sees the same floating-point
+  operations in the same order.
 """
 
 from __future__ import annotations
@@ -52,8 +62,10 @@ def default_hidden(n_features: int) -> int:
     return math.ceil((n_features + 1) / 2)
 
 
-def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum) -> None:
-    """One epoch of per-sample SGD with momentum, updating theta and vel in place."""
+def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum, train=True) -> float:
+    """One epoch of per-sample SGD with momentum, updating theta and vel in
+    place, then the RMSE of the weights it leaves. With ``train`` False the
+    epoch is skipped and only the RMSE is computed."""
     from scipy.special import expit
 
     n_feat = X_aug.shape[1] - 1
@@ -65,7 +77,8 @@ def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum) -> None:
     z, act, delta, slope = (np.empty(h) for _ in range(4))
     delta_col = delta[:, None]
     dot, multiply, subtract = np.dot, np.multiply, np.subtract
-    for x_row, x_aug, target in zip(X_aug[:, :n_feat], X_aug, y.tolist()):
+    rows = zip(X_aug[:, :n_feat], X_aug, y.tolist()) if train else ()
+    for x_row, x_aug, target in rows:
         dot(w_in, x_row, out=z)
         z += b_in
         expit(z, out=act)
@@ -83,6 +96,12 @@ def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum) -> None:
         vel -= grad
         theta += vel
 
+    # contiguous operands, as ``_predict`` sees them after fit
+    X = np.ascontiguousarray(X_aug[:, :n_feat])
+    w_in, b_in, w_out = (np.ascontiguousarray(a) for a in (w_in, b_in, w_out))
+    err = expit(X @ w_in.T + b_in) @ w_out + theta.item(-1) - y
+    return float(np.sqrt(np.mean(err ** 2)))
+
 
 @functools.cache
 def _load_kernel():
@@ -93,15 +112,20 @@ def _load_kernel():
         return None
 
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    lib.mlp_epoch.restype = None
+    lib.mlp_work_size.restype = ctypes.c_long
+    lib.mlp_work_size.argtypes = [ctypes.c_long, ctypes.c_long]
+    lib.mlp_epoch.restype = ctypes.c_double
     lib.mlp_epoch.argtypes = [array, array, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                              ctypes.c_double, ctypes.c_double, array, array, array]
+                              ctypes.c_int, ctypes.c_double, ctypes.c_double, array, array,
+                              array]
 
-    def c_epoch(X_aug, y, theta, vel, h, lr, momentum) -> None:
+    def c_epoch(X_aug, y, theta, vel, h, lr, momentum, train=True) -> float:
         n, cols = X_aug.shape
         if y.shape != (n,) or theta.shape != vel.shape or theta.size != h * (cols + 1) + 1:
             raise ValueError("MLP epoch buffers do not match the packed layout")
-        lib.mlp_epoch(X_aug, y, n, cols - 1, h, lr, momentum, theta, vel, np.empty(2 * h))
+        # the kernel sizes its own scratch: the padded weight blocks and row buffers
+        work = np.empty(lib.mlp_work_size(cols - 1, h))
+        return lib.mlp_epoch(X_aug, y, n, cols - 1, h, train, lr, momentum, theta, vel, work)
 
     return c_epoch
 
@@ -133,10 +157,6 @@ class MlpModel(ForecastModel):
 
         return expit(X @ self.w_in_.T + self.b_in_) @ self.w_out_ + self.b_out_
 
-    def _rmse(self, X: np.ndarray, y: np.ndarray) -> float:
-        err = self._predict(X) - y
-        return float(np.sqrt(np.mean(err ** 2)))
-
     # --- training -----------------------------------------------------------
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -158,18 +178,14 @@ class MlpModel(ForecastModel):
         b_in[:] = rng.uniform(-0.5, 0.5, size=h)
         w_out[:] = rng.uniform(-0.5, 0.5, size=h)
         theta[-1] = rng.uniform(-0.5, 0.5)
-        self._publish(w_in, b_in, w_out, theta)
 
         run_epoch = _load_kernel() or _numpy_epoch
         lr = self.lr
-        prev_loss = self._rmse(X, y)
+        prev_loss = run_epoch(X_aug, y, theta, vel, h, lr, self.momentum, train=False)
         curve = [prev_loss]
         for epoch in range(self.epochs):
             snapshot = theta.copy()
-            run_epoch(X_aug, y, theta, vel, h, lr, self.momentum)
-
-            self._publish(w_in, b_in, w_out, theta)
-            loss = self._rmse(X, y)
+            loss = run_epoch(X_aug, y, theta, vel, h, lr, self.momentum)
             if not np.isfinite(loss):
                 raise DivergedLoss(
                     f"training loss became non-finite at epoch {epoch} (lr={lr:g})")
@@ -177,19 +193,14 @@ class MlpModel(ForecastModel):
                 # roll the epoch back and retry more cautiously
                 theta[:] = snapshot
                 vel[:] = 0.0
-                self._publish(w_in, b_in, w_out, theta)
                 lr *= 0.5
                 curve.append(prev_loss)
             else:
                 prev_loss = loss
                 curve.append(loss)
 
+        # contiguous copies of the packed weights for ``_predict``
+        self.w_in_, self.b_in_, self.w_out_ = w_in.copy(), b_in.copy(), w_out.copy()
+        self.b_out_ = float(theta[-1])
         self.loss_curve_ = np.asarray(curve)
         self.final_lr_ = lr
-
-    def _publish(self, w_in, b_in, w_out, theta) -> None:
-        """Expose the packed weights as contiguous arrays for ``_predict``."""
-        self.w_in_ = w_in.copy()
-        self.b_in_ = b_in.copy()
-        self.w_out_ = w_out.copy()
-        self.b_out_ = float(theta[-1])

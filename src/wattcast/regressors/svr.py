@@ -28,8 +28,9 @@ iteration; ``tests/test_regressors.py`` keeps that loop as its oracle.
 one of two backends with one signature, and both give the same bits:
 
 - **C** (``_svr_smo.c``): the whole loop in one call. The first fit in a
-  process compiles and loads it (``_native.build``). Each step makes one
-  pass over the 2n scores that applies the update and finds the next pair.
+  process compiles and loads it (``_native.build``) on a thread that runs
+  while the fit computes K. Each step makes one pass over the 2n scores
+  that applies the update and finds the next pair.
 - **numpy** (``_numpy_loop``): a handful of in-place numpy calls per step,
   used when no compiler is found or the build or load fails.
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 import warnings
 from pathlib import Path
 
@@ -166,9 +168,13 @@ class SvrModel(ForecastModel):
         max_iter = self.max_iter if self.max_iter is not None else 10_000 * n
 
         check_kernel_fits(n)
+        # the first fit in a process compiles the SMO loop while K is computed
+        loading = threading.Thread(target=_load_kernel)
+        loading.start()
         K = cdist(X, X, "sqeuclidean")
         np.multiply(K, -self.gamma_, out=K)
         np.exp(K, out=K)
+        loading.join()
         alpha, alpha_star, bias, converged, iterations = _smo(
             K, y, self.C, self.epsilon, self.tol, max_iter)
 

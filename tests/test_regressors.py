@@ -1,8 +1,11 @@
 import ctypes
+import functools
 import importlib
+import math
 import pkgutil
 import shutil
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -148,6 +151,22 @@ class TestKnn:
         preds = model.predict_batch(rng.normal(size=(30, frame.n_features)))
         assert preds.min() >= frame.y.min()
         assert preds.max() <= frame.y.max()
+
+    @pytest.mark.parametrize("k", [1, 3, "n_train"])
+    def test_bitwise_equal_to_a_full_stable_sort(self, k):
+        # grid rows appear three times, so queries on the grid tie at the
+        # k-th distance and off-grid queries mostly do not; targets spanning
+        # 16 decades make the mean depend on the order of its summands
+        rng = np.random.default_rng(13)
+        X = np.vstack([np.repeat(rng.integers(0, 3, size=(8, 2)).astype(float), 3, axis=0),
+                       rng.normal(size=(12, 2))])
+        y = rng.normal(size=X.shape[0]) * 10.0 ** rng.integers(-8, 9, size=X.shape[0])
+        k = X.shape[0] if k == "n_train" else k
+        model = KnnModel(k=k).fit(make_frame(X, y))
+        queries = np.vstack([X, rng.integers(0, 3, size=(20, 2)).astype(float),
+                             rng.normal(size=(20, 2))])
+        order = np.argsort(cdist(queries, X), axis=1, kind="stable")[:, :k]
+        assert model.predict_batch(queries).tobytes() == y[order].mean(axis=1).tobytes()
 
 
 class TestGp:
@@ -543,6 +562,22 @@ class TestSmoMatchesReferenceLoop:
         assert callable(svr_module._load_kernel.__wrapped__())
         assert list(tmp_path.iterdir()) == []
 
+    def test_two_fits_build_the_library_once_off_the_main_thread(self, monkeypatch):
+        _kernel_or_skip(svr_module)
+        real_build, builds = native_module.build, []
+
+        def counted(source):
+            builds.append((source, threading.current_thread() is threading.main_thread()))
+            return real_build(source)
+
+        monkeypatch.setattr(native_module, "build", counted)
+        # a fresh cache: this process may already hold the library
+        monkeypatch.setattr(svr_module, "_load_kernel",
+                            functools.cache(svr_module._load_kernel.__wrapped__))
+        for seed in (16, 17):
+            assert SvrModel().fit(random_frame(np.random.default_rng(seed), n=30)).converged_
+        assert builds == [(svr_module._KERNEL_SOURCE, False)]
+
     def test_rejects_buffers_off_an_n_by_n_kernel(self):
         c_loop = _kernel_or_skip(svr_module)
         with pytest.raises(ValueError):
@@ -569,6 +604,41 @@ def _break_the_build(module, breakage, monkeypatch, tmp_path):
     assert load() is None
     assert list(scratch.iterdir()) == []  # the build directory is removed
     monkeypatch.setattr(module, "_load_kernel", load)
+
+
+class TestNativeBuild:
+    @staticmethod
+    def fake_compiler(tmp_path, body):
+        """A compiler script that logs its arguments, one call a line, then
+        runs ``body``."""
+        log = tmp_path / "calls"
+        script = tmp_path / "fake-cc"
+        script.write_text(f'#!/bin/sh\necho "$*" >> "{log}"\n{body}\n')
+        script.chmod(0o755)
+        return str(script), log
+
+    def test_flag_rejected_builds_without_it(self, monkeypatch, tmp_path):
+        real = shutil.which("gcc") or shutil.which("cc")
+        if real is None:
+            pytest.skip("no C compiler")
+        fake, log = self.fake_compiler(
+            tmp_path, f'case " $* " in *" -march=native "*) exit 1;; esac\nexec "{real}" "$@"')
+        monkeypatch.setattr(shutil, "which", lambda name: fake)
+        lib = native_module.build(mlp_module._KERNEL_SOURCE)
+        assert lib is not None and hasattr(lib, "mlp_epoch")
+        first, second = log.read_text().splitlines()
+        assert "-march=native" in first.split() and "-march=native" not in second.split()
+        assert "-ffp-contract=off" in second.split()
+
+    def test_compiler_that_always_fails_gives_none(self, monkeypatch, tmp_path):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        fake, log = self.fake_compiler(tmp_path, "exit 1")
+        monkeypatch.setattr(shutil, "which", lambda name: fake)
+        assert native_module.build(mlp_module._KERNEL_SOURCE) is None
+        assert len(log.read_text().splitlines()) == 2  # with the flag, then without
+        assert list(scratch.iterdir()) == []
 
 
 def test_every_compiled_source_is_packaged(monkeypatch):
@@ -650,13 +720,27 @@ class TestMlp:
         model = MlpModel(epochs=80, seed=3, lr=0.6).fit(frame)
         assert np.all(np.diff(model.loss_curve_) <= 0.0)
 
-    def test_diverged_loss_raises(self):
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    def test_diverged_loss_raises(self, backend, monkeypatch):
+        calls = []
+        if backend == "c":
+            kernel = _kernel_or_skip()
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setattr(mlp_module, "_load_kernel", lambda: counted)
+        else:
+            monkeypatch.setattr(mlp_module, "_load_kernel", lambda: None)
         rng = np.random.default_rng(23)
         X = rng.normal(size=(20, 2)) * 1e3
         y = rng.normal(size=20) * 1e3
         with np.errstate(all="ignore"):
             with pytest.raises(DivergedLoss):
                 MlpModel(lr=1e12, epochs=5, standardize=False).fit(make_frame(X, y))
+        if backend == "c":
+            assert len(calls) >= 2  # the initial loss, then at least one epoch
 
     def test_default_hidden_width(self):
         assert default_hidden(24) == 13
@@ -697,8 +781,11 @@ def _reference_fit(self, frame):
     v_w_out = np.zeros_like(self.w_out_)
     v_b_out = 0.0
 
+    def rmse():
+        return float(np.sqrt(np.mean((self._predict(X) - y) ** 2)))
+
     lr = self.lr
-    prev_loss = self._rmse(X, y)
+    prev_loss = rmse()
     curve = [prev_loss]
     for epoch in range(self.epochs):
         snapshot = (self.w_in_.copy(), self.b_in_.copy(),
@@ -718,7 +805,7 @@ def _reference_fit(self, frame):
             self.w_in_ += v_w_in
             self.b_in_ += v_b_in
 
-        loss = self._rmse(X, y)
+        loss = rmse()
         if not np.isfinite(loss):
             raise DivergedLoss(
                 f"training loss became non-finite at epoch {epoch} (lr={lr:g})")
@@ -811,15 +898,16 @@ class TestMlpKernelMatchesNumpy:
         kernel = _kernel_or_skip()
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            kernel(*args)
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("train", True))
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(mlp_module, "_load_kernel", lambda: counted)
         make, params = TestMlpMatchesReferenceLoop.CASES[case]
         frame = make()
         compiled = MlpModel(**params).fit(frame)
-        assert len(calls) == params["epochs"]  # every epoch ran in C
+        # the initial loss, then every epoch, ran in C
+        assert calls == [False] + [True] * params["epochs"]
         monkeypatch.setattr(mlp_module, "_load_kernel", lambda: None)
         looped = MlpModel(**params).fit(frame)
 
@@ -847,6 +935,99 @@ class TestMlpKernelMatchesNumpy:
         theta, vel = np.zeros(2 * 4 + 1), np.zeros(2 * 4 + 1)
         with pytest.raises(ValueError):
             kernel(X_aug, np.zeros(4), theta, vel, 3, 0.1, 0.0)  # sized for h=2
+
+
+def _c_exp(v):
+    """exp as the C library returns it: inf, not an error, on overflow."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _oracle_epoch(X_aug, y, theta, vel, h, lr, momentum):
+    """One epoch of the C kernel's arithmetic, in place: each hidden sum adds
+    ``W[:, j] * x[j]`` for j ascending, then the bias; the output adds one
+    unit at a time; the sigmoid takes the C library's ``exp``."""
+    cols = X_aug.shape[1]
+    size = h * cols
+    W, V = theta[:size].reshape(h, cols), vel[:size].reshape(h, cols)
+    w_out, v_out = theta[size:-1], vel[size:-1]
+    for x, target in zip(X_aug, y.tolist()):
+        z = np.zeros(h)
+        for j in range(cols - 1):
+            z += W[:, j] * x[j]
+        z += W[:, -1]
+        act = np.array([1.0 / (1.0 + _c_exp(-v)) for v in z.tolist()])
+        out = 0.0
+        for w, a in zip(w_out.tolist(), act.tolist()):
+            out += w * a
+        err = out + theta.item(-1) - target
+        step = lr * err
+        delta = w_out * err
+        delta *= act
+        delta *= 1.0 - act
+        V[:] = V * momentum - (delta[:, None] * x) * lr
+        W += V
+        v_out[:] = v_out * momentum - act * step
+        w_out += v_out
+        vel[-1] = vel[-1] * momentum - step
+        theta[-1] += vel[-1]
+
+
+def _epoch_inputs(case, p, h):
+    """A case's training rows cycled to p columns, augmented with ones, and
+    seeded weights for h hidden units, as ``fit`` hands them to an epoch."""
+    make, params = TestMlpMatchesReferenceLoop.CASES[case]
+    frame = make()
+    X, y = frame.X[:, np.arange(p) % frame.n_features], frame.y
+    if params.get("standardize", True):
+        X, y = apply_scaler(fit_scaler(X), X), apply_scaler(fit_scaler(y), y)
+    X_aug = np.ascontiguousarray(np.hstack([X, np.ones((X.shape[0], 1))]))
+    theta = np.random.default_rng(params["seed"]).uniform(-0.5, 0.5, h * (p + 2) + 1)
+    return X_aug, np.ascontiguousarray(y), theta, params.get("lr", 0.3), params.get("momentum", 0.2)
+
+
+class TestMlpKernelMatchesOracle:
+    """The C epoch bit for bit against a numpy loop that sums in its order,
+    at hidden widths on both sides of the lane width."""
+
+    @pytest.mark.parametrize("p", [1, 24])
+    @pytest.mark.parametrize("h", [1, 7, 8, 9, 13, 17])
+    @pytest.mark.parametrize("case", sorted(TestMlpMatchesReferenceLoop.CASES))
+    def test_bitwise_equal_to_oracle(self, case, h, p):
+        kernel = _kernel_or_skip()
+        X_aug, y, theta, lr, momentum = _epoch_inputs(case, p, h)
+        vel = np.zeros_like(theta)
+        expected_theta, expected_vel = theta.copy(), vel.copy()
+        for _ in range(2):  # the second epoch starts from a non-zero velocity
+            kernel(X_aug, y, theta, vel, h, lr, momentum)
+            with np.errstate(all="ignore"):  # lr=0.6 overflows at the wider widths
+                _oracle_epoch(X_aug, y, expected_theta, expected_vel, h, lr, momentum)
+            # IEEE 754 leaves the sign of a NaN result open, so NaNs compare as one
+            for got, expected in ((theta, expected_theta), (vel, expected_vel)):
+                assert (np.where(np.isnan(got), np.nan, got).tobytes()
+                        == np.where(np.isnan(expected), np.nan, expected).tobytes())
+
+    @pytest.mark.parametrize("h", [1, 9, 13])
+    @pytest.mark.parametrize("case", sorted(TestMlpMatchesReferenceLoop.CASES))
+    def test_returned_loss_is_the_rmse(self, case, h):
+        kernel = _kernel_or_skip()
+        X_aug, y, theta, lr, momentum = _epoch_inputs(case, 24, h)
+        vel = np.zeros_like(theta)
+        size = h * X_aug.shape[1]
+
+        def rmse():
+            out = expit(X_aug @ theta[:size].reshape(h, -1).T) @ theta[size:-1] + theta[-1]
+            return np.sqrt(np.mean((out - y) ** 2))
+
+        before = theta.copy()
+        scored = kernel(X_aug, y, theta, vel, h, lr, momentum, train=False)
+        assert theta.tobytes() == before.tobytes() and not vel.any()
+        assert abs(scored - rmse()) <= 1e-13 * rmse()
+        trained = kernel(X_aug, y, theta, vel, h, lr, momentum)
+        assert theta.tobytes() != before.tobytes()
+        assert abs(trained - rmse()) <= 1e-13 * rmse()
 
 
 class TestPredictSeries:
