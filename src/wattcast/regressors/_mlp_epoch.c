@@ -21,10 +21,8 @@
    its terms for j ascending whatever the lane width, so the weights are the
    same bits as a loop over one hidden unit at a time.
 
-   The returned RMSE needs no particular bits: it starts each hidden sum at
-   the bias and runs four rows at once, so that each vector of W is loaded
-   once per four rows. With train == 0 the call only scores the weights it
-   was given.
+   The returned RMSE runs each row's forward pass as training does. With
+   train == 0 the call only scores the weights it was given.
 
    The lane vectors use the vector extension of gcc and clang. */
 
@@ -41,11 +39,11 @@ static long vectors(long h)
     return (h + LANES - 1) / LANES;
 }
 
-/* the two weight blocks, the hidden sums of four rows, the activations and
-   the deltas, in vectors of hv = vectors(h) */
+/* the two weight blocks, the hidden sums, the activations and the deltas,
+   in vectors of hv = vectors(h) */
 static long block_vectors(long p, long hv)
 {
-    return (2 * (p + 1) + 6) * hv;
+    return (2 * (p + 1) + 3) * hv;
 }
 
 long mlp_work_size(long p, long h)
@@ -54,9 +52,11 @@ long mlp_work_size(long p, long h)
     return (block_vectors(p, vectors(h)) + 1) * LANES;
 }
 
-/* the hidden sums of one row: x[j] * W[j, :] added for j ascending, then
-   the bias W[p, :] */
-static void hidden_sums(const vd *W, long hv, long p, const double *x, vd *z)
+/* one row's forward pass: the hidden sums x[j] * W[j, :] added for j
+   ascending, then the bias W[p, :]; the activations into act; returns
+   sum(w_out * act) without the output bias */
+static double forward(const vd *W, long hv, long p, long h, const double *x,
+                      const double *w_out, vd *z, double *act)
 {
     for (long b = 0; b < hv; b++) {
         vd acc = {0.0};
@@ -64,51 +64,13 @@ static void hidden_sums(const vd *W, long hv, long p, const double *x, vd *z)
             acc += W[j * hv + b] * x[j];
         z[b] = acc + W[p * hv + b];
     }
-}
-
-static double output(const double *z, long h, const double *w_out, double b_out)
-{
-    double out = b_out;
-    for (long i = 0; i < h; i++)
-        out += w_out[i] / (1.0 + exp(-z[i]));
+    const double *zs = (const double *)z;
+    double out = 0.0;
+    for (long i = 0; i < h; i++) {
+        act[i] = 1.0 / (1.0 + exp(-zs[i]));
+        out += w_out[i] * act[i];
+    }
     return out;
-}
-
-static double rmse(const double *x_aug, const double *y, long n, long p, long h,
-                   long hv, const vd *W, const double *w_out, double b_out, vd *z)
-{
-    const long cols = p + 1;
-    double total = 0.0;
-    long r = 0;
-    for (; r + 4 <= n; r += 4) {
-        const double *x0 = x_aug + r * cols, *x1 = x0 + cols, *x2 = x1 + cols,
-                     *x3 = x2 + cols;
-        for (long b = 0; b < hv; b++) {
-            vd a0 = W[p * hv + b], a1 = a0, a2 = a0, a3 = a0;
-            for (long j = 0; j < p; j++) {
-                const vd w = W[j * hv + b];
-                a0 += w * x0[j];
-                a1 += w * x1[j];
-                a2 += w * x2[j];
-                a3 += w * x3[j];
-            }
-            z[b] = a0;
-            z[hv + b] = a1;
-            z[2 * hv + b] = a2;
-            z[3 * hv + b] = a3;
-        }
-        for (long k = 0; k < 4; k++) {
-            const double err = output((const double *)(z + k * hv), h, w_out, b_out)
-                               - y[r + k];
-            total += err * err;
-        }
-    }
-    for (; r < n; r++) {
-        hidden_sums(W, hv, p, x_aug + r * cols, z);
-        const double err = output((const double *)z, h, w_out, b_out) - y[r];
-        total += err * err;
-    }
-    return sqrt(total / n);
 }
 
 double mlp_epoch(const double *x_aug, const double *y, long n, long p, long h,
@@ -118,8 +80,8 @@ double mlp_epoch(const double *x_aug, const double *y, long n, long p, long h,
     const long cols = p + 1, size = h * cols, hv = vectors(h), hp = hv * LANES;
     double *w_out = theta + size, *v_out = vel + size;
     vd *W = (vd *)(((uintptr_t)work + sizeof(vd) - 1) & ~(uintptr_t)(sizeof(vd) - 1));
-    vd *V = W + cols * hv, *z = V + cols * hv, *act = z + 4 * hv, *delta = act + hv;
-    double *Ws = (double *)W, *Vs = (double *)V, *zs = (double *)z;
+    vd *V = W + cols * hv, *z = V + cols * hv, *act = z + hv, *delta = act + hv;
+    double *Ws = (double *)W, *Vs = (double *)V;
     double *as = (double *)act, *ds = (double *)delta;
 
     memset(W, 0, block_vectors(p, hv) * sizeof(vd));
@@ -131,13 +93,7 @@ double mlp_epoch(const double *x_aug, const double *y, long n, long p, long h,
 
     for (long r = 0; train && r < n; r++) {
         const double *x = x_aug + r * cols;
-        hidden_sums(W, hv, p, x, z);
-        double out = 0.0;
-        for (long i = 0; i < h; i++) {
-            as[i] = 1.0 / (1.0 + exp(-zs[i]));
-            out += w_out[i] * as[i];
-        }
-        const double err = out + theta[size + h] - y[r];
+        const double err = forward(W, hv, p, h, x, w_out, z, as) + theta[size + h] - y[r];
         const double step = lr * err;
         for (long i = 0; i < h; i++) {
             double d = w_out[i] * err;
@@ -168,5 +124,13 @@ double mlp_epoch(const double *x_aug, const double *y, long n, long p, long h,
             theta[i * cols + j] = Ws[j * hp + i];
             vel[i * cols + j] = Vs[j * hp + i];
         }
-    return rmse(x_aug, y, n, p, h, hv, W, w_out, theta[size + h], z);
+
+    /* the training RMSE of the weights the epoch leaves */
+    double total = 0.0;
+    for (long r = 0; r < n; r++) {
+        const double err = forward(W, hv, p, h, x_aug + r * cols, w_out, z, as)
+                           + theta[size + h] - y[r];
+        total += err * err;
+    }
+    return sqrt(total / n);
 }

@@ -9,9 +9,9 @@ nothing is compiled at import. The caller keeps its numpy path for a
 
 Every kernel is built with the same flags. ``-march=native`` lets the
 compiler use every vector instruction of the machine that loads the library,
-which is the machine that built it; a compiler that rejects the flag gets one
-more try without it. ``-ffp-contract=off`` keeps the compiler from fusing a
-multiply and an add into one rounding, so each kernel does the
+which is the machine that built it; a compiler whose error names the flag
+gets one more try without it. ``-ffp-contract=off`` keeps the compiler from
+fusing a multiply and an add into one rounding, so each kernel does the
 floating-point operations its numpy path does, in the order it states.
 """
 
@@ -42,6 +42,8 @@ def build(source: Path) -> ctypes.CDLL | None:
                                        stdin=subprocess.DEVNULL, capture_output=True)
                 if built.returncode == 0:
                     return ctypes.CDLL(library)
+                if b"march" not in built.stderr:
+                    return None
             return None
     except OSError:
         return None

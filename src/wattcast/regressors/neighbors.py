@@ -6,9 +6,9 @@ index (stable sort), which makes the estimator deterministic.
 
 A query row needs no full sort when exactly K training points lie at or
 below its K-th smallest distance: those K, ordered by (distance, index), are
-the stable sort's first K. Only rows with a tie at the K-th distance (and
-K equal to the training size) are sorted in full, so the neighbours and the
-order of the mean's summands are the stable sort's.
+the stable sort's first K. Only rows with a tie at the K-th distance (or a
+NaN distance) are sorted in full, so the neighbours and the order of the
+mean's summands are the stable sort's.
 """
 
 from __future__ import annotations
@@ -37,17 +37,14 @@ class KnnModel(ForecastModel):
 
         dists = cdist(X, self.X_)
         k = self.k
-        if k == dists.shape[1]:
-            order = np.argsort(dists, axis=1, kind="stable")
-        else:
-            kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
-            within = dists <= kth
-            exact = np.count_nonzero(within, axis=1) == k
-            order = np.empty((dists.shape[0], k), dtype=np.intp)
-            # row-major nonzero lists each exact row's k indices ascending
-            cols = np.nonzero(within[exact])[1].reshape(-1, k)
-            nearest = np.take_along_axis(dists[exact], cols, axis=1)
-            order[exact] = np.take_along_axis(
-                cols, np.argsort(nearest, axis=1, kind="stable"), axis=1)
-            order[~exact] = np.argsort(dists[~exact], axis=1, kind="stable")[:, :k]
+        kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+        within = dists <= kth
+        exact = np.count_nonzero(within, axis=1) == k
+        order = np.empty((dists.shape[0], k), dtype=np.intp)
+        # row-major nonzero lists each exact row's k indices ascending
+        cols = np.nonzero(within[exact])[1].reshape(-1, k)
+        nearest = np.take_along_axis(dists[exact], cols, axis=1)
+        order[exact] = np.take_along_axis(
+            cols, np.argsort(nearest, axis=1, kind="stable"), axis=1)
+        order[~exact] = np.argsort(dists[~exact], axis=1, kind="stable")[:, :k]
         return self.y_[order].mean(axis=1)

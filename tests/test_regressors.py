@@ -622,7 +622,9 @@ class TestNativeBuild:
         if real is None:
             pytest.skip("no C compiler")
         fake, log = self.fake_compiler(
-            tmp_path, f'case " $* " in *" -march=native "*) exit 1;; esac\nexec "{real}" "$@"')
+            tmp_path, 'case " $* " in *" -march=native "*) '
+                      'echo "error: unrecognized option \'-march=native\'" >&2; exit 1;; esac\n'
+                      f'exec "{real}" "$@"')
         monkeypatch.setattr(shutil, "which", lambda name: fake)
         lib = native_module.build(mlp_module._KERNEL_SOURCE)
         assert lib is not None and hasattr(lib, "mlp_epoch")
@@ -630,14 +632,17 @@ class TestNativeBuild:
         assert "-march=native" in first.split() and "-march=native" not in second.split()
         assert "-ffp-contract=off" in second.split()
 
-    def test_compiler_that_always_fails_gives_none(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("error, calls", [("no such file", 1),  # no retry
+                                              ("bad value for -march=", 2)])
+    def test_failed_build_gives_none(self, monkeypatch, tmp_path, error, calls):
         scratch = tmp_path / "tmp"
         scratch.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-        fake, log = self.fake_compiler(tmp_path, "exit 1")
+        fake, log = self.fake_compiler(tmp_path, f'echo "error: {error}" >&2; exit 1')
         monkeypatch.setattr(shutil, "which", lambda name: fake)
         assert native_module.build(mlp_module._KERNEL_SOURCE) is None
-        assert len(log.read_text().splitlines()) == 2  # with the flag, then without
+        flagged = ["-march=native" in call.split() for call in log.read_text().splitlines()]
+        assert flagged == [True, False][:calls]
         assert list(scratch.iterdir()) == []
 
 
