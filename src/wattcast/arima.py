@@ -32,7 +32,7 @@ from .errors import (
 )
 from .regressors.linear import solve_normal_equations
 from .series import TimeSeries
-from .transform import difference
+from .transform import lag_design
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,8 @@ def css_residuals(w: np.ndarray, ar: np.ndarray, ma: np.ndarray,
     from scipy.signal import lfilter
 
     p, q = len(ar), len(ma)
-    n = len(w)
     if p:
-        lags = np.column_stack([w[p - i: n - i] for i in range(1, p + 1)])
+        lags = lag_design(w[:, None], p)[:, 1:]
         u = w[p:] - intercept - lags @ np.asarray(ar)
     else:
         u = w - intercept
@@ -84,25 +83,21 @@ def ar_roots_stationary(ar: np.ndarray) -> bool:
 
 
 def _hannan_rissanen(w: np.ndarray, p: int, q: int):
-    n = len(w)
+    column = w[:, None]
     if q == 0:
-        A = np.column_stack([np.ones(n - p)] +
-                            [w[p - i: n - i] for i in range(1, p + 1)])
-        beta = solve_normal_equations(A, w[p:])
+        beta = solve_normal_equations(lag_design(column, p), w[p:])
         return float(beta[0]), beta[1:], np.empty(0)
 
-    long_order = min(10, n // 4)
-    A_long = np.column_stack([np.ones(n - long_order)] +
-                             [w[long_order - i: n - i] for i in range(1, long_order + 1)])
+    long_order = min(10, len(w) // 4)
+    A_long = lag_design(column, long_order)
     beta_long = solve_normal_equations(A_long, w[long_order:])
-    proxies = np.full(n, 0.0)
+    proxies = np.full(len(w), 0.0)
     proxies[long_order:] = w[long_order:] - A_long @ beta_long
 
     start = max(p, long_order + q)
-    cols = [np.ones(n - start)]
-    cols += [w[start - i: n - i] for i in range(1, p + 1)]
-    cols += [proxies[start - j: n - j] for j in range(1, q + 1)]
-    beta = solve_normal_equations(np.column_stack(cols), w[start:])
+    A = np.hstack([lag_design(column[start - p:], p),
+                   lag_design(proxies[start - q:, None], q)[:, 1:]])
+    beta = solve_normal_equations(A, w[start:])
     return float(beta[0]), beta[1:1 + p], beta[1 + p:]
 
 
@@ -120,7 +115,7 @@ def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
     if len(s) - d < floor:
         raise TooShort(f"need at least {floor + d} observations for orders "
                        f"({p},{d},{q}), have {len(s)}")
-    w = difference(s, d)[0].values
+    w = _difference_with_tails(s.values, d)[0]
     if p + q > 0 and np.ptp(w) == 0.0:
         raise DegenerateSeries("differenced series is constant; AR/MA terms unidentifiable")
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError, ModelError
 from .evaluation import (
+    ARIMA_ORDER,
     FAMILIES,
     MODE_ONE_STEP,
     MODE_RECURSIVE,
@@ -57,8 +58,9 @@ DEFAULTS = {
     "p": 24,
     "d": 0,
     "q": 0,
-    "arima_p": 2,  # order of the arima entry in benchmark suites: (arima_p, d, arima_q)
-    "arima_q": 1,
+    # order of the arima entry in benchmark suites: (arima_p, d, arima_q)
+    "arima_p": ARIMA_ORDER[0],
+    "arima_q": ARIMA_ORDER[2],
     "horizon": 24,
     "models": ",".join(MODELS),
     "splits": "0.6,0.7,0.8",

@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .regressors import GpModel, KnnModel, MlpModel, OlsModel, SvrModel
 from .series import MultiSeries, TimeSeries, resample
-from .transform import SupervisedFrame, lag_embed
+from .transform import lag_embed
 from .var import var_fit, var_forecast, var_one_step
 
 # Not called here, but kept bound: perfbench/tracing.py wraps this name in
@@ -51,6 +50,8 @@ KINDS = ("lag", "arima", "var")
 # prediction modes of evaluate and fit_forecast
 MODE_ONE_STEP = "one_step_true_history"
 MODE_RECURSIVE = "recursive"
+# (p, d, q) of the arima entry in benchmark suites
+ARIMA_ORDER = (2, 0, 1)
 
 
 # --- metrics ----------------------------------------------------------------
@@ -158,7 +159,7 @@ FAMILIES = {
 MODELS = tuple(FAMILIES)
 
 
-def spec_for(name: str, seed: int = 0, arima_order: tuple = (2, 0, 1), *,
+def spec_for(name: str, seed: int = 0, arima_order: tuple = ARIMA_ORDER, *,
              hyper=None) -> ModelSpec:
     """Look up a single model family by CLI name.
 
@@ -183,13 +184,15 @@ def spec_for(name: str, seed: int = 0, arima_order: tuple = (2, 0, 1), *,
     return ModelSpec(name, family.kind)
 
 
-def default_specs(seed: int = 0, arima_order: tuple = (2, 0, 1)) -> list:
+def default_specs(seed: int = 0, arima_order: tuple = ARIMA_ORDER) -> list:
     """The seven compared model families with their default settings."""
     return [spec_for(name, seed, arima_order) for name in MODELS]
 
 
 # --- records and report -----------------------------------------------------
 
+# The report's columns. All but "status" are record fields; where the text
+# report has the status, the JSON report has the error text.
 _ROW_FIELDS = ("model", "dataset", "train_fraction", "interval", "horizon",
                "mode", "n_test", "rmse", "mae", "rae", "status")
 
@@ -215,29 +218,15 @@ class EvalRecord:
         return self.error is None
 
     def to_row(self) -> str:
+        cells = [getattr(self, name) for name in _ROW_FIELDS[:-1]]
         status = "ok" if self.ok else "failed: " + " ".join(self.error.split())
-        cells = (self.model, self.dataset, _fmt(self.train_fraction),
-                 _fmt(self.interval), str(self.horizon), self.mode,
-                 str(self.n_test), _fmt(self.rmse), _fmt(self.mae),
-                 _fmt(self.rae), status)
-        return "\t".join(cells)
+        return "\t".join([c if isinstance(c, str) else _fmt(c) for c in cells] + [status])
 
     def to_dict(self) -> dict:
         # wall times are deliberately excluded: serialized reports must be
         # byte-identical across runs with the same seed
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "train_fraction": self.train_fraction,
-            "interval": _json_safe(self.interval),
-            "horizon": self.horizon,
-            "mode": self.mode,
-            "n_test": self.n_test,
-            "rmse": _json_safe(self.rmse),
-            "mae": _json_safe(self.mae),
-            "rae": _json_safe(self.rae),
-            "error": self.error,
-        }
+        return {**{name: _json_safe(getattr(self, name)) for name in _ROW_FIELDS[:-1]},
+                "error": self.error}
 
 
 def _fmt(x: float) -> str:
@@ -316,58 +305,59 @@ def fit_forecast(spec: ModelSpec, dataset, n_train: int, m: int, *, p: int,
                  mode: str) -> Forecast:
     """Fit ``spec`` on the first ``n_train`` points and predict up to ``m`` after them.
 
+    Every fit sees only the train prefix, so no test value can reach it.
     ``positions`` are the original indices the predictions belong to. In
     recursive mode they are ``n_train .. n_train + m - 1``; in one-step mode a
     lag model predicts only the positions with a complete lag window.
     """
     target, table = _table(dataset)
-    tvals = table.column(target)
+    head = MultiSeries(table.start, table.interval, table.names, table.values[:n_train])
     positions = np.arange(n_train, n_train + m)
     if spec.kind == "arima":
-        full = TimeSeries(table.start, table.interval, tvals)
-        train = TimeSeries(table.start, table.interval, tvals[:n_train])
         t0 = time.perf_counter()
-        model = arima_fit(train, *spec.order)
+        model = arima_fit(head.series(target), *spec.order)
         t1 = time.perf_counter()
         if mode == MODE_ONE_STEP:
-            preds = arima_one_step(model, full)[n_train: n_train + m]
+            preds = arima_one_step(model, table.series(target))[n_train: n_train + m]
         else:
-            preds = arima_forecast(model, train, m)
+            preds = arima_forecast(model, head.series(target), m)
     elif spec.kind == "var":
         col = table.names.index(target)
         t0 = time.perf_counter()
-        model = var_fit(MultiSeries(table.start, table.interval, table.names,
-                                    table.values[:n_train]), p)
+        model = var_fit(head, p)
         t1 = time.perf_counter()
         if mode == MODE_ONE_STEP:
             preds = var_one_step(model, table)[n_train: n_train + m, col]
         else:
-            preds = var_forecast(model, table.values[:n_train], m)[:, col]
+            preds = var_forecast(model, head, m)[:, col]
     else:
-        frame = lag_embed(table, p, target)
-        train_mask = frame.target_positions < n_train
-        if not train_mask.any():
+        train = lag_embed(head, p, target)
+        if not train.n_samples:
             raise TooShort("no complete training windows")
-        # a forecast from the whole series trains on every window: skip the copy
-        train_frame = frame if train_mask.all() else SupervisedFrame(
-            frame.X[train_mask], frame.y[train_mask], p, frame.feature_names,
-            frame.target_positions[train_mask])
         t0 = time.perf_counter()
-        model = spec.make().fit(train_frame)
+        model = spec.make().fit(train)
         t1 = time.perf_counter()
         if mode == MODE_ONE_STEP:
-            test_mask = ~train_mask & (frame.target_positions < n_train + m)
-            if not test_mask.any():
+            frame = lag_embed(table, p, target)
+            test = (frame.target_positions >= n_train) & (frame.target_positions < n_train + m)
+            if not test.any():
                 raise InsufficientTest("no complete test windows")
-            preds = model.predict_batch(frame.X[test_mask])
-            positions = frame.target_positions[test_mask]
+            preds = model.predict_batch(frame.X[test])
+            positions = frame.target_positions[test]
         else:
             exog = None
-            if frame.n_exog:
+            if train.n_exog:
                 exog_cols = [j for j, name in enumerate(table.names) if name != target]
                 exog = table.values[n_train: n_train + m, exog_cols]
-            preds = model.predict_series(tvals[:n_train], m, exog=exog)
+            preds = model.predict_series(head.column(target), m, exog=exog)
     return Forecast(positions, preds, t1 - t0, time.perf_counter() - t1, model)
+
+
+def _span(n: int, split: SplitSpec, horizon: int | None) -> tuple:
+    """(n_train, m_eval): the train prefix of ``n`` rows and the scored test steps."""
+    n_train = split.train_length(n)
+    m = n - n_train
+    return n_train, m if horizon is None else min(horizon, m)
 
 
 def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | None = None,
@@ -379,10 +369,7 @@ def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | Non
         raise ConfigError(f"unknown mode {mode!r}")
     target, table = _table(dataset)
     tvals = table.column(target)
-    n = tvals.size
-    n_train = split.train_length(n)
-    m = n - n_train
-    m_eval = m if horizon is None else min(horizon, m)
+    n_train, m_eval = _span(tvals.size, split, horizon)
     if m_eval < 1:
         raise InsufficientTest("horizon leaves no test observations")
 
@@ -415,13 +402,11 @@ def _run_cell(cell):
     except Exception as exc:  # any model fault fails its own cell, not the sweep
         interval, m_eval = float("nan"), 0
         if not isinstance(table, WattcastError):
-            n = len(table)
             interval = table.interval
             try:
-                m = n - split.train_length(n)
+                m_eval = max(_span(len(table), split, horizon)[1], 0)
             except WattcastError:
-                m = 0
-            m_eval = max(m if horizon is None else min(horizon, m), 0)
+                pass
         return EvalRecord(spec.name, dataset_key, split.train_fraction, interval,
                           m_eval, mode, 0, error=f"{type(exc).__name__}: {exc}")
 
@@ -456,6 +441,11 @@ def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = Non
     """
     if not specs or not datasets or not splits:
         raise ConfigError("benchmark needs at least one model, dataset, and split")
+    names = [s.name for s in specs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"model {name!r} is listed more than once; "
+                              "records and rankings are keyed by model name")
     splits = [s if isinstance(s, SplitSpec) else SplitSpec(float(s)) for s in splits]
     intervals = list(intervals) if intervals else [None]
 
@@ -477,6 +467,8 @@ def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = Non
              for (key, data), split, spec in product(variants, splits, specs)]
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_cell, cells))
     else:
@@ -489,45 +481,39 @@ def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = Non
         "mode": mode,
         "splits": [s.train_fraction for s in splits],
         "intervals": [i for i in intervals],
-        "models": [s.name for s in specs],
+        "models": names,
         "datasets": [name for name, _ in datasets],
         "jobs": jobs,
     }
     if config_extra:
         report.config.update(config_extra)
-    _rank(report, [s.name for s in specs])
+    _rank(report, names)
     return report
+
+
+def _rank_key(entry) -> tuple:
+    """Ascending by value, NaN last; ``sorted`` keeps ties in model order."""
+    value = entry[1]
+    return (math.isnan(value), 0.0 if math.isnan(value) else value)
 
 
 def _rank(report: EvaluationReport, model_order: list) -> None:
     """Per-dataset RAE ranking and overall mean-rank ranking, stable ties."""
-    index = {name: i for i, name in enumerate(model_order)}
     by_dataset: dict[str, dict[str, list]] = {}
     for record in report.records:
-        by_dataset.setdefault(record.dataset, {})
-    for record in report.records:
+        per_model = by_dataset.setdefault(record.dataset, {})
         if record.ok and not math.isnan(record.rae):
-            by_dataset[record.dataset].setdefault(record.model, []).append(record.rae)
+            per_model.setdefault(record.model, []).append(record.rae)
 
     ranks: dict[str, list] = {}
     positions: dict[str, list] = {name: [] for name in model_order}
     for dataset_key, per_model in by_dataset.items():
-        scored = []
-        for name in model_order:
-            values = per_model.get(name)
-            mean_rae = float(np.mean(values)) if values else float("nan")
-            scored.append((name, mean_rae))
-        scored.sort(key=lambda item: (math.isnan(item[1]),
-                                      item[1] if not math.isnan(item[1]) else 0.0,
-                                      index[item[0]]))
-        ranks[dataset_key] = scored
-        for position, (name, _) in enumerate(scored, start=1):
+        ranks[dataset_key] = sorted(
+            ((name, float(np.mean(per_model[name])) if name in per_model else float("nan"))
+             for name in model_order), key=_rank_key)
+        for position, (name, _) in enumerate(ranks[dataset_key], start=1):
             positions[name].append(position)
 
-    overall = [(name, float(np.mean(pos)) if pos else float("nan"))
-               for name, pos in positions.items()]
-    overall.sort(key=lambda item: (math.isnan(item[1]),
-                                   item[1] if not math.isnan(item[1]) else 0.0,
-                                   index[item[0]]))
     report.rankings = ranks
-    report.overall = overall
+    report.overall = sorted(((name, float(np.mean(pos))) for name, pos in positions.items()),
+                            key=_rank_key)

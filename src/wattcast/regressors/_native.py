@@ -20,7 +20,6 @@ from __future__ import annotations
 import ctypes
 import os
 import shutil
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -30,6 +29,8 @@ _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 def build(source: Path) -> ctypes.CDLL | None:
     """The shared library compiled from ``source``, or None when no C
     compiler is found or the build or load fails."""
+    import subprocess
+
     compiler = shutil.which("gcc") or shutil.which("cc")
     if compiler is None:
         return None

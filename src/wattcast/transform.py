@@ -93,6 +93,20 @@ def lag_embed(s, p: int, target_column: str = "energy") -> SupervisedFrame:
     return SupervisedFrame(X[ok], y[ok], p, names, positions)
 
 
+def lag_design(values: np.ndarray, p: int) -> np.ndarray:
+    """Regression design on p lags of every column of an (n, k) matrix.
+
+    Row i is the intercept 1 followed by row i + p - 1 (lag 1), row i + p - 2
+    (lag 2), ... down to row i (lag p), so it explains row i + p.
+    """
+    n, k = values.shape
+    A = np.empty((n - p, 1 + k * p))
+    A[:, 0] = 1.0
+    for i in range(1, p + 1):
+        A[:, 1 + (i - 1) * k: 1 + i * k] = values[p - i: n - i]
+    return A
+
+
 def difference(s: TimeSeries, d: int):
     """Apply the backward difference d times.
 

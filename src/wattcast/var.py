@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, HistoryTooShort, MissingCells, TooShort
 from .regressors.linear import solve_normal_equations
 from .series import MultiSeries, TimeSeries
+from .transform import lag_design
 
 
 @dataclass(frozen=True)
@@ -55,14 +56,6 @@ def _as_matrix(data) -> tuple[np.ndarray, tuple]:
     return arr, tuple(f"y{j}" for j in range(arr.shape[1]))
 
 
-def _design(values: np.ndarray, p: int) -> np.ndarray:
-    n, k = values.shape
-    A = np.ones((n - p, 1 + k * p))
-    for i in range(1, p + 1):
-        A[:, 1 + (i - 1) * k: 1 + i * k] = values[p - i: n - i]
-    return A
-
-
 def var_fit(data, p: int) -> VarModel:
     """Estimate a VAR(p) by per-equation OLS on a shared design."""
     if p < 1:
@@ -74,7 +67,7 @@ def var_fit(data, p: int) -> VarModel:
     if n - p < k * p + 1:
         raise TooShort(f"need at least {p + k * p + 1} rows for k={k}, p={p}, have {n}")
 
-    A = _design(values, p)
+    A = lag_design(values, p)
     params = solve_normal_equations(A, values[p:])
     coef = np.empty((p, k, k))
     for i in range(1, p + 1):
@@ -116,7 +109,7 @@ def var_one_step(model: VarModel, data) -> np.ndarray:
     p, k = model.lag_order, model.k
     if values.shape[0] <= p:
         raise HistoryTooShort(f"need more than {p} rows, have {values.shape[0]}")
-    A = _design(values, p)
+    A = lag_design(values, p)
     params = np.vstack([model.intercept, *(model.coef[i].T for i in range(p))])
     preds = np.full_like(values, np.nan)
     preds[p:] = A @ params

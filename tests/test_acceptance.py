@@ -8,6 +8,7 @@ counting arguments.
 """
 
 import dataclasses
+import hashlib
 import json
 import time
 
@@ -254,6 +255,10 @@ def test_benchmark_protocol():
     worst = max(record.rae for record in report.records)
     assert worst < 1.0, [(r.model, r.rae) for r in report.records if r.rae >= 1.0]
     assert elapsed < 60.0
+    # Refactors must keep reports byte-identical, so the report's hash is
+    # pinned. It is the same with one or two BLAS threads and with the numpy
+    # fallbacks of the C kernels.
+    assert hashlib.sha256(report.to_text().encode()).hexdigest()[:16] == "0c3fe56a240654c8"
 
     _passed("benchmark protocol", elapsed,
             f"21/21 records, every model beats the mean baseline "

@@ -269,6 +269,13 @@ class TestBenchmark:
         assert f"{name} must be >= 1" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_repeated_model_exit_2_before_any_cell(self, hourly_csv, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        assert main(["benchmark", "--input", str(hourly_csv), "--models", "ols,ols,knn",
+                     "--report", str(report)]) == 2
+        assert "model 'ols' is listed more than once" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_short_dataset_flags_only_the_failing_model(self, tmp_path):
         path = tmp_path / "short.csv"
         write_energy_csv(path, arma_series(60, ar=(0.5,), noise_sd=0.3, seed=3))

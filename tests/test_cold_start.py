@@ -1,5 +1,6 @@
-"""What a fresh process loads: ``import wattcast`` brings numpy but no scipy,
-and a command loads only the scipy submodules its model calls.
+"""What a fresh process loads: ``import wattcast`` brings numpy but no scipy
+and no process machinery, and a command loads only the scipy submodules its
+model calls.
 
 Each case runs in a new interpreter, because this test process has already
 imported scipy. No timings are asserted, only module sets.
@@ -18,15 +19,15 @@ from wattcast.synthetic import arma_series
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# run the given statements, then print the loaded scipy modules as JSON
+# run the given statements, then print the loaded modules as JSON
 _PROBE = """\
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_scipy(body: str) -> set:
+def loaded_modules(body: str) -> set:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = "1"
@@ -34,6 +35,10 @@ def loaded_scipy(body: str) -> set:
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def loaded_scipy(body: str) -> set:
+    return {m for m in loaded_modules(body) if m.split(".")[0] == "scipy"}
 
 
 def run_cli(argv) -> str:
@@ -50,6 +55,13 @@ def hourly_csv(tmp_path):
 @pytest.mark.parametrize("module", ["wattcast", "wattcast.cli"])
 def test_import_loads_no_scipy(module):
     assert loaded_scipy(f"import {module}") == set()
+
+
+@pytest.mark.parametrize("module", ["wattcast", "wattcast.cli"])
+def test_import_loads_no_process_machinery(module):
+    # the process pool and the compiler run load them where they are used
+    loaded = loaded_modules(f"import {module}")
+    assert not loaded & {"subprocess", "multiprocessing", "concurrent.futures"}
 
 
 def test_resample_loads_no_scipy(hourly_csv, tmp_path):

@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from test_acceptance import _fitted_arrays
 from test_regressors import MeanModel
 
-from wattcast.errors import ConfigError, InsufficientTest, LengthMismatch
+from wattcast.errors import ConfigError, InsufficientTest, LengthMismatch, TooShort
 from wattcast.evaluation import (
     MODE_ONE_STEP,
     MODE_RECURSIVE,
@@ -21,12 +22,14 @@ from wattcast.evaluation import (
     benchmark,
     default_specs,
     evaluate,
+    fit_forecast,
     metrics,
     spec_for,
 )
 from wattcast.regressors import OlsModel
 from wattcast.series import MultiSeries, TimeSeries, merge
 from wattcast.synthetic import arma_series, household_series, weather_records
+from wattcast.transform import SupervisedFrame, lag_embed
 
 HOUR = 3600.0
 
@@ -205,6 +208,65 @@ class TestEvaluate:
             evaluate(spec_for("ols"), hourly(np.arange(30.0)), 0.8, mode="oracle")
 
 
+class TestTrainPrefix:
+    """``fit_forecast`` fits on the train prefix alone. The oracle is the model
+    fitted on the full table's lag frame with every window whose target lies
+    in the test span masked out."""
+
+    P, N_TRAIN, M = 4, 90, 25
+    LAG_MODELS = ("ols", "gp", "mlp", "svr", "knn")
+
+    def table(self):
+        energy = household_series(130, seed=5).values.copy()
+        temperature = np.sin(2 * np.pi * np.arange(130) / 24)
+        energy[[10, 11, 50, 95, 96]] = np.nan  # gaps in the train and test spans
+        temperature[[30, 80]] = np.nan
+        return MultiSeries(0.0, HOUR, ("energy", "temperature"),
+                           np.column_stack([energy, temperature]))
+
+    @pytest.mark.parametrize("mode", [MODE_ONE_STEP, MODE_RECURSIVE])
+    @pytest.mark.parametrize("name", LAG_MODELS)
+    def test_equals_fit_on_masked_full_frame(self, name, mode):
+        table = self.table()
+        spec = spec_for(name, hyper={"mlp_epochs": 20})
+        frame = lag_embed(table, self.P, "energy")
+        train = frame.target_positions < self.N_TRAIN
+        oracle = spec.make().fit(SupervisedFrame(
+            frame.X[train], frame.y[train], self.P, frame.feature_names,
+            frame.target_positions[train]))
+
+        fc = fit_forecast(spec, table, self.N_TRAIN, self.M, p=self.P, mode=mode)
+        got, expected = _fitted_arrays(fc.model), _fitted_arrays(oracle)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert got[key].tobytes() == value.tobytes(), key
+
+        if mode == MODE_ONE_STEP:
+            test = ~train & (frame.target_positions < self.N_TRAIN + self.M)
+            np.testing.assert_array_equal(fc.positions, frame.target_positions[test])
+            expected_preds = oracle.predict_batch(frame.X[test])
+        else:
+            np.testing.assert_array_equal(
+                fc.positions, np.arange(self.N_TRAIN, self.N_TRAIN + self.M))
+            span = slice(self.N_TRAIN, self.N_TRAIN + self.M)
+            expected_preds = oracle.predict_series(
+                table.column("energy")[:self.N_TRAIN], self.M,
+                exog=table.values[span, 1:])
+        assert fc.predictions.tobytes() == expected_preds.tobytes()
+
+    @pytest.mark.parametrize("mode", [MODE_ONE_STEP, MODE_RECURSIVE])
+    def test_prefix_no_longer_than_p(self, mode):
+        with pytest.raises(TooShort, match=r"^series of length 4 cannot be embedded with p=4$"):
+            fit_forecast(spec_for("ols"), self.table(), 4, 10, p=4, mode=mode)
+
+    @pytest.mark.parametrize("mode", [MODE_ONE_STEP, MODE_RECURSIVE])
+    def test_prefix_without_a_complete_window(self, mode):
+        values = np.arange(40.0)
+        values[2:12:3] = np.nan  # no 4-wide window in the first 12 rows is complete
+        with pytest.raises(TooShort, match=r"^no complete training windows$"):
+            fit_forecast(spec_for("ols"), hourly(values), 12, 10, p=4, mode=mode)
+
+
 class TestBenchmark:
     def make_datasets(self):
         return [("a", arma_series(90, ar=(0.5,), noise_sd=0.4, seed=1)),
@@ -245,6 +307,18 @@ class TestBenchmark:
                  ModelSpec("second", "lag", OlsModel)]
         report = benchmark(twins, data, [0.7, 0.8], p=3)
         assert [model for model, _ in report.overall] == ["first", "second"]
+
+    def test_repeated_model_name_refused_before_any_cell(self):
+        made = []
+
+        def make():
+            made.append(1)
+            return OlsModel()
+
+        specs = [ModelSpec("ols", "lag", make), spec_for("knn"), ModelSpec("ols", "lag", make)]
+        with pytest.raises(ConfigError, match=r"^model 'ols' is listed more than once"):
+            benchmark(specs, self.make_datasets(), [0.8], p=3)
+        assert made == []
 
     def test_failed_models_rank_last(self):
         data = [("short", arma_series(60, ar=(0.5,), noise_sd=0.3, seed=3))]
@@ -382,6 +456,31 @@ class TestReportSerialization:
         payload = json.loads(report.to_json(), parse_constant=refuse)
         assert payload["records"][1]["interval"] is None
         assert "\ta[90m]\t0.8\tNaN\t" in report.to_text()
+
+    def test_ok_record_row_and_dict(self):
+        record = EvalRecord("ols", "household", 0.7, HOUR, 600, MODE_ONE_STEP, 598,
+                            0.123456789012345, 0.1, 0.98765432109876,
+                            fit_seconds=1.5, predict_seconds=0.25)
+        assert record.to_row() == ("ols\thousehold\t0.7\t3600\t600\tone_step_true_history"
+                                   "\t598\t0.123456789012\t0.1\t0.987654321099\tok")
+        assert record.to_dict() == {
+            "model": "ols", "dataset": "household", "train_fraction": 0.7,
+            "interval": HOUR, "horizon": 600, "mode": MODE_ONE_STEP, "n_test": 598,
+            "rmse": 0.123456789012345, "mae": 0.1, "rae": 0.98765432109876,
+            "error": None}
+
+    def test_failed_record_row_and_dict(self):
+        nan = float("nan")
+        record = EvalRecord("arima", "a[90m]", 0.8, nan, 0, MODE_RECURSIVE, 0,
+                            error="NotAMultiple: 5400 s is not\n  a multiple of 3600 s")
+        assert record.to_row() == ("arima\ta[90m]\t0.8\tNaN\t0\trecursive\t0\tNaN\tNaN"
+                                   "\tNaN\tfailed: NotAMultiple: 5400 s is not a multiple "
+                                   "of 3600 s")
+        assert record.to_dict() == {
+            "model": "arima", "dataset": "a[90m]", "train_fraction": 0.8,
+            "interval": None, "horizon": 0, "mode": MODE_RECURSIVE, "n_test": 0,
+            "rmse": None, "mae": None, "rae": None,
+            "error": "NotAMultiple: 5400 s is not\n  a multiple of 3600 s"}
 
     def test_nan_serializes_as_null_in_json(self):
         record = EvalRecord("m", "d", 0.8, HOUR, 1, MODE_ONE_STEP, 1,

@@ -9,6 +9,7 @@ from wattcast.transform import (
     difference,
     fit_scaler,
     invert_scaler,
+    lag_design,
     lag_embed,
     undifference,
 )
@@ -62,6 +63,18 @@ class TestLagEmbed:
         assert np.array_equal(frame.X, [[1, 2, 12], [2, 3, 13]])
         assert np.array_equal(frame.y, [3, 4])
         assert frame.n_exog == 1
+
+
+class TestLagDesign:
+    def test_enumerated_example(self):
+        # rows explain rows 2..4 of a two-column matrix: 1, then lag 1, then lag 2
+        values = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0], [5.0, 50.0]])
+        assert np.array_equal(lag_design(values, 2), [[1, 2, 20, 1, 10],
+                                                      [1, 3, 30, 2, 20],
+                                                      [1, 4, 40, 3, 30]])
+
+    def test_zero_lags_is_the_intercept(self):
+        assert np.array_equal(lag_design(np.arange(4.0)[:, None], 0), np.ones((4, 1)))
 
 
 class TestDifference:
