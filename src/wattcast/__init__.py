@@ -1,10 +1,11 @@
 """wattcast: time-series forecasting toolkit and benchmark harness for
 household electricity consumption.
 
-The package provides uniform series containers with resampling and weather
-merging, the classic preprocessing transforms (lag embedding, differencing,
-seasonal decomposition), seven natively implemented forecast models (OLS,
-KNN, Gaussian process, epsilon-SVR, MLP, ARIMA, VAR), and a chronological
+The package provides uniform series containers with resampling, weather
+tables (a dict of columns) merged onto energy series, the classic
+preprocessing transforms (lag embedding, differencing, seasonal
+decomposition), seven natively implemented forecast models (OLS, KNN,
+Gaussian process, epsilon-SVR, MLP, ARIMA, VAR), and a chronological
 train/test evaluation harness with RMSE/MAE/RAE metrics and cross-dataset
 ranking.
 
@@ -43,7 +44,7 @@ from .regressors import (
     OlsModel,
     SvrModel,
 )
-from .series import MultiSeries, TimeSeries, WeatherRecord, merge, resample
+from .series import MultiSeries, TimeSeries, merge, resample
 from .transform import (
     Decomposition,
     Scaler,
@@ -63,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TimeSeries",
     "MultiSeries",
-    "WeatherRecord",
     "resample",
     "merge",
     "SupervisedFrame",

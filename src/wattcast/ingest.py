@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import zip_longest
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     NonUniformInterval,
     ParseError,
 )
-from .series import TimeSeries, WeatherRecord
+from .series import TimeSeries
 
 # epoch-second timestamps live in [1973, ~5138]; meter readings in milliwatts
 # stay well below this band, so the two never collide during inference
@@ -161,6 +162,37 @@ def _parse_timestamps(cells, fmt: str, utc_offset_hours: float):
     return _parse_column(_timestamp_parser(fmt, utc_offset_hours), cells)
 
 
+def _checked(values, error, nan_ok: bool):
+    """``_parse_column``'s values as a float64 array, and (row, reason) of
+    the first cell that parses to an infinity, or to NaN unless ``nan_ok``,
+    or else stopped the parse; or None."""
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.isinf(values) if nan_ok else ~np.isfinite(values)
+    if bad.any():
+        return values, (int(bad.argmax()), "not finite")
+    return values, None if error is None else (values.size, error)
+
+
+def _nonblank_rows(body):
+    """``body`` without its blank rows, and the ascending indices of those."""
+    if all(map(str.strip, map("".join, body))):
+        return body, []
+    blank = [i for i, row in enumerate(body) if not "".join(row).strip()]
+    return [row for row in body if "".join(row).strip()], blank
+
+
+def _raise_first(problems, blank, body_start: int) -> None:
+    """Raise the first of ``problems``, (non-blank row, rank in the row, message),
+    at its file line, counting the ``blank`` rows of a body that starts on ``body_start``."""
+    if not problems:
+        return
+    row, _, message = min(problems)
+    for skipped in blank:  # ascending
+        if skipped <= row:
+            row += 1
+    raise ParseError(message, line=body_start + row)
+
+
 def _modal_gap(gaps: np.ndarray) -> float:
     """The most common gap; among equally common gaps, the one seen first."""
     distinct, first, counts = np.unique(gaps, return_index=True,
@@ -206,11 +238,7 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
     val_col = _column_index(schema.value_column, header, n_columns, "value")
     width = max(ts_col, val_col) + 1
 
-    # blank rows are skipped; their positions give the file line of a bad row
-    blank = []
-    if not all(map(str.strip, map("".join, body))):
-        blank = [i for i, row in enumerate(body) if not "".join(row).strip()]
-        body = [row for row in body if "".join(row).strip()]
+    body, blank = _nonblank_rows(body)
     short = len(body)
     if min(map(len, body), default=width) < width:
         short = next(k for k, row in enumerate(body) if len(row) < width)
@@ -222,27 +250,20 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
                                    f"got {len(body[short])}"))
     del rows, body
 
-    stamps, error = _parse_timestamps(stamp_cells, schema.timestamp_format,
-                                      schema.utc_offset_hours)
-    if error is not None:
-        problems.append((len(stamps), 1,
-                         f"bad timestamp {stamp_cells[len(stamps)]!r} ({error})"))
-    values, error = _parse_column(_parse_value, value_cells)
-    if error is not None:
-        problems.append((len(values), 2, f"bad numeric value {value_cells[len(values)]!r}"))
-    if problems:
-        # the first bad row is reported, its width checked first, then its timestamp
-        row, _, message = min(problems)
-        for skipped in blank:  # ascending
-            if skipped <= row:
-                row += 1
-        raise ParseError(message, line=body_start + row)
+    # the first bad row is reported, its width checked first, then its timestamp
+    stamps, bad = _checked(*_parse_timestamps(stamp_cells, schema.timestamp_format,
+                                              schema.utc_offset_hours), nan_ok=False)
+    if bad is not None:
+        problems.append((bad[0], 1, f"bad timestamp {stamp_cells[bad[0]]!r} ({bad[1]})"))
+    values, bad = _checked(*_parse_column(_parse_value, value_cells), nan_ok=True)
+    if bad is not None:
+        problems.append((bad[0], 2, f"bad numeric value {value_cells[bad[0]]!r}"))
+    _raise_first(problems, blank, body_start)
 
-    if not stamps:
+    if not stamps.size:
         raise ParseError("no data rows", line=body_start)
-    order = np.argsort(np.asarray(stamps), kind="stable")
-    stamps = np.asarray(stamps, dtype=np.float64)[order]
-    values = np.asarray(values, dtype=np.float64)[order]
+    order = np.argsort(stamps, kind="stable")
+    stamps, values = stamps[order], values[order]
 
     dup = np.flatnonzero(np.diff(stamps) == 0)
     if dup.size:
@@ -268,64 +289,69 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
     return TimeSeries(float(stamps[0]), float(modal), out)
 
 
-def read_weather(path, schema: DatasetSchema | None = None) -> list:
-    """Read weather observations from CSV or an API JSON export.
+def read_weather(path, schema: DatasetSchema | None = None) -> dict:
+    """Read weather observations from CSV or an API JSON export as a table:
+    float64 arrays by name, sorted stably by ``timestamp``, NaN where missing.
 
     Files ending in ``.json`` use the export shape ``{"list": [{"dt": ...,
     "main": {"temp": ..., "humidity": ...}}]}``. CSV files need a header;
-    the temperature/humidity columns are matched by name and any other
-    numeric columns land in ``extra``. Records come back sorted by time;
-    an empty field leaves that field missing rather than dropping the row.
+    ``temperature`` (else ``temp``) and ``humidity`` are matched by name, and
+    any other column with an observed value is kept under its lowercased name.
     """
     if str(path).endswith(".json"):
-        return _read_weather_json(path)
+        table = _read_weather_json(path)
+    else:
+        table = _read_weather_csv(path, schema)
+    order = np.argsort(table["timestamp"], kind="stable")
+    return {name: values[order] for name, values in table.items()}
 
-    delimiter = schema.delimiter if schema else ","
-    parse = _timestamp_parser(schema.timestamp_format if schema else "auto",
-                              schema.utc_offset_hours if schema else 0.0)
-    rows = _read_rows(path, delimiter)
+
+def _read_weather_csv(path, schema) -> dict:
+    rows = _read_rows(path, schema.delimiter if schema else ",")
     if len(rows) < 2:
         raise ParseError("weather CSV needs a header and at least one row", line=1)
     header = [cell.strip().lower() for cell in rows[0]]
-    ts_name = schema.timestamp_column if schema else None
-    if ts_name is not None and ts_name in rows[0]:
-        ts_col = rows[0].index(ts_name)
+    if schema and schema.timestamp_column in rows[0]:
+        ts_col = rows[0].index(schema.timestamp_column)
     else:
-        candidates = [i for i, name in enumerate(header)
-                      if name in ("timestamp", "datetime", "time", "dt", "date")]
-        ts_col = candidates[0] if candidates else 0
+        ts_col = next((i for i, name in enumerate(header)
+                       if name in ("timestamp", "datetime", "time", "dt", "date")), 0)
+    body, blank = _nonblank_rows(rows[1:])
+    # a short row's absent cells are empty, so missing
+    cells = [column[1:] for column in zip_longest(header or [""], *body, fillvalue="")]
 
-    records = []
-    for offset, row in enumerate(rows[1:]):
-        line = offset + 2
-        if not row or all(not cell.strip() for cell in row):
+    # the first bad row is reported; in a row, the timestamp, then the cells in order
+    fmt = schema.timestamp_format if schema else "auto"
+    offset = schema.utc_offset_hours if schema else 0.0
+    stamps, bad = _checked(*_parse_timestamps(cells[ts_col], fmt, offset), nan_ok=False)
+    problems = [] if bad is None else [
+        (bad[0], 0, f"bad timestamp {cells[ts_col][bad[0]]!r} ({bad[1]})")]
+    table = {}
+    for j, name in enumerate(header):
+        if j == ts_col:
             continue
-        try:
-            stamp = parse(row[ts_col])
-        except ValueError as exc:
-            raise ParseError(f"bad timestamp {row[ts_col]!r} ({exc})",
-                             line=line) from None
-        fields = {}
-        for j, name in enumerate(header):
-            if j == ts_col or j >= len(row):
-                continue
-            if row[j].strip().lower() in _MISSING_TOKENS:
-                continue
-            try:
-                fields[name] = float(row[j])
-            except ValueError:
-                raise ParseError(f"bad numeric value {row[j]!r} in column "
-                                 f"{name!r}", line=line) from None
-        records.append(WeatherRecord(
-            stamp,
-            temperature=fields.pop("temperature", fields.pop("temp", None)),
-            humidity=fields.pop("humidity", None),
-            extra=fields))
-    records.sort(key=lambda r: r.timestamp)
-    return records
+        values, bad = _checked(*_parse_column(_parse_value, cells[j]), nan_ok=True)
+        if bad is not None:
+            problems.append((bad[0], 1 + j, f"bad numeric value {cells[j][bad[0]]!r} "
+                                            f"in column {name!r}"))
+        elif name in table:  # a repeated name: the later observed cell wins
+            table[name] = np.where(np.isnan(values), table[name], values)
+        else:
+            table[name] = values
+    _raise_first(problems, blank, 2)
+
+    missing = np.full(stamps.size, np.nan)
+    temperature = table.pop("temperature", missing)
+    temperature = np.where(np.isnan(temperature), table.pop("temp", missing), temperature)
+    humidity = table.pop("humidity", missing)
+    extra = {name: values for name, values in sorted(table.items())
+             if not np.isnan(values).all()}
+    if "timestamp" in extra:
+        raise ParseError("only the time column may be named 'timestamp'", line=1)
+    return {"timestamp": stamps, "temperature": temperature, "humidity": humidity, **extra}
 
 
-def _read_weather_json(path) -> list:
+def _read_weather_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -334,18 +360,22 @@ def _read_weather_json(path) -> list:
     entries = payload.get("list", payload) if isinstance(payload, dict) else payload
     if not isinstance(entries, list):
         raise ParseError("expected a list of observations", line=1)
-    records = []
+    rows = []
     for i, entry in enumerate(entries):
         try:
-            main = entry.get("main", {})
-            records.append(WeatherRecord(
-                float(entry["dt"]),
-                temperature=None if main.get("temp") is None else float(main["temp"]),
-                humidity=None if main.get("humidity") is None else float(main["humidity"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            main = entry.get("main", {}) if isinstance(entry, dict) else None
+            if not isinstance(main, dict):
+                raise TypeError("expected an object whose 'main' is an object")
+            rows.append([float(entry["dt"])] + [
+                math.nan if main.get(key) is None else float(main[key])
+                for key in ("temp", "humidity")])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"observation {i}: {exc}", line=1) from None
-    records.sort(key=lambda r: r.timestamp)
-    return records
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    bad = ~np.isfinite(table[:, 0]) | np.isinf(table[:, 1:]).any(axis=1)
+    if bad.any():
+        raise ParseError(f"observation {int(bad.argmax())}: a number is not finite", line=1)
+    return dict(zip(("timestamp", "temperature", "humidity"), table.T))
 
 
 def infer_schema(path) -> DatasetSchema:

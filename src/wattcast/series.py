@@ -11,17 +11,21 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAMultiple, UnsortedWeather
+from .errors import LengthMismatch, NotAMultiple, UnsortedWeather
 
 
-def _as_readonly_values(values) -> np.ndarray:
+def _as_readonly_values(values, columns=None) -> np.ndarray:
+    """A read-only float64 copy of ``values``: one-dimensional, or of
+    ``columns`` columns if that is given."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
+    if columns is None and arr.ndim != 1:
         raise ValueError(f"values must be one-dimensional, got shape {arr.shape}")
+    if columns is not None and (arr.ndim != 2 or arr.shape[1] != columns):
+        raise ValueError(f"values must have shape (n, {columns}), got {arr.shape}")
     if np.isinf(arr).any():
         raise ValueError("non-missing values must be finite (inf not allowed)")
     arr = arr.copy()
@@ -94,16 +98,8 @@ class MultiSeries:
             raise ValueError("column names must be non-empty")
         if len(set(names)) != len(names):
             raise ValueError(f"column names must be unique, got {names}")
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != len(names):
-            raise ValueError(
-                f"values must have shape (n, {len(names)}), got {arr.shape}")
-        if np.isinf(arr).any():
-            raise ValueError("non-missing values must be finite (inf not allowed)")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _as_readonly_values(self.values, len(names)))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -118,32 +114,6 @@ class MultiSeries:
     def series(self, name: str) -> TimeSeries:
         """Extract one column as a TimeSeries."""
         return TimeSeries(self.start, self.interval, self.column(name))
-
-
-@dataclass(frozen=True)
-class WeatherRecord:
-    """One weather observation; fields other than timestamp may be missing."""
-
-    timestamp: float
-    temperature: float | None = None  # degrees C
-    humidity: float | None = None  # percent
-    extra: dict = field(default_factory=dict)  # further numeric fields by name
-
-    def __post_init__(self):
-        if not np.isfinite(self.timestamp):
-            raise ValueError("weather timestamp must be finite")
-        for key, val in (("temperature", self.temperature),
-                         ("humidity", self.humidity),
-                         *self.extra.items()):
-            if val is not None and not np.isfinite(val):
-                raise ValueError(f"weather field {key!r} must be finite, got {val}")
-
-    def get(self, name: str):
-        if name == "temperature":
-            return self.temperature
-        if name == "humidity":
-            return self.humidity
-        return self.extra.get(name)
 
 
 def resample(s: TimeSeries, target_interval: float, mode: str = "sum") -> TimeSeries:
@@ -173,40 +143,34 @@ def resample(s: TimeSeries, target_interval: float, mode: str = "sum") -> TimeSe
     return TimeSeries(s.start, target_interval, agg)
 
 
-def merge(energy: TimeSeries, weather: list, max_fill: int = 2) -> MultiSeries:
-    """Attach weather columns to an energy series by last-observation-carried-forward.
-
-    For each energy timestamp the eligible weather record is the latest one at
-    or before that timestamp, no older than ``max_fill`` energy intervals.
-    Rows with no eligible record get missing weather cells; the energy column
-    is copied verbatim.
-
-    Weather columns are temperature, humidity, and the sorted union of extra
-    field names seen across the records.
-    """
-    ts = np.array([r.timestamp for r in weather], dtype=np.float64)
+def merge(energy: TimeSeries, weather: dict, max_fill: int = 2) -> MultiSeries:
+    """Attach a ``read_weather`` table to an energy series, carrying each
+    observation forward: an energy row takes the latest observation at or
+    before its timestamp, no older than ``max_fill`` energy intervals, and
+    has missing weather cells without one. The energy column is copied
+    verbatim; then come temperature, humidity (all missing if absent) and
+    the other columns sorted."""
+    ts = np.asarray(weather["timestamp"], dtype=np.float64)
+    columns = {name: np.asarray(values, dtype=np.float64)
+               for name, values in weather.items() if name != "timestamp"}
+    if any(values.shape != ts.shape for values in columns.values()):
+        raise LengthMismatch("each weather column needs one value per timestamp")
+    if not np.isfinite(ts).all():
+        raise ValueError("weather timestamps must be finite")
     if np.any(np.diff(ts) < 0):
         pos = int(np.argmax(np.diff(ts) < 0)) + 1
         raise UnsortedWeather(
             f"weather timestamps decrease at record {pos} "
             f"({ts[pos]} after {ts[pos - 1]})")
 
-    extra_names = sorted({name for r in weather for name in r.extra})
-    weather_names = ["temperature", "humidity"] + extra_names
-    n = len(energy)
-    out = np.full((n, 1 + len(weather_names)), np.nan)
+    names = ["temperature", "humidity", *sorted(set(columns) - {"temperature", "humidity"})]
+    out = np.full((len(energy), 1 + len(names)), np.nan)
     out[:, 0] = energy.values
-
-    horizon = max_fill * energy.interval
-    j = -1  # index of latest record with timestamp <= current energy time
-    for i, t in enumerate(energy.timestamps):
-        while j + 1 < len(weather) and ts[j + 1] <= t:
-            j += 1
-        if j >= 0 and t - ts[j] <= horizon:
-            rec = weather[j]
-            for c, name in enumerate(weather_names):
-                val = rec.get(name)
-                out[i, 1 + c] = np.nan if val is None else val
-    return MultiSeries(energy.start, energy.interval,
-                       ("energy", *weather_names), out)
-
+    if ts.size:
+        t = energy.timestamps
+        latest = np.searchsorted(ts, t, side="right") - 1
+        rows = np.flatnonzero((latest >= 0) & (t - ts[latest] <= max_fill * energy.interval))
+        for c, name in enumerate(names, start=1):
+            if name in columns:
+                out[rows, c] = columns[name][latest[rows]]
+    return MultiSeries(energy.start, energy.interval, ("energy", *names), out)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import MultiSeries, TimeSeries, WeatherRecord
+from .series import MultiSeries, TimeSeries
 
 HOUR = 3600.0
 
@@ -85,13 +85,15 @@ def household_series(n: int = 2000, seed: int = 0, base: float = 500_000.0,
     return TimeSeries(start, interval, values)
 
 
-def weather_records(n: int = 200, seed: int = 0, start: float = 0.0,
-                    interval: float = HOUR) -> list:
-    """Hourly weather observations with a daily temperature cycle."""
+def weather_table(n: int = 200, seed: int = 0, start: float = 0.0,
+                  interval: float = HOUR) -> dict:
+    """Hourly weather observations with a daily temperature cycle, as the
+    ``timestamp``/``temperature``/``humidity`` table of ``read_weather``."""
     rng = np.random.default_rng(seed)
-    records = []
+    temperature, humidity = np.empty(n), np.empty(n)
     for i in range(n):
         temp = 12.0 + 8.0 * np.sin(2.0 * np.pi * (i - 6) / 24.0) + rng.normal(0, 0.8)
-        humidity = float(np.clip(65.0 - 1.5 * (temp - 12.0) + rng.normal(0, 4.0), 5.0, 100.0))
-        records.append(WeatherRecord(start + i * interval, float(temp), humidity))
-    return records
+        temperature[i] = temp
+        humidity[i] = np.clip(65.0 - 1.5 * (temp - 12.0) + rng.normal(0, 4.0), 5.0, 100.0)
+    return {"timestamp": start + np.arange(n) * interval,
+            "temperature": temperature, "humidity": humidity}

@@ -10,7 +10,11 @@ counting arguments.
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -263,6 +267,33 @@ def test_benchmark_protocol():
     _passed("benchmark protocol", elapsed,
             f"21/21 records, every model beats the mean baseline "
             f"(worst RAE {worst:.3f})")
+
+
+_WEATHER_SWEEP = """\
+import hashlib
+from wattcast import benchmark, default_specs, merge
+from wattcast.synthetic import household_series, weather_table
+data = [("hw", merge(household_series(300, 4), weather_table(300, 4)))]
+report = benchmark(default_specs(0), data, [0.7, 0.8], p=6, intervals=[None, 7200.0, 5400.0])
+print(hashlib.sha256(report.to_text().encode()).hexdigest()[:16])
+print(hashlib.sha256(report.to_json().encode()).hexdigest()[:16])
+"""
+
+
+def test_weather_sweep_is_pinned():
+    # The JSON report keeps full precision, so its hash holds for one BLAS
+    # thread only: the sweep runs in a fresh interpreter limited to one.
+    t0 = time.perf_counter()
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _WEATHER_SWEEP], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["79f849c54485ac42", "23fcc2835d66af8f"]
+    _passed("weather sweep", time.perf_counter() - t0,
+            "7 models x 2 splits x 3 intervals on merged weather, text and JSON pinned")
 
 
 def test_cli_determinism(tmp_path):

@@ -392,6 +392,34 @@ class TestConfigFile:
         assert len(read_energy_csv(out)) == 2
 
 
+    @pytest.mark.parametrize("word, code", [("yes", 3), ("no", 0), ("maybe", 2)])
+    def test_boolean_entry(self, hourly_csv, tmp_path, capsys, word, code):
+        # yes reads the header row "timestamp,value" as data, so the inferred
+        # column name is not found
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_header = {word}\n")
+        assert main(["resample", "--input", str(hourly_csv), "--interval", "1d",
+                     "--config", str(cfg), "--out", str(tmp_path / "daily.csv")]) == code
+        err = capsys.readouterr().err
+        if word == "yes":
+            assert "timestamp column 'timestamp' not found" in err
+        if word == "maybe":
+            assert "config key 'no_header': boolean expected, got 'maybe'" in err
+
+    def test_list_entry_gives_every_input(self, tmp_path):
+        for name, seed in (("a", 1), ("b", 2)):
+            write_energy_csv(tmp_path / f"{name}.csv",
+                             arma_series(120, ar=(0.6,), intercept=2.0, seed=seed))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {tmp_path / 'a.csv'}, {tmp_path / 'b.csv'}\n"
+                       "models = ols\nsplits = 0.8\np = 3\n")
+        report = tmp_path / "report.txt"
+        assert main(["benchmark", "--config", str(cfg), "--report", str(report)]) == 0
+        text = report.read_text()
+        assert "# config datasets=['a', 'b']" in text
+        assert "\nols\ta\t" in text and "\nols\tb\t" in text
+
+
 class TestResample:
     def test_hourly_aggregation_quarters_length(self, quarter_csv, tmp_path):
         out = tmp_path / "hourly.csv"
@@ -425,6 +453,25 @@ class TestResample:
         lines = out.read_text().splitlines()
         assert len(lines) == 2  # header + the single daily aggregate
         assert lines[1] == f"1970-01-01T00:00:00Z,{sum(range(96))!r}.0"
+
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400"])
+    def test_non_finite_value_is_a_data_error(self, tmp_path, capsys, cell):
+        path = tmp_path / "meter.csv"
+        path.write_text("timestamp,value\n1970-01-01T00:00:00Z,1\n"
+                        f"1970-01-01T01:00:00Z,{cell}\n1970-01-01T02:00:00Z,3\n")
+        assert main(["resample", "--input", str(path), "--interval", "2h"]) == 3
+        assert (f"data error: ParseError: line 3: bad numeric value {cell!r}"
+                in capsys.readouterr().err)
+
+    def test_nan_epoch_timestamp_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "meter.csv"
+        path.write_text("t,v\n1000000000,1\nnan,2\n1000003600,3\n1000007200,4\n")
+        assert main(["resample", "--input", str(path), "--timestamp-column", "t",
+                     "--value-column", "v", "--timestamp-format", "epoch",
+                     "--interval", "2h"]) == 3
+        assert ("data error: ParseError: line 3: bad timestamp 'nan' (not finite)"
+                in capsys.readouterr().err)
 
 
 class TestDecompose:

@@ -28,7 +28,7 @@ from wattcast.evaluation import (
 )
 from wattcast.regressors import OlsModel
 from wattcast.series import MultiSeries, TimeSeries, merge
-from wattcast.synthetic import arma_series, household_series, weather_records
+from wattcast.synthetic import arma_series, household_series, weather_table
 from wattcast.transform import SupervisedFrame, lag_embed
 
 HOUR = 3600.0
@@ -203,6 +203,18 @@ class TestEvaluate:
         rec = evaluate(ModelSpec("mean", "lag", MeanModel), s, 0.8, p=2)
         assert rec.rae == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("mode, horizon, missing_from, message", [
+        (MODE_ONE_STEP, None, 22, "no complete test windows"),
+        (MODE_ONE_STEP, 0, 30, "horizon leaves no test observations"),
+        (MODE_RECURSIVE, None, 24, "all test observations are missing"),
+    ], ids=["no_test_window", "zero_horizon", "test_span_all_missing"])
+    def test_insufficient_test_span(self, mode, horizon, missing_from, message):
+        # 30 rows, 24 in the train prefix; NaN from row ``missing_from`` on
+        values = np.arange(30.0)
+        values[missing_from:] = np.nan
+        with pytest.raises(InsufficientTest, match=f"^{message}$"):
+            evaluate(spec_for("ols"), hourly(values), 0.8, p=2, horizon=horizon, mode=mode)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             evaluate(spec_for("ols"), hourly(np.arange(30.0)), 0.8, mode="oracle")
@@ -337,7 +349,7 @@ class TestBenchmark:
         assert two_hourly[0].interval == 2 * HOUR
 
     def test_interval_sweep_resamples_every_column(self):
-        data = [("hw", merge(household_series(200, 4), weather_records(200, 4)))]
+        data = [("hw", merge(household_series(200, 4), weather_table(200, 4)))]
         report = benchmark([spec_for("ols"), spec_for("var")], data, [0.8], p=3,
                            intervals=[None, 2 * HOUR])
         assert {r.dataset for r in report.records} == {"hw", "hw[2h]"}
@@ -397,7 +409,7 @@ class TestBenchmark:
     def test_weather_covariates_reach_every_family(self):
         # the paper's second experiment: the same models with and without weather
         energy = household_series(300, 4)
-        data = [("hh", energy), ("hh+weather", merge(energy, weather_records(300, 4)))]
+        data = [("hh", energy), ("hh+weather", merge(energy, weather_table(300, 4)))]
         specs = [spec_for(name, hyper={"mlp_epochs": 50}) for name in MODELS]
         report = benchmark(specs, data, [0.8], p=6)
         assert len(report.records) == 2 * len(MODELS)

@@ -35,9 +35,10 @@ HOUR = 3600.0
 MISSING_TOKENS = ["", "nan", "NaN", "na", "NA", "null", "NULL", "none", "None", " none "]
 
 
-# --- the per-row reader and writer that the column code replaced ------------
+# --- the per-row readers and writer that the column code replaced -----------
 # Kept as reference oracles: the column code must give the same
-# series, the same bytes and the same errors.
+# series, tables, bytes and errors. A cell that parses to a non-finite
+# number (a NaN timestamp, an infinite value) is a parse error in both.
 
 def _reference_parse_timestamp(text, fmt="auto", utc_offset_hours=0.0):
     text = text.strip()
@@ -103,7 +104,11 @@ def _reference_read_energy_csv(path, schema):
         except ValueError as exc:
             raise ParseError(f"bad timestamp {row[ts_col]!r} ({exc})",
                              line=line) from None
+        if not math.isfinite(stamps[-1]):
+            raise ParseError(f"bad timestamp {row[ts_col]!r} (not finite)", line=line)
         values.append(_reference_parse_value(row[val_col], line))
+        if math.isinf(values[-1]):
+            raise ParseError(f"bad numeric value {row[val_col]!r}", line=line)
 
     if not stamps:
         raise ParseError("no data rows", line=body_start)
@@ -135,6 +140,64 @@ def _reference_read_energy_csv(path, schema):
     return TimeSeries(float(stamps[0]), float(modal), out)
 
 
+def _reference_read_weather(path, schema=None):
+    """The per-row weather reader, whose records are laid out as the
+    columns ``read_weather`` returns. Expects well-formed JSON."""
+    records = []
+    if str(path).endswith(".json"):
+        payload = json.loads(path.read_text())
+        entries = payload.get("list", payload) if isinstance(payload, dict) else payload
+        for entry in entries:
+            main = entry.get("main", {})
+            records.append((float(entry["dt"]), {"temperature": main.get("temp"),
+                                                 "humidity": main.get("humidity")}))
+    else:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh, delimiter=schema.delimiter if schema else ","))
+        if len(rows) < 2:
+            raise ParseError("weather CSV needs a header and at least one row", line=1)
+        header = [cell.strip().lower() for cell in rows[0]]
+        ts_name = schema.timestamp_column if schema else None
+        if ts_name is not None and ts_name in rows[0]:
+            ts_col = rows[0].index(ts_name)
+        else:
+            candidates = [i for i, name in enumerate(header)
+                          if name in ("timestamp", "datetime", "time", "dt", "date")]
+            ts_col = candidates[0] if candidates else 0
+        for offset, row in enumerate(rows[1:]):
+            line = offset + 2
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                stamp = _reference_parse_timestamp(
+                    row[ts_col], schema.timestamp_format if schema else "auto",
+                    schema.utc_offset_hours if schema else 0.0)
+            except ValueError as exc:
+                raise ParseError(f"bad timestamp {row[ts_col]!r} ({exc})",
+                                 line=line) from None
+            fields = {}
+            for j, name in enumerate(header):
+                if j == ts_col or j >= len(row):
+                    continue
+                if row[j].strip().lower() in ("", "nan", "na", "null", "none"):
+                    continue
+                try:
+                    fields[name] = float(row[j])
+                except ValueError:
+                    raise ParseError(f"bad numeric value {row[j]!r} in column "
+                                     f"{name!r}", line=line) from None
+            fields["temperature"] = fields.pop("temperature", fields.pop("temp", None))
+            records.append((stamp, fields))
+    records.sort(key=lambda record: record[0])
+    extra = {name for _, fields in records for name, value in fields.items()
+             if value is not None} - {"temperature", "humidity"}
+    table = {"timestamp": np.array([stamp for stamp, _ in records], dtype=np.float64)}
+    for name in ["temperature", "humidity", *sorted(extra)]:
+        table[name] = np.array([np.nan if fields.get(name) is None else fields[name]
+                                for _, fields in records], dtype=np.float64)
+    return table
+
+
 def _reference_write_energy_csv(fh, s):
     fh.write("timestamp,value\n")
     for i, value in enumerate(s.values):
@@ -153,6 +216,8 @@ def _outcome(fn, *args):
         return result.start, result.interval, result.values.tobytes()
     if isinstance(result, float):
         return np.float64(result).tobytes()  # NaN equals NaN, 0.0 differs from -0.0
+    if isinstance(result, dict):
+        return [(name, values.dtype, values.tobytes()) for name, values in result.items()]
     return result
 
 
@@ -337,24 +402,77 @@ class TestInferSchema:
             infer_schema(path)
 
 
+ISO = "1970-01-01T0{}:00:00Z"
+# (file name, text, schema) of weather files that the reader and its oracle read alike
+WEATHER_CASES = {
+    "iso_unsorted_with_ties": ("w.csv", "timestamp,temperature,humidity\n"
+                               + "".join(f"{ISO.format(h)},{t},{u}\n" for h, t, u in
+                                         [(3, 1, 2), (1, 3, 4), (3, 5, 6), (2, 7, 8)]), None),
+    "epoch_schema": ("w.csv", "When;Temp;Hum\n7200;1.5;40\n3600;2.5;\n",
+                     DatasetSchema("When", "Temp", "epoch", ";")),
+    "epoch_auto": ("w.csv", "dt,temp\n1609462800,1\n1609459200,2\n", None),
+    "blank_rows": ("w.csv", f"time,temperature\n\n{ISO.format(1)},1\n , \n\n"
+                            f"{ISO.format(2)},2\n\n", None),
+    "empty_and_short_cells": ("w.csv", "date,temperature,humidity,wind\n"
+                                       f"{ISO.format(1)},1,,3\n{ISO.format(2)},2\n"
+                                       f"{ISO.format(3)}\n{ISO.format(4)},,NA,null\n", None),
+    "all_empty_extra_column": ("w.csv", "timestamp,temperature,pressure,wind\n"
+                                        f"{ISO.format(1)},1,,4\n{ISO.format(2)},2, nan ,\n",
+                               None),
+    "temp_without_temperature": ("w.csv", f"timestamp,temp\n{ISO.format(1)},5\n"
+                                          f"{ISO.format(2)},\n", None),
+    "temp_fills_temperature": ("w.csv", "timestamp,temperature,temp\n"
+                                        f"{ISO.format(1)},1,9\n{ISO.format(2)},,8\n"
+                                        f"{ISO.format(3)},3,\n{ISO.format(4)},,\n", None),
+    "repeated_names": ("w.csv", "timestamp,wind,Wind\n"
+                                f"{ISO.format(1)},1,2\n{ISO.format(2)},3,\n", None),
+    "no_named_time_column": ("w.csv", f"when,Temperature\n{ISO.format(1)},1\n", None),
+    "time_column_not_first": ("w.csv", f"temperature,Date,humidity\n1,{ISO.format(1)},2\n",
+                              None),
+    "long_rows_and_offset": ("w.csv", "timestamp,humidity\n"
+                                      "1970-01-01T06:00:00,50,99\n1970-01-01T05:00:00,60\n",
+                             DatasetSchema("timestamp", "humidity", utc_offset_hours=5.0)),
+    "only_blank_rows": ("w.csv", "timestamp,temperature\n\n , \n", None),
+    "header_only": ("w.csv", "timestamp,temperature\n", None),
+    "bad_value_after_blank_rows": ("w.csv", f"timestamp,temperature,humidity\n\n"
+                                            f"{ISO.format(1)},1,2\n\n{ISO.format(2)},3,wet\n",
+                                   None),
+    "bad_timestamp_before_bad_value": ("w.csv", "timestamp,temperature\n"
+                                                f"{ISO.format(1)},cold\nnoon,warm\n"
+                                                "yesterday,hot\n", None),
+    "json_list": ("w.json", json.dumps([{"dt": 7200, "main": {"temp": 1.5, "humidity": 40}},
+                                        {"dt": 3600, "main": {"temp": 2}}]), None),
+    "json_export": ("w.json", json.dumps({"list": [{"dt": 3600, "main": {"humidity": 50}},
+                                                   {"dt": 3600, "main": {"temp": 3}}]}), None),
+    "json_missing_main": ("w.json", json.dumps([{"dt": 3600}, {"dt": 0, "main": {}}]), None),
+}
+WEATHER_NAMES = {
+    "all_empty_extra_column": ["timestamp", "temperature", "humidity", "wind"],
+    "temp_without_temperature": ["timestamp", "temperature", "humidity"],
+    "repeated_names": ["timestamp", "temperature", "humidity", "wind"],
+    "empty_and_short_cells": ["timestamp", "temperature", "humidity", "wind"],
+}
+
+
 class TestReadWeather:
     def test_csv_records_sorted(self, tmp_path):
         path = write(tmp_path, "w.csv",
                      "timestamp,temperature,humidity\n"
                      "1970-01-01T02:00:00Z,14.0,60.0\n"
                      "1970-01-01T01:00:00Z,13.0,55.0\n")
-        records = read_weather(path)
-        assert [r.timestamp for r in records] == [HOUR, 2 * HOUR]
-        assert records[0].temperature == 13.0
-        assert records[1].humidity == 60.0
+        table = read_weather(path)
+        assert list(table) == ["timestamp", "temperature", "humidity"]
+        assert table["timestamp"].tolist() == [HOUR, 2 * HOUR]
+        assert table["temperature"].tolist() == [13.0, 14.0]
+        assert table["humidity"][1] == 60.0
 
     def test_empty_field_kept_as_missing(self, tmp_path):
         path = write(tmp_path, "w.csv",
                      "timestamp,temperature,humidity\n"
                      "1970-01-01T01:00:00Z,,55.0\n")
-        (record,) = read_weather(path)
-        assert record.temperature is None
-        assert record.humidity == 55.0
+        table = read_weather(path)
+        assert np.isnan(table["temperature"]).all()
+        assert table["humidity"].tolist() == [55.0]
 
     def test_malformed_timestamp_names_line(self, tmp_path):
         path = write(tmp_path, "w.csv",
@@ -368,8 +486,9 @@ class TestReadWeather:
         path = write(tmp_path, "w.csv",
                      "timestamp,temperature,humidity,pressure\n"
                      "1970-01-01T01:00:00Z,13.0,55.0,1013.0\n")
-        (record,) = read_weather(path)
-        assert record.extra == {"pressure": 1013.0}
+        table = read_weather(path)
+        assert list(table) == ["timestamp", "temperature", "humidity", "pressure"]
+        assert table["pressure"].tolist() == [1013.0]
 
     def test_json_export_shape(self, tmp_path):
         payload = {"list": [
@@ -377,20 +496,76 @@ class TestReadWeather:
             {"dt": 3600, "main": {"temp": 13.0, "humidity": 55}},
         ]}
         path = write(tmp_path, "w.json", json.dumps(payload))
-        records = read_weather(path)
-        assert [r.timestamp for r in records] == [HOUR, 2 * HOUR]
-        assert records[0].temperature == 13.0
+        table = read_weather(path)
+        assert table["timestamp"].tolist() == [HOUR, 2 * HOUR]
+        assert table["temperature"][0] == 13.0
 
     def test_bare_json_list_and_missing_fields(self, tmp_path):
         path = write(tmp_path, "w.json",
                      json.dumps([{"dt": 3600, "main": {"humidity": 50}}]))
-        (record,) = read_weather(path)
-        assert record.temperature is None and record.humidity == 50.0
+        table = read_weather(path)
+        assert np.isnan(table["temperature"]).all() and table["humidity"].tolist() == [50.0]
 
     def test_invalid_json(self, tmp_path):
         path = write(tmp_path, "w.json", "{not json")
         with pytest.raises(ParseError):
             read_weather(path)
+
+    @pytest.mark.parametrize("payload, message", [
+        ([1, 2], "line 1: observation 0: expected an object"),
+        ({"dt": 1, "main": 5}, "line 1: expected a list of observations"),
+        ([{"dt": 1, "main": 5}], "line 1: observation 0: expected an object"),
+        ({"list": [{"dt": 1}, {"main": {}}]}, "line 1: observation 1: 'dt'"),
+        ([{"dt": 1, "main": {"temp": "warm"}}], "line 1: observation 0: could not convert"),
+        ([{"dt": 1}, {"dt": 2, "main": {"humidity": [50]}}], "line 1: observation 1: "),
+    ], ids=["list_of_numbers", "object_without_list", "main_not_an_object", "no_dt",
+            "text_temperature", "list_humidity"])
+    def test_odd_json_is_a_parse_error(self, tmp_path, payload, message):
+        path = write(tmp_path, "w.json", json.dumps(payload))
+        with pytest.raises(ParseError) as caught:
+            read_weather(path)
+        assert str(caught.value).startswith(message)
+
+    @pytest.mark.parametrize("text", ['[{"dt": NaN}]',
+                                      '[{"dt": 1, "main": {"temp": Infinity}}]',
+                                      '[{"dt": 1}, {"dt": 1e400}]'])
+    def test_non_finite_json_number_is_a_parse_error(self, tmp_path, text):
+        path = write(tmp_path, "w.json", text)
+        with pytest.raises(ParseError, match="not finite"):
+            read_weather(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, cell):
+        path = write(tmp_path, "w.csv", "timestamp,temperature,wind\n"
+                                        "1970-01-01T01:00:00Z,13.0,2\n\n"
+                                        f"1970-01-01T02:00:00Z,14.0,{cell}\n")
+        with pytest.raises(ParseError) as caught:
+            read_weather(path)
+        assert str(caught.value) == f"line 4: bad numeric value {cell!r} in column 'wind'"
+
+    def test_non_finite_epoch_timestamp_names_its_line(self, tmp_path):
+        path = write(tmp_path, "w.csv", "dt,temp\n3600,13\nnan,14\n")
+        with pytest.raises(ParseError, match=r"^line 3: bad timestamp 'nan' \(not finite\)$"):
+            read_weather(path, DatasetSchema("dt", "temp", "epoch"))
+
+    def test_absent_timestamp_cell_names_its_line(self, tmp_path):
+        path = write(tmp_path, "w.csv", "temp,dt\n13,3600\n14\n")
+        with pytest.raises(ParseError, match=r"^line 3: bad timestamp '' \(empty"):
+            read_weather(path, DatasetSchema("dt", "temp", "epoch"))
+
+    def test_second_column_named_timestamp_is_refused(self, tmp_path):
+        path = write(tmp_path, "w.csv", "date,timestamp\n1970-01-01T01:00:00Z,1\n")
+        with pytest.raises(ParseError, match="line 1"):
+            read_weather(path)
+
+    @pytest.mark.parametrize("case", sorted(WEATHER_CASES))
+    def test_same_table_or_error_as_reference_loop(self, case, tmp_path):
+        name, text, schema = WEATHER_CASES[case]
+        path = write(tmp_path, name, text)
+        expected = _outcome(_reference_read_weather, path, schema)
+        assert _outcome(read_weather, path, schema) == expected
+        if case in WEATHER_NAMES:
+            assert [name for name, *_ in expected] == WEATHER_NAMES[case]
 
 
 class TestCanonicalWriter:
@@ -507,6 +682,11 @@ READER_ERRORS = {
                                          "('42' is neither ISO-8601 nor plausible "
                                          "epoch seconds)"),
     "only_blank_rows": ("t,v\n\n,\n", "line 2: no data rows"),
+    "overflowing_value_after_blank_row": ("t,v\n2021-01-01T00:00:00Z,1\n\n"
+                                          "2021-01-01T01:00:00Z,-1e400\n",
+                                          "line 4: bad numeric value '-1e400'"),
+    "infinite_value_before_later_timestamp": ("t,v\n2021-01-01T00:00:00Z,Infinity\nnoon,1\n",
+                                              "line 2: bad numeric value 'Infinity'"),
 }
 TIMESTAMP_CELLS = ["20210101", "202101011", "2021010112", "20210101120", "202101011200",
                    "1609459200", "160945920", "160945920000", "1e9", " 1609459200.5 ",
@@ -529,6 +709,10 @@ class TestReaderMatchesReferenceLoop:
             assert got[1] == 900.0
         if case == "epoch_format_empty_cell":
             assert got == (ParseError, "line 3: bad timestamp ' ' (empty timestamp)")
+        if case == "epoch_format_nan_stamps":
+            assert got == (ParseError, "line 3: bad timestamp 'nan' (not finite)")
+        if case == "inf_value":
+            assert got == (ParseError, "line 3: bad numeric value 'inf'")
 
     @pytest.mark.parametrize("fmt", ["auto", "epoch"])
     def test_epoch_column_skips_the_cell_loop(self, tmp_path, monkeypatch, fmt):

@@ -1,12 +1,42 @@
 import numpy as np
 import pytest
 
-from wattcast.errors import NotAMultiple, UnsortedWeather
-from wattcast.series import MultiSeries, TimeSeries, WeatherRecord, merge, resample
+from wattcast.errors import LengthMismatch, NotAMultiple, UnsortedWeather
+from wattcast.series import MultiSeries, TimeSeries, merge, resample
 
 
 def ts(values, start=0.0, interval=900.0):
     return TimeSeries(start, interval, values)
+
+
+def _reference_merge(energy, weather, max_fill=2):
+    """The per-row loop that merged weather records before the as-of lookup,
+    reading the same columns: the oracle. A missing cell is NaN here where a
+    record held None."""
+    ts = np.asarray(weather["timestamp"], dtype=np.float64)
+    if np.any(np.diff(ts) < 0):
+        pos = int(np.argmax(np.diff(ts) < 0)) + 1
+        raise UnsortedWeather(
+            f"weather timestamps decrease at record {pos} "
+            f"({ts[pos]} after {ts[pos - 1]})")
+
+    extra_names = sorted(set(weather) - {"timestamp", "temperature", "humidity"})
+    weather_names = ["temperature", "humidity"] + extra_names
+    n = len(energy)
+    out = np.full((n, 1 + len(weather_names)), np.nan)
+    out[:, 0] = energy.values
+
+    horizon = max_fill * energy.interval
+    j = -1  # index of latest record with timestamp <= current energy time
+    for i, t in enumerate(energy.timestamps):
+        while j + 1 < ts.size and ts[j + 1] <= t:
+            j += 1
+        if j >= 0 and t - ts[j] <= horizon:
+            for c, name in enumerate(weather_names):
+                if name in weather:
+                    out[i, 1 + c] = weather[name][j]
+    return MultiSeries(energy.start, energy.interval,
+                       ("energy", *weather_names), out)
 
 
 class TestTimeSeries:
@@ -91,48 +121,74 @@ class TestResample:
 class TestMerge:
     def test_locf_within_max_fill(self):
         energy = TimeSeries(0.0, 3600.0, [10.0, 11.0, 12.0])
-        weather = [WeatherRecord(0.0, temperature=5.0),
-                   WeatherRecord(7200.0, temperature=7.0)]
+        weather = {"timestamp": [0.0, 7200.0], "temperature": [5.0, 7.0]}
         out = merge(energy, weather, max_fill=1)
         assert np.array_equal(out.column("temperature"), [5.0, 5.0, 7.0])
 
     def test_energy_column_verbatim(self):
         energy = TimeSeries(0.0, 3600.0, [10.0, np.nan, 12.0])
-        out = merge(energy, [WeatherRecord(0.0, temperature=1.0)], max_fill=99)
+        out = merge(energy, {"timestamp": [0.0], "temperature": [1.0]}, max_fill=99)
         got = out.column("energy")
         assert got[0] == 10.0 and np.isnan(got[1]) and got[2] == 12.0
 
     def test_empty_weather_all_missing(self):
         energy = TimeSeries(0.0, 3600.0, [1.0, 2.0])
-        out = merge(energy, [], max_fill=2)
-        assert np.isnan(out.column("temperature")).all()
-        assert np.isnan(out.column("humidity")).all()
+        empty = {"timestamp": [], "temperature": [], "humidity": [], "wind": []}
+        out = merge(energy, empty, max_fill=2)
+        assert out.names == ("energy", "temperature", "humidity", "wind")
+        assert np.isnan(out.values[:, 1:]).all()
 
     def test_exact_alignment(self):
         energy = TimeSeries(0.0, 3600.0, [1.0, 2.0])
-        weather = [WeatherRecord(0.0, temperature=3.0, humidity=40.0),
-                   WeatherRecord(3600.0, temperature=4.0, humidity=41.0)]
+        weather = {"timestamp": [0.0, 3600.0], "temperature": [3.0, 4.0],
+                   "humidity": [40.0, 41.0]}
         out = merge(energy, weather, max_fill=0)
         assert np.array_equal(out.column("temperature"), [3.0, 4.0])
         assert np.array_equal(out.column("humidity"), [40.0, 41.0])
 
     def test_too_old_record_left_missing(self):
         energy = TimeSeries(10 * 3600.0, 3600.0, [1.0])
-        out = merge(energy, [WeatherRecord(0.0, temperature=5.0)], max_fill=2)
+        out = merge(energy, {"timestamp": [0.0], "temperature": [5.0]}, max_fill=2)
         assert np.isnan(out.column("temperature")[0])
 
     def test_unsorted_weather_rejected(self):
         energy = TimeSeries(0.0, 3600.0, [1.0])
-        weather = [WeatherRecord(100.0), WeatherRecord(50.0)]
-        with pytest.raises(UnsortedWeather):
+        weather = {"timestamp": [100.0, 50.0]}
+        with pytest.raises(UnsortedWeather,
+                           match=r"decrease at record 1 \(50.0 after 100.0\)"):
             merge(energy, weather)
 
     def test_extra_fields_become_columns(self):
         energy = TimeSeries(0.0, 3600.0, [1.0])
-        weather = [WeatherRecord(0.0, temperature=5.0, extra={"wind": 3.0})]
+        weather = {"timestamp": [0.0], "temperature": [5.0], "wind": [3.0], "cloud": [1.0]}
         out = merge(energy, weather, max_fill=1)
-        assert "wind" in out.names
+        assert out.names == ("energy", "temperature", "humidity", "cloud", "wind")
         assert out.column("wind")[0] == 3.0
+
+    @pytest.mark.parametrize("stamp", [np.nan, np.inf])
+    def test_non_finite_timestamp_rejected(self, stamp):
+        energy = TimeSeries(0.0, 3600.0, [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            merge(energy, {"timestamp": [0.0, stamp], "temperature": [1.0, 2.0]})
+
+    def test_column_length_must_match_timestamps(self):
+        energy = TimeSeries(0.0, 3600.0, [1.0])
+        with pytest.raises(LengthMismatch):
+            merge(energy, {"timestamp": [0.0, 1.0], "temperature": [1.0]})
+
+    def test_hourly_weather_on_quarter_hours_matches_reference_loop(self):
+        rng = np.random.default_rng(3)
+        energy = TimeSeries(0.0, 900.0, rng.uniform(0, 1, 4 * 24 * 60))
+        stamps = np.sort(rng.choice(np.arange(24 * 61) * 3600.0, 24 * 50, replace=False))
+        weather = {"timestamp": stamps,
+                   "temperature": np.where(rng.random(stamps.size) < 0.1, np.nan,
+                                           rng.normal(10, 5, stamps.size)),
+                   "humidity": rng.uniform(20, 90, stamps.size)}
+        for max_fill in (0, 2, 8):
+            got = merge(energy, weather, max_fill)
+            expected = _reference_merge(energy, weather, max_fill)
+            assert got.names == expected.names
+            assert got.values.tobytes() == expected.values.tobytes()
 
 
 class TestMultiSeries:

@@ -1,6 +1,7 @@
 """Property tests for the series transforms: resampling conserves the sums of
-complete windows, lag embedding aligns each row with its target, and
-undifference inverts difference."""
+complete windows, lag embedding aligns each row with its target,
+undifference inverts difference, and the weather merge equals its per-row
+oracle."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from wattcast.series import TimeSeries, resample  # noqa: E402
+from test_series import _reference_merge  # noqa: E402
+from wattcast.series import TimeSeries, merge, resample  # noqa: E402
 from wattcast.transform import difference, lag_embed, undifference  # noqa: E402
 
 # whole readings of magnitude at most 2**20: every sum and difference of them is exact
@@ -62,3 +64,31 @@ def test_undifference_inverts_difference(values, d, start):
     back = undifference(diffed, initial, d)
     assert (back.start, back.interval) == (s.start, s.interval)
     assert back.values.tobytes() == s.values.tobytes()
+
+
+@st.composite
+def weather_tables(draw, interval):
+    """Sorted observation times on a half-interval grid, ties included, and
+    columns with missing cells; temperature or humidity may be absent."""
+    slots = draw(st.lists(st.integers(-6, 60), max_size=30))
+    stamps = np.sort(np.array(slots, dtype=np.float64)) * (interval / 2)
+    cells = st.floats(-50, 50, allow_nan=False) | st.just(np.nan)
+    names = draw(st.sets(st.sampled_from(["temperature", "humidity", "wind", "cloud"])))
+    return {"timestamp": stamps,
+            **{name: np.array(draw(st.lists(cells, min_size=stamps.size,
+                                            max_size=stamps.size)), dtype=np.float64)
+               for name in sorted(names)}}
+
+
+@settings(deadline=None)
+@given(st.data(), st.sampled_from([900.0, 3600.0, 1.5]), st.integers(-4, 4),
+       st.integers(0, 3))
+def test_merge_equals_the_per_row_loop(data, interval, start, max_fill):
+    values = data.draw(st.lists(READINGS | st.just(np.nan), max_size=30))
+    energy = TimeSeries(start * interval, interval, np.array(values, dtype=np.float64))
+    weather = data.draw(weather_tables(interval))
+    got = merge(energy, weather, max_fill)
+    expected = _reference_merge(energy, weather, max_fill)
+    assert got.names == expected.names
+    assert (got.start, got.interval) == (expected.start, expected.interval)
+    assert got.values.tobytes() == expected.values.tobytes()
