@@ -2,11 +2,11 @@
 
 Estimation is conditional sum of squares (CSS): the series is differenced
 ``d`` times, one-step residuals are computed with zero pre-sample shocks,
-and the summed squared residuals are minimized. Starting values come from
-the Hannan-Rissanen procedure — a long autoregression provides residual
-proxies, then a single OLS on lagged values and lagged proxies gives
-``(c, phi, theta)`` — and a Nelder-Mead search refines them. The ARMA sign
-convention is
+and the summed squared residuals are minimized. Without MA terms that is
+ordinary least squares on lagged values, solved once. With them, the
+Hannan-Rissanen procedure — a long autoregression provides residual
+proxies, then one OLS on lagged values and proxies gives ``(c, phi,
+theta)`` — starts a Nelder-Mead search. The ARMA sign convention is
 
     w_t = c + phi_1 w_{t-1} + ... + phi_p w_{t-p}
             + e_t + theta_1 e_{t-1} + ... + theta_q e_{t-q}.
@@ -60,15 +60,12 @@ class ArimaModel:
 def css_residuals(w: np.ndarray, ar: np.ndarray, ma: np.ndarray,
                   intercept: float) -> np.ndarray:
     """One-step residuals e_p .. e_{n-1} with zero pre-sample shocks."""
-    from scipy.signal import lfilter
-
     p, q = len(ar), len(ma)
-    if p:
-        lags = lag_design(w[:, None], p)[:, 1:]
-        u = w[p:] - intercept - lags @ np.asarray(ar)
-    else:
-        u = w - intercept
+    # p = 0 leaves an empty lag matrix, whose product is zeros
+    u = w[p:] - intercept - lag_design(w[:, None], p)[:, 1:] @ np.asarray(ar)
     if q:
+        from scipy.signal import lfilter
+
         return lfilter([1.0], np.concatenate([[1.0], ma]), u)
     return u
 
@@ -102,9 +99,7 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int):
 
 
 def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
-    """Estimate an ARIMA(p, d, q) model by CSS with Hannan-Rissanen starts."""
-    from scipy.optimize import minimize
-
+    """Estimate an ARIMA(p, d, q) model by CSS, in closed form when q = 0."""
     if p < 0 or d < 0 or q < 0:
         raise ConfigError("orders must be non-negative")
     if p == 0 and q == 0 and d == 0:
@@ -119,26 +114,22 @@ def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
     if p + q > 0 and np.ptp(w) == 0.0:
         raise DegenerateSeries("differenced series is constant; AR/MA terms unidentifiable")
 
-    if p + q == 0:
-        intercept = float(w.mean())
-        resid = w - intercept
-        return ArimaModel((p, d, q), np.empty(0), np.empty(0), intercept,
-                          float(resid @ resid / len(resid)))
+    intercept, ar, ma = _hannan_rissanen(w, p, q)
+    if q:
+        from scipy.optimize import minimize
 
-    c0, ar0, ma0 = _hannan_rissanen(w, p, q)
-    x0 = np.concatenate([[c0], ar0, ma0])
+        x0 = np.concatenate([[intercept], ar, ma])
 
-    def objective(params):
-        e = css_residuals(w, params[1:1 + p], params[1 + p:], params[0])
-        return float(e @ e)
+        def objective(params):
+            e = css_residuals(w, params[1:1 + p], params[1 + p:], params[0])
+            return float(e @ e)
 
-    result = minimize(objective, x0, method="Nelder-Mead",
-                      options={"xatol": 1e-8, "fatol": 1e-12,
-                               "maxfev": 500 * (p + q + 1), "maxiter": 10 ** 6})
-    best = result.x if result.fun <= objective(x0) else x0
+        result = minimize(objective, x0, method="Nelder-Mead",
+                          options={"xatol": 1e-8, "fatol": 1e-12,
+                                   "maxfev": 500 * (p + q + 1), "maxiter": 10 ** 6})
+        best = result.x if result.fun <= objective(x0) else x0
+        intercept, ar, ma = float(best[0]), best[1:1 + p], best[1 + p:]
 
-    intercept = float(best[0])
-    ar, ma = best[1:1 + p], best[1 + p:]
     e = css_residuals(w, ar, ma, intercept)
     return ArimaModel((p, d, q), ar, ma, intercept, float(e @ e / len(e)),
                       stationary=ar_roots_stationary(ar))

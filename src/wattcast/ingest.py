@@ -181,16 +181,22 @@ def _nonblank_rows(body):
     return [row for row in body if "".join(row).strip()], blank
 
 
-def _raise_first(problems, blank, body_start: int) -> None:
+def _raise_first(problems, blank, first_record: int, path, delimiter: str) -> None:
     """Raise the first of ``problems``, (non-blank row, rank in the row, message),
-    at its file line, counting the ``blank`` rows of a body that starts on ``body_start``."""
+    at the file line its record starts on, counting the ``blank`` rows of a body
+    that starts at record ``first_record`` (0-based) of ``path``."""
     if not problems:
         return
     row, _, message = min(problems)
     for skipped in blank:  # ascending
         if skipped <= row:
             row += 1
-    raise ParseError(message, line=body_start + row)
+    # a quoted cell may hold newlines, so records and lines differ: rescan
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = csv.reader(fh, delimiter=delimiter)
+        for _ in range(first_record + row):
+            next(records)
+        raise ParseError(message, line=records.line_num + 1)
 
 
 def _modal_gap(gaps: np.ndarray) -> float:
@@ -258,7 +264,7 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
     values, bad = _checked(*_parse_column(_parse_value, value_cells), nan_ok=True)
     if bad is not None:
         problems.append((bad[0], 2, f"bad numeric value {value_cells[bad[0]]!r}"))
-    _raise_first(problems, blank, body_start)
+    _raise_first(problems, blank, body_start - 1, path, schema.delimiter)
 
     if not stamps.size:
         raise ParseError("no data rows", line=body_start)
@@ -307,7 +313,8 @@ def read_weather(path, schema: DatasetSchema | None = None) -> dict:
 
 
 def _read_weather_csv(path, schema) -> dict:
-    rows = _read_rows(path, schema.delimiter if schema else ",")
+    delimiter = schema.delimiter if schema else ","
+    rows = _read_rows(path, delimiter)
     if len(rows) < 2:
         raise ParseError("weather CSV needs a header and at least one row", line=1)
     header = [cell.strip().lower() for cell in rows[0]]
@@ -338,7 +345,7 @@ def _read_weather_csv(path, schema) -> dict:
             table[name] = np.where(np.isnan(values), table[name], values)
         else:
             table[name] = values
-    _raise_first(problems, blank, 2)
+    _raise_first(problems, blank, 1, path, delimiter)
 
     missing = np.full(stamps.size, np.nan)
     temperature = table.pop("temperature", missing)
@@ -346,8 +353,9 @@ def _read_weather_csv(path, schema) -> dict:
     humidity = table.pop("humidity", missing)
     extra = {name: values for name, values in sorted(table.items())
              if not np.isnan(values).all()}
-    if "timestamp" in extra:
-        raise ParseError("only the time column may be named 'timestamp'", line=1)
+    reserved = sorted(extra.keys() & {"energy", "timestamp"})
+    if reserved:
+        raise ParseError(f"weather column name {reserved[0]!r} is reserved", line=1)
     return {"timestamp": stamps, "temperature": temperature, "humidity": humidity, **extra}
 
 

@@ -280,20 +280,49 @@ print(hashlib.sha256(report.to_json().encode()).hexdigest()[:16])
 """
 
 
-def test_weather_sweep_is_pinned():
-    # The JSON report keeps full precision, so its hash holds for one BLAS
-    # thread only: the sweep runs in a fresh interpreter limited to one.
-    t0 = time.perf_counter()
+def _one_blas_thread_stdout(code: str) -> list:
+    """The words ``code`` prints in a fresh interpreter limited to one BLAS
+    thread, for outputs whose last bits depend on the thread count."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _WEATHER_SWEEP], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["79f849c54485ac42", "23fcc2835d66af8f"]
+    return done.stdout.split()
+
+
+def test_weather_sweep_is_pinned():
+    # The JSON report keeps full precision, so its hash holds for one BLAS
+    # thread only: the sweep runs in a fresh interpreter limited to one.
+    t0 = time.perf_counter()
+    assert _one_blas_thread_stdout(_WEATHER_SWEEP) == ["79f849c54485ac42", "23fcc2835d66af8f"]
     _passed("weather sweep", time.perf_counter() - t0,
             "7 models x 2 splits x 3 intervals on merged weather, text and JSON pinned")
+
+
+_CLI_ARIMA_FORECAST = """\
+import hashlib, os, sys, tempfile
+from wattcast.cli import main
+from wattcast.ingest import write_energy_csv
+from wattcast.synthetic import household_series
+with tempfile.TemporaryDirectory() as tmp:
+    data, out = os.path.join(tmp, "energy.csv"), os.path.join(tmp, "fc.csv")
+    write_energy_csv(data, household_series(2000, seed=1))
+    assert main(["forecast", "--model", "arima", "--input", data, "--out", out]) == 0
+    with open(out, "rb") as fh:
+        print(hashlib.sha256(fh.read()).hexdigest()[:16])
+"""
+
+
+def test_cli_arima_forecast_is_pinned():
+    # The CLI's default ARIMA(24, 0, 0) forecast at full precision: a change
+    # of estimator shows here as a changed hash, on purpose.
+    t0 = time.perf_counter()
+    assert _one_blas_thread_stdout(_CLI_ARIMA_FORECAST) == ["a6b41f88fbc6284f"]
+    _passed("CLI arima forecast", time.perf_counter() - t0,
+            "24-step ARIMA(24,0,0) forecast CSV pinned")
 
 
 def test_cli_determinism(tmp_path):

@@ -18,7 +18,7 @@ from wattcast.errors import (
     TooShort,
 )
 from wattcast.series import TimeSeries
-from wattcast.synthetic import arma_series
+from wattcast.synthetic import arma_series, household_series
 
 
 def ts(values):
@@ -34,6 +34,22 @@ def ma1_css(w, intercept, theta):
         total += e * e
         e_prev = e
     return total
+
+
+def nelder_mead_css(w, p, q, x0):
+    """CSS after the Nelder-Mead refinement that ``arima_fit`` runs for MA
+    terms, here from ``x0`` for any order: the oracle a closed-form fit
+    without MA terms must match. Never worse than the start."""
+    from scipy.optimize import minimize
+
+    def objective(params):
+        e = css_residuals(w, params[1:1 + p], params[1 + p:], params[0])
+        return float(e @ e)
+
+    result = minimize(objective, x0, method="Nelder-Mead",
+                      options={"xatol": 1e-8, "fatol": 1e-12,
+                               "maxfev": 500 * (p + q + 1), "maxiter": 10 ** 6})
+    return min(result.fun, objective(x0))
 
 
 class TestFit:
@@ -67,6 +83,19 @@ class TestFit:
         model = arima_fit(s, 1, 0, 1)
         e1 = css_residuals(w, model.ar, model.ma, model.intercept)
         assert e1 @ e1 <= e0 @ e0 + 1e-9
+
+    @pytest.mark.parametrize("p, d", [(0, 1), (1, 0), (3, 1), (24, 0)])
+    def test_without_ma_terms_the_fit_is_least_squares(self, p, d):
+        s = household_series(400, seed=5)
+        w = np.diff(s.values, n=d)
+        c, ar, _ = _hannan_rissanen(w, p, 0)
+        model = arima_fit(s, p, d, 0)
+        assert model.intercept == c and model.ar.tobytes() == ar.tobytes()
+        assert model.ma.size == 0
+        e = css_residuals(w, model.ar, model.ma, model.intercept)
+        assert model.sigma2 == e @ e / len(e)
+        refined = nelder_mead_css(w, p, 0, np.concatenate([[c], ar]))
+        assert abs(e @ e - refined) <= 1e-12 * refined
 
     def test_one_step_beats_mean_model_in_sample(self):
         s = arma_series(500, ar=(0.7,), noise_sd=1.0, seed=10)

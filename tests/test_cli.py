@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import io
 import json
 from types import SimpleNamespace
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from wattcast.arima import arima_fit, arima_forecast
-from wattcast.cli import main, parse_interval
+from wattcast.cli import _add_common, _add_hyper, main, parse_interval
 import wattcast.regressors.base as regressor_base
 from wattcast.errors import ConfigError
+from wattcast.evaluation import FAMILIES
 from wattcast.ingest import _format_timestamp, read_energy_csv, write_columns, write_energy_csv
 from wattcast.regressors import GpModel, KnnModel, MlpModel, OlsModel, SvrModel
 from wattcast.series import TimeSeries
@@ -553,6 +555,14 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "(default: 24)" in text  # lag order
         assert "(default: 0.3)" in text  # mlp learning rate
+
+    def test_hyperparameter_flags_are_the_registry_keys(self):
+        # a key on one side only would be dropped by spec_for or by argparse
+        parser = argparse.ArgumentParser()
+        _add_hyper(parser)
+        _add_common(parser)
+        flags = set(vars(parser.parse_args([]))) - {"config"}
+        assert flags == {key for family in FAMILIES.values() for _, key in family.params}
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["transmogrify"]) == 2

@@ -84,3 +84,18 @@ def test_ols_forecast_loads_linalg_only(hourly_csv, tmp_path):
     modules = loaded_scipy(run_cli(argv))
     assert "scipy.linalg" in modules
     assert not modules & {"scipy.signal", "scipy.stats", "scipy.optimize"}
+
+
+def test_ar_only_arima_forecast_loads_no_optimizer(hourly_csv, tmp_path):
+    # without MA terms the fit is least squares and the residuals need no filter
+    argv = ["forecast", "--model", "arima", "--p", "4", "--q", "0", "--horizon", "6",
+            "--input", str(hourly_csv), "--out", str(tmp_path / "fc.csv")]
+    modules = loaded_scipy(run_cli(argv))
+    assert not modules & {"scipy.optimize", "scipy.signal", "scipy.stats"}
+
+
+def test_ma_arima_forecast_loads_optimizer_and_filter(hourly_csv, tmp_path):
+    # MA terms still take the Nelder-Mead search and the lfilter recursion
+    argv = ["forecast", "--model", "arima", "--p", "4", "--q", "1", "--horizon", "6",
+            "--input", str(hourly_csv), "--out", str(tmp_path / "fc.csv")]
+    assert {"scipy.optimize", "scipy.signal"} <= loaded_scipy(run_cli(argv))

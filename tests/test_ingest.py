@@ -77,9 +77,21 @@ def _reference_parse_value(text, line):
         raise ParseError(f"bad numeric value {text!r}", line=line) from None
 
 
-def _reference_read_energy_csv(path, schema):
+def _reference_records(path, delimiter):
+    """The CSV records of ``path`` and the file line each one starts on: a
+    quoted cell may hold newlines, so the two counts can differ."""
+    rows, starts, end = [], [], 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=schema.delimiter)]
+        reader = csv.reader(fh, delimiter=delimiter)
+        for row in reader:
+            rows.append(row)
+            starts.append(end + 1)
+            end = reader.line_num
+    return rows, starts
+
+
+def _reference_read_energy_csv(path, schema):
+    rows, starts = _reference_records(path, schema.delimiter)
     header = rows[0] if schema.has_header and rows else None
     body_start = 2 if schema.has_header else 1
     body = rows[1:] if schema.has_header else rows
@@ -92,7 +104,7 @@ def _reference_read_energy_csv(path, schema):
 
     stamps, values = [], []
     for offset, row in enumerate(body):
-        line = body_start + offset
+        line = starts[body_start - 1 + offset]
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) <= max(ts_col, val_col):
@@ -152,8 +164,7 @@ def _reference_read_weather(path, schema=None):
             records.append((float(entry["dt"]), {"temperature": main.get("temp"),
                                                  "humidity": main.get("humidity")}))
     else:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh, delimiter=schema.delimiter if schema else ","))
+        rows, starts = _reference_records(path, schema.delimiter if schema else ",")
         if len(rows) < 2:
             raise ParseError("weather CSV needs a header and at least one row", line=1)
         header = [cell.strip().lower() for cell in rows[0]]
@@ -165,7 +176,7 @@ def _reference_read_weather(path, schema=None):
                           if name in ("timestamp", "datetime", "time", "dt", "date")]
             ts_col = candidates[0] if candidates else 0
         for offset, row in enumerate(rows[1:]):
-            line = offset + 2
+            line = starts[offset + 1]
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
@@ -191,6 +202,9 @@ def _reference_read_weather(path, schema=None):
     records.sort(key=lambda record: record[0])
     extra = {name for _, fields in records for name, value in fields.items()
              if value is not None} - {"temperature", "humidity"}
+    for name in ("energy", "timestamp"):
+        if name in extra:
+            raise ParseError(f"weather column name {name!r} is reserved", line=1)
     table = {"timestamp": np.array([stamp for stamp, _ in records], dtype=np.float64)}
     for name in ["temperature", "humidity", *sorted(extra)]:
         table[name] = np.array([np.nan if fields.get(name) is None else fields[name]
@@ -440,6 +454,15 @@ WEATHER_CASES = {
     "bad_timestamp_before_bad_value": ("w.csv", "timestamp,temperature\n"
                                                 f"{ISO.format(1)},cold\nnoon,warm\n"
                                                 "yesterday,hot\n", None),
+    "quoted_newlines_and_blank_rows": ("w.csv", 'timestamp,"temp\nerature"\n\n'
+                                                f'{ISO.format(1)},"1\n\n"\n\n'
+                                                f"noon,2\n", None),
+    "column_named_energy": ("w.csv", f"timestamp,temperature,energy\n{ISO.format(1)},1,2\n",
+                            None),
+    "columns_named_energy_and_timestamp": ("w.csv", "date,Timestamp,Energy\n"
+                                                    f"{ISO.format(1)},1,2\n", None),
+    "all_empty_column_named_energy": ("w.csv", "timestamp,temperature,Energy\n"
+                                               f"{ISO.format(1)},1,\n", None),
     "json_list": ("w.json", json.dumps([{"dt": 7200, "main": {"temp": 1.5, "humidity": 40}},
                                         {"dt": 3600, "main": {"temp": 2}}]), None),
     "json_export": ("w.json", json.dumps({"list": [{"dt": 3600, "main": {"humidity": 50}},
@@ -685,6 +708,9 @@ READER_ERRORS = {
     "overflowing_value_after_blank_row": ("t,v\n2021-01-01T00:00:00Z,1\n\n"
                                           "2021-01-01T01:00:00Z,-1e400\n",
                                           "line 4: bad numeric value '-1e400'"),
+    "short_row_after_quoted_newlines_and_blank_rows": (
+        't,v\n\n"2021-01-01T00:00:00Z","1\n\n"\n\n2021-01-01T01:00:00Z\n',
+        "line 7: expected at least 2 columns, got 1"),
     "infinite_value_before_later_timestamp": ("t,v\n2021-01-01T00:00:00Z,Infinity\nnoon,1\n",
                                               "line 2: bad numeric value 'Infinity'"),
 }
@@ -692,6 +718,28 @@ TIMESTAMP_CELLS = ["20210101", "202101011", "2021010112", "20210101120", "202101
                    "1609459200", "160945920", "160945920000", "1e9", " 1609459200.5 ",
                    "2021-01-01T00:00:00Z", "2021-01-01 05:30", "2021-01-01T00:00:00+02:00",
                    "02/01/1970 00:00", "", "  ", "noon", "42", "-1609459200", "nan"]
+
+
+# (file, its time and value columns, the start of the error both readers raise)
+# with a quoted cell holding a newline before the bad cell
+QUOTED_NEWLINE_FILES = {
+    "energy": ('t,v\n2021-01-01T00:00:00Z,"1\n"\n2021-01-01T01:00:00Z,2\nnoon,3\n',
+               "t", "v", "line 5: bad timestamp 'noon'"),
+    "weather": ('timestamp,temperature\n2021-01-01T00:00:00Z,"5\n"\n'
+                "2021-01-01T01:00:00Z,warm\n",
+                "timestamp", "temperature", "line 4: bad numeric value 'warm'"),
+}
+
+
+@pytest.mark.parametrize("reader", [read_energy_csv, read_weather],
+                         ids=["read_energy_csv", "read_weather"])
+@pytest.mark.parametrize("case", sorted(QUOTED_NEWLINE_FILES))
+def test_error_line_counts_quoted_newlines(tmp_path, case, reader):
+    text, ts_column, value_column, message = QUOTED_NEWLINE_FILES[case]
+    path = write(tmp_path, "a.csv", text)
+    with pytest.raises(ParseError) as caught:
+        reader(path, DatasetSchema(ts_column, value_column))
+    assert str(caught.value).startswith(message)
 
 
 class TestReaderMatchesReferenceLoop:
