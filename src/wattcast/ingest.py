@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 import numpy as np
 
@@ -71,8 +71,9 @@ class DatasetSchema:
     def __post_init__(self):
         if not self.timestamp_column or not self.value_column:
             raise ConfigError("schema column names must be non-empty")
-        if not self.delimiter:
-            raise ConfigError("schema delimiter must be non-empty")
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise ConfigError("schema delimiter must be one character other than a "
+                              f"quote or a line break, got {self.delimiter!r}")
         if not self.timestamp_format:
             raise ConfigError("schema timestamp format must be non-empty")
         try:
@@ -149,6 +150,15 @@ def _parse_column(parse, cells):
     return out, None
 
 
+def _parse_values(cells):
+    """``_parse_column(_parse_value, cells)``, read in one ``float`` pass when
+    every cell is a number (``_parse_value`` tries ``float`` first)."""
+    try:
+        return list(map(float, cells)), None
+    except ValueError:
+        return _parse_column(_parse_value, cells)
+
+
 def _parse_timestamps(cells, fmt: str, utc_offset_hours: float):
     """``_parse_column`` of the ``fmt`` cell parser over ``cells``. An
     ``epoch`` column, or an ``auto`` column of plain 9- and 10-digit epoch
@@ -212,6 +222,42 @@ def _read_rows(path, delimiter: str):
         return [row for row in csv.reader(fh, delimiter=delimiter)]
 
 
+def _uniform_columns(path, delimiter: str):
+    """The columns of ``path``, first row included, when ``csv.reader`` would
+    read it as plain splitting does; else None.
+
+    That holds when the text has no quote, NUL or lone carriage return, and
+    every line is non-empty, has the first line's number of cells and is no
+    longer than ``csv.field_size_limit()``. The columns are sliced by stride
+    from one split of the body, with no list per row.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None  # csv.reader's path raises it as it always did
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    # no empty line, bar the one the last line's terminator leaves
+    if not text or text[0] == "\n" or "\n\n" in text:
+        return None
+    lines = text.split("\n")
+    del text
+    if not lines[-1]:
+        lines.pop()
+    width = lines[0].count(delimiter) + 1
+    if (set(map(str.count, lines, repeat(delimiter))) != {width - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    cells = delimiter.join(lines).split(delimiter)
+    del lines
+    return [cells[j::width] for j in range(width)]
+
+
 def _column_index(name, header, n_columns: int, what: str) -> int:
     if header is not None and name in header:
         return header.index(name)
@@ -220,6 +266,59 @@ def _column_index(name, header, n_columns: int, what: str) -> int:
         return int(text)
     where = f"header {header}" if header is not None else f"{n_columns} columns"
     raise ParseError(f"{what} column {name!r} not found in {where}", line=1)
+
+
+def _read_energy_rows(path, schema: DatasetSchema, columnar: bool = True):
+    """The parsed timestamp and value cells of the body's non-blank rows, in
+    file order. A file ``_uniform_columns`` splits is parsed from its columns;
+    every other file, and one of those with any problem, is read through
+    ``csv.reader``, which skips blank rows and finds each record's line.
+    Raises ParseError at the file line of the first bad row, or if there is none."""
+    skip = int(schema.has_header)
+    columns = _uniform_columns(path, schema.delimiter) if columnar else None
+    split = columns is not None
+    if split:
+        first, n_body = [column[0] for column in columns], len(columns[0]) - skip
+    else:
+        rows = _read_rows(path, schema.delimiter)
+        first, n_body = rows[0] if rows else None, len(rows) - skip
+    if n_body <= 0:
+        raise ParseError("no data rows", line=1)
+
+    header = first if schema.has_header else None
+    ts_col = _column_index(schema.timestamp_column, header, len(first), "timestamp")
+    val_col = _column_index(schema.value_column, header, len(first), "value")
+    problems, blank = [], []
+    if split:  # no blank or short rows
+        stamp_cells, value_cells = columns[ts_col][skip:], columns[val_col][skip:]
+        del columns
+    else:
+        width = max(ts_col, val_col) + 1
+        body, blank = _nonblank_rows(rows[skip:])
+        short = len(body)
+        if min(map(len, body), default=width) < width:
+            short = next(k for k, row in enumerate(body) if len(row) < width)
+        stamp_cells = [row[ts_col] for row in body[:short]]
+        value_cells = [row[val_col] for row in body[:short]]
+        if short < len(body):
+            problems.append((short, 0, f"expected at least {width} columns, "
+                                       f"got {len(body[short])}"))
+        del rows, body
+
+    # the first bad row is reported, its width checked first, then its timestamp
+    stamps, bad = _checked(*_parse_timestamps(stamp_cells, schema.timestamp_format,
+                                              schema.utc_offset_hours), nan_ok=False)
+    if bad is not None:
+        problems.append((bad[0], 1, f"bad timestamp {stamp_cells[bad[0]]!r} ({bad[1]})"))
+    values, bad = _checked(*_parse_values(value_cells), nan_ok=True)
+    if bad is not None:
+        problems.append((bad[0], 2, f"bad numeric value {value_cells[bad[0]]!r}"))
+    if problems and split:  # csv.reader's path skips rows of bare delimiters
+        return _read_energy_rows(path, schema, columnar=False)
+    _raise_first(problems, blank, skip, path, schema.delimiter)
+    if not stamps.size:
+        raise ParseError("no data rows", line=1 + skip)
+    return stamps, values
 
 
 def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
@@ -232,42 +331,7 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
     """
     if schema is None:
         schema = infer_schema(path)
-    rows = _read_rows(path, schema.delimiter)
-    header = rows[0] if schema.has_header and rows else None
-    body_start = 2 if schema.has_header else 1
-    body = rows[1:] if schema.has_header else rows
-    if not body:
-        raise ParseError("no data rows", line=body_start - 1 or 1)
-
-    n_columns = len(rows[0])
-    ts_col = _column_index(schema.timestamp_column, header, n_columns, "timestamp")
-    val_col = _column_index(schema.value_column, header, n_columns, "value")
-    width = max(ts_col, val_col) + 1
-
-    body, blank = _nonblank_rows(body)
-    short = len(body)
-    if min(map(len, body), default=width) < width:
-        short = next(k for k, row in enumerate(body) if len(row) < width)
-    stamp_cells = [row[ts_col] for row in body[:short]]
-    value_cells = [row[val_col] for row in body[:short]]
-    problems = []
-    if short < len(body):
-        problems.append((short, 0, f"expected at least {width} columns, "
-                                   f"got {len(body[short])}"))
-    del rows, body
-
-    # the first bad row is reported, its width checked first, then its timestamp
-    stamps, bad = _checked(*_parse_timestamps(stamp_cells, schema.timestamp_format,
-                                              schema.utc_offset_hours), nan_ok=False)
-    if bad is not None:
-        problems.append((bad[0], 1, f"bad timestamp {stamp_cells[bad[0]]!r} ({bad[1]})"))
-    values, bad = _checked(*_parse_column(_parse_value, value_cells), nan_ok=True)
-    if bad is not None:
-        problems.append((bad[0], 2, f"bad numeric value {value_cells[bad[0]]!r}"))
-    _raise_first(problems, blank, body_start - 1, path, schema.delimiter)
-
-    if not stamps.size:
-        raise ParseError("no data rows", line=body_start)
+    stamps, values = _read_energy_rows(path, schema)
     order = np.argsort(stamps, kind="stable")
     stamps, values = stamps[order], values[order]
 
@@ -337,7 +401,7 @@ def _read_weather_csv(path, schema) -> dict:
     for j, name in enumerate(header):
         if j == ts_col:
             continue
-        values, bad = _checked(*_parse_column(_parse_value, cells[j]), nan_ok=True)
+        values, bad = _checked(*_parse_values(cells[j]), nan_ok=True)
         if bad is not None:
             problems.append((bad[0], 1 + j, f"bad numeric value {cells[j][bad[0]]!r} "
                                             f"in column {name!r}"))

@@ -204,6 +204,14 @@ class TestSchemaFlags:
         assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
                      "--delimiter", "", *columns]) == 2
 
+    @pytest.mark.parametrize("delimiter", [";;", '"', "\n"])
+    @pytest.mark.parametrize("columns", [[], COLUMNS], ids=["inferred", "explicit"])
+    def test_unsplittable_delimiter_exit_2(self, hourly_csv, columns, delimiter, capsys):
+        assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
+                     "--delimiter", delimiter, *columns]) == 2
+        assert "configuration error: schema delimiter must be one character" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("columns", [[], COLUMNS], ids=["inferred", "explicit"])
     def test_empty_timestamp_format_exit_2(self, hourly_csv, columns):
         assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",

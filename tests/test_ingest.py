@@ -10,6 +10,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+import wattcast.ingest as ingest
 from wattcast.errors import (
     CannotInfer,
     ConfigError,
@@ -20,6 +21,7 @@ from wattcast.errors import (
 from wattcast.ingest import (
     DatasetSchema,
     _column_index,
+    _read_rows,
     _format_timestamp,
     _format_timestamps,
     _timestamp_parser,
@@ -629,6 +631,17 @@ class TestSchemaChecks:
         with pytest.raises(ConfigError, match="UTC offset"):
             DatasetSchema("t", "v", utc_offset_hours=offset)
 
+    # csv.reader takes one character, and can split on neither a quote nor a
+    # line break; the columnar reader splits on the same character
+    @pytest.mark.parametrize("delimiter", ["", ";;", ", ", '"', "\r", "\n"])
+    def test_delimiter_not_one_splittable_character_is_config_error(self, delimiter):
+        with pytest.raises(ConfigError, match="schema delimiter must be one character"):
+            DatasetSchema("t", "v", delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", "|", " ", "'", "§"])
+    def test_one_character_delimiter_is_accepted(self, delimiter):
+        assert DatasetSchema("t", "v", delimiter=delimiter).delimiter == delimiter
+
 
 ISO_SCHEMA = DatasetSchema("t", "v")
 READER_CASES = {
@@ -773,6 +786,38 @@ class TestReaderMatchesReferenceLoop:
         monkeypatch.setattr("wattcast.ingest._timestamp_parser", no_cell_parser)
         assert _outcome(read_energy_csv, path, DatasetSchema("t", "v", fmt)) == expected
 
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "csv_reader"])
+    def test_value_column_skips_the_cell_loop(self, tmp_path, monkeypatch, columnar):
+        path = write(tmp_path, "a.csv", "t,v\n1609459200,1.5\n1609462800, -2e3 \n")
+        expected = _outcome(read_energy_csv, path, ISO_SCHEMA)
+
+        def no_cell_parser(text):
+            raise AssertionError("the cell parser ran")
+
+        monkeypatch.setattr(ingest, "_parse_value", no_cell_parser)
+        if not columnar:
+            monkeypatch.setattr(ingest, "_uniform_columns", lambda path, delimiter: None)
+        assert _outcome(read_energy_csv, path, ISO_SCHEMA) == expected
+
+    def test_weather_value_columns_skip_the_cell_loop(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "w.csv", "timestamp,temperature,humidity\n"
+                                        "1609459200,1.5,80\n1609462800,nan,-0.0\n")
+        expected = _outcome(read_weather, path)
+
+        def no_cell_parser(text):
+            raise AssertionError("the cell parser ran")
+
+        monkeypatch.setattr(ingest, "_parse_value", no_cell_parser)
+        assert _outcome(read_weather, path) == expected
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_same_series_or_error_through_csv_reader(self, case, tmp_path, monkeypatch):
+        text, schema = READER_CASES[case]
+        path = write(tmp_path, "a.csv", text)
+        expected = _outcome(_reference_read_energy_csv, path, schema)
+        monkeypatch.setattr(ingest, "_uniform_columns", lambda path, delimiter: None)
+        assert _outcome(read_energy_csv, path, schema) == expected
+
     @pytest.mark.parametrize("case", sorted(READER_ERRORS))
     def test_same_parse_error_line_and_text(self, case, tmp_path):
         text, message = READER_ERRORS[case]
@@ -789,6 +834,118 @@ class TestReaderMatchesReferenceLoop:
             expected = _outcome(_reference_parse_timestamp, cell, fmt, offset)
             assert _outcome(parse, cell) == expected, cell
             assert _outcome(parse_timestamp, cell, fmt, offset) == expected, cell
+
+
+EPOCH_SCHEMA = DatasetSchema("t", "v", "epoch")
+ONE_COLUMN = DatasetSchema("0", "0", has_header=False)
+# (file bytes, schema, whether the columnar reader serves it: csv.reader is
+# not called). Every other file, and a columnar file with a cell that fails
+# to parse, is read by csv.reader, so errors keep their lines and text.
+PATH_CASES = {
+    "lf": (b"t,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, True),
+    "crlf": (b"t,v\r\n1609459200,1\r\n1609462800,2\r\n", ISO_SCHEMA, True),
+    "lone_cr": (b"t,v\r1609459200,1\r1609462800,2\r", ISO_SCHEMA, False),
+    "crlf_and_a_lone_cr": (b"t,v\r\n1609459200,1\r1609462800,2\r\n", ISO_SCHEMA, False),
+    "cr_inside_a_cell": (b"t,v\n1609459200,1\r2\n1609462800,2\n", ISO_SCHEMA, False),
+    "cr_inside_an_unparsed_cell": (b"t,v,note\n1609459200,1,a\rb\n1609462800,2,c\n",
+                                   ISO_SCHEMA, False),
+    "no_final_newline": (b"t,v\n1609459200,1\n1609462800,2", ISO_SCHEMA, True),
+    "crlf_no_final_newline": (b"t,v\r\n1609459200,1\r\n1609462800,2", ISO_SCHEMA, True),
+    "blank_line_in_body": (b"t,v\n1609459200,1\n\n1609462800,2\n", ISO_SCHEMA, False),
+    "blank_lines_at_end": (b"t,v\n1609459200,1\n1609462800,2\n\n\n", ISO_SCHEMA, False),
+    "crlf_blank_line_at_end": (b"t,v\r\n1609459200,1\r\n1609462800,2\r\n\r\n",
+                               ISO_SCHEMA, False),
+    "row_of_delimiters": (b"t,v\n1609459200,1\n,\n1609462800,2\n", ISO_SCHEMA, False),
+    "row_of_padded_delimiters": (b"t,v\n1609459200,1\n \t, \n1609462800,2\n",
+                                 ISO_SCHEMA, False),
+    "bom": (b"\xef\xbb\xbft,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, True),
+    "bom_headerless_crlf": (b"\xef\xbb\xbf1609459200;1\r\n1609462800;2\r\n",
+                            DatasetSchema("0", "1", delimiter=";", has_header=False), True),
+    "rows_wider_than_header": (b"t,v\n1609459200,1,x\n1609462800,2\n", ISO_SCHEMA, False),
+    "all_rows_wider_than_header": (b"t,v\n1609459200,1,x\n1609462800,2,y\n",
+                                   ISO_SCHEMA, False),
+    "header_wider_than_rows": (b"t,v,note\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, False),
+    "row_narrower_than_header": (b"t,v\n1609459200,1\n1609462800\n", ISO_SCHEMA, False),
+    "quoted_cell": (b't,v\n1609459200,"1"\n1609462800,2\n', ISO_SCHEMA, False),
+    "quoted_header": (b'"t",v\n1609459200,1\n1609462800,2\n', ISO_SCHEMA, False),
+    "quote_inside_a_cell": (b't,v\n1609459200,1"\n1609462800,2\n', ISO_SCHEMA, False),
+    "headerless": (b"HH-1;1609459200;5\nHH-1;1609460100;6\nHH-1;1609461900;8\n",
+                   DatasetSchema("1", "2", delimiter=";", has_header=False), True),
+    "headerless_one_column": (b"1609459200\n1609462800\n", ONE_COLUMN, True),
+    "headerless_one_column_blank_line": (b"1609459200\n\n1609462800\n", ONE_COLUMN, False),
+    "headerless_one_column_first_line_blank": (b"\n1609459200\n1609462800\n",
+                                               ONE_COLUMN, False),
+    "first_line_blank": (b"\nt,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, False),
+    "one_column_blank_header_line": (b"\n1609459200\n1609462800\n", DatasetSchema("0", "0"),
+                                     False),
+    "padded_cells": (b"t,v\n 1609459200 ,\t1.5 \n1609462800\t, -2 \n", ISO_SCHEMA, True),
+    "padded_iso_cells": (b"t,v\n 2021-01-01T00:00:00Z , 1\n2021-01-01T01:00:00Z,2\n",
+                         ISO_SCHEMA, True),
+    "tab_delimited": (b"t\tv\n1609459200\t1\n1609462800\t2\n",
+                      DatasetSchema("t", "v", delimiter="\t"), True),
+    "missing_tokens": (b"t|v\n" + b"".join(
+        b"%d|%s\n" % (1609459200 + 3600 * i, token.encode())
+        for i, token in enumerate(MISSING_TOKENS + ["3"])),
+        DatasetSchema("t", "v", delimiter="|"), True),
+    "missing_timestamp": (b"t,v\n1609459200,1\n,2\n1609466400,3\n", ISO_SCHEMA, False),
+    "bad_value_on_last_line": (b"t,v\n1609459200,1\n1609462800,oops\n", ISO_SCHEMA, False),
+    "bad_value_on_last_line_no_newline": (b"t,v\n1609459200,1\n1609462800,oops",
+                                          ISO_SCHEMA, False),
+    "bad_timestamp_on_last_line": (b"t,v\n1609459200,1\nnoon,2\n", ISO_SCHEMA, False),
+    "bad_epoch_on_last_line_crlf": (b"t,v\r\n7200,1\r\n10800,2\r\nnoon,3", EPOCH_SCHEMA,
+                                    False),
+    "infinite_value": (b"t,v\n1609459200,1\n1609462800,-inf\n", ISO_SCHEMA, False),
+    "nan_epoch_stamp": (b"t,v\n7200,1\nnan,2\n", EPOCH_SCHEMA, False),
+    "nul_in_a_cell": (b"t,v\n1609459200,1\x00\n1609462800,2\n", ISO_SCHEMA, False),
+    # csv.reader before Python 3.11 refuses a NUL anywhere on a line
+    "nul_in_an_unparsed_cell": (b"t,v,note\n1609459200,1,a\x00\n1609462800,2,b\n",
+                                ISO_SCHEMA, False),
+    "not_utf8": (b"t,v\n1609459200,1\n1609462800,\xff\n", ISO_SCHEMA, False),
+    "field_longer_than_the_csv_limit": (
+        b"t,v\n1609459200,1\n1609462800," + b" " * csv.field_size_limit() + b"2\n",
+        ISO_SCHEMA, False),
+    "missing_value_column": (b"t,w\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, True),
+    "duplicate_stamp": (b"t,v\n1609459200,1\n1609459200,2\n", ISO_SCHEMA, True),
+    "header_only": (b"t,v\n", ISO_SCHEMA, True),
+    "empty_file": (b"", ISO_SCHEMA, False),
+}
+
+
+class TestColumnarPath:
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "csv_reader"])
+    @pytest.mark.parametrize("case", sorted(PATH_CASES))
+    def test_same_series_or_error_on_both_paths(self, case, columnar, tmp_path,
+                                                 monkeypatch):
+        data, schema, serves = PATH_CASES[case]
+        path = tmp_path / "a.csv"
+        path.write_bytes(data)
+        expected = _outcome(_reference_read_energy_csv, path, schema)
+        read_rows = []
+        monkeypatch.setattr(ingest, "_read_rows", lambda *args: read_rows.append(args)
+                            or _read_rows(*args))
+        if not columnar:
+            monkeypatch.setattr(ingest, "_uniform_columns", lambda path, delimiter: None)
+        assert _outcome(read_energy_csv, path, schema) == expected
+        assert bool(read_rows) == (not columnar or not serves)
+
+    def test_meter_shaped_export_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+        rows = [f"HH-0001;{1_609_459_200 + 900 * i};{1000 + 7 * i}"
+                for i in range(12) if i not in (4, 5)]
+        path = write(tmp_path, "export.csv", "site;unix_time;energy\n" + "\n".join(rows) + "\n")
+        schema = infer_schema(path)
+        assert schema == DatasetSchema("unix_time", "energy", delimiter=";")
+        quoted = write(tmp_path, "quoted.csv", '"site";unix_time;energy\n' + "\n".join(rows))
+        expected = _outcome(_reference_read_energy_csv, path, schema)
+        assert expected[2] == np.array([1000 + 7 * i if i not in (4, 5) else np.nan
+                                        for i in range(12)]).tobytes()
+
+        def no_csv_reader(*args, **kwargs):
+            raise AssertionError("csv.reader ran")
+
+        monkeypatch.setattr(csv, "reader", no_csv_reader)
+        assert _outcome(read_energy_csv, path, schema) == expected
+        with pytest.raises(AssertionError, match="csv.reader ran"):
+            read_energy_csv(quoted, schema)
 
 
 def _stamps_near_second_boundaries():

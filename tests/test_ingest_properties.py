@@ -5,6 +5,7 @@ equals the scalar one."""
 import string
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import wattcast.ingest as ingest  # noqa: E402
 from test_ingest import _reference_parse_timestamp  # noqa: E402
 from wattcast.ingest import (  # noqa: E402
     DatasetSchema,
@@ -29,7 +31,10 @@ FIRST_SECOND, LAST_SECOND = -62135596800.0, 253402300799.0
 
 @st.composite
 def dialect_files(draw):
-    """(file text, schema, start, interval, expected values) of one export."""
+    """(file text, schema, start, interval, expected values, uniform) of one
+    export. A uniform file is unquoted, with one cell count on every line,
+    and the columnar reader serves it; the others quote cells, widen rows or
+    end in blank lines, and csv.reader reads them."""
     n = draw(st.integers(3, 40))
     interval = draw(st.sampled_from([60, 900, 3600, 86400]))
     start = draw(st.integers(100_000_000, 4_000_000_000))
@@ -42,6 +47,11 @@ def dialect_files(draw):
     iso = draw(st.booleans())
     fmt = draw(st.sampled_from(["auto", "iso"] if iso else ["auto", "epoch"]))
     order = draw(st.permutations(["text", "time", "value"]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    uniform = draw(st.booleans())
+    # cells to quote, and rows given one more cell, in files that are not uniform
+    quoted = draw(st.sets(st.sampled_from(order))) if not uniform else set()
+    wide = draw(st.sets(st.integers(0, n - 1))) if not uniform else set()
 
     rows = []
     for i, reading in enumerate(readings):
@@ -52,7 +62,8 @@ def dialect_files(draw):
                  "time": _format_timestamp(stamp) if iso else str(stamp),
                  "value": (draw(st.sampled_from(MISSING_TOKENS)) if reading is None
                            else repr(reading))}
-        rows.append(delimiter.join(cells[name] for name in order))
+        cells = {name: f'"{cell}"' if name in quoted else cell for name, cell in cells.items()}
+        rows.append(delimiter.join(cells[name] for name in order) + delimiter * (i in wide))
     if has_header:
         rows.insert(0, delimiter.join(order))
         columns = ("time", "value")
@@ -62,17 +73,22 @@ def dialect_files(draw):
                            has_header=has_header)
     expected = np.array([np.nan if reading is None or i in dropped else reading
                          for i, reading in enumerate(readings)])
-    return "\n".join(rows) + "\n", schema, float(start), float(interval), expected
+    # the last line with or without its line break, then any blank lines
+    tail = draw(st.sampled_from(["", ending]) if uniform else
+                st.sampled_from([ending * 2, ending * 3]))
+    return ending.join(rows) + tail, schema, float(start), float(interval), expected, uniform
 
 
 @settings(deadline=None)
 @given(dialect_files())
 def test_dialects_round_trip(case):
-    text, schema, start, interval, expected = case
+    text, schema, start, interval, expected, uniform = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "export.csv"
-        path.write_text(text, encoding="utf-8")
-        s = read_energy_csv(path, schema)
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(ingest, "_read_rows", wraps=ingest._read_rows) as read_rows:
+            s = read_energy_csv(path, schema)
+    assert read_rows.called != uniform
     assert (s.start, s.interval) == (start, interval)
     assert s.values.tobytes() == expected.tobytes()
 
