@@ -98,12 +98,17 @@ def _hannan_rissanen(w: np.ndarray, p: int, q: int):
     return float(beta[0]), beta[1:1 + p], beta[1 + p:]
 
 
-def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
-    """Estimate an ARIMA(p, d, q) model by CSS, in closed form when q = 0."""
+def check_order(p: int, d: int, q: int) -> None:
+    """Refuse an order that ``arima_fit`` cannot estimate."""
     if p < 0 or d < 0 or q < 0:
         raise ConfigError("orders must be non-negative")
     if p == 0 and q == 0 and d == 0:
         raise ConfigError("ARIMA(0,0,0) has nothing to estimate; use d > 0 or p+q > 0")
+
+
+def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
+    """Estimate an ARIMA(p, d, q) model by CSS, in closed form when q = 0."""
+    check_order(p, d, q)
     if np.isnan(s.values).any():
         raise MissingCells("ARIMA estimation requires a fully observed series")
     floor = max(20, 4 * (p + q + 1))

@@ -93,10 +93,6 @@ def _dflt(key) -> str:
     return f"(default: {DEFAULTS[key]})"
 
 
-def _model_dflt(name, arg) -> str:
-    return f"(default: {inspect.signature(FAMILIES[name].model).parameters[arg].default})"
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="FILE",
                    help="key=value config file; flags win over file entries "
@@ -120,25 +116,14 @@ def _add_schema(p: argparse.ArgumentParser):
 
 
 def _add_hyper(p: argparse.ArgumentParser):
-    p.add_argument("--knn-k", type=int, help=f"neighbour count {_model_dflt('knn', 'k')}")
-    p.add_argument("--gp-signal-var", type=float,
-                   help=f"RBF signal variance {_model_dflt('gp', 'signal_var')}")
-    p.add_argument("--gp-length-scale", type=float,
-                   help=f"RBF length scale {_model_dflt('gp', 'length_scale')}")
-    p.add_argument("--gp-noise-var", type=float,
-                   help=f"observation noise variance {_model_dflt('gp', 'noise_var')}")
-    p.add_argument("--svr-c", type=float, help=f"box constraint {_model_dflt('svr', 'C')}")
-    p.add_argument("--svr-epsilon", type=float,
-                   help=f"insensitive-tube half width {_model_dflt('svr', 'epsilon')}")
-    p.add_argument("--svr-gamma", type=float,
-                   help="RBF gamma (default: 1 / (n_features * var(X)))")
-    p.add_argument("--mlp-hidden", type=int,
-                   help="hidden units (default: ceil((n_features + 1) / 2))")
-    p.add_argument("--mlp-lr", type=float, help=f"learning rate {_model_dflt('mlp', 'lr')}")
-    p.add_argument("--mlp-momentum", type=float,
-                   help=f"momentum factor {_model_dflt('mlp', 'momentum')}")
-    p.add_argument("--mlp-epochs", type=int,
-                   help=f"training epochs {_model_dflt('mlp', 'epochs')}")
+    """One flag per hyperparameter in FAMILIES, quoting the constructor default."""
+    for family in FAMILIES.values():
+        for arg, key, *flag in family.params:
+            if key != "seed":  # _add_common adds it to every command
+                kind, phrase = flag
+                default = inspect.signature(family.model).parameters[arg].default
+                shown = "" if default is None else f" (default: {default})"
+                p.add_argument("--" + key.replace("_", "-"), type=kind, help=phrase + shown)
 
 
 def build_parser():
@@ -310,7 +295,7 @@ def _read_input(path, args) -> TimeSeries:
     if args.timestamp_column is not None:
         schema = DatasetSchema(args.timestamp_column, args.value_column)
     else:
-        schema = infer_schema(path)
+        schema = infer_schema(path, args.delimiter)
     overrides = {"timestamp_format": args.timestamp_format,
                  "delimiter": args.delimiter,
                  "has_header": False if args.no_header else None,

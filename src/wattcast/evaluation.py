@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arima import arima_fit, arima_forecast, arima_one_step
+from .arima import arima_fit, arima_forecast, arima_one_step, check_order
 from .errors import (
     ConfigError,
     InsufficientTest,
@@ -115,44 +115,52 @@ class ModelSpec:
     """One entry of a benchmark: a named model family.
 
     ``make`` builds a fresh lag-embedding regressor (kind "lag"); ARIMA
-    entries carry their (p, d, q) ``order``; VAR entries use the sweep's
-    lag order.
+    entries carry their (p, d, q) ``order``, refused here if ``arima_fit``
+    would refuse it; VAR entries use the sweep's lag order.
     """
 
     name: str
     kind: str
     make: Callable | None = None
-    order: tuple = (1, 0, 0)
+    order: tuple = ARIMA_ORDER
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}")
         if self.kind == "lag" and self.make is None:
             raise ConfigError(f"model {self.name!r} needs a factory")
+        if self.kind == "arima":
+            check_order(*self.order)
 
 
 class Family(NamedTuple):
-    """A compared model family: its kind and, for kind "lag", the regressor
-    class with (constructor keyword, hyperparameter key) pairs."""
+    """A compared model family: its kind and, for kind "lag", the regressor class
+    with a (constructor keyword, key, type, help phrase) per hyperparameter."""
 
     kind: str
     model: type | None = None
     params: tuple = ()
 
 
-# The seven compared families, in report order. Hyperparameter keys are the
-# CLI's option names; ARIMA takes its (p, d, q) from "arima_order".
+# The seven compared families, in report order. Each hyperparameter key is a
+# CLI flag, bar "seed" which every command has; the phrase of a None default
+# says how it is derived. ARIMA takes its (p, d, q) from "arima_order".
 FAMILIES = {
     "ols": Family("lag", OlsModel),
-    "gp": Family("lag", GpModel, (("signal_var", "gp_signal_var"),
-                                  ("length_scale", "gp_length_scale"),
-                                  ("noise_var", "gp_noise_var"))),
-    "mlp": Family("lag", MlpModel, (("hidden", "mlp_hidden"), ("lr", "mlp_lr"),
-                                    ("momentum", "mlp_momentum"),
-                                    ("epochs", "mlp_epochs"), ("seed", "seed"))),
-    "svr": Family("lag", SvrModel, (("C", "svr_c"), ("epsilon", "svr_epsilon"),
-                                    ("gamma", "svr_gamma"))),
-    "knn": Family("lag", KnnModel, (("k", "knn_k"),)),
+    "gp": Family("lag", GpModel, (
+        ("signal_var", "gp_signal_var", float, "RBF signal variance"),
+        ("length_scale", "gp_length_scale", float, "RBF length scale"),
+        ("noise_var", "gp_noise_var", float, "observation noise variance"))),
+    "mlp": Family("lag", MlpModel, (
+        ("hidden", "mlp_hidden", int, "hidden units (default: ceil((n_features + 1) / 2))"),
+        ("lr", "mlp_lr", float, "learning rate"),
+        ("momentum", "mlp_momentum", float, "momentum factor"),
+        ("epochs", "mlp_epochs", int, "training epochs"), ("seed", "seed"))),
+    "svr": Family("lag", SvrModel, (
+        ("C", "svr_c", float, "box constraint"),
+        ("epsilon", "svr_epsilon", float, "insensitive-tube half width"),
+        ("gamma", "svr_gamma", float, "RBF gamma (default: 1 / (n_features * var(X)))"))),
+    "knn": Family("lag", KnnModel, (("k", "knn_k", int, "neighbour count"),)),
     "arima": Family("arima"),
     "var": Family("var"),
 }
@@ -175,7 +183,7 @@ def spec_for(name: str, seed: int = 0, arima_order: tuple = ARIMA_ORDER, *,
         return ModelSpec(name, family.kind, order=tuple(hyper["arima_order"]))
     if family.kind == "lag":
         make = functools.partial(
-            family.model, **{arg: hyper[key] for arg, key in family.params if key in hyper})
+            family.model, **{arg: hyper[key] for arg, key, *_ in family.params if key in hyper})
         try:
             make()
         except ValueError as exc:

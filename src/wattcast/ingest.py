@@ -51,6 +51,12 @@ _YEAR_10000 = 253_402_300_800.0
 _CHUNK_ROWS = 4096
 
 
+def _check_delimiter(delimiter: str) -> None:
+    if len(delimiter) != 1 or delimiter in '"\r\n':
+        raise ConfigError("schema delimiter must be one character other than a "
+                          f"quote or a line break, got {delimiter!r}")
+
+
 @dataclass(frozen=True)
 class DatasetSchema:
     """Explicit description of a CSV layout.
@@ -71,9 +77,7 @@ class DatasetSchema:
     def __post_init__(self):
         if not self.timestamp_column or not self.value_column:
             raise ConfigError("schema column names must be non-empty")
-        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
-            raise ConfigError("schema delimiter must be one character other than a "
-                              f"quote or a line break, got {self.delimiter!r}")
+        _check_delimiter(self.delimiter)
         if not self.timestamp_format:
             raise ConfigError("schema timestamp format must be non-empty")
         try:
@@ -450,49 +454,46 @@ def _read_weather_json(path) -> dict:
     return dict(zip(("timestamp", "temperature", "humidity"), table.T))
 
 
-def infer_schema(path) -> DatasetSchema:
+def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
     """Best-effort layout detection; refuses to guess on ambiguity.
 
-    The timestamp column is the first whose cells all parse as datetimes
-    (ISO-8601, or integers in a plausible epoch range); the value column is
-    the only remaining fully numeric column. Anything else — no candidates,
-    or several — raises CannotInfer listing what was considered.
+    The sample is split on ``delimiter`` if given, else on the one of ``,``
+    ``;`` tab ``|`` it sniffs. The timestamp column is the first whose cells
+    all parse as datetimes (ISO-8601, or integers in a plausible epoch
+    range); the value column is the only remaining fully numeric column.
+    Anything else — no candidates, or several — raises CannotInfer listing
+    what was considered.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         sample = fh.read(1 << 16)
     if not sample.strip():
         raise CannotInfer("file is empty")
 
-    try:
-        delimiter = csv.Sniffer().sniff(sample, delimiters=",;\t|").delimiter
-    except csv.Error:
-        first = sample.splitlines()[0]
-        counts = {d: first.count(d) for d in ",;\t|"}
-        delimiter = max(counts, key=counts.get)
-        if counts[delimiter] == 0:
-            raise CannotInfer("could not detect a delimiter; "
-                              "expected one of ',' ';' tab '|'") from None
+    if delimiter is not None:
+        _check_delimiter(delimiter)
+    else:
+        try:
+            delimiter = csv.Sniffer().sniff(sample, delimiters=",;\t|").delimiter
+        except csv.Error:
+            first = sample.splitlines()[0]
+            counts = {d: first.count(d) for d in ",;\t|"}
+            delimiter = max(counts, key=counts.get)
+            if counts[delimiter] == 0:
+                raise CannotInfer("could not detect a delimiter; "
+                                  "expected one of ',' ';' tab '|'") from None
 
     rows = [row for row in csv.reader(sample.splitlines(), delimiter=delimiter)
             if row and any(cell.strip() for cell in row)][:50]
     if not rows:
         raise CannotInfer("no rows to inspect")
 
-    def is_ts(cell):
-        try:
-            parse_timestamp(cell)
-            return True
-        except ValueError:
-            return False
+    parse_ts = _timestamp_parser("auto", 0.0)
 
-    def is_num(cell):
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
+    def parses(parse, cells):
+        return _parse_column(parse, cells)[1] is None
 
-    first_is_data = all(is_ts(c) or is_num(c) for c in rows[0] if c.strip())
+    first_is_data = all(parses(parse_ts, [c]) or parses(float, [c])
+                        for c in rows[0] if c.strip())
     has_header = not first_is_data
     header = [c.strip() for c in rows[0]] if has_header else None
     body = rows[1:] if has_header else rows
@@ -507,9 +508,9 @@ def infer_schema(path) -> DatasetSchema:
                  and row[j].strip().lower() not in _MISSING_TOKENS]
         if not cells:
             continue
-        if all(is_ts(c) for c in cells):
+        if parses(parse_ts, cells):
             ts_like.append(j)
-        if all(is_num(c) for c in cells):
+        if parses(float, cells):
             numeric.append(j)
 
     if not ts_like:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import inspect
 import io
 import json
 from types import SimpleNamespace
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from wattcast.arima import arima_fit, arima_forecast
-from wattcast.cli import _add_common, _add_hyper, main, parse_interval
+import wattcast.cli as cli
+from wattcast.cli import _add_common, _add_hyper, build_parser, main, parse_interval
 import wattcast.regressors.base as regressor_base
 from wattcast.errors import ConfigError
 from wattcast.evaluation import FAMILIES
@@ -223,6 +225,18 @@ class TestSchemaFlags:
                      "--utc-offset", offset]) == 2
         assert "configuration error: UTC offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("columns", [[], ["--timestamp-column", "t", "--value-column", "v"]],
+                             ids=["inferred", "explicit"])
+    def test_delimiter_outside_the_sniffed_set(self, tmp_path, columns):
+        # inference splits on --delimiter instead of sniffing , ; tab |
+        path = tmp_path / "section.csv"
+        path.write_text("t§v\n" + "".join(f"1970-01-01T0{h}:00:00Z§{h}\n" for h in range(4)),
+                        encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["resample", "--input", str(path), "--interval", "2h",
+                     "--delimiter", "§", *columns, "--out", str(out)]) == 0
+        assert read_energy_csv(out).values.tolist() == [1.0, 5.0]
+
     def test_one_column_flag_alone_exit_2(self, hourly_csv):
         assert main(["resample", "--input", str(hourly_csv), "--interval", "2h",
                      "--timestamp-column", "timestamp"]) == 2
@@ -277,6 +291,15 @@ class TestBenchmark:
                      flag, "--report", str(report)]) == 2
         name = flag[2:flag.index("=")]
         assert f"{name} must be >= 1" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("flags", [["--arima-p", "-1", "--models", "arima,ols"],
+                                       ["--arima-p", "0", "--arima-q", "0", "--models", "arima"]],
+                             ids=["negative", "zero"])
+    def test_bad_arima_order_exit_2_before_any_cell(self, hourly_csv, tmp_path, flags):
+        report = tmp_path / "report.txt"
+        assert main(["benchmark", "--input", str(hourly_csv), *flags,
+                     "--report", str(report)]) == 2
         assert not report.exists()
 
     def test_repeated_model_exit_2_before_any_cell(self, hourly_csv, tmp_path, capsys):
@@ -570,7 +593,42 @@ class TestHelp:
         _add_hyper(parser)
         _add_common(parser)
         flags = set(vars(parser.parse_args([]))) - {"config"}
-        assert flags == {key for family in FAMILIES.values() for _, key in family.params}
+        assert flags == {key for family in FAMILIES.values() for _, key, *_ in family.params}
+
+    @pytest.mark.parametrize("command", ["forecast", "benchmark"])
+    def test_hyperparameter_help_quotes_the_constructor_default(self, command):
+        derived = {"svr_gamma": "(default: 1 / (n_features * var(X)))",
+                   "mlp_hidden": "(default: ceil((n_features + 1) / 2))"}
+        helps = {action.dest: action.help for action in build_parser()[1][command]}
+        none_defaults = set()
+        for family in FAMILIES.values():
+            for arg, key, *_ in family.params:
+                if key == "seed":
+                    continue
+                default = inspect.signature(family.model).parameters[arg].default
+                if default is None:
+                    none_defaults.add(key)
+                assert helps[key].endswith(derived.get(key, f"(default: {default})")), key
+        assert none_defaults == set(derived)
+
+    def test_integer_flag_refuses_a_fraction(self, hourly_csv, capsys):
+        assert main(["forecast", "--input", str(hourly_csv), "--model", "knn",
+                     "--knn-k", "2.5"]) == 2
+        assert "invalid int value: '2.5'" in capsys.readouterr().err
+
+    def test_svr_gamma_reaches_the_model_as_a_float(self, hourly_csv, tmp_path, monkeypatch):
+        made, real = [], cli.fit_forecast
+
+        def spy(spec, *args, **kwargs):
+            made.append(spec.make())
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_forecast", spy)
+        assert main(["forecast", "--input", str(hourly_csv), "--model", "svr", "--p", "4",
+                     "--svr-gamma", "0.5", "--out", str(tmp_path / "out.csv")]) == 0
+        (model,) = made
+        assert isinstance(model, SvrModel)
+        assert type(model.gamma) is float and model.gamma == 0.5
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["transmogrify"]) == 2

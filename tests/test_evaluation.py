@@ -12,6 +12,7 @@ from test_regressors import MeanModel
 
 from wattcast.errors import ConfigError, InsufficientTest, LengthMismatch, TooShort
 from wattcast.evaluation import (
+    ARIMA_ORDER,
     MODE_ONE_STEP,
     MODE_RECURSIVE,
     MODELS,
@@ -124,6 +125,16 @@ class TestModelSpec:
     def test_default_suite_has_seven_members(self):
         names = [s.name for s in default_specs()]
         assert names == ["ols", "gp", "mlp", "svr", "knn", "arima", "var"]
+
+    def test_arima_default_order_is_the_suite_order(self):
+        assert ModelSpec("arima", "arima").order == ARIMA_ORDER == spec_for("arima").order
+
+    @pytest.mark.parametrize("order", [(-1, 0, 1), (1, -1, 0), (0, 0, -1), (0, 0, 0)])
+    def test_arima_order_that_arima_fit_refuses(self, order):
+        with pytest.raises(ConfigError):
+            ModelSpec("arima", "arima", order=order)
+        with pytest.raises(ConfigError):
+            spec_for("arima", arima_order=order)
 
     def test_spec_for_unknown_name(self):
         with pytest.raises(ConfigError):

@@ -417,6 +417,23 @@ class TestInferSchema:
         with pytest.raises(CannotInfer):
             infer_schema(path)
 
+    def test_given_delimiter_replaces_the_sniff(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("time§load\n1970-01-02T00:00:00Z§4.0\n1970-01-02T01:00:00Z§5.0\n",
+                        encoding="utf-8")
+        with pytest.raises(CannotInfer, match="could not detect a delimiter"):
+            infer_schema(path)
+        schema = infer_schema(path, delimiter="§")
+        assert (schema.timestamp_column, schema.value_column) == ("time", "load")
+        assert schema.delimiter == "§" and schema.has_header
+        assert read_energy_csv(path, schema).values.tolist() == [4.0, 5.0]
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", '"', "\n"])
+    def test_given_delimiter_is_checked_first(self, tmp_path, delimiter):
+        path = write(tmp_path, "a.csv", "time,load\n1970-01-02T00:00:00Z,4.0\n")
+        with pytest.raises(ConfigError, match="schema delimiter must be one character"):
+            infer_schema(path, delimiter=delimiter)
+
 
 ISO = "1970-01-01T0{}:00:00Z"
 # (file name, text, schema) of weather files that the reader and its oracle read alike
