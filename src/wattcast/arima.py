@@ -58,16 +58,27 @@ class ArimaModel:
 
 
 def css_residuals(w: np.ndarray, ar: np.ndarray, ma: np.ndarray,
-                  intercept: float) -> np.ndarray:
-    """One-step residuals e_p .. e_{n-1} with zero pre-sample shocks."""
+                  intercept: float, lags: np.ndarray | None = None) -> np.ndarray:
+    """One-step residuals e_p .. e_{n-1} with zero pre-sample shocks.
+
+    ``lags`` is ``_lag_matrix(w, len(ar))``, passed by a caller that
+    evaluates many parameters on one series; it is built here otherwise.
+    """
     p, q = len(ar), len(ma)
-    # p = 0 leaves an empty lag matrix, whose product is zeros
-    u = w[p:] - intercept - lag_design(w[:, None], p)[:, 1:] @ np.asarray(ar)
+    if lags is None:
+        lags = _lag_matrix(w, p)
+    u = w[p:] - intercept - lags @ np.asarray(ar)
     if q:
         from scipy.signal import lfilter
 
         return lfilter([1.0], np.concatenate([[1.0], ma]), u)
     return u
+
+
+def _lag_matrix(w: np.ndarray, p: int) -> np.ndarray:
+    """Row t holds w_{t+p-1} .. w_t, the p lags of w_{t+p}."""
+    # p = 0 leaves an empty lag matrix, whose product is zeros
+    return lag_design(w[:, None], p)[:, 1:]
 
 
 def ar_roots_stationary(ar: np.ndarray) -> bool:
@@ -124,9 +135,10 @@ def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
         from scipy.optimize import minimize
 
         x0 = np.concatenate([[intercept], ar, ma])
+        lags = _lag_matrix(w, p)  # independent of the parameters
 
         def objective(params):
-            e = css_residuals(w, params[1:1 + p], params[1 + p:], params[0])
+            e = css_residuals(w, params[1:1 + p], params[1 + p:], params[0], lags)
             return float(e @ e)
 
         result = minimize(objective, x0, method="Nelder-Mead",

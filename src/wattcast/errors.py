@@ -48,6 +48,10 @@ class NotAMultiple(DataError):
     """Resampling target interval is not an integer multiple of the source."""
 
 
+class GridTooLarge(DataError):
+    """A series' uniform grid would not fit in the machine's physical memory."""
+
+
 class TooShort(DataError):
     """Series too short for the requested operation."""
 

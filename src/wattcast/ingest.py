@@ -27,9 +27,11 @@ from .errors import (
     CannotInfer,
     ConfigError,
     DuplicateTimestamp,
+    GridTooLarge,
     NonUniformInterval,
     ParseError,
 )
+from .regressors.base import physical_memory
 from .series import TimeSeries
 
 # epoch-second timestamps live in [1973, ~5138]; meter readings in milliwatts
@@ -358,6 +360,12 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
     steps = (stamps - stamps[0]) / modal
     grid = np.abs(steps - np.round(steps)) < 1e-6
     length = int(round(steps[grid][-1])) + 1
+    need, have = 8 * length, physical_memory()
+    if have is not None and need > have:
+        raise GridTooLarge(
+            f"{_stamp_text(stamps[0])} to {_stamp_text(stamps[grid][-1])} at {modal:g}s "
+            f"is a grid of {length} slots that needs {need / 2 ** 30:.1f} GiB; "
+            f"this machine has {have / 2 ** 30:.1f} GiB of physical memory")
     out = np.full(length, np.nan)
     out[np.round(steps[grid]).astype(int)] = values[grid]
     return TimeSeries(float(stamps[0]), float(modal), out)
@@ -531,6 +539,15 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
 def _format_timestamp(seconds: float) -> str:
     stamp = datetime.fromtimestamp(seconds, tz=timezone.utc)
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _stamp_text(seconds: float) -> str:
+    """The stamp as ``_format_timestamp`` writes it, or its epoch seconds
+    where that lies outside years 1 to 9999."""
+    try:
+        return _format_timestamp(seconds)
+    except (OverflowError, ValueError, OSError):
+        return f"epoch second {seconds:.0f}"
 
 
 def _format_timestamps(seconds) -> list:

@@ -1,0 +1,85 @@
+"""Squared Euclidean distances between rows, for the GP, SVR and KNN models.
+
+``sq_distances(A, rows)`` is the matrix of ``sum_k (A[i, k] - B[j, k])^2``
+over the rows of A and the rows of B that ``rows`` holds. It equals
+``scipy.spatial.distance.cdist(A, B, "sqeuclidean")`` bit for bit on one of
+two backends:
+
+- **C** (``_sqdist.c``): reads B in blocks of eight rows, stored feature by
+  feature. ``PackedRows`` lays B out that way once, when a model is fitted,
+  so every later query against the training rows reuses the layout. The
+  kernel writes straight into the output, so a fit holds no second n x n
+  matrix.
+- **scipy**: ``cdist`` itself, used when no kernel can be built (see
+  ``_native.build``).
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from pathlib import Path
+
+import numpy as np
+
+from . import _native
+
+_KERNEL_SOURCE = Path(__file__).with_name("_sqdist.c")
+_LANES = 8  # rows per block, LANES in _sqdist.c
+
+
+class PackedRows:
+    """The rows of a matrix and, where the C kernel loads, their blocked layout."""
+
+    __slots__ = ("matrix", "blocks")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.blocks = None
+        if _load_kernel() is not None:
+            n, d = matrix.shape
+            self.blocks = np.zeros((-(-n // _LANES), d, _LANES))
+            for lane in range(_LANES):  # lane l of block b holds row b * LANES + l
+                lane_rows = matrix[lane::_LANES]
+                self.blocks[:len(lane_rows), :, lane] = lane_rows
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        """The rows, so that numpy sees a fitted model's values in this attribute."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
+
+def sq_distances(A: np.ndarray, rows: PackedRows) -> np.ndarray:
+    """Squared Euclidean distance from each row of ``A`` to each of ``rows``."""
+    kernel = _load_kernel()
+    if kernel is None or rows.blocks is None:
+        from scipy.spatial.distance import cdist
+
+        return cdist(A, rows.matrix, "sqeuclidean")
+    return kernel(np.ascontiguousarray(A, dtype=np.float64), rows)
+
+
+@functools.cache
+def _load_kernel():
+    """The C distances as ``kernel(A, rows)``, or None when the kernel cannot
+    be built (see ``_native.build``)."""
+    lib = _native.build(_KERNEL_SOURCE)
+    if lib is None:
+        return None
+
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.sq_distances.restype = None
+    lib.sq_distances.argtypes = [array, ctypes.c_long, array, ctypes.c_long, ctypes.c_long,
+                                 array]
+
+    def c_distances(A, rows):
+        (n_a, d), n_b = A.shape, len(rows)
+        if rows.blocks.shape != (-(-n_b // _LANES), d, _LANES):
+            raise ValueError("A and the packed rows differ in their number of features")
+        out = np.empty((n_a, n_b))
+        lib.sq_distances(A, n_a, rows.blocks, n_b, d, out)
+        return out
+
+    return c_distances

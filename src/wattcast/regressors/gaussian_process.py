@@ -10,7 +10,9 @@ matrix is factored once by Cholesky at fit time; if it is not positive
 definite a ladder of diagonal jitters is tried before giving up. The fit
 factors the kernel matrix in place and keeps a copy of its diagonal only,
 so it holds one n x n matrix; it refuses, before building it, one larger
-than the machine's physical memory (``KernelTooLarge``).
+than the machine's physical memory (``KernelTooLarge``). Squared distances
+come from ``_distance.sq_distances``, written straight into that matrix;
+the fit lays the training rows out once, and every prediction reuses them.
 
 By default inputs and targets are standardized with train-only statistics,
 so the unit defaults ``sf2 = 1, l = 1, sn2 = 0.01`` are sensible; with
@@ -22,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CholeskyFailure
+from ._distance import PackedRows, sq_distances
 from .base import ForecastModel, check_kernel_fits
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
@@ -40,10 +43,8 @@ class GpModel(ForecastModel):
         self.noise_var = float(noise_var)
         self.standardize = standardize
 
-    def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        from scipy.spatial.distance import cdist
-
-        K = cdist(A, B, "sqeuclidean")
+    def _kernel(self, A: np.ndarray, rows: PackedRows) -> np.ndarray:
+        K = sq_distances(A, rows)
         np.negative(K, out=K)
         K /= 2.0 * self.length_scale ** 2
         np.exp(K, out=K)
@@ -54,7 +55,8 @@ class GpModel(ForecastModel):
         from scipy.linalg import cho_factor, cho_solve
 
         check_kernel_fits(X.shape[0])
-        K = self._kernel(X, X)
+        rows = PackedRows(X)
+        K = self._kernel(X, rows)
         n = K.shape[0]
         diag = K.diagonal().copy()
         scale = self.signal_var + self.noise_var
@@ -76,21 +78,21 @@ class GpModel(ForecastModel):
             raise CholeskyFailure(
                 "kernel matrix not positive definite after maximum jitter "
                 f"{_JITTER_LADDER[-1] * scale:g}")
-        self.X_ = X
+        self.train_ = rows
         self.chol_ = factor
         self.alpha_ = cho_solve(factor, y)
 
     def _posterior(self, X: np.ndarray):
         from scipy.linalg import solve_triangular
 
-        Kstar = self._kernel(X, self.X_)
+        Kstar = self._kernel(X, self.train_)
         mean = Kstar @ self.alpha_
         V = solve_triangular(self.chol_[0], Kstar.T, lower=True)
         var = self.signal_var - np.einsum("ij,ij->j", V, V) + self.noise_var
         return mean, np.maximum(var, 0.0)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        return self._kernel(X, self.X_) @ self.alpha_
+        return self._kernel(X, self.train_) @ self.alpha_
 
     def predict_with_variance(self, x) -> tuple[float, float]:
         """Posterior mean and variance at a single query, in target units."""

@@ -1,8 +1,10 @@
 """K-nearest-neighbour regression.
 
 Prediction is the arithmetic mean of the targets of the K training points
-closest in Euclidean distance. Distance ties keep the earlier training
-index (stable sort), which makes the estimator deterministic.
+closest in Euclidean distance, the square root of ``_distance.sq_distances``
+(equal to ``cdist``'s Euclidean distance bit for bit). Distance ties keep
+the earlier training index (stable sort), which makes the estimator
+deterministic.
 
 A query row needs no full sort when exactly K training points lie at or
 below its K-th smallest distance: those K, ordered by (distance, index), are
@@ -16,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KTooLarge
+from ._distance import PackedRows, sq_distances
 from .base import ForecastModel
 
 
@@ -29,13 +32,12 @@ class KnnModel(ForecastModel):
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if self.k > X.shape[0]:
             raise KTooLarge(f"k={self.k} exceeds {X.shape[0]} training samples")
-        self.X_ = X
+        self.train_ = PackedRows(X)
         self.y_ = y
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        from scipy.spatial.distance import cdist
-
-        dists = cdist(X, self.X_)
+        dists = sq_distances(X, self.train_)
+        np.sqrt(dists, out=dists)
         k = self.k
         kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
         within = dists <= kth

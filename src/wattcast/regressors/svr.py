@@ -28,14 +28,16 @@ iteration; ``tests/test_regressors.py`` keeps that loop as its oracle.
 one of two backends with one signature, and both give the same bits:
 
 - **C** (``_svr_smo.c``): the whole loop in one call. The first fit in a
-  process compiles and loads it (``_native.build``) on a thread that runs
-  while the fit computes K. Each step makes one pass over the 2n scores
-  that applies the update and finds the next pair.
+  process loads it, compiled once per machine (``_native.build``). Each
+  step makes one pass over the 2n scores that applies the update and finds
+  the next pair.
 - **numpy** (``_numpy_loop``): a handful of in-place numpy calls per step,
   used when no compiler is found or the build or load fails.
 
 A fit refuses non-finite data and, before it builds K, a K larger than the
-machine's physical memory (``KernelTooLarge``).
+machine's physical memory (``KernelTooLarge``). ``_distance.sq_distances``
+writes the squared distances into K, which the fit turns into the kernel
+in place; the support vectors are laid out once, for every prediction.
 
 Targets (and inputs) are standardized with train-only statistics by
 default, so ``epsilon`` is expressed in standard deviations of the target.
@@ -45,13 +47,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import _native
+from ._distance import PackedRows, sq_distances
 from .base import ForecastModel, check_kernel_fits
 
 _TAU = 1e-12
@@ -157,8 +159,6 @@ class SvrModel(ForecastModel):
         self.standardize = standardize
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        from scipy.spatial.distance import cdist
-
         n, n_feat = X.shape
         if self.gamma is None:
             x_var = X.var()
@@ -168,13 +168,9 @@ class SvrModel(ForecastModel):
         max_iter = self.max_iter if self.max_iter is not None else 10_000 * n
 
         check_kernel_fits(n)
-        # the first fit in a process compiles the SMO loop while K is computed
-        loading = threading.Thread(target=_load_kernel)
-        loading.start()
-        K = cdist(X, X, "sqeuclidean")
+        K = sq_distances(X, PackedRows(X))
         np.multiply(K, -self.gamma_, out=K)
         np.exp(K, out=K)
-        loading.join()
         alpha, alpha_star, bias, converged, iterations = _smo(
             K, y, self.C, self.epsilon, self.tol, max_iter)
 
@@ -189,7 +185,7 @@ class SvrModel(ForecastModel):
         self.n_iter_ = iterations
         support = beta != 0.0
         self.support_ = np.flatnonzero(support)
-        self.support_vectors_ = X[support]
+        self.support_vectors_ = PackedRows(X[support])
         self.dual_coef_ = beta[support]
         if not converged:
             warnings.warn(
@@ -197,9 +193,7 @@ class SvrModel(ForecastModel):
                 f"tol={self.tol}; returning best iterate", RuntimeWarning)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        from scipy.spatial.distance import cdist
-
-        if self.support_vectors_.shape[0] == 0:
+        if len(self.support_vectors_) == 0:
             return np.full(X.shape[0], self.bias_)
-        K = np.exp(-self.gamma_ * cdist(X, self.support_vectors_, "sqeuclidean"))
+        K = np.exp(-self.gamma_ * sq_distances(X, self.support_vectors_))
         return K @ self.dual_coef_ + self.bias_

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wattcast.arima as arima_module
 from wattcast.arima import (
     ArimaModel,
     ar_roots_stationary,
@@ -83,6 +84,35 @@ class TestFit:
         model = arima_fit(s, 1, 0, 1)
         e1 = css_residuals(w, model.ar, model.ma, model.intercept)
         assert e1 @ e1 <= e0 @ e0 + 1e-9
+
+    def test_search_builds_one_lag_matrix_and_keeps_the_bits(self, monkeypatch):
+        # the Nelder-Mead search as it ran with a lag matrix built per call
+        from scipy.optimize import minimize
+
+        s = household_series(300, seed=2)
+        w = s.values
+        c0, ar0, ma0 = _hannan_rissanen(w, 2, 1)
+        x0 = np.concatenate([[c0], ar0, ma0])
+
+        def objective(params):
+            e = css_residuals(w, params[1:3], params[3:], params[0])
+            return float(e @ e)
+
+        result = minimize(objective, x0, method="Nelder-Mead",
+                          options={"xatol": 1e-8, "fatol": 1e-12, "maxfev": 2000,
+                                   "maxiter": 10 ** 6})
+        best = result.x if result.fun <= objective(x0) else x0
+
+        built = []
+        real = arima_module.lag_design
+        monkeypatch.setattr(arima_module, "lag_design",
+                            lambda *args: built.append(args[1]) or real(*args))
+        model = arima_fit(s, 2, 0, 1)
+        assert np.float64(model.intercept).tobytes() == best[0].tobytes()
+        assert model.ar.tobytes() == best[1:3].tobytes()
+        assert model.ma.tobytes() == best[3:].tobytes()
+        # three for Hannan-Rissanen, one for the search, one for sigma2
+        assert len(built) == 5
 
     @pytest.mark.parametrize("p, d", [(0, 1), (1, 0), (3, 1), (24, 0)])
     def test_without_ma_terms_the_fit_is_least_squares(self, p, d):

@@ -188,6 +188,21 @@ class TestForecast:
         assert errors["gp"].startswith("KernelTooLarge: ")
         assert errors["svr"].startswith("KernelTooLarge: ")
 
+    def test_sparse_grid_larger_than_memory_exit_3(self, tmp_path, capsys):
+        # 21 hourly rows whose last lies 10^12 hours after the first
+        path = tmp_path / "sparse.csv"
+        hours = list(range(20)) + [10 ** 12]
+        path.write_text("t,v\n" + "".join(f"{1_599_998_400 + 3600 * h},1.5\n"
+                                          for h in hours))
+        code = main(["resample", "--input", str(path), "--timestamp-column", "t",
+                     "--value-column", "v", "--timestamp-format", "epoch",
+                     "--interval", "1d", "--out", str(tmp_path / "daily.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "wattcast: data error: GridTooLarge: 2020-09-13T12:00:00Z to epoch second "
+            "3600001599998400 at 3600s is a grid of 1000000000001 slots")
+        assert not (tmp_path / "daily.csv").exists()
+
     def test_duplicate_timestamps_exit_3(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("t,v\n"

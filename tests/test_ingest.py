@@ -14,7 +14,9 @@ import wattcast.ingest as ingest
 from wattcast.errors import (
     CannotInfer,
     ConfigError,
+    DataError,
     DuplicateTimestamp,
+    GridTooLarge,
     NonUniformInterval,
     ParseError,
 )
@@ -363,6 +365,43 @@ class TestReadEnergyCsv:
         path = write(tmp_path, "a.csv", "t,v\n")
         with pytest.raises(ParseError):
             read_energy_csv(path, DatasetSchema("t", "v"))
+
+
+def sparse_hourly(tmp_path, last_hour):
+    """20 hourly epoch rows from 2020-09-13T12:00:00Z, then one more
+    ``last_hour`` hours after the first: a file of 21 rows whose every gap
+    is a whole number of hours."""
+    start = 1_599_998_400
+    hours = list(range(20)) + [last_hour]
+    text = "t,v\n" + "".join(f"{start + 3600 * h},{h % 7}.5\n" for h in hours)
+    return write(tmp_path, "sparse.csv", text), DatasetSchema("t", "v", "epoch")
+
+
+class TestGridGuard:
+    def test_grid_past_physical_memory_is_refused_before_allocation(self, tmp_path):
+        path, schema = sparse_hourly(tmp_path, 10 ** 12)
+        with pytest.raises(GridTooLarge) as caught:
+            read_energy_csv(path, schema)
+        message = str(caught.value)
+        assert message.startswith("2020-09-13T12:00:00Z to epoch second 3600001599998400 "
+                                  "at 3600s is a grid of 1000000000001 slots that needs "
+                                  "7450.6 GiB; this machine has ")
+        assert isinstance(caught.value, DataError)
+
+    def test_limit_is_eight_bytes_a_slot(self, tmp_path, monkeypatch):
+        path, schema = sparse_hourly(tmp_path, 29)  # 30 slots, 240 bytes
+        monkeypatch.setattr(ingest, "physical_memory", lambda: 240)
+        assert len(read_energy_csv(path, schema)) == 30
+        monkeypatch.setattr(ingest, "physical_memory", lambda: 239)
+        with pytest.raises(GridTooLarge, match=r"^2020-09-13T12:00:00Z to "
+                                               r"2020-09-14T17:00:00Z at 3600s is a grid "
+                                               r"of 30 slots that needs 0\.0 GiB"):
+            read_energy_csv(path, schema)
+
+    def test_unknown_memory_reads_the_grid(self, tmp_path, monkeypatch):
+        path, schema = sparse_hourly(tmp_path, 29)
+        monkeypatch.setattr(ingest, "physical_memory", lambda: None)
+        assert np.count_nonzero(np.isnan(read_energy_csv(path, schema).values)) == 9
 
 
 class TestInferSchema:

@@ -2,10 +2,13 @@ import ctypes
 import functools
 import importlib
 import math
+import os
 import pkgutil
 import shutil
+import stat
+import subprocess
+import sys
 import tempfile
-import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,7 +19,9 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 from scipy.spatial.distance import cdist
 
+import wattcast
 import wattcast.regressors
+import wattcast.regressors._distance as distance_module
 import wattcast.regressors._native as native_module
 import wattcast.regressors.base as base_module
 import wattcast.regressors.gaussian_process as gp_module
@@ -167,6 +172,17 @@ class TestKnn:
                              rng.normal(size=(20, 2))])
         order = np.argsort(cdist(queries, X), axis=1, kind="stable")[:, :k]
         assert model.predict_batch(queries).tobytes() == y[order].mean(axis=1).tobytes()
+
+    def test_ties_are_judged_on_the_euclidean_distance(self):
+        # the squared distances to the origin differ in the last bit, their
+        # square roots do not: a tie, which the stable sort gives to row 0
+        X = np.array([[1.257157013469696, 0.3309928148524588],
+                      [-0.12742753851267372, -1.2937396269839618]])
+        origin = np.zeros((1, 2))
+        sq = cdist(origin, X, "sqeuclidean")[0]
+        assert sq[0] > sq[1] and np.sqrt(sq[0]) == np.sqrt(sq[1])
+        model = KnnModel(k=1).fit(make_frame(X, [1.0, 2.0]))
+        assert model.predict_batch(origin).tolist() == [1.0]
 
 
 class TestGp:
@@ -557,26 +573,25 @@ class TestSmoMatchesReferenceLoop:
         self.assert_bitwise_equal_to_reference(*self._solve("odd_n131", monkeypatch, None))
 
     def test_loader_leaves_no_build_directory(self, monkeypatch, tmp_path):
-        _kernel_or_skip(svr_module)
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        assert callable(svr_module._load_kernel.__wrapped__())
-        assert list(tmp_path.iterdir()) == []
+        _assert_loader_leaves_no_build_directory(svr_module, monkeypatch, tmp_path)
 
-    def test_two_fits_build_the_library_once_off_the_main_thread(self, monkeypatch):
+    def test_two_fits_build_each_library_once(self, monkeypatch):
         _kernel_or_skip(svr_module)
         real_build, builds = native_module.build, []
 
         def counted(source):
-            builds.append((source, threading.current_thread() is threading.main_thread()))
+            builds.append(source)
             return real_build(source)
 
         monkeypatch.setattr(native_module, "build", counted)
-        # a fresh cache: this process may already hold the library
-        monkeypatch.setattr(svr_module, "_load_kernel",
-                            functools.cache(svr_module._load_kernel.__wrapped__))
+        # fresh loaders: this process may already hold the libraries
+        for module in (svr_module, distance_module):
+            monkeypatch.setattr(module, "_load_kernel",
+                                functools.cache(module._load_kernel.__wrapped__))
         for seed in (16, 17):
             assert SvrModel().fit(random_frame(np.random.default_rng(seed), n=30)).converged_
-        assert builds == [(svr_module._KERNEL_SOURCE, False)]
+        assert sorted(builds) == sorted([svr_module._KERNEL_SOURCE,
+                                         distance_module._KERNEL_SOURCE])
 
     def test_rejects_buffers_off_an_n_by_n_kernel(self):
         c_loop = _kernel_or_skip(svr_module)
@@ -603,7 +618,27 @@ def _break_the_build(module, breakage, monkeypatch, tmp_path):
     load = module._load_kernel.__wrapped__  # uncached: this process may hold a kernel
     assert load() is None
     assert list(scratch.iterdir()) == []  # the build directory is removed
+    assert _build_directories() == []
     monkeypatch.setattr(module, "_load_kernel", load)
+
+
+def _build_directories() -> list:
+    """What a build left in the kernel cache besides its libraries."""
+    return [p for p in native_module.cache_dir().iterdir() if p.suffix != ".so"]
+
+
+def _assert_loader_leaves_no_build_directory(module, monkeypatch, tmp_path):
+    """A build in a new cache loads the library from the cache and leaves
+    nothing else there or in the temporary directory."""
+    _kernel_or_skip(module)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert callable(module._load_kernel.__wrapped__())
+    assert list(scratch.iterdir()) == []
+    cached, = (tmp_path / "cache" / "wattcast").iterdir()
+    assert cached.name.startswith(module._KERNEL_SOURCE.stem + "-") and cached.suffix == ".so"
 
 
 class TestNativeBuild:
@@ -644,22 +679,137 @@ class TestNativeBuild:
         flagged = ["-march=native" in call.split() for call in log.read_text().splitlines()]
         assert flagged == [True, False][:calls]
         assert list(scratch.iterdir()) == []
+        assert _build_directories() == []
 
 
-def test_every_compiled_source_is_packaged(monkeypatch):
+def _compiler_or_skip() -> str:
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler")
+    return compiler
+
+
+class TestKernelCache:
+    SOURCE = distance_module._KERNEL_SOURCE
+
+    @pytest.fixture
+    def cache(self, monkeypatch, tmp_path):
+        """An empty cache directory's path, and the list of compiler runs
+        that builds append to."""
+        _compiler_or_skip()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        real_run, runs = subprocess.run, []
+
+        def counted(argv, **kwargs):
+            runs.append(argv)
+            return real_run(argv, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counted)
+        yield tmp_path / "xdg" / "wattcast", runs
+        assert list(scratch.iterdir()) == []
+
+    def library_path(self, cache_path):
+        key = native_module.cache_key(self.SOURCE, _compiler_or_skip())
+        if key is None:
+            pytest.skip("the CPU's feature flags cannot be read")
+        return cache_path / f"{self.SOURCE.stem}-{key}.so"
+
+    def assert_loads(self):
+        lib = native_module.build(self.SOURCE)
+        assert lib is not None and hasattr(lib, "sq_distances")
+
+    def test_a_hit_starts_no_compiler(self, cache):
+        path, runs = cache
+        library = self.library_path(path)
+        self.assert_loads()
+        assert len(runs) == 1
+        built = Path(runs[0][runs[0].index("-o") + 1])
+        assert built.parent.parent == path  # renamed within one file system
+        self.assert_loads()
+        assert len(runs) == 1
+        assert list(path.iterdir()) == [library]
+        assert stat.S_IMODE(path.stat().st_mode) == 0o700
+
+    def test_corrupt_file_is_rebuilt(self, cache):
+        path, runs = cache
+        library = self.library_path(path)
+        path.mkdir(parents=True)
+        library.write_bytes(b"not a shared library\n")
+        self.assert_loads()
+        assert len(runs) == 1
+        assert library.read_bytes()[:4] == b"\x7fELF"
+        assert list(path.iterdir()) == [library]
+
+    @pytest.mark.parametrize("flaw", ["foreign_owner", "group_writable", "other_writable",
+                                      "not_a_directory", "no_cpu_flags"])
+    def test_unusable_cache_builds_uncached(self, flaw, cache, monkeypatch):
+        path, runs = cache
+        path.parent.mkdir()
+        if flaw == "not_a_directory":
+            path.write_text("")
+        else:
+            path.mkdir(mode=0o700)
+        if flaw == "foreign_owner":
+            uid = os.getuid()
+            monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        elif flaw.endswith("_writable"):
+            path.chmod(0o720 if flaw == "group_writable" else 0o702)
+        elif flaw == "no_cpu_flags":
+            monkeypatch.setattr(native_module, "_cpu_flags", lambda: None)
+        self.assert_loads()
+        self.assert_loads()
+        assert len(runs) == 2  # nothing was cached
+        assert path.is_file() or list(path.iterdir()) == []
+
+    def test_key_follows_source_flags_compiler_and_cpu(self, monkeypatch, tmp_path):
+        compiler = _compiler_or_skip()
+        key = native_module.cache_key(self.SOURCE, compiler)
+        if key is None:
+            pytest.skip("the CPU's feature flags cannot be read")
+        copy = tmp_path / "copy.c"
+        copy.write_bytes(self.SOURCE.read_bytes())
+        assert native_module.cache_key(copy, compiler) == key  # content, not path
+        copy.write_bytes(self.SOURCE.read_bytes() + b"\n")
+        assert native_module.cache_key(copy, compiler) != key
+        other, _ = TestNativeBuild.fake_compiler(tmp_path, "exit 1")
+        assert native_module.cache_key(self.SOURCE, other) != key
+        with monkeypatch.context() as patch:
+            patch.setattr(native_module, "_FLAGS", native_module._FLAGS + ("-g",))
+            assert native_module.cache_key(self.SOURCE, compiler) != key
+        monkeypatch.setattr(native_module, "_cpu_flags", lambda: b"flags\t: fpu\n")
+        assert native_module.cache_key(self.SOURCE, compiler) != key
+
+    def test_concurrent_builds_leave_one_library(self, tmp_path):
+        _compiler_or_skip()
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+                   PYTHONPATH=str(Path(wattcast.__file__).parents[1]))
+        probe = ("from wattcast.regressors import _distance, _native\n"
+                 "assert _native.build(_distance._KERNEL_SOURCE) is not None")
+        children = [subprocess.Popen([sys.executable, "-c", probe], env=env,
+                                     stderr=subprocess.PIPE) for _ in range(2)]
+        for child in children:
+            _, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+        library, = (tmp_path / "wattcast").iterdir()
+        assert library.suffix == ".so"
+
+
+def test_every_compiled_source_is_packaged():
     tomllib = pytest.importorskip("tomllib")
-    built = []
-    monkeypatch.setattr(native_module, "build", lambda source: built.append(source))
-    for info in pkgutil.iter_modules(wattcast.regressors.__path__):
-        module = importlib.import_module(f"wattcast.regressors.{info.name}")
-        if hasattr(module, "_load_kernel"):
-            assert module._load_kernel.__wrapped__() is None
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     listed = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
-    package_dir = Path(wattcast.regressors.__file__).parent
-    assert sorted(built) == sorted(package_dir / name
-                                   for name in listed["wattcast.regressors"])
-    assert all(source.is_file() for source in built)
+    package_dir = Path(native_module.__file__).parent
+    sources = sorted(path.name for path in package_dir.glob("*.c"))
+    assert sorted(listed["wattcast.regressors"]) == sources
+    # and every kernel a module builds is one of them
+    for info in pkgutil.iter_modules(wattcast.regressors.__path__):
+        module = importlib.import_module(f"wattcast.regressors.{info.name}")
+        if hasattr(module, "_KERNEL_SOURCE"):
+            assert module._KERNEL_SOURCE.parent == package_dir
+            assert module._KERNEL_SOURCE.name in sources
 
 
 def sgd_step_gradient_error(X, y, hidden, seed, lr=0.01, step=1e-5):
@@ -929,10 +1079,7 @@ class TestMlpKernelMatchesNumpy:
             assert rollbacks[0].size > 0
 
     def test_loader_leaves_no_build_directory(self, monkeypatch, tmp_path):
-        _kernel_or_skip()
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        assert callable(mlp_module._load_kernel.__wrapped__())
-        assert list(tmp_path.iterdir()) == []
+        _assert_loader_leaves_no_build_directory(mlp_module, monkeypatch, tmp_path)
 
     def test_rejects_buffers_off_the_packed_layout(self):
         kernel = _kernel_or_skip()
