@@ -45,8 +45,10 @@ _EPOCH_COLUMN = re.compile(r"[1-9][0-9]{8,9}(?:\n[1-9][0-9]{8,9})*")
 
 _MISSING_TOKENS = ("", "nan", "na", "null", "none")
 
-# 1000-01-01 and 10000-01-01 UTC in epoch seconds: the years numpy's
-# datetime strings share with strftime's
+# 0001-01-01, 1000-01-01 and 10000-01-01 UTC in epoch seconds: the CSV
+# writer formats the years 1 to 9999, and numpy's datetime strings share
+# the years from 1000 with strftime's
+_YEAR_1 = -62_135_596_800.0
 _YEAR_1000 = -30_610_224_000.0
 _YEAR_10000 = 253_402_300_800.0
 # rows of CSV text formatted and written at a time
@@ -314,6 +316,10 @@ def _read_energy_rows(path, schema: DatasetSchema, columnar: bool = True):
     # the first bad row is reported, its width checked first, then its timestamp
     stamps, bad = _checked(*_parse_timestamps(stamp_cells, schema.timestamp_format,
                                               schema.utc_offset_hours), nan_ok=False)
+    # a stamp the CSV writer cannot format is refused here, at its line
+    outside = np.flatnonzero((stamps < _YEAR_1) | (stamps >= _YEAR_10000))
+    if outside.size and (bad is None or outside[0] < bad[0]):
+        bad = int(outside[0]), "outside years 1 to 9999"
     if bad is not None:
         problems.append((bad[0], 1, f"bad timestamp {stamp_cells[bad[0]]!r} ({bad[1]})"))
     values, bad = _checked(*_parse_values(value_cells), nan_ok=True)
@@ -363,7 +369,8 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
     need, have = 8 * length, physical_memory()
     if have is not None and need > have:
         raise GridTooLarge(
-            f"{_stamp_text(stamps[0])} to {_stamp_text(stamps[grid][-1])} at {modal:g}s "
+            f"{_format_timestamp(stamps[0])} to {_format_timestamp(stamps[grid][-1])} "
+            f"at {modal:g}s "
             f"is a grid of {length} slots that needs {need / 2 ** 30:.1f} GiB; "
             f"this machine has {have / 2 ** 30:.1f} GiB of physical memory")
     out = np.full(length, np.nan)
@@ -539,15 +546,6 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
 def _format_timestamp(seconds: float) -> str:
     stamp = datetime.fromtimestamp(seconds, tz=timezone.utc)
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _stamp_text(seconds: float) -> str:
-    """The stamp as ``_format_timestamp`` writes it, or its epoch seconds
-    where that lies outside years 1 to 9999."""
-    try:
-        return _format_timestamp(seconds)
-    except (OverflowError, ValueError, OSError):
-        return f"epoch second {seconds:.0f}"
 
 
 def _format_timestamps(seconds) -> list:

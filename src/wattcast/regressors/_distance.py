@@ -12,6 +12,13 @@ two backends:
   matrix.
 - **scipy**: ``cdist`` itself, used when no kernel can be built (see
   ``_native.build``).
+
+``sq_distances(A, rows, upper=True)`` is that matrix's upper triangle, the
+cells j >= i, with 0 in every cell below the diagonal: what a Cholesky
+factorisation of the GP's own n x n kernel reads. The C kernel computes
+little more than those cells and writes only them into zeroed memory, so
+pages wholly below the diagonal are never touched; the scipy backend
+computes the whole matrix and then zeroes the lower part.
 """
 
 from __future__ import annotations
@@ -51,20 +58,25 @@ class PackedRows:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
-def sq_distances(A: np.ndarray, rows: PackedRows) -> np.ndarray:
-    """Squared Euclidean distance from each row of ``A`` to each of ``rows``."""
+def sq_distances(A: np.ndarray, rows: PackedRows, upper: bool = False) -> np.ndarray:
+    """Squared Euclidean distance from each row of ``A`` to each of ``rows``;
+    with ``upper``, only in the cells j >= i, and 0 below the diagonal."""
     kernel = _load_kernel()
     if kernel is None or rows.blocks is None:
         from scipy.spatial.distance import cdist
 
-        return cdist(A, rows.matrix, "sqeuclidean")
-    return kernel(np.ascontiguousarray(A, dtype=np.float64), rows)
+        D = cdist(A, rows.matrix, "sqeuclidean")
+        if upper:
+            for i in range(1, D.shape[0]):
+                D[i, :i] = 0.0
+        return D
+    return kernel(np.ascontiguousarray(A, dtype=np.float64), rows, upper)
 
 
 @functools.cache
 def _load_kernel():
-    """The C distances as ``kernel(A, rows)``, or None when the kernel cannot
-    be built (see ``_native.build``)."""
+    """The C distances as ``kernel(A, rows, upper=False)``, or None when the kernel
+    cannot be built (see ``_native.build``)."""
     lib = _native.build(_KERNEL_SOURCE)
     if lib is None:
         return None
@@ -72,14 +84,15 @@ def _load_kernel():
     array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     lib.sq_distances.restype = None
     lib.sq_distances.argtypes = [array, ctypes.c_long, array, ctypes.c_long, ctypes.c_long,
-                                 array]
+                                 ctypes.c_int, array]
 
-    def c_distances(A, rows):
+    def c_distances(A, rows, upper=False):
         (n_a, d), n_b = A.shape, len(rows)
         if rows.blocks.shape != (-(-n_b // _LANES), d, _LANES):
             raise ValueError("A and the packed rows differ in their number of features")
-        out = np.empty((n_a, n_b))
-        lib.sq_distances(A, n_a, rows.blocks, n_b, d, out)
+        # calloc'd zeros: the kernel leaves the cells below the diagonal alone
+        out = np.zeros((n_a, n_b)) if upper else np.empty((n_a, n_b))
+        lib.sq_distances(A, n_a, rows.blocks, n_b, d, int(upper), out)
         return out
 
     return c_distances

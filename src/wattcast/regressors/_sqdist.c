@@ -10,6 +10,10 @@
  * LANES-wide vector then holds feature k of LANES rows, and a tile of ROWS
  * rows of A against one block keeps ROWS vector accumulators in registers.
  * Padded lanes are computed and never stored.
+ *
+ * With upper set, only the cells j >= i are stored: a tile starts at the
+ * block that holds its first row, and the cells it computes left of the
+ * diagonal are dropped. The caller's D keeps whatever those cells held.
  */
 
 #include <string.h>
@@ -19,12 +23,14 @@
 
 typedef double v8 __attribute__((vector_size(LANES * sizeof(double))));
 
-/* rows (<= ROWS) rows of A against every block of Bp, into rows rows of D */
+/* rows (<= ROWS) rows of A, the first of them row i, against the blocks of
+   Bp, into rows rows of D */
 static inline __attribute__((always_inline)) void
-tile(const double *A, long rows, const double *Bp, long nb, long d, double *D)
+tile(const double *A, long i, long rows, const double *Bp, long nb, long d, int upper,
+     double *D)
 {
     long blocks = (nb + LANES - 1) / LANES;
-    for (long b = 0; b < blocks; b++) {
+    for (long b = upper ? i / LANES : 0; b < blocks; b++) {
         const double *block = Bp + b * d * LANES;
         v8 acc[ROWS];
         for (long r = 0; r < rows; r++)
@@ -39,21 +45,42 @@ tile(const double *A, long rows, const double *Bp, long nb, long d, double *D)
         }
         long first = b * LANES;
         long width = nb - first < LANES ? nb - first : LANES;
-        for (long r = 0; r < rows; r++)
-            memcpy(D + r * nb + first, &acc[r], width * sizeof(double));
+        for (long r = 0; r < rows; r++) {
+            double *out = D + r * nb + first;
+            /* lanes left of row i + r's diagonal cell */
+            long skip = upper && i + r > first ? i + r - first : 0;
+            /* one vector store for a whole block: gcc compiles a memcpy of
+               a variable length here to a slow rep movs */
+            if (skip == 0 && width == LANES)
+                memcpy(out, &acc[r], sizeof acc[r]);
+            else
+                for (long l = skip; l < width; l++)
+                    out[l] = acc[r][l];
+        }
     }
 }
 
-void sq_distances(const double *A, long na, const double *Bp, long nb, long d, double *D)
+static inline __attribute__((always_inline)) void
+distances(const double *A, long na, const double *Bp, long nb, long d, int upper, double *D)
 {
     long i = 0;
     for (; i + ROWS <= na; i += ROWS)
-        tile(A + i * d, ROWS, Bp, nb, d, D + i * nb);
+        tile(A + i * d, i, ROWS, Bp, nb, d, upper, D + i * nb);
     /* a constant row count per call lets each tile keep its accumulators
        in registers */
     switch (na - i) {
-    case 3: tile(A + i * d, 3, Bp, nb, d, D + i * nb); break;
-    case 2: tile(A + i * d, 2, Bp, nb, d, D + i * nb); break;
-    case 1: tile(A + i * d, 1, Bp, nb, d, D + i * nb); break;
+    case 3: tile(A + i * d, i, 3, Bp, nb, d, upper, D + i * nb); break;
+    case 2: tile(A + i * d, i, 2, Bp, nb, d, upper, D + i * nb); break;
+    case 1: tile(A + i * d, i, 1, Bp, nb, d, upper, D + i * nb); break;
     }
+}
+
+void sq_distances(const double *A, long na, const double *Bp, long nb, long d, int upper,
+                  double *D)
+{
+    /* a constant flag per call lets each copy drop the other's stores */
+    if (upper)
+        distances(A, na, Bp, nb, d, 1, D);
+    else
+        distances(A, na, Bp, nb, d, 0, D);
 }

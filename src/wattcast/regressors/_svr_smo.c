@@ -13,25 +13,28 @@
    on the way, the first argmax of score + off_up and the first argmin of
    score + off_low, as numpy's argmax and argmin pick them:
 
-   - the pass keeps two-lane running extrema of each half over blocks of
-     BLOCK indices and remembers the first block that reached each
-     extremum, so a tie goes to the lowest index; that block is then
-     searched for the first index holding the extremum;
+   - the pass keeps LANES-wide running extrema of each half over blocks of
+     BLOCK indices, taking the last n % LANES indices of the last block one
+     at a time, and remembers the first block that reached each extremum,
+     so a tie goes to the lowest index; that block is then searched for the
+     first index holding the extremum. No lane width changes which pair is
+     found, only how fast;
    - a set whose every value is -inf (or +inf) gives index 0, since no
      later block beats the first;
    - a non-finite score, the only way a NaN can enter score + off, sends
      the pass to a scalar rescan with numpy's rule that the first NaN wins.
 
-   The two-lane vectors use the vector extension of gcc and clang. */
+   The vectors use the vector extension of gcc and clang. */
 
 #include <math.h>
 #include <stddef.h>
 #include <string.h>
 
-#define BLOCK 64
+#define BLOCK 64 /* a multiple of LANES */
+#define LANES 4
 
-typedef double v2d __attribute__((vector_size(16)));
-typedef long long v2l __attribute__((vector_size(16)));
+typedef double vd __attribute__((vector_size(LANES * sizeof(double))));
+typedef long long vl __attribute__((vector_size(LANES * sizeof(long long))));
 
 typedef struct {
     long up, low;
@@ -42,29 +45,57 @@ typedef struct {
     long block;
 } Extremum;
 
-static inline v2d load(const double *p)
+static inline vd load(const double *p)
 {
-    v2d v;
+    vd v;
     memcpy(&v, p, sizeof v);
     return v;
 }
 
-static inline void store(double *p, v2d v)
+static inline void store(double *p, vd v)
 {
     memcpy(p, &v, sizeof v);
 }
 
 /* v where v > m (v < m), else m: a lane keeps its earlier value on a tie */
-static inline v2d keep_max(v2d v, v2d m)
+static inline vd keep_max(vd v, vd m)
 {
-    v2l gt = (v2l)(v > m);
-    return (v2d)(((v2l)v & gt) | ((v2l)m & ~gt));
+    vl gt = (vl)(v > m);
+    return (vd)(((vl)v & gt) | ((vl)m & ~gt));
 }
 
-static inline v2d keep_min(v2d v, v2d m)
+static inline vd keep_min(vd v, vd m)
 {
-    v2l lt = (v2l)(v < m);
-    return (v2d)(((v2l)v & lt) | ((v2l)m & ~lt));
+    vl lt = (vl)(v < m);
+    return (vd)(((vl)v & lt) | ((vl)m & ~lt));
+}
+
+/* x in every lane */
+static inline vd splat(double x)
+{
+    vd v;
+    for (int l = 0; l < LANES; l++)
+        v[l] = x;
+    return v;
+}
+
+/* the largest (smallest) lane of v */
+static inline double lane_max(vd v)
+{
+    double m = v[0];
+    for (int l = 1; l < LANES; l++)
+        if (v[l] > m)
+            m = v[l];
+    return m;
+}
+
+static inline double lane_min(vd v)
+{
+    double m = v[0];
+    for (int l = 1; l < LANES; l++)
+        if (v[l] < m)
+            m = v[l];
+    return m;
 }
 
 /* numpy's argmax (sign > 0) or argmin (sign < 0) of score + off */
@@ -100,20 +131,20 @@ scan(const double *ki, const double *kj, double step, long n, double *score,
      const double *off_up, const double *off_low)
 {
     double *lo = score, *hi = score + n;
-    const v2d vstep = {step, step}, inf = {INFINITY, INFINITY};
+    const vd vstep = splat(step), inf = splat(INFINITY);
     Extremum up_lo = {-INFINITY, 0}, up_hi = {-INFINITY, 0};
     Extremum low_lo = {INFINITY, 0}, low_hi = {INFINITY, 0};
-    v2d sum = {0.0, 0.0};
+    vd sum = {0};
     double tail_sum = 0.0;
 
     for (long k0 = 0; k0 < n; k0 += BLOCK) {
         const long k1 = k0 + BLOCK < n ? k0 + BLOCK : n;
-        v2d max_lo = -inf, max_hi = -inf, min_lo = inf, min_hi = inf;
+        vd max_lo = -inf, max_hi = -inf, min_lo = inf, min_hi = inf;
         long k = k0;
-        for (; k + 2 <= k1; k += 2) {
-            v2d a = load(lo + k), b = load(hi + k);
+        for (; k + LANES <= k1; k += LANES) {
+            vd a = load(lo + k), b = load(hi + k);
             if (ki) {
-                v2d d = (load(ki + k) - load(kj + k)) * vstep;
+                vd d = (load(ki + k) - load(kj + k)) * vstep;
                 a = a - d;
                 b = b - d;
                 store(lo + k, a);
@@ -125,11 +156,9 @@ scan(const double *ki, const double *kj, double step, long n, double *score,
             min_lo = keep_min(a + load(off_low + k), min_lo);
             min_hi = keep_min(b + load(off_low + n + k), min_hi);
         }
-        double bmax_lo = max_lo[1] > max_lo[0] ? max_lo[1] : max_lo[0];
-        double bmax_hi = max_hi[1] > max_hi[0] ? max_hi[1] : max_hi[0];
-        double bmin_lo = min_lo[1] < min_lo[0] ? min_lo[1] : min_lo[0];
-        double bmin_hi = min_hi[1] < min_hi[0] ? min_hi[1] : min_hi[0];
-        if (k < k1) { /* the last index of an odd n */
+        double bmax_lo = lane_max(max_lo), bmax_hi = lane_max(max_hi);
+        double bmin_lo = lane_min(min_lo), bmin_hi = lane_min(min_hi);
+        for (; k < k1; k++) { /* the last n % LANES indices */
             double a = lo[k], b = hi[k], v;
             if (ki) {
                 double d = (ki[k] - kj[k]) * step;
@@ -138,7 +167,7 @@ scan(const double *ki, const double *kj, double step, long n, double *score,
                 lo[k] = a;
                 hi[k] = b;
             }
-            tail_sum = a + b;
+            tail_sum += a + b;
             if ((v = a + off_up[k]) > bmax_lo) bmax_lo = v;
             if ((v = b + off_up[n + k]) > bmax_hi) bmax_hi = v;
             if ((v = a + off_low[k]) < bmin_lo) bmin_lo = v;
@@ -150,7 +179,10 @@ scan(const double *ki, const double *kj, double step, long n, double *score,
         if (bmin_hi < low_hi.best) low_hi = (Extremum){bmin_hi, k0};
     }
 
-    if (!isfinite(sum[0] + sum[1] + tail_sum))
+    /* a non-finite score makes the sum non-finite */
+    for (int l = 0; l < LANES; l++)
+        tail_sum += sum[l];
+    if (!isfinite(tail_sum))
         return (Pair){numpy_arg(score, off_up, 2 * n, 1),
                       numpy_arg(score, off_low, 2 * n, -1)};
 

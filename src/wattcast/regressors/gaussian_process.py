@@ -8,11 +8,18 @@ The posterior predictive at a query ``x*`` is
 with ``k(x, x') = sf2 * exp(-||x - x'||^2 / (2 l^2))``. The noisy kernel
 matrix is factored once by Cholesky at fit time; if it is not positive
 definite a ladder of diagonal jitters is tried before giving up. The fit
-factors the kernel matrix in place and keeps a copy of its diagonal only,
-so it holds one n x n matrix; it refuses, before building it, one larger
-than the machine's physical memory (``KernelTooLarge``). Squared distances
-come from ``_distance.sq_distances``, written straight into that matrix;
-the fit lays the training rows out once, and every prediction reuses them.
+builds only the triangle the factorisation reads, the cells j >= i of the
+row-major matrix, with zeros below the diagonal: ``_distance.sq_distances``
+writes those squared distances straight into the matrix, and the kernel
+function is applied to them a band of rows at a time, while the band is in
+cache. The matrix is factored in place, so a fit holds one n x n matrix;
+a rung that fails has overwritten the triangle, and the next rung builds it
+again. The fit refuses, before building it, a matrix larger than the
+machine's physical memory (``KernelTooLarge``). It lays the training rows
+out once, and every prediction reuses them. No LAPACK call scans its
+operands for non-finite values: ``fit`` refuses non-finite training data,
+and a query with a NaN gives a NaN mean and variance, as ``predict_batch``
+gives a NaN mean.
 
 By default inputs and targets are standardized with train-only statistics,
 so the unit defaults ``sf2 = 1, l = 1, sn2 = 0.01`` are sensible; with
@@ -28,6 +35,9 @@ from ._distance import PackedRows, sq_distances
 from .base import ForecastModel, check_kernel_fits
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+# cells of the training kernel transformed at a time: a band of rows this
+# size stays in a core's cache through the four passes of ``_transform``
+_BAND_CELLS = 1 << 16
 
 
 class GpModel(ForecastModel):
@@ -43,51 +53,63 @@ class GpModel(ForecastModel):
         self.noise_var = float(noise_var)
         self.standardize = standardize
 
+    def _transform(self, D: np.ndarray) -> np.ndarray:
+        """The kernel of squared distances ``D``, computed in place."""
+        np.negative(D, out=D)
+        D /= 2.0 * self.length_scale ** 2
+        np.exp(D, out=D)
+        D *= self.signal_var
+        return D
+
     def _kernel(self, A: np.ndarray, rows: PackedRows) -> np.ndarray:
-        K = sq_distances(A, rows)
-        np.negative(K, out=K)
-        K /= 2.0 * self.length_scale ** 2
-        np.exp(K, out=K)
-        K *= self.signal_var
+        return self._transform(sq_distances(A, rows))
+
+    def _train_kernel(self, rows: PackedRows) -> np.ndarray:
+        """The cells j >= i of the kernel over the training rows, 0 below the
+        diagonal."""
+        K = sq_distances(rows.matrix, rows, upper=True)
+        n = K.shape[0]
+        height = max(1, min(n, _BAND_CELLS // max(n, 1)))
+        below = np.tri(height, k=-1, dtype=bool)
+        for r0 in range(0, n, height):
+            band = self._transform(K[r0:r0 + height, r0:])
+            # the band's cells left of the diagonal held 0, now the kernel of 0
+            rows_in_band = band.shape[0]
+            band[:, :rows_in_band][below[:rows_in_band, :rows_in_band]] = 0.0
         return K
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         from scipy.linalg import cho_factor, cho_solve
 
-        check_kernel_fits(X.shape[0])
+        n = X.shape[0]
+        check_kernel_fits(n)
         rows = PackedRows(X)
-        K = self._kernel(X, rows)
-        n = K.shape[0]
-        diag = K.diagonal().copy()
         scale = self.signal_var + self.noise_var
-        for rung, jitter in enumerate(_JITTER_LADDER):
-            if rung:
-                # the failed factorisation overwrote the C-upper triangle;
-                # K is symmetric bit for bit, so the intact C-lower one restores it
-                for r in range(n - 1):
-                    K[r, r + 1:] = K[r + 1:, r]
-            K.flat[::n + 1] = diag + (self.noise_var + jitter * scale)
+        for jitter in _JITTER_LADDER:
+            K = self._train_kernel(rows)
+            K.flat[::n + 1] += self.noise_var + jitter * scale
             try:
                 # K.T is the same matrix in Fortran order, which LAPACK factors
-                # in place, writing only its lower (K's C-upper) triangle
-                factor = cho_factor(K.T, lower=True, overwrite_a=True)
+                # in place, reading and writing only its lower (K's C-upper)
+                # triangle
+                factor = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
                 break
             except np.linalg.LinAlgError:
-                continue
+                del K  # the next rung's matrix takes its place
         else:
             raise CholeskyFailure(
                 "kernel matrix not positive definite after maximum jitter "
                 f"{_JITTER_LADDER[-1] * scale:g}")
         self.train_ = rows
         self.chol_ = factor
-        self.alpha_ = cho_solve(factor, y)
+        self.alpha_ = cho_solve(factor, y, check_finite=False)
 
     def _posterior(self, X: np.ndarray):
         from scipy.linalg import solve_triangular
 
         Kstar = self._kernel(X, self.train_)
         mean = Kstar @ self.alpha_
-        V = solve_triangular(self.chol_[0], Kstar.T, lower=True)
+        V = solve_triangular(self.chol_[0], Kstar.T, lower=True, check_finite=False)
         var = self.signal_var - np.einsum("ij,ij->j", V, V) + self.noise_var
         return mean, np.maximum(var, 0.0)
 

@@ -29,8 +29,8 @@ one of two backends with one signature, and both give the same bits:
 
 - **C** (``_svr_smo.c``): the whole loop in one call. The first fit in a
   process loads it, compiled once per machine (``_native.build``). Each
-  step makes one pass over the 2n scores that applies the update and finds
-  the next pair.
+  step makes one pass over the 2n scores, four at a time in vector lanes,
+  that applies the update and finds the next pair.
 - **numpy** (``_numpy_loop``): a handful of in-place numpy calls per step,
   used when no compiler is found or the build or load fails.
 

@@ -189,18 +189,17 @@ class TestForecast:
         assert errors["svr"].startswith("KernelTooLarge: ")
 
     def test_sparse_grid_larger_than_memory_exit_3(self, tmp_path, capsys):
-        # 21 hourly rows whose last lies 10^12 hours after the first
+        # 21 rows a second apart, bar the last, which lies 10^11 s after the first
         path = tmp_path / "sparse.csv"
-        hours = list(range(20)) + [10 ** 12]
-        path.write_text("t,v\n" + "".join(f"{1_599_998_400 + 3600 * h},1.5\n"
-                                          for h in hours))
+        seconds = list(range(20)) + [10 ** 11]
+        path.write_text("t,v\n" + "".join(f"{1_599_998_400 + s},1.5\n" for s in seconds))
         code = main(["resample", "--input", str(path), "--timestamp-column", "t",
                      "--value-column", "v", "--timestamp-format", "epoch",
                      "--interval", "1d", "--out", str(tmp_path / "daily.csv")])
         assert code == 3
         assert capsys.readouterr().err.startswith(
-            "wattcast: data error: GridTooLarge: 2020-09-13T12:00:00Z to epoch second "
-            "3600001599998400 at 3600s is a grid of 1000000000001 slots")
+            "wattcast: data error: GridTooLarge: 2020-09-13T12:00:00Z to 5189-07-29T21:46:40Z "
+            "at 1s is a grid of 100000000001 slots")
         assert not (tmp_path / "daily.csv").exists()
 
     def test_duplicate_timestamps_exit_3(self, tmp_path):
@@ -211,6 +210,18 @@ class TestForecast:
                         "1970-01-01T01:00:00Z,3.0\n")
         assert main(["forecast", "--input", str(path), "--timestamp-column", "t",
                      "--value-column", "v"]) == 3
+
+    # a quoted cell sends the file past the columnar reader to csv.reader
+    @pytest.mark.parametrize("value", ["1", '"1"'], ids=["columnar", "csv_reader"])
+    def test_duplicate_stamp_past_year_9999_is_a_parse_error(self, tmp_path, capsys, value):
+        # 10^14 s after the epoch is in the year 3170843, which no CSV can hold
+        path = tmp_path / "far.csv"
+        path.write_text(f"t,v\n{10 ** 14},{value}\n{10 ** 14 + 3600},2\n{10 ** 14 + 3600},3\n")
+        assert main(["forecast", "--input", str(path), "--timestamp-column", "t",
+                     "--value-column", "v", "--timestamp-format", "epoch"]) == 3
+        assert capsys.readouterr().err == (
+            "wattcast: data error: ParseError: line 2: bad timestamp '100000000000000' "
+            "(outside years 1 to 9999)\n")
 
 
 class TestSchemaFlags:
@@ -511,6 +522,18 @@ class TestResample:
         assert main(["resample", "--input", str(path), "--interval", "2h"]) == 3
         assert (f"data error: ParseError: line 3: bad numeric value {cell!r}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["1", '"1"'], ids=["columnar", "csv_reader"])
+    def test_stamp_past_year_9999_is_a_parse_error(self, tmp_path, capsys, value):
+        path = tmp_path / "far.csv"
+        path.write_text(f"t,v\n{10 ** 14 - 3600},{value}\n{10 ** 14},2\n{10 ** 14 + 3600},3\n")
+        assert main(["resample", "--input", str(path), "--timestamp-column", "t",
+                     "--value-column", "v", "--timestamp-format", "epoch",
+                     "--interval", "2h", "--out", str(tmp_path / "out.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "wattcast: data error: ParseError: line 2: bad timestamp '99999999996400' "
+            "(outside years 1 to 9999)\n")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_nan_epoch_timestamp_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "meter.csv"

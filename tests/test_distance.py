@@ -56,9 +56,9 @@ def test_equal_to_cdist_bit_for_bit(d, kernel):
 def test_sq_distances_runs_the_kernel_on_packed_rows(kernel, monkeypatch):
     calls = []
 
-    def counted(A, rows):
+    def counted(A, rows, upper=False):
         calls.append(A.shape)
-        return kernel(A, rows)
+        return kernel(A, rows, upper)
 
     monkeypatch.setattr(distance_module, "_load_kernel", lambda: counted)
     rows = PackedRows(np.arange(12.0).reshape(4, 3))
@@ -66,6 +66,25 @@ def test_sq_distances_runs_the_kernel_on_packed_rows(kernel, monkeypatch):
     assert sq_distances(queries, rows).tobytes() == \
         cdist(queries, rows.matrix, "sqeuclidean").tobytes()
     assert calls == [(2, 3)]
+
+
+@pytest.mark.parametrize("backend", ["c", "scipy"])
+def test_upper_triangle_equals_cdist_above_and_zero_below(backend, monkeypatch):
+    if backend == "c" and distance_module._load_kernel() is None:
+        pytest.skip(f"no C compiler could build {distance_module._KERNEL_SOURCE.name}")
+    if backend == "scipy":
+        monkeypatch.setattr(distance_module, "_load_kernel", lambda: None)
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 18), 131]:
+        X = rng.normal(size=(n, 5))
+        X[n // 2:] = X[:n - n // 2]  # duplicate rows: zero distances off the diagonal
+        rows = PackedRows(X)
+        got = sq_distances(X, rows, upper=True)
+        full = cdist(X, X, "sqeuclidean")
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        assert got[upper].tobytes() == full[upper].tobytes(), n
+        assert not got[~upper].any(), n
+        assert (rows.blocks is None) == (backend == "scipy")
 
 
 def test_rejects_rows_of_another_width(kernel):
@@ -104,14 +123,15 @@ def test_models_bitwise_equal_without_the_kernel(make, fit_calls, kernel, monkey
 
     calls = []
 
-    def counted(A, rows):
-        calls.append(A.shape[0])
-        return kernel(A, rows)
+    def counted(A, rows, upper=False):
+        calls.append((A.shape[0], upper))
+        return kernel(A, rows, upper)
 
     monkeypatch.setattr(distance_module, "_load_kernel", lambda: counted)
     compiled = run()
     # the kernel matrix of a GP or SVR fit, the batch and each of the 12 steps
-    assert calls == [frame.n_samples] * fit_calls + [len(queries)] + [1] * 12
+    assert calls == ([(frame.n_samples, make is GpModel)] * fit_calls
+                     + [(len(queries), False)] + [(1, False)] * 12)
     monkeypatch.setattr(distance_module, "_load_kernel", lambda: None)
     assert run() == compiled
 

@@ -379,13 +379,15 @@ def sparse_hourly(tmp_path, last_hour):
 
 class TestGridGuard:
     def test_grid_past_physical_memory_is_refused_before_allocation(self, tmp_path):
-        path, schema = sparse_hourly(tmp_path, 10 ** 12)
+        # 20 rows a second apart, then one 10^11 s after the first: the reader
+        # refuses stamps past the year 9999, where an hourly grid is still small
+        text = "t,v\n" + "".join(f"{1_599_998_400 + s},1\n" for s in [*range(20), 10 ** 11])
         with pytest.raises(GridTooLarge) as caught:
-            read_energy_csv(path, schema)
+            read_energy_csv(write(tmp_path, "sparse.csv", text), DatasetSchema("t", "v", "epoch"))
         message = str(caught.value)
-        assert message.startswith("2020-09-13T12:00:00Z to epoch second 3600001599998400 "
-                                  "at 3600s is a grid of 1000000000001 slots that needs "
-                                  "7450.6 GiB; this machine has ")
+        assert message.startswith("2020-09-13T12:00:00Z to 5189-07-29T21:46:40Z "
+                                  "at 1s is a grid of 100000000001 slots that needs "
+                                  "745.1 GiB; this machine has ")
         assert isinstance(caught.value, DataError)
 
     def test_limit_is_eight_bytes_a_slot(self, tmp_path, monkeypatch):
@@ -402,6 +404,21 @@ class TestGridGuard:
         path, schema = sparse_hourly(tmp_path, 29)
         monkeypatch.setattr(ingest, "physical_memory", lambda: None)
         assert np.count_nonzero(np.isnan(read_energy_csv(path, schema).values)) == 9
+
+
+# the first second of year 1 and the last of year 9999 UTC, as epoch seconds
+@pytest.mark.parametrize("first, bad_line", [(-62_135_596_800, None), (-62_135_596_801, 2),
+                                             (253_402_300_797, None), (253_402_300_798, 4)])
+@pytest.mark.parametrize("value", ["1", '"1"'], ids=["columnar", "csv_reader"])
+def test_stamps_the_writer_cannot_format_are_parse_errors(tmp_path, first, bad_line, value):
+    text = "t,v\n" + "".join(f"{first + s},{value}\n" for s in range(3))
+    path, schema = write(tmp_path, "edge.csv", text), DatasetSchema("t", "v", "epoch")
+    if bad_line is None:
+        write_energy_csv(io.StringIO(), read_energy_csv(path, schema))
+    else:
+        with pytest.raises(ParseError, match=rf"^line {bad_line}: bad timestamp "
+                                             r"'-?\d+' \(outside years 1 to 9999\)$"):
+            read_energy_csv(path, schema)
 
 
 class TestInferSchema:

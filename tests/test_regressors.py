@@ -236,6 +236,14 @@ class TestGp:
         with pytest.raises(ValueError):
             GpModel(noise_var=0.0)
 
+    def test_nan_query_gives_nan_mean_and_variance(self):
+        model = GpModel().fit(random_frame(np.random.default_rng(17), n=20))
+        query = np.zeros(model.lag_order_)
+        query[0] = np.nan
+        mean, var = model.predict_with_variance(query)
+        assert math.isnan(mean) and math.isnan(var)
+        assert math.isnan(model.predict(query))
+
     @pytest.mark.parametrize("standardize", [True, False])
     def test_batch_mean_equals_posterior_mean(self, standardize):
         rng = np.random.default_rng(16)
@@ -263,7 +271,7 @@ class TestGp:
     def test_failed_rung_leaves_the_kernel_intact(self):
         # the last row repeats the first, so rung 0 fails at the last pivot,
         # after overwriting the whole triangle it factors; the rows differ
-        # otherwise, so a triangle restored the wrong way round shows
+        # otherwise, so a next rung that factored any of that shows
         X = np.append(np.linspace(0.0, 2.0, 25), 0.0)[:, None]
         y = np.sin(3 * X[:, 0])
         model = GpModel(noise_var=1e-300, standardize=False).fit(make_frame(X, y))
@@ -532,12 +540,14 @@ class TestSmoMatchesReferenceLoop:
         (K, *_), _ = self._solve("odd_n131", monkeypatch, "numpy")
         assert K.shape[0] % 2 == 1 and K.shape[0] > 128  # past two whole C blocks
 
-    @pytest.mark.parametrize("n", [1, 3, 64, 131])
+    # every remainder of the C pass's four lanes, one whole block of 64 and
+    # the tails past it
+    @pytest.mark.parametrize("n", [*range(1, 10), 64, 66, 131])
     @pytest.mark.parametrize("state", ["empty_up_set", "empty_low_set", "tied_scores",
-                                       "nan_kernel", "infinite_score"])
+                                       "tie_across_lanes", "nan_kernel", "infinite_score"])
     def test_c_loop_matches_numpy_loop_on_degenerate_states(self, state, n):
         """States no fit reaches: a set with no member, where numpy's argmax and
-        argmin return index 0; ties across the C pass's blocks; and
+        argmin return index 0; ties across the C pass's blocks and lanes; and
         non-finite values, where the first NaN wins."""
         c_loop = _kernel_or_skip(svr_module)
         rng = np.random.default_rng(n)
@@ -553,6 +563,11 @@ class TestSmoMatchesReferenceLoop:
             off_up[:] = -np.inf
         elif state == "empty_low_set":
             off_low[:] = np.inf
+        elif state == "tie_across_lanes":
+            # the extrema of each half held twice in one block: at index 3, the
+            # last lane of its vector, and at index 5, lane 1 of the next
+            for k in {min(3, n - 1), min(5, n - 1)}:
+                score[k], score[n + k] = y.max() + 1.0, y.min() - 1.0
         elif state == "nan_kernel":
             K[:] = np.nan
         elif state == "infinite_score":
@@ -680,6 +695,15 @@ class TestNativeBuild:
         assert flagged == [True, False][:calls]
         assert list(scratch.iterdir()) == []
         assert _build_directories() == []
+
+    @pytest.mark.parametrize("source", sorted(Path(native_module.__file__).parent.glob("*.c")),
+                             ids=lambda source: source.name)
+    def test_source_compiles_without_warnings(self, source, tmp_path):
+        built = subprocess.run([_compiler_or_skip(), *native_module._FLAGS, "-Wall", "-Wextra",
+                                "-Werror", "-o", str(tmp_path / "kernel.so"), str(source), "-lm"],
+                               stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                               timeout=120)
+        assert built.returncode == 0, built.stderr
 
 
 def _compiler_or_skip() -> str:
