@@ -4,7 +4,8 @@ Energy meter exports come in a handful of near-identical CSV dialects:
 a timestamp column (ISO-8601 or epoch seconds) plus a consumption column,
 sometimes with extra columns, sometimes without a header. ``infer_schema``
 detects the common cases and refuses to guess when the file is ambiguous;
-``DatasetSchema`` describes any layout explicitly.
+``DatasetSchema`` describes any layout explicitly. The energy and weather
+CSV readers share one table reader, which reads each file once.
 
 Readers never invent values: rows are sorted, duplicate timestamps are an
 error, and gaps in an otherwise uniform series become explicit NaN rows at
@@ -14,6 +15,7 @@ the inferred modal interval. Interpolation is left to the caller.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -45,11 +47,9 @@ _EPOCH_COLUMN = re.compile(r"[1-9][0-9]{8,9}(?:\n[1-9][0-9]{8,9})*")
 
 _MISSING_TOKENS = ("", "nan", "na", "null", "none")
 
-# 0001-01-01, 1000-01-01 and 10000-01-01 UTC in epoch seconds: the CSV
-# writer formats the years 1 to 9999, and numpy's datetime strings share
-# the years from 1000 with strftime's
+# 0001-01-01 and 10000-01-01 UTC in epoch seconds: the CSV writer formats
+# the years 1 to 9999
 _YEAR_1 = -62_135_596_800.0
-_YEAR_1000 = -30_610_224_000.0
 _YEAR_10000 = 253_402_300_800.0
 # rows of CSV text formatted and written at a time
 _CHUNK_ROWS = 4096
@@ -191,32 +191,6 @@ def _checked(values, error, nan_ok: bool):
     return values, None if error is None else (values.size, error)
 
 
-def _nonblank_rows(body):
-    """``body`` without its blank rows, and the ascending indices of those."""
-    if all(map(str.strip, map("".join, body))):
-        return body, []
-    blank = [i for i, row in enumerate(body) if not "".join(row).strip()]
-    return [row for row in body if "".join(row).strip()], blank
-
-
-def _raise_first(problems, blank, first_record: int, path, delimiter: str) -> None:
-    """Raise the first of ``problems``, (non-blank row, rank in the row, message),
-    at the file line its record starts on, counting the ``blank`` rows of a body
-    that starts at record ``first_record`` (0-based) of ``path``."""
-    if not problems:
-        return
-    row, _, message = min(problems)
-    for skipped in blank:  # ascending
-        if skipped <= row:
-            row += 1
-    # a quoted cell may hold newlines, so records and lines differ: rescan
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = csv.reader(fh, delimiter=delimiter)
-        for _ in range(first_record + row):
-            next(records)
-        raise ParseError(message, line=records.line_num + 1)
-
-
 def _modal_gap(gaps: np.ndarray) -> float:
     """The most common gap; among equally common gaps, the one seen first."""
     distinct, first, counts = np.unique(gaps, return_index=True,
@@ -225,25 +199,18 @@ def _modal_gap(gaps: np.ndarray) -> float:
     return float(distinct[tied[np.argmin(first[tied])]])
 
 
-def _read_rows(path, delimiter: str):
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        return [row for row in csv.reader(fh, delimiter=delimiter)]
-
-
-def _uniform_columns(path, delimiter: str):
-    """The columns of ``path``, first row included, when ``csv.reader`` would
-    read it as plain splitting does; else None.
+def _uniform_columns(text: str, delimiter: str, skip: int):
+    """The first record of ``text`` and the columns of the records after the
+    first ``skip``, when ``csv.reader`` would read the text as plain
+    splitting does; else None.
 
     That holds when the text has no quote, NUL or lone carriage return, and
-    every line is non-empty, has the first line's number of cells and is no
-    longer than ``csv.field_size_limit()``. The columns are sliced by stride
-    from one split of the body, with no list per row.
+    every line is non-empty, has the first line's number of cells, is no
+    longer than ``csv.field_size_limit()`` and has a cell that is not blank
+    (a blank record is dropped, and only the ``csv.reader`` path drops it).
+    The columns are sliced by stride from one split of the text, with no
+    list per row.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None  # csv.reader's path raises it as it always did
     if '"' in text or "\0" in text:
         return None
     if "\r" in text:
@@ -254,16 +221,65 @@ def _uniform_columns(path, delimiter: str):
     if not text or text[0] == "\n" or "\n\n" in text:
         return None
     lines = text.split("\n")
-    del text
     if not lines[-1]:
         lines.pop()
-    width = lines[0].count(delimiter) + 1
+    width, n_records = lines[0].count(delimiter) + 1, len(lines)
     if (set(map(str.count, lines, repeat(delimiter))) != {width - 1}
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
-    cells = delimiter.join(lines).split(delimiter)
     del lines
-    return [cells[j::width] for j in range(width)]
+    cells = text.replace("\n", delimiter).split(delimiter)
+    del cells[n_records * width:]  # the last line's terminator
+    columns = [cells[j::width] for j in range(skip * width, (skip + 1) * width)]
+    # a blank row has a blank first cell: look at whole rows only past those
+    if not all(map(str.strip, columns[0])) and any(
+            not "".join(row).strip() for row in zip(*columns) if not row[0].strip()):
+        return None
+    return cells[:width], columns
+
+
+def _read_table(path, delimiter: str, skip: int, empty: str):
+    """Read ``path`` once as CSV records. Returns the first record; the
+    columns of the records after the first ``skip``, with blank records
+    dropped and a short record's absent cells None; and the file line each
+    of those records starts on. There is a column for each cell of the
+    first record (at least one), and more where a later record is longer.
+
+    A file ``_uniform_columns`` splits has record k on line k + 1. Every
+    other file goes through ``csv.reader``, whose records span several lines
+    where a quoted cell holds a line break; an undecodable file is read
+    through it from the start, so its error is raised as ``csv.reader``
+    raises it. Raises ParseError ``empty`` at line 1 when no record follows
+    the first ``skip``.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            fh.seek(0)
+            text = None
+        split = None if text is None else _uniform_columns(text, delimiter, skip)
+        if split is not None:
+            first, columns = split
+            n_body = len(columns[0])
+            lines = range(1 + skip, 1 + skip + n_body)
+        else:
+            records = csv.reader(fh if text is None else io.StringIO(text, newline=""),
+                                 delimiter=delimiter)
+            rows, starts, end = [], [], 0
+            for row in records:
+                rows.append(row)
+                starts.append(end + 1)
+                end = records.line_num
+            n_body = len(rows) - skip
+    if n_body <= 0:
+        raise ParseError(empty, line=1)
+    if split is None:
+        keep = [k for k in range(skip, len(rows)) if "".join(rows[k]).strip()]
+        first, lines = rows[0], [starts[k] for k in keep]
+        columns = [column[1:] for column in
+                   zip_longest(first or [""], *(rows[k] for k in keep))]
+    return first, columns, lines
 
 
 def _column_index(name, header, n_columns: int, what: str) -> int:
@@ -276,42 +292,24 @@ def _column_index(name, header, n_columns: int, what: str) -> int:
     raise ParseError(f"{what} column {name!r} not found in {where}", line=1)
 
 
-def _read_energy_rows(path, schema: DatasetSchema, columnar: bool = True):
+def _read_energy_rows(path, schema: DatasetSchema):
     """The parsed timestamp and value cells of the body's non-blank rows, in
-    file order. A file ``_uniform_columns`` splits is parsed from its columns;
-    every other file, and one of those with any problem, is read through
-    ``csv.reader``, which skips blank rows and finds each record's line.
-    Raises ParseError at the file line of the first bad row, or if there is none."""
+    file order, from ``_read_table``. Raises ParseError at the file line of
+    the first bad row, or if there is none."""
     skip = int(schema.has_header)
-    columns = _uniform_columns(path, schema.delimiter) if columnar else None
-    split = columns is not None
-    if split:
-        first, n_body = [column[0] for column in columns], len(columns[0]) - skip
-    else:
-        rows = _read_rows(path, schema.delimiter)
-        first, n_body = rows[0] if rows else None, len(rows) - skip
-    if n_body <= 0:
-        raise ParseError("no data rows", line=1)
-
+    first, columns, lines = _read_table(path, schema.delimiter, skip, "no data rows")
     header = first if schema.has_header else None
     ts_col = _column_index(schema.timestamp_column, header, len(first), "timestamp")
     val_col = _column_index(schema.value_column, header, len(first), "value")
-    problems, blank = [], []
-    if split:  # no blank or short rows
-        stamp_cells, value_cells = columns[ts_col][skip:], columns[val_col][skip:]
-        del columns
-    else:
-        width = max(ts_col, val_col) + 1
-        body, blank = _nonblank_rows(rows[skip:])
-        short = len(body)
-        if min(map(len, body), default=width) < width:
-            short = next(k for k, row in enumerate(body) if len(row) < width)
-        stamp_cells = [row[ts_col] for row in body[:short]]
-        value_cells = [row[val_col] for row in body[:short]]
-        if short < len(body):
-            problems.append((short, 0, f"expected at least {width} columns, "
-                                       f"got {len(body[short])}"))
-        del rows, body
+    stamp_cells, value_cells = columns[ts_col], columns[val_col]
+    problems = []
+    width = max(ts_col, val_col) + 1
+    if None in columns[width - 1]:  # a record too short for both cells
+        short = columns[width - 1].index(None)
+        got = [column[short] for column in columns].index(None)
+        problems.append((short, 0, f"expected at least {width} columns, got {got}"))
+        stamp_cells, value_cells = stamp_cells[:short], value_cells[:short]
+    del columns  # the cells of the other columns are freed before the parse
 
     # the first bad row is reported, its width checked first, then its timestamp
     stamps, bad = _checked(*_parse_timestamps(stamp_cells, schema.timestamp_format,
@@ -325,9 +323,9 @@ def _read_energy_rows(path, schema: DatasetSchema, columnar: bool = True):
     values, bad = _checked(*_parse_values(value_cells), nan_ok=True)
     if bad is not None:
         problems.append((bad[0], 2, f"bad numeric value {value_cells[bad[0]]!r}"))
-    if problems and split:  # csv.reader's path skips rows of bare delimiters
-        return _read_energy_rows(path, schema, columnar=False)
-    _raise_first(problems, blank, skip, path, schema.delimiter)
+    if problems:
+        row, _, message = min(problems)
+        raise ParseError(message, line=lines[row])
     if not stamps.size:
         raise ParseError("no data rows", line=1 + skip)
     return stamps, values
@@ -397,18 +395,16 @@ def read_weather(path, schema: DatasetSchema | None = None) -> dict:
 
 def _read_weather_csv(path, schema) -> dict:
     delimiter = schema.delimiter if schema else ","
-    rows = _read_rows(path, delimiter)
-    if len(rows) < 2:
-        raise ParseError("weather CSV needs a header and at least one row", line=1)
-    header = [cell.strip().lower() for cell in rows[0]]
-    if schema and schema.timestamp_column in rows[0]:
-        ts_col = rows[0].index(schema.timestamp_column)
+    first, columns, lines = _read_table(path, delimiter, 1, "weather CSV needs a header "
+                                                             "and at least one row")
+    header = [cell.strip().lower() for cell in first]
+    if schema and schema.timestamp_column in first:
+        ts_col = first.index(schema.timestamp_column)
     else:
         ts_col = next((i for i, name in enumerate(header)
                        if name in ("timestamp", "datetime", "time", "dt", "date")), 0)
-    body, blank = _nonblank_rows(rows[1:])
     # a short row's absent cells are empty, so missing
-    cells = [column[1:] for column in zip_longest(header or [""], *body, fillvalue="")]
+    cells = [[cell or "" for cell in column] for column in columns]
 
     # the first bad row is reported; in a row, the timestamp, then the cells in order
     fmt = schema.timestamp_format if schema else "auto"
@@ -428,7 +424,9 @@ def _read_weather_csv(path, schema) -> dict:
             table[name] = np.where(np.isnan(values), table[name], values)
         else:
             table[name] = values
-    _raise_first(problems, blank, 1, path, delimiter)
+    if problems:
+        row, _, message = min(problems)
+        raise ParseError(message, line=lines[row])
 
     missing = np.full(stamps.size, np.nan)
     temperature = table.pop("temperature", missing)
@@ -545,7 +543,8 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
 
 def _format_timestamp(seconds: float) -> str:
     stamp = datetime.fromtimestamp(seconds, tz=timezone.utc)
-    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+    # the year zero-padded to four digits, as ``fromisoformat`` reads it
+    return f"{stamp.year:04d}{stamp:-%m-%dT%H:%M:%SZ}"
 
 
 def _format_timestamps(seconds) -> list:
@@ -556,10 +555,9 @@ def _format_timestamps(seconds) -> list:
     fraction, whole = np.modf(seconds)
     micros = np.rint(fraction * 1e6)
     whole = whole + (micros >= 1e6) - (micros < 0)
-    # numpy zero-pads years below 1000, which strftime need not do, and
     # fromtimestamp raises outside years 1-9999: those stamps (and NaN) take
-    # the scalar path, which formats or raises as it always did
-    outside = ~((whole >= _YEAR_1000) & (whole < _YEAR_10000))
+    # the scalar path, which raises as it always did
+    outside = ~((whole >= _YEAR_1) & (whole < _YEAR_10000))
     whole[outside] = 0.0
     text = np.datetime_as_string(whole.astype("datetime64[s]"), unit="s",
                                  timezone="UTC").tolist()

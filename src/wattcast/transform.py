@@ -82,15 +82,15 @@ def lag_embed(s, p: int, target_column: str = "energy") -> SupervisedFrame:
     # windows[i] = target[i : i+p], oldest lag first
     windows = np.lib.stride_tricks.sliding_window_view(target, p)[:n_win]
     y = target[p:]
+    missing = np.isnan(windows).any(axis=1) | np.isnan(y)
     if exog is not None:
-        X = np.hstack([windows, exog[p:]])
-    else:
-        X = windows.copy()
-
-    ok = ~(np.isnan(X).any(axis=1) | np.isnan(y))
+        missing |= np.isnan(exog[p:]).any(axis=1)
+    ok = ~missing
+    # X is built once, from the kept rows only
+    X = windows[ok] if exog is None else np.hstack([windows[ok], exog[p:][ok]])
     positions = np.arange(p, n)[ok]
     names = tuple(f"lag_{p - j}" for j in range(p)) + exog_names
-    return SupervisedFrame(X[ok], y[ok], p, names, positions)
+    return SupervisedFrame(X, y[ok], p, names, positions)
 
 
 def lag_design(values: np.ndarray, p: int) -> np.ndarray:

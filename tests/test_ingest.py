@@ -23,7 +23,6 @@ from wattcast.errors import (
 from wattcast.ingest import (
     DatasetSchema,
     _column_index,
-    _read_rows,
     _format_timestamp,
     _format_timestamps,
     _timestamp_parser,
@@ -33,7 +32,8 @@ from wattcast.ingest import (
     read_weather,
     write_energy_csv,
 )
-from wattcast.series import TimeSeries
+from wattcast.cli import main
+from wattcast.series import TimeSeries, resample
 
 HOUR = 3600.0
 MISSING_TOKENS = ["", "nan", "NaN", "na", "NA", "null", "NULL", "none", "None", " none "]
@@ -538,6 +538,14 @@ WEATHER_CASES = {
                                                     f"{ISO.format(1)},1,2\n", None),
     "all_empty_column_named_energy": ("w.csv", "timestamp,temperature,Energy\n"
                                                f"{ISO.format(1)},1,\n", None),
+    # uniform files the column split serves, and their csv.reader look-alikes
+    "bad_value_on_last_line": ("w.csv", "timestamp,temperature,humidity\n"
+                                        f"{ISO.format(1)},1,2\n{ISO.format(2)},3,wet\n", None),
+    "row_of_bare_delimiters": ("w.csv", "timestamp,temperature,humidity\n"
+                                        f"{ISO.format(1)},1,2\n,,\n{ISO.format(2)},3,4\n", None),
+    "short_row": ("w.csv", "timestamp,temperature,humidity\n"
+                           f"{ISO.format(1)},1,2\n{ISO.format(2)},3\n{ISO.format(3)},5,6\n",
+                  None),
     "json_list": ("w.json", json.dumps([{"dt": 7200, "main": {"temp": 1.5, "humidity": 40}},
                                         {"dt": 3600, "main": {"temp": 2}}]), None),
     "json_export": ("w.json", json.dumps({"list": [{"dt": 3600, "main": {"humidity": 50}},
@@ -664,6 +672,14 @@ class TestReadWeather:
         assert _outcome(read_weather, path, schema) == expected
         if case in WEATHER_NAMES:
             assert [name for name, *_ in expected] == WEATHER_NAMES[case]
+
+    @pytest.mark.parametrize("case", sorted(WEATHER_CASES))
+    def test_same_table_or_error_through_csv_reader(self, case, tmp_path, monkeypatch):
+        name, text, schema = WEATHER_CASES[case]
+        path = write(tmp_path, name, text)
+        expected = _outcome(_reference_read_weather, path, schema)
+        monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
+        assert _outcome(read_weather, path, schema) == expected
 
 
 class TestCanonicalWriter:
@@ -869,7 +885,7 @@ class TestReaderMatchesReferenceLoop:
 
         monkeypatch.setattr(ingest, "_parse_value", no_cell_parser)
         if not columnar:
-            monkeypatch.setattr(ingest, "_uniform_columns", lambda path, delimiter: None)
+            monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
         assert _outcome(read_energy_csv, path, ISO_SCHEMA) == expected
 
     def test_weather_value_columns_skip_the_cell_loop(self, tmp_path, monkeypatch):
@@ -888,7 +904,7 @@ class TestReaderMatchesReferenceLoop:
         text, schema = READER_CASES[case]
         path = write(tmp_path, "a.csv", text)
         expected = _outcome(_reference_read_energy_csv, path, schema)
-        monkeypatch.setattr(ingest, "_uniform_columns", lambda path, delimiter: None)
+        monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
         assert _outcome(read_energy_csv, path, schema) == expected
 
     @pytest.mark.parametrize("case", sorted(READER_ERRORS))
@@ -912,8 +928,8 @@ class TestReaderMatchesReferenceLoop:
 EPOCH_SCHEMA = DatasetSchema("t", "v", "epoch")
 ONE_COLUMN = DatasetSchema("0", "0", has_header=False)
 # (file bytes, schema, whether the columnar reader serves it: csv.reader is
-# not called). Every other file, and a columnar file with a cell that fails
-# to parse, is read by csv.reader, so errors keep their lines and text.
+# not called). Every other file is read by csv.reader. A columnar file with
+# a cell that fails to parse stays columnar: its record k is on line k + 1.
 PATH_CASES = {
     "lf": (b"t,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, True),
     "crlf": (b"t,v\r\n1609459200,1\r\n1609462800,2\r\n", ISO_SCHEMA, True),
@@ -960,20 +976,24 @@ PATH_CASES = {
         b"%d|%s\n" % (1609459200 + 3600 * i, token.encode())
         for i, token in enumerate(MISSING_TOKENS + ["3"])),
         DatasetSchema("t", "v", delimiter="|"), True),
-    "missing_timestamp": (b"t,v\n1609459200,1\n,2\n1609466400,3\n", ISO_SCHEMA, False),
-    "bad_value_on_last_line": (b"t,v\n1609459200,1\n1609462800,oops\n", ISO_SCHEMA, False),
+    "missing_timestamp": (b"t,v\n1609459200,1\n,2\n1609466400,3\n", ISO_SCHEMA, True),
+    "bad_value_on_last_line": (b"t,v\n1609459200,1\n1609462800,oops\n", ISO_SCHEMA, True),
     "bad_value_on_last_line_no_newline": (b"t,v\n1609459200,1\n1609462800,oops",
-                                          ISO_SCHEMA, False),
-    "bad_timestamp_on_last_line": (b"t,v\n1609459200,1\nnoon,2\n", ISO_SCHEMA, False),
+                                          ISO_SCHEMA, True),
+    "bad_timestamp_on_last_line": (b"t,v\n1609459200,1\nnoon,2\n", ISO_SCHEMA, True),
     "bad_epoch_on_last_line_crlf": (b"t,v\r\n7200,1\r\n10800,2\r\nnoon,3", EPOCH_SCHEMA,
-                                    False),
-    "infinite_value": (b"t,v\n1609459200,1\n1609462800,-inf\n", ISO_SCHEMA, False),
-    "nan_epoch_stamp": (b"t,v\n7200,1\nnan,2\n", EPOCH_SCHEMA, False),
+                                    True),
+    "infinite_value": (b"t,v\n1609459200,1\n1609462800,-inf\n", ISO_SCHEMA, True),
+    "nan_epoch_stamp": (b"t,v\n7200,1\nnan,2\n", EPOCH_SCHEMA, True),
     "nul_in_a_cell": (b"t,v\n1609459200,1\x00\n1609462800,2\n", ISO_SCHEMA, False),
     # csv.reader before Python 3.11 refuses a NUL anywhere on a line
     "nul_in_an_unparsed_cell": (b"t,v,note\n1609459200,1,a\x00\n1609462800,2,b\n",
                                 ISO_SCHEMA, False),
     "not_utf8": (b"t,v\n1609459200,1\n1609462800,\xff\n", ISO_SCHEMA, False),
+    # the decoder's error names the byte's position in the block it was reading
+    "not_utf8_past_the_first_block": (b"t,v\n" + b"".join(
+        b"%d,1\n" % (1609459200 + 3600 * i) for i in range(1000)) + b"1609459200,\xff\n",
+        ISO_SCHEMA, False),
     "field_longer_than_the_csv_limit": (
         b"t,v\n1609459200,1\n1609462800," + b" " * csv.field_size_limit() + b"2\n",
         ISO_SCHEMA, False),
@@ -982,6 +1002,26 @@ PATH_CASES = {
     "header_only": (b"t,v\n", ISO_SCHEMA, True),
     "empty_file": (b"", ISO_SCHEMA, False),
 }
+
+
+# files both readers take, with the schema both are given
+ONE_READ_FILES = {
+    "uniform": "timestamp,temperature\n1609459200,1\n1609462800,2\n1609466400,3\n",
+    "uniform_bad_last_cell": "timestamp,temperature\n1609459200,1\n1609462800,warm\n",
+    "quoted": 'timestamp,temperature\n1609459200,"1"\n1609462800,2\n1609466400,3\n',
+}
+
+
+@pytest.mark.parametrize("reader", [read_energy_csv, read_weather],
+                         ids=["read_energy_csv", "read_weather"])
+@pytest.mark.parametrize("case", sorted(ONE_READ_FILES))
+def test_input_file_is_opened_once(tmp_path, monkeypatch, case, reader):
+    path = write(tmp_path, "a.csv", ONE_READ_FILES[case])
+    opened = []
+    monkeypatch.setattr(ingest, "open", lambda *args, **kwargs: opened.append(args[0])
+                        or open(*args, **kwargs), raising=False)
+    _outcome(reader, path, DatasetSchema("timestamp", "temperature"))
+    assert opened == [path]
 
 
 class TestColumnarPath:
@@ -993,13 +1033,13 @@ class TestColumnarPath:
         path = tmp_path / "a.csv"
         path.write_bytes(data)
         expected = _outcome(_reference_read_energy_csv, path, schema)
-        read_rows = []
-        monkeypatch.setattr(ingest, "_read_rows", lambda *args: read_rows.append(args)
-                            or _read_rows(*args))
+        readers = []
+        monkeypatch.setattr(csv, "reader", lambda *args, reader=csv.reader, **kwargs:
+                            readers.append(args) or reader(*args, **kwargs))
         if not columnar:
-            monkeypatch.setattr(ingest, "_uniform_columns", lambda path, delimiter: None)
+            monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
         assert _outcome(read_energy_csv, path, schema) == expected
-        assert bool(read_rows) == (not columnar or not serves)
+        assert bool(readers) == (not columnar or not serves)
 
     def test_meter_shaped_export_never_reaches_csv_reader(self, tmp_path, monkeypatch):
         rows = [f"HH-0001;{1_609_459_200 + 900 * i};{1000 + 7 * i}"
@@ -1071,8 +1111,24 @@ class TestWriterMatchesReferenceLoop:
         assert _format_timestamps(seconds) == [_format_timestamp(x) for x in seconds]
 
     def test_years_below_1000_match_strftime(self):
+        # strftime's months to seconds, after the year zero-padded to four digits
         seconds = [-62135596800.0, -5e10, -30610224000.5, -30610224000.0, 0.0]
-        assert _format_timestamps(seconds) == [_format_timestamp(x) for x in seconds]
+        expected = ["0001-01-01T00:00:00Z", "0385-07-25T07:06:40Z", "0999-12-31T23:59:59Z",
+                    "1000-01-01T00:00:00Z", "1970-01-01T00:00:00Z"]
+        assert [_format_timestamp(x) for x in seconds] == expected
+        assert _format_timestamps(seconds) == expected
+
+    @pytest.mark.parametrize("start", ["0001-01-01T00:00:00Z", "0999-12-31T22:00:00Z"])
+    def test_years_below_1000_round_trip(self, tmp_path, start):
+        s = TimeSeries(parse_timestamp(start), HOUR, np.array([1.0, np.nan, 3.0, 4.0]))
+        path = tmp_path / "early.csv"
+        write_energy_csv(path, s)
+        assert path.read_text().splitlines()[1] == f"{start},1.0"
+        assert _outcome(read_energy_csv, path) == _outcome(lambda: s)
+        out = tmp_path / "two_hourly.csv"
+        assert main(["resample", "--input", str(path), "--interval", "2h",
+                     "--out", str(out)]) == 0
+        assert _outcome(read_energy_csv, out) == _outcome(resample, s, 2 * HOUR)
 
     @pytest.mark.parametrize("bad", [-62135596801.0, 253402300800.0, 253402300799.9999996,
                                      math.nan, 1e20])

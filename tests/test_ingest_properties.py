@@ -2,6 +2,7 @@
 timestamp parser equals the scalar one, and the column timestamp formatter
 equals the scalar one."""
 
+import csv
 import string
 import tempfile
 from pathlib import Path
@@ -14,7 +15,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-import wattcast.ingest as ingest  # noqa: E402
 from test_ingest import _reference_parse_timestamp  # noqa: E402
 from wattcast.ingest import (  # noqa: E402
     DatasetSchema,
@@ -86,9 +86,9 @@ def test_dialects_round_trip(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "export.csv"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(ingest, "_read_rows", wraps=ingest._read_rows) as read_rows:
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
             s = read_energy_csv(path, schema)
-    assert read_rows.called != uniform
+    assert reader.called != uniform
     assert (s.start, s.interval) == (start, interval)
     assert s.values.tobytes() == expected.tobytes()
 
