@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import repeat, zip_longest
+from itertools import islice, repeat, zip_longest
 
 import numpy as np
 
@@ -470,17 +470,19 @@ def _read_weather_json(path) -> dict:
 def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
     """Best-effort layout detection; refuses to guess on ambiguity.
 
-    The sample is split on ``delimiter`` if given, else on the one of ``,``
-    ``;`` tab ``|`` it sniffs. The timestamp column is the first whose cells
-    all parse as datetimes (ISO-8601, or integers in a plausible epoch
-    range); the value column is the only remaining fully numeric column.
-    Anything else — no candidates, or several — raises CannotInfer listing
-    what was considered.
+    The first 64 KiB, to their last whole line, are split into records as
+    ``read_energy_csv`` splits them, on ``delimiter`` if given, else on the
+    one of ``,`` ``;`` tab ``|`` it sniffs. The timestamp column is the first
+    whose cells all parse as datetimes (ISO-8601, or integers in a plausible
+    epoch range); the value column is the only other fully numeric column.
+    Any other outcome raises CannotInfer, listing what was considered.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         sample = fh.read(1 << 16)
-    if not sample.strip():
-        raise CannotInfer("file is empty")
+        if not sample.strip():
+            raise CannotInfer("file is empty")
+        if fh.read(1):  # the sample may end inside a line: keep the whole ones
+            sample = sample[:max(sample.rfind("\n"), sample.rfind("\r")) + 1]
 
     if delimiter is not None:
         _check_delimiter(delimiter)
@@ -488,15 +490,15 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
         try:
             delimiter = csv.Sniffer().sniff(sample, delimiters=",;\t|").delimiter
         except csv.Error:
-            first = sample.splitlines()[0]
+            first = io.StringIO(sample, newline="").readline()  # ends as csv's lines do
             counts = {d: first.count(d) for d in ",;\t|"}
             delimiter = max(counts, key=counts.get)
             if counts[delimiter] == 0:
                 raise CannotInfer("could not detect a delimiter; "
                                   "expected one of ',' ';' tab '|'") from None
 
-    rows = [row for row in csv.reader(sample.splitlines(), delimiter=delimiter)
-            if row and any(cell.strip() for cell in row)][:50]
+    records = csv.reader(io.StringIO(sample, newline=""), delimiter=delimiter)
+    rows = list(islice((row for row in records if any(cell.strip() for cell in row)), 50))
     if not rows:
         raise CannotInfer("no rows to inspect")
 

@@ -19,6 +19,11 @@ factorisation of the GP's own n x n kernel reads. The C kernel computes
 little more than those cells and writes only them into zeroed memory, so
 pages wholly below the diagonal are never touched; the scipy backend
 computes the whole matrix and then zeroes the lower part.
+
+Every model matrix, the GP and SVR kernels and KNN's distances, comes from
+``kernel_matrix``. It refuses one larger than physical memory before any
+distance is computed, then applies the model's in-place kernel function a
+band of rows at a time, while the band is in cache.
 """
 
 from __future__ import annotations
@@ -30,9 +35,13 @@ from pathlib import Path
 import numpy as np
 
 from . import _native
+from .base import check_kernel_fits
 
 _KERNEL_SOURCE = Path(__file__).with_name("_sqdist.c")
 _LANES = 8  # rows per block, LANES in _sqdist.c
+# cells transformed at a time: a band of rows this size stays in a core's
+# cache through the passes of a model's kernel function
+_BAND_CELLS = 1 << 16
 
 
 class PackedRows:
@@ -71,6 +80,16 @@ def sq_distances(A: np.ndarray, rows: PackedRows, upper: bool = False) -> np.nda
                 D[i, :i] = 0.0
         return D
     return kernel(np.ascontiguousarray(A, dtype=np.float64), rows, upper)
+
+
+def kernel_matrix(A: np.ndarray, rows: PackedRows, kernel, upper: bool = False) -> np.ndarray:
+    """``sq_distances(A, rows, upper)``, a band of rows at a time, put through ``kernel``."""
+    check_kernel_fits(len(A), len(rows))
+    K = sq_distances(A, rows, upper)
+    height = max(1, _BAND_CELLS // max(len(rows), 1))
+    for r0 in range(0, K.shape[0], height):
+        kernel(K[r0:r0 + height, r0:] if upper else K[r0:r0 + height])
+    return K
 
 
 @functools.cache

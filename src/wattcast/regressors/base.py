@@ -36,13 +36,14 @@ def physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def check_kernel_fits(n: int) -> None:
-    """Raise ``KernelTooLarge`` before a model builds an n x n float64 matrix
-    larger than the machine's physical memory."""
-    need, have = 8 * n * n, physical_memory()
+def check_kernel_fits(n_rows: int, n_cols: int) -> None:
+    """Raise ``KernelTooLarge`` before a model builds an n_rows x n_cols float64
+    matrix larger than the machine's physical memory."""
+    need, have = 8 * n_rows * n_cols, physical_memory()
     if have is not None and need > have:
+        shape = f"over {n_cols}" if n_rows == n_cols else f"of {n_rows} query rows by {n_cols}"
         raise KernelTooLarge(
-            f"a kernel matrix over {n} training rows needs {need / 2 ** 30:.1f} GiB; "
+            f"a kernel matrix {shape} training rows needs {need / 2 ** 30:.1f} GiB; "
             f"this machine has {have / 2 ** 30:.1f} GiB of physical memory")
 
 

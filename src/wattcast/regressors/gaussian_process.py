@@ -7,19 +7,17 @@ The posterior predictive at a query ``x*`` is
 
 with ``k(x, x') = sf2 * exp(-||x - x'||^2 / (2 l^2))``. The noisy kernel
 matrix is factored once by Cholesky at fit time; if it is not positive
-definite a ladder of diagonal jitters is tried before giving up. The fit
-builds only the triangle the factorisation reads, the cells j >= i of the
-row-major matrix, with zeros below the diagonal: ``_distance.sq_distances``
-writes those squared distances straight into the matrix, and the kernel
-function is applied to them a band of rows at a time, while the band is in
-cache. The matrix is factored in place, so a fit holds one n x n matrix;
-a rung that fails has overwritten the triangle, and the next rung builds it
-again. The fit refuses, before building it, a matrix larger than the
-machine's physical memory (``KernelTooLarge``). It lays the training rows
-out once, and every prediction reuses them. No LAPACK call scans its
-operands for non-finite values: ``fit`` refuses non-finite training data,
-and a query with a NaN gives a NaN mean and variance, as ``predict_batch``
-gives a NaN mean.
+definite a ladder of diagonal jitters is tried before giving up. Every
+kernel matrix comes from ``_distance.kernel_matrix``, which refuses one
+larger than the machine's physical memory (``KernelTooLarge``). The fit
+builds only the cells j >= i of the row-major matrix: every LAPACK call runs
+on its transpose with ``lower=True`` and reads no cell below the diagonal.
+The matrix is factored in place, so a fit holds one n x n matrix; a rung
+that fails has overwritten the triangle, and the next rung builds it again.
+The training rows are laid out once, for every prediction. No LAPACK call
+scans its operands for non-finite values: ``fit`` refuses non-finite
+training data, and a query with a NaN gives a NaN mean and variance, as
+``predict_batch`` gives a NaN mean.
 
 By default inputs and targets are standardized with train-only statistics,
 so the unit defaults ``sf2 = 1, l = 1, sn2 = 0.01`` are sensible; with
@@ -31,13 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CholeskyFailure
-from ._distance import PackedRows, sq_distances
-from .base import ForecastModel, check_kernel_fits
+from ._distance import PackedRows, kernel_matrix
+from .base import ForecastModel
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
-# cells of the training kernel transformed at a time: a band of rows this
-# size stays in a core's cache through the four passes of ``_transform``
-_BAND_CELLS = 1 << 16
 
 
 class GpModel(ForecastModel):
@@ -61,33 +56,14 @@ class GpModel(ForecastModel):
         D *= self.signal_var
         return D
 
-    def _kernel(self, A: np.ndarray, rows: PackedRows) -> np.ndarray:
-        return self._transform(sq_distances(A, rows))
-
-    def _train_kernel(self, rows: PackedRows) -> np.ndarray:
-        """The cells j >= i of the kernel over the training rows, 0 below the
-        diagonal."""
-        K = sq_distances(rows.matrix, rows, upper=True)
-        n = K.shape[0]
-        height = max(1, min(n, _BAND_CELLS // max(n, 1)))
-        below = np.tri(height, k=-1, dtype=bool)
-        for r0 in range(0, n, height):
-            band = self._transform(K[r0:r0 + height, r0:])
-            # the band's cells left of the diagonal held 0, now the kernel of 0
-            rows_in_band = band.shape[0]
-            band[:, :rows_in_band][below[:rows_in_band, :rows_in_band]] = 0.0
-        return K
-
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         from scipy.linalg import cho_factor, cho_solve
 
-        n = X.shape[0]
-        check_kernel_fits(n)
         rows = PackedRows(X)
         scale = self.signal_var + self.noise_var
         for jitter in _JITTER_LADDER:
-            K = self._train_kernel(rows)
-            K.flat[::n + 1] += self.noise_var + jitter * scale
+            K = kernel_matrix(X, rows, self._transform, upper=True)
+            K.flat[::len(X) + 1] += self.noise_var + jitter * scale
             try:
                 # K.T is the same matrix in Fortran order, which LAPACK factors
                 # in place, reading and writing only its lower (K's C-upper)
@@ -107,14 +83,14 @@ class GpModel(ForecastModel):
     def _posterior(self, X: np.ndarray):
         from scipy.linalg import solve_triangular
 
-        Kstar = self._kernel(X, self.train_)
+        Kstar = kernel_matrix(X, self.train_, self._transform)
         mean = Kstar @ self.alpha_
         V = solve_triangular(self.chol_[0], Kstar.T, lower=True, check_finite=False)
         var = self.signal_var - np.einsum("ij,ij->j", V, V) + self.noise_var
         return mean, np.maximum(var, 0.0)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        return self._kernel(X, self.train_) @ self.alpha_
+        return kernel_matrix(X, self.train_, self._transform) @ self.alpha_
 
     def predict_with_variance(self, x) -> tuple[float, float]:
         """Posterior mean and variance at a single query, in target units."""

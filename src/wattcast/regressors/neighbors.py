@@ -1,10 +1,10 @@
 """K-nearest-neighbour regression.
 
 Prediction is the arithmetic mean of the targets of the K training points
-closest in Euclidean distance, the square root of ``_distance.sq_distances``
-(equal to ``cdist``'s Euclidean distance bit for bit). Distance ties keep
-the earlier training index (stable sort), which makes the estimator
-deterministic.
+closest in Euclidean distance: ``_distance.kernel_matrix`` takes the square
+root of ``sq_distances`` (``cdist``'s Euclidean distance bit for bit) and
+refuses too large a matrix. Distance ties keep the earlier training index
+(stable sort), which makes the estimator deterministic.
 
 A query row needs no full sort when exactly K training points lie at or
 below its K-th smallest distance: those K, ordered by (distance, index), are
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KTooLarge
-from ._distance import PackedRows, sq_distances
+from ._distance import PackedRows, kernel_matrix
 from .base import ForecastModel
 
 
@@ -36,8 +36,7 @@ class KnnModel(ForecastModel):
         self.y_ = y
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        dists = sq_distances(X, self.train_)
-        np.sqrt(dists, out=dists)
+        dists = kernel_matrix(X, self.train_, lambda D: np.sqrt(D, out=D))
         k = self.k
         kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
         within = dists <= kth

@@ -34,10 +34,10 @@ one of two backends with one signature, and both give the same bits:
 - **numpy** (``_numpy_loop``): a handful of in-place numpy calls per step,
   used when no compiler is found or the build or load fails.
 
-A fit refuses non-finite data and, before it builds K, a K larger than the
-machine's physical memory (``KernelTooLarge``). ``_distance.sq_distances``
-writes the squared distances into K, which the fit turns into the kernel
-in place; the support vectors are laid out once, for every prediction.
+A fit refuses non-finite data. K and each prediction's kernel come from
+``_distance.kernel_matrix``, which refuses one larger than the machine's
+physical memory (``KernelTooLarge``) and builds it in place, a band of rows
+at a time; the support vectors are laid out once, for every prediction.
 
 Targets (and inputs) are standardized with train-only statistics by
 default, so ``epsilon`` is expressed in standard deviations of the target.
@@ -53,8 +53,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _native
-from ._distance import PackedRows, sq_distances
-from .base import ForecastModel, check_kernel_fits
+from ._distance import PackedRows, kernel_matrix
+from .base import ForecastModel
 
 _TAU = 1e-12
 _KERNEL_SOURCE = Path(__file__).with_name("_svr_smo.c")
@@ -158,6 +158,11 @@ class SvrModel(ForecastModel):
         self.max_iter = max_iter
         self.standardize = standardize
 
+    def _transform(self, D: np.ndarray) -> np.ndarray:
+        """The kernel of squared distances ``D``, computed in place."""
+        np.multiply(D, -self.gamma_, out=D)
+        return np.exp(D, out=D)
+
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n, n_feat = X.shape
         if self.gamma is None:
@@ -167,10 +172,7 @@ class SvrModel(ForecastModel):
             self.gamma_ = float(self.gamma)
         max_iter = self.max_iter if self.max_iter is not None else 10_000 * n
 
-        check_kernel_fits(n)
-        K = sq_distances(X, PackedRows(X))
-        np.multiply(K, -self.gamma_, out=K)
-        np.exp(K, out=K)
+        K = kernel_matrix(X, PackedRows(X), self._transform)
         alpha, alpha_star, bias, converged, iterations = _smo(
             K, y, self.C, self.epsilon, self.tol, max_iter)
 
@@ -193,7 +195,5 @@ class SvrModel(ForecastModel):
                 f"tol={self.tol}; returning best iterate", RuntimeWarning)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        if len(self.support_vectors_) == 0:
-            return np.full(X.shape[0], self.bias_)
-        K = np.exp(-self.gamma_ * sq_distances(X, self.support_vectors_))
+        K = kernel_matrix(X, self.support_vectors_, self._transform)
         return K @ self.dual_coef_ + self.bias_

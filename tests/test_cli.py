@@ -4,6 +4,7 @@ import argparse
 import inspect
 import io
 import json
+from datetime import datetime, timezone
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,6 +70,29 @@ class TestParseInterval:
 
 
 class TestForecast:
+    def test_steps_past_year_9999_are_refused_before_fitting(self, tmp_path, monkeypatch,
+                                                             capsys):
+        path = tmp_path / "late.csv"
+        last = datetime(9999, 12, 31, 21, tzinfo=timezone.utc).timestamp()
+        write_energy_csv(path, TimeSeries(last - 47 * 3600.0, 3600.0, np.arange(48.0)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(cli, "fit_forecast", never)
+        out = tmp_path / "fc.csv"
+        code = main(["forecast", "--model", "ols", "--p", "3", "--horizon", "24",
+                     "--input", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "wattcast: configuration error: a 24-step forecast passes year 9999; "
+            "2 steps fit after the input's last timestamp\n")
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main(["forecast", "--model", "ols", "--p", "3", "--horizon", "2",
+                     "--input", str(path), "--out", str(out)]) == 0
+        assert read_energy_csv(out).timestamps[-1] == last + 2 * 3600.0
+
     def test_arima_golden_against_library(self, hourly_csv, tmp_path):
         out = tmp_path / "fc.csv"
         code = main(["forecast", "--model", "arima", "--p", "1", "--d", "1",
@@ -372,16 +396,20 @@ class TestBenchmark:
         assert blobs[0] == blobs[1]
 
     def test_jobs_flag_matches_serial(self, hourly_csv, tmp_path):
-        texts = []
+        texts, payloads = [], []
         for jobs in ("1", "2"):
-            report = tmp_path / f"j{jobs}.txt"
+            report, out_json = tmp_path / f"j{jobs}.txt", tmp_path / f"j{jobs}.json"
             code = main(["benchmark", "--input", str(hourly_csv),
                          "--models", "ols,knn", "--p", "3", "--splits", "0.8",
-                         "--jobs", jobs, "--report", str(report)])
+                         "--jobs", jobs, "--report", str(report), "--json", str(out_json)])
             assert code == 0
             text = report.read_text()
             texts.append(text.replace("jobs=2", "jobs=1"))
+            payload = json.loads(out_json.read_text())
+            assert payload["config"].pop("jobs") == int(jobs)
+            payloads.append(payload)
         assert texts[0] == texts[1]
+        assert payloads[0] == payloads[1]
 
     def test_intervals_flag_resamples(self, quarter_csv, tmp_path):
         report = tmp_path / "report.txt"

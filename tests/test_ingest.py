@@ -484,6 +484,25 @@ class TestInferSchema:
         assert schema.delimiter == "§" and schema.has_header
         assert read_energy_csv(path, schema).values.tolist() == [4.0, 5.0]
 
+    def test_form_feed_in_a_text_cell_is_not_a_line_break(self, tmp_path):
+        notes = ["ok"] * 60
+        notes[10] = "page\x0cbreak"  # str.splitlines would end a line here
+        path = write(tmp_path, "a.csv", "timestamp,value,note\n" + "".join(
+            f"1970-01-{1 + h // 24:02d}T{h % 24:02d}:00:00Z,{h}.5,{notes[h]}\n"
+            for h in range(60)))
+        schema = infer_schema(path)
+        assert (schema.timestamp_column, schema.value_column) == ("timestamp", "value")
+        assert len(read_energy_csv(path, schema)) == 60
+
+    def test_row_cut_by_the_sample_end_is_dropped(self, tmp_path):
+        # rows of 1,772 characters: the 64 KiB sample ends inside row 37's epoch
+        # stamp, whose first 8 digits, 16001296, are no plausible epoch
+        path = write(tmp_path, "a.csv", "notes,value,timestamp\n" + "".join(
+            f"{'x' * 1754},{k}.5,{1_600_000_000 + 3600 * k}\n" for k in range(60)))
+        schema = infer_schema(path)
+        assert (schema.timestamp_column, schema.value_column) == ("timestamp", "value")
+        assert len(read_energy_csv(path, schema)) == 60
+
     @pytest.mark.parametrize("delimiter", ["", ";;", '"', "\n"])
     def test_given_delimiter_is_checked_first(self, tmp_path, delimiter):
         path = write(tmp_path, "a.csv", "time,load\n1970-01-02T00:00:00Z,4.0\n")

@@ -1307,14 +1307,28 @@ class TestTrainingFrameChecks:
         monkeypatch.setattr(base_module, "physical_memory", lambda: None)  # unknown
         model().fit(frame)
 
+    def test_knn_distances_larger_than_physical_memory_are_refused(self, monkeypatch):
+        model = KnnModel().fit(random_frame(np.random.default_rng(40), n=20))
+        queries = np.random.default_rng(42).normal(size=(30, 3))
+        monkeypatch.setattr(base_module, "physical_memory", lambda: 8 * 30 * 20 - 1)
+        with pytest.raises(KernelTooLarge, match="of 30 query rows by 20 training rows"):
+            model.predict_batch(queries)
+        monkeypatch.setattr(base_module, "physical_memory", lambda: 8 * 30 * 20)
+        assert model.predict_batch(queries).shape == (30,)
+
     def test_memory_guard_runs_before_the_kernel_is_built(self, monkeypatch):
-        def never(self, A, B):
-            raise AssertionError("the kernel was built")
+        frame = random_frame(np.random.default_rng(41), n=5)
+        knn = KnnModel().fit(frame)
+
+        def never(A, rows, upper=False):
+            raise AssertionError("a distance was computed")
 
         monkeypatch.setattr(base_module, "physical_memory", lambda: 1)
-        monkeypatch.setattr(GpModel, "_kernel", never)
-        with pytest.raises(KernelTooLarge):
-            GpModel().fit(random_frame(np.random.default_rng(41), n=5))
+        monkeypatch.setattr(distance_module, "sq_distances", never)
+        for run in (lambda: GpModel().fit(frame), lambda: SvrModel().fit(frame),
+                    lambda: knn.predict_batch(frame.X)):
+            with pytest.raises(KernelTooLarge):
+                run()
 
     def test_physical_memory_probe(self, monkeypatch):
         have = base_module.physical_memory()
