@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import os
 import re
 import sys
@@ -35,10 +34,10 @@ from .evaluation import (
     spec_for,
 )
 from .ingest import (
-    _YEAR_10000,
     DatasetSchema,
     infer_schema,
     read_energy_csv,
+    writable_stamps,
     write_columns,
     write_energy_csv,
 )
@@ -154,6 +153,8 @@ def build_parser():
     forecast.add_argument("--plot", metavar="FILE",
                           help="write an SVG overlaying history and forecast")
     _add_hyper(forecast)
+    _add_schema(forecast)
+    _add_common(forecast)
 
     bench = sub.add_parser(
         "benchmark", help="sweep models x datasets x splits and rank by RAE",
@@ -186,6 +187,8 @@ def build_parser():
     bench.add_argument("--json", metavar="FILE",
                        help="also write a JSON report here")
     _add_hyper(bench)
+    _add_schema(bench)
+    _add_common(bench)
 
     resample_p = sub.add_parser(
         "resample", help="aggregate a series to a coarser interval",
@@ -198,6 +201,8 @@ def build_parser():
                             help=f"window aggregate {_dflt('agg')}")
     resample_p.add_argument("--out", metavar="FILE",
                             help="output CSV path (default: stdout)")
+    _add_schema(resample_p)
+    _add_common(resample_p)
 
     decompose_p = sub.add_parser(
         "decompose", help="split a series into trend/seasonal/residual",
@@ -210,10 +215,9 @@ def build_parser():
                              help="output CSV path (default: stdout)")
     decompose_p.add_argument("--plot", metavar="FILE",
                              help="write a stacked component SVG")
+    _add_schema(decompose_p)
+    _add_common(decompose_p)
 
-    for command in sub.choices.values():  # every command reads a CSV
-        _add_schema(command)
-        _add_common(command)
     actions = {name: choice._actions
                for name, choice in sub.choices.items()}
     return parser, actions
@@ -323,7 +327,7 @@ def cmd_forecast(args) -> int:
     p = opts["p"]
     s = _read_input(args.input, args)
     first = s.start + len(s) * s.interval
-    fits = max(0, math.ceil((_YEAR_10000 - first) / s.interval))  # steps before year 10000
+    fits = writable_stamps(first, s.interval)
     if fits < horizon:
         raise ConfigError(f"a {horizon}-step forecast passes year 9999; "
                           f"{fits} steps fit after the input's last timestamp")

@@ -543,6 +543,11 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
                          delimiter=delimiter, has_header=has_header)
 
 
+def writable_stamps(first: float, interval: float) -> int:
+    """How many stamps ``first + k * interval`` the CSV writer can format."""
+    return max(0, math.ceil((_YEAR_10000 - first) / interval))
+
+
 def _format_timestamp(seconds: float) -> str:
     stamp = datetime.fromtimestamp(seconds, tz=timezone.utc)
     # the year zero-padded to four digits, as ``fromisoformat`` reads it

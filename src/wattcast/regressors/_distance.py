@@ -84,7 +84,7 @@ def sq_distances(A: np.ndarray, rows: PackedRows, upper: bool = False) -> np.nda
 
 def kernel_matrix(A: np.ndarray, rows: PackedRows, kernel, upper: bool = False) -> np.ndarray:
     """``sq_distances(A, rows, upper)``, a band of rows at a time, put through ``kernel``."""
-    check_kernel_fits(len(A), len(rows))
+    check_kernel_fits(len(rows), None if A is rows.matrix else len(A))
     K = sq_distances(A, rows, upper)
     height = max(1, _BAND_CELLS // max(len(rows), 1))
     for r0 in range(0, K.shape[0], height):

@@ -36,12 +36,13 @@ def physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def check_kernel_fits(n_rows: int, n_cols: int) -> None:
-    """Raise ``KernelTooLarge`` before a model builds an n_rows x n_cols float64
-    matrix larger than the machine's physical memory."""
-    need, have = 8 * n_rows * n_cols, physical_memory()
+def check_kernel_fits(n: int, queries: int | None = None) -> None:
+    """Raise ``KernelTooLarge`` before a model builds a float64 matrix larger
+    than the machine's physical memory: n x n over its n training rows, or
+    queries x n from that many query rows to them."""
+    need, have = 8 * (n if queries is None else queries) * n, physical_memory()
     if have is not None and need > have:
-        shape = f"over {n_cols}" if n_rows == n_cols else f"of {n_rows} query rows by {n_cols}"
+        shape = f"over {n}" if queries is None else f"of {queries} query rows by {n}"
         raise KernelTooLarge(
             f"a kernel matrix {shape} training rows needs {need / 2 ** 30:.1f} GiB; "
             f"this machine has {have / 2 ** 30:.1f} GiB of physical memory")

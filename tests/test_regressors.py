@@ -1315,6 +1315,9 @@ class TestTrainingFrameChecks:
             model.predict_batch(queries)
         monkeypatch.setattr(base_module, "physical_memory", lambda: 8 * 30 * 20)
         assert model.predict_batch(queries).shape == (30,)
+        monkeypatch.setattr(base_module, "physical_memory", lambda: 8 * 20 * 20 - 1)
+        with pytest.raises(KernelTooLarge, match="of 20 query rows by 20 training rows"):
+            model.predict_batch(queries[:20])  # square, but not the training matrix
 
     def test_memory_guard_runs_before_the_kernel_is_built(self, monkeypatch):
         frame = random_frame(np.random.default_rng(41), n=5)
