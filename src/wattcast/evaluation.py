@@ -450,19 +450,26 @@ def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = Non
     if not specs or not datasets or not splits:
         raise ConfigError("benchmark needs at least one model, dataset, and split")
     names = [s.name for s in specs]
-    for name in names:
-        if names.count(name) > 1:
-            raise ConfigError(f"model {name!r} is listed more than once; "
-                              "records and rankings are keyed by model name")
+    for what, listed in (("model", names), ("dataset", [name for name, _ in datasets])):
+        for name in listed:
+            if listed.count(name) > 1:
+                raise ConfigError(f"{what} {name!r} is listed more than once; "
+                                  f"records and rankings are keyed by {what} name")
     splits = [s if isinstance(s, SplitSpec) else SplitSpec(float(s)) for s in splits]
     intervals = list(intervals) if intervals else [None]
 
     # each variant's table is built once; an error that stops it fills the slot
-    variants = []
+    variants, owners = [], {}
     for (name, dataset), target_interval in product(datasets, intervals):
         native = (target_interval is None
                   or target_interval == getattr(dataset, "interval", None))
         key = name if native else f"{name}[{_interval_label(target_interval)}]"
+        if key in owners:  # native and the dataset's own interval, or 2h and 120m
+            if owners[key] == name:
+                continue
+            raise ConfigError(f"datasets {owners[key]!r} and {name!r} both give the "
+                              f"key {key!r}; records and rankings are keyed by it")
+        owners[key] = name
         try:
             table = _table(dataset)[1]
             if not native:

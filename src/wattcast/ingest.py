@@ -5,7 +5,8 @@ a timestamp column (ISO-8601 or epoch seconds) plus a consumption column,
 sometimes with extra columns, sometimes without a header. ``infer_schema``
 detects the common cases and refuses to guess when the file is ambiguous;
 ``DatasetSchema`` describes any layout explicitly. The energy and weather
-CSV readers share one table reader, which reads each file once.
+CSV readers share one table reader, which reads each file once, and one
+column parser and bad-row rule, which report the first bad row at its line.
 
 Readers never invent values: rows are sorted, duplicate timestamps are an
 error, and gaps in an otherwise uniform series become explicit NaN rows at
@@ -33,7 +34,7 @@ from .errors import (
     NonUniformInterval,
     ParseError,
 )
-from .regressors.base import physical_memory
+from .regressors.base import check_memory
 from .series import TimeSeries
 
 # epoch-second timestamps live in [1973, ~5138]; meter readings in milliwatts
@@ -145,50 +146,65 @@ def _parse_value(text: str) -> float:
         raise
 
 
-def _parse_column(parse, cells):
-    """``parse`` of each cell up to the first ValueError. Returns the parsed
-    values and that error, or None; the failing cell is ``cells[len(values)]``."""
-    out = []
-    append = out.append
-    try:
-        for cell in cells:
-            append(parse(cell))
-    except ValueError as exc:
-        return out, exc
-    return out, None
+def _float_stamps(cells, fmt: str) -> bool:
+    """Whether ``float`` reads ``cells`` as the ``fmt`` cell parser does."""
+    return fmt == "epoch" or (fmt == "auto"
+                              and _EPOCH_COLUMN.fullmatch("\n".join(cells)) is not None)
 
 
-def _parse_values(cells):
-    """``_parse_column(_parse_value, cells)``, read in one ``float`` pass when
-    every cell is a number (``_parse_value`` tries ``float`` first)."""
+def _parse_cells(cells, parser, fast: bool, nan_ok: bool):
+    """``cells`` as a float64 array, and (row, reason) of the first bad cell
+    or None: a cell that parses to an infinity, or to NaN unless ``nan_ok``
+    ("not finite"), or that the cell parser ``parser()`` refuses (its
+    ValueError; the array ends before it). With ``fast``, one ``float`` pass
+    is tried first, and the parser is built only when it fails."""
+    error = None
     try:
-        return list(map(float, cells)), None
+        values = list(map(float, cells)) if fast else None
     except ValueError:
-        return _parse_column(_parse_value, cells)
-
-
-def _parse_timestamps(cells, fmt: str, utc_offset_hours: float):
-    """``_parse_column`` of the ``fmt`` cell parser over ``cells``. An
-    ``epoch`` column, or an ``auto`` column of plain 9- and 10-digit epoch
-    seconds, is read in one ``float`` pass; if that pass fails, the cell loop
-    finds the first bad cell and its error."""
-    if fmt == "epoch" or (fmt == "auto" and _EPOCH_COLUMN.fullmatch("\n".join(cells))):
+        values = None
+    if values is None:
+        values, parse = [], parser()
+        append = values.append
         try:
-            return list(map(float, cells)), None
-        except ValueError:
-            pass
-    return _parse_column(_timestamp_parser(fmt, utc_offset_hours), cells)
-
-
-def _checked(values, error, nan_ok: bool):
-    """``_parse_column``'s values as a float64 array, and (row, reason) of
-    the first cell that parses to an infinity, or to NaN unless ``nan_ok``,
-    or else stopped the parse; or None."""
+            for cell in cells:
+                append(parse(cell))
+        except ValueError as exc:
+            error = exc
     values = np.asarray(values, dtype=np.float64)
     bad = np.isinf(values) if nan_ok else ~np.isfinite(values)
     if bad.any():
         return values, (int(bad.argmax()), "not finite")
     return values, None if error is None else (values.size, error)
+
+
+def _parse_rows(lines, stamp_cells, fmt: str, offset: float, value_columns,
+                first=None, bounded: bool = False):
+    """The stamp column, parsed under ``fmt`` at ``offset`` hours, and each
+    (cells, label) column of ``value_columns`` as float64 arrays. Raises
+    ParseError at ``lines[row]`` for the first bad row: in a row, ``first``
+    (a (row, message) pair), then the stamp (with ``bounded``, also one the
+    writer cannot format), then the values in column order, each message
+    ending in its column's ``label``."""
+    problems = [] if first is None else [first]
+    stamps, bad = _parse_cells(stamp_cells, lambda: _timestamp_parser(fmt, offset),
+                               _float_stamps(stamp_cells, fmt), nan_ok=False)
+    if bounded:
+        outside = np.flatnonzero((stamps < _YEAR_1) | (stamps >= _YEAR_10000))
+        if outside.size and (bad is None or outside[0] < bad[0]):
+            bad = int(outside[0]), "outside years 1 to 9999"
+    if bad is not None:
+        problems.append((bad[0], f"bad timestamp {stamp_cells[bad[0]]!r} ({bad[1]})"))
+    columns = []
+    for cells, label in value_columns:
+        values, bad = _parse_cells(cells, lambda: _parse_value, True, nan_ok=True)
+        if bad is not None:
+            problems.append((bad[0], f"bad numeric value {cells[bad[0]]!r}{label}"))
+        columns.append(values)
+    if problems:  # ``min`` keeps the first of equal rows
+        row, message = min(problems, key=lambda problem: problem[0])
+        raise ParseError(message, line=lines[row])
+    return stamps, columns
 
 
 def _modal_gap(gaps: np.ndarray) -> float:
@@ -302,30 +318,16 @@ def _read_energy_rows(path, schema: DatasetSchema):
     ts_col = _column_index(schema.timestamp_column, header, len(first), "timestamp")
     val_col = _column_index(schema.value_column, header, len(first), "value")
     stamp_cells, value_cells = columns[ts_col], columns[val_col]
-    problems = []
-    width = max(ts_col, val_col) + 1
+    short, width = None, max(ts_col, val_col) + 1
     if None in columns[width - 1]:  # a record too short for both cells
-        short = columns[width - 1].index(None)
-        got = [column[short] for column in columns].index(None)
-        problems.append((short, 0, f"expected at least {width} columns, got {got}"))
-        stamp_cells, value_cells = stamp_cells[:short], value_cells[:short]
+        row = columns[width - 1].index(None)
+        got = [column[row] for column in columns].index(None)
+        short = row, f"expected at least {width} columns, got {got}"
+        stamp_cells, value_cells = stamp_cells[:row], value_cells[:row]
     del columns  # the cells of the other columns are freed before the parse
-
-    # the first bad row is reported, its width checked first, then its timestamp
-    stamps, bad = _checked(*_parse_timestamps(stamp_cells, schema.timestamp_format,
-                                              schema.utc_offset_hours), nan_ok=False)
-    # a stamp the CSV writer cannot format is refused here, at its line
-    outside = np.flatnonzero((stamps < _YEAR_1) | (stamps >= _YEAR_10000))
-    if outside.size and (bad is None or outside[0] < bad[0]):
-        bad = int(outside[0]), "outside years 1 to 9999"
-    if bad is not None:
-        problems.append((bad[0], 1, f"bad timestamp {stamp_cells[bad[0]]!r} ({bad[1]})"))
-    values, bad = _checked(*_parse_values(value_cells), nan_ok=True)
-    if bad is not None:
-        problems.append((bad[0], 2, f"bad numeric value {value_cells[bad[0]]!r}"))
-    if problems:
-        row, _, message = min(problems)
-        raise ParseError(message, line=lines[row])
+    stamps, (values,) = _parse_rows(lines, stamp_cells, schema.timestamp_format,
+                                    schema.utc_offset_hours, [(value_cells, "")],
+                                    first=short, bounded=True)
     if not stamps.size:
         raise ParseError("no data rows", line=1 + skip)
     return stamps, values
@@ -364,13 +366,9 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
     steps = (stamps - stamps[0]) / modal
     grid = np.abs(steps - np.round(steps)) < 1e-6
     length = int(round(steps[grid][-1])) + 1
-    need, have = 8 * length, physical_memory()
-    if have is not None and need > have:
-        raise GridTooLarge(
-            f"{_format_timestamp(stamps[0])} to {_format_timestamp(stamps[grid][-1])} "
-            f"at {modal:g}s "
-            f"is a grid of {length} slots that needs {need / 2 ** 30:.1f} GiB; "
-            f"this machine has {have / 2 ** 30:.1f} GiB of physical memory")
+    check_memory(length, GridTooLarge,
+                 f"{_format_timestamp(stamps[0])} to {_format_timestamp(stamps[grid][-1])} "
+                 f"at {modal:g}s is a grid of {length} slots that")
     out = np.full(length, np.nan)
     out[np.round(steps[grid]).astype(int)] = values[grid]
     return TimeSeries(float(stamps[0]), float(modal), out)
@@ -406,27 +404,14 @@ def _read_weather_csv(path, schema) -> dict:
     # a short row's absent cells are empty, so missing
     cells = [[cell or "" for cell in column] for column in columns]
 
-    # the first bad row is reported; in a row, the timestamp, then the cells in order
-    fmt = schema.timestamp_format if schema else "auto"
-    offset = schema.utc_offset_hours if schema else 0.0
-    stamps, bad = _checked(*_parse_timestamps(cells[ts_col], fmt, offset), nan_ok=False)
-    problems = [] if bad is None else [
-        (bad[0], 0, f"bad timestamp {cells[ts_col][bad[0]]!r} ({bad[1]})")]
+    value_cols = [j for j in range(len(header)) if j != ts_col]
+    stamps, columns = _parse_rows(
+        lines, cells[ts_col], schema.timestamp_format if schema else "auto",
+        schema.utc_offset_hours if schema else 0.0,
+        [(cells[j], f" in column {header[j]!r}") for j in value_cols])
     table = {}
-    for j, name in enumerate(header):
-        if j == ts_col:
-            continue
-        values, bad = _checked(*_parse_values(cells[j]), nan_ok=True)
-        if bad is not None:
-            problems.append((bad[0], 1 + j, f"bad numeric value {cells[j][bad[0]]!r} "
-                                            f"in column {name!r}"))
-        elif name in table:  # a repeated name: the later observed cell wins
-            table[name] = np.where(np.isnan(values), table[name], values)
-        else:
-            table[name] = values
-    if problems:
-        row, _, message = min(problems)
-        raise ParseError(message, line=lines[row])
+    for j, values in zip(value_cols, columns):  # a repeated name: the later observed cell wins
+        table[header[j]] = np.where(np.isnan(values), table.get(header[j], values), values)
 
     missing = np.full(stamps.size, np.nan)
     temperature = table.pop("temperature", missing)
@@ -472,7 +457,8 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
 
     The first 64 KiB, to their last whole line, are split into records as
     ``read_energy_csv`` splits them, on ``delimiter`` if given, else on the
-    one of ``,`` ``;`` tab ``|`` it sniffs. The timestamp column is the first
+    one of ``,`` ``;`` tab ``|`` sniffed from their first 50 non-blank lines
+    (the sniffer reads all it is given). The timestamp column is the first
     whose cells all parse as datetimes (ISO-8601, or integers in a plausible
     epoch range); the value column is the only other fully numeric column.
     Any other outcome raises CannotInfer, listing what was considered.
@@ -487,8 +473,10 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
     if delimiter is not None:
         _check_delimiter(delimiter)
     else:
+        head = "".join(islice((line for line in io.StringIO(sample, newline="")
+                               if line.strip()), 50))
         try:
-            delimiter = csv.Sniffer().sniff(sample, delimiters=",;\t|").delimiter
+            delimiter = csv.Sniffer().sniff(head, delimiters=",;\t|").delimiter
         except csv.Error:
             first = io.StringIO(sample, newline="").readline()  # ends as csv's lines do
             counts = {d: first.count(d) for d in ",;\t|"}
@@ -504,8 +492,12 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
 
     parse_ts = _timestamp_parser("auto", 0.0)
 
-    def parses(parse, cells):
-        return _parse_column(parse, cells)[1] is None
+    def parses(parse, cells):  # an infinity counts: ``float`` reads it
+        try:
+            list(map(parse, cells))
+        except ValueError:
+            return False
+        return True
 
     first_is_data = all(parses(parse_ts, [c]) or parses(float, [c])
                         for c in rows[0] if c.strip())

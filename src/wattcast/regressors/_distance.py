@@ -34,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import KernelTooLarge
 from . import _native
-from .base import check_kernel_fits
+from .base import check_memory
 
 _KERNEL_SOURCE = Path(__file__).with_name("_sqdist.c")
 _LANES = 8  # rows per block, LANES in _sqdist.c
@@ -84,9 +85,11 @@ def sq_distances(A: np.ndarray, rows: PackedRows, upper: bool = False) -> np.nda
 
 def kernel_matrix(A: np.ndarray, rows: PackedRows, kernel, upper: bool = False) -> np.ndarray:
     """``sq_distances(A, rows, upper)``, a band of rows at a time, put through ``kernel``."""
-    check_kernel_fits(len(rows), None if A is rows.matrix else len(A))
+    n = len(rows)  # the training matrix itself, or a block of query rows
+    shape = f"over {n}" if A is rows.matrix else f"of {len(A)} query rows by {n}"
+    check_memory(len(A) * n, KernelTooLarge, f"a kernel matrix {shape} training rows")
     K = sq_distances(A, rows, upper)
-    height = max(1, _BAND_CELLS // max(len(rows), 1))
+    height = max(1, _BAND_CELLS // max(n, 1))
     for r0 in range(0, K.shape[0], height):
         kernel(K[r0:r0 + height, r0:] if upper else K[r0:r0 + height])
     return K

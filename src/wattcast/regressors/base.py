@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..errors import HistoryTooShort, KernelTooLarge, LengthMismatch, MissingCells
+from ..errors import HistoryTooShort, LengthMismatch, MissingCells
 from ..series import TimeSeries
 from ..transform import SupervisedFrame, apply_scaler, fit_scaler, invert_scaler
 
@@ -36,16 +36,13 @@ def physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def check_kernel_fits(n: int, queries: int | None = None) -> None:
-    """Raise ``KernelTooLarge`` before a model builds a float64 matrix larger
-    than the machine's physical memory: n x n over its n training rows, or
-    queries x n from that many query rows to them."""
-    need, have = 8 * (n if queries is None else queries) * n, physical_memory()
+def check_memory(cells: int, error, what: str) -> None:
+    """Raise ``error`` before a float64 array of ``cells`` cells outgrows the
+    machine's physical memory; ``what`` names the array in the message."""
+    need, have = 8 * cells, physical_memory()
     if have is not None and need > have:
-        shape = f"over {n}" if queries is None else f"of {queries} query rows by {n}"
-        raise KernelTooLarge(
-            f"a kernel matrix {shape} training rows needs {need / 2 ** 30:.1f} GiB; "
-            f"this machine has {have / 2 ** 30:.1f} GiB of physical memory")
+        raise error(f"{what} needs {need / 2 ** 30:.1f} GiB; "
+                    f"this machine has {have / 2 ** 30:.1f} GiB of physical memory")
 
 
 class ForecastModel(ABC):

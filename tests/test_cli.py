@@ -359,6 +359,28 @@ class TestBenchmark:
         assert "model 'ols' is listed more than once" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_repeated_dataset_exit_2_before_any_cell(self, tmp_path, capsys):
+        for folder, seed in (("a", 1), ("b", 2)):
+            (tmp_path / folder).mkdir()
+            write_energy_csv(tmp_path / folder / "x.csv",
+                             arma_series(120, ar=(0.5,), noise_sd=0.4, seed=seed))
+        report = tmp_path / "report.txt"
+        assert main(["benchmark", "--input", str(tmp_path / "a" / "x.csv"),
+                     "--input", str(tmp_path / "b" / "x.csv"), "--models", "ols,knn",
+                     "--splits", "0.7", "--p", "6", "--report", str(report)]) == 2
+        assert "dataset 'x' is listed more than once" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("intervals", ["native,1h", "2h,120m"])
+    def test_intervals_with_one_key_run_once(self, hourly_csv, tmp_path, intervals):
+        report = tmp_path / "report.txt"
+        assert main(["benchmark", "--input", str(hourly_csv), "--models", "ols",
+                     "--splits", "0.8", "--p", "3", "--intervals", intervals,
+                     "--report", str(report)]) == 0
+        rows = [line for line in report.read_text().splitlines()
+                if line.startswith("ols\t")]
+        assert len(rows) == 1
+
     def test_short_dataset_flags_only_the_failing_model(self, tmp_path):
         path = tmp_path / "short.csv"
         write_energy_csv(path, arma_series(60, ar=(0.5,), noise_sd=0.3, seed=3))

@@ -343,6 +343,39 @@ class TestBenchmark:
             benchmark(specs, self.make_datasets(), [0.8], p=3)
         assert made == []
 
+    def test_repeated_dataset_name_refused_before_any_cell(self):
+        made = []
+
+        def make():
+            made.append(1)
+            return OlsModel()
+
+        (_, first), (_, second) = self.make_datasets()
+        with pytest.raises(ConfigError, match=r"^dataset 'x' is listed more than once; "
+                                              r"records and rankings are keyed by dataset"):
+            benchmark([ModelSpec("ols", "lag", make)], [("x", first), ("x", second)],
+                      [0.8], p=3)
+        assert made == []
+
+    def test_datasets_with_one_variant_key_are_refused(self):
+        (_, first), (_, second) = self.make_datasets()
+        with pytest.raises(ConfigError, match=r"^datasets 'x\[2h\]' and 'x' both give "
+                                              r"the key 'x\[2h\]'"):
+            benchmark([spec_for("ols")], [("x[2h]", first), ("x", second)], [0.8], p=3,
+                      intervals=[None, 2 * HOUR])
+
+    @pytest.mark.parametrize("intervals", [[None, HOUR], [HOUR, None], [2 * HOUR, 120 * 60.0]],
+                             ids=["native_1h", "1h_native", "2h_120m"])
+    def test_intervals_with_one_key_run_one_variant(self, intervals):
+        data = [("a", arma_series(240, ar=(0.5,), noise_sd=0.3, seed=8))]
+        report = benchmark([spec_for("ols"), spec_for("knn")], data, [0.7, 0.8], p=3,
+                           intervals=intervals)
+        once = benchmark([spec_for("ols"), spec_for("knn")], data, [0.7, 0.8], p=3,
+                         intervals=intervals[:1])
+        assert report.to_text() == once.to_text().replace(
+            f"intervals={intervals[:1]}", f"intervals={intervals}")
+        assert len(report.records) == 4 and all(r.ok for r in report.records)
+
     def test_failed_models_rank_last(self):
         data = [("short", arma_series(60, ar=(0.5,), noise_sd=0.3, seed=3))]
         report = benchmark([spec_for("var"), spec_for("knn")], data, [0.8], p=24)

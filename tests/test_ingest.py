@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import wattcast.ingest as ingest
+import wattcast.regressors.base as regressors_base
 from wattcast.errors import (
     CannotInfer,
     ConfigError,
@@ -392,9 +393,9 @@ class TestGridGuard:
 
     def test_limit_is_eight_bytes_a_slot(self, tmp_path, monkeypatch):
         path, schema = sparse_hourly(tmp_path, 29)  # 30 slots, 240 bytes
-        monkeypatch.setattr(ingest, "physical_memory", lambda: 240)
+        monkeypatch.setattr(regressors_base, "physical_memory", lambda: 240)
         assert len(read_energy_csv(path, schema)) == 30
-        monkeypatch.setattr(ingest, "physical_memory", lambda: 239)
+        monkeypatch.setattr(regressors_base, "physical_memory", lambda: 239)
         with pytest.raises(GridTooLarge, match=r"^2020-09-13T12:00:00Z to "
                                                r"2020-09-14T17:00:00Z at 3600s is a grid "
                                                r"of 30 slots that needs 0\.0 GiB"):
@@ -402,7 +403,7 @@ class TestGridGuard:
 
     def test_unknown_memory_reads_the_grid(self, tmp_path, monkeypatch):
         path, schema = sparse_hourly(tmp_path, 29)
-        monkeypatch.setattr(ingest, "physical_memory", lambda: None)
+        monkeypatch.setattr(regressors_base, "physical_memory", lambda: None)
         assert np.count_nonzero(np.isnan(read_energy_csv(path, schema).values)) == 9
 
 
@@ -565,6 +566,16 @@ WEATHER_CASES = {
     "short_row": ("w.csv", "timestamp,temperature,humidity\n"
                            f"{ISO.format(1)},1,2\n{ISO.format(2)},3\n{ISO.format(3)},5,6\n",
                   None),
+    # the order within one bad row: the stamp, then the value columns in order
+    "bad_cells_around_the_time_column": ("w.csv", "temperature,timestamp,humidity\n"
+                                                  f"1,{ISO.format(1)},2\ncold,noon,wet\n",
+                                         None),
+    "two_bad_value_columns": ("w.csv", "timestamp,temperature,humidity\n"
+                                       f"{ISO.format(1)},1,2\n{ISO.format(2)},cold,wet\n",
+                              None),
+    # no year bound: an epoch stamp past the year 9999 reads
+    "epoch_past_year_9999": ("w.csv", "dt,temp\n253402300800,1\n3600,2\n",
+                             DatasetSchema("dt", "temp", "epoch")),
     "json_list": ("w.json", json.dumps([{"dt": 7200, "main": {"temp": 1.5, "humidity": 40}},
                                         {"dt": 3600, "main": {"temp": 2}}]), None),
     "json_export": ("w.json", json.dumps({"list": [{"dt": 3600, "main": {"humidity": 50}},
@@ -576,6 +587,10 @@ WEATHER_NAMES = {
     "temp_without_temperature": ["timestamp", "temperature", "humidity"],
     "repeated_names": ["timestamp", "temperature", "humidity", "wind"],
     "empty_and_short_cells": ["timestamp", "temperature", "humidity", "wind"],
+}
+WEATHER_ERRORS = {
+    "bad_cells_around_the_time_column": "line 3: bad timestamp 'noon' (",
+    "two_bad_value_columns": "line 3: bad numeric value 'cold' in column 'temperature'",
 }
 
 
@@ -691,6 +706,8 @@ class TestReadWeather:
         assert _outcome(read_weather, path, schema) == expected
         if case in WEATHER_NAMES:
             assert [name for name, *_ in expected] == WEATHER_NAMES[case]
+        if case in WEATHER_ERRORS:
+            assert expected[0] is ParseError and expected[1].startswith(WEATHER_ERRORS[case])
 
     @pytest.mark.parametrize("case", sorted(WEATHER_CASES))
     def test_same_table_or_error_through_csv_reader(self, case, tmp_path, monkeypatch):

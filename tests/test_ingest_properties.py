@@ -19,8 +19,10 @@ from test_ingest import _reference_parse_timestamp  # noqa: E402
 from wattcast.ingest import (  # noqa: E402
     DatasetSchema,
     _format_timestamp,
+    _float_stamps,
     _format_timestamps,
-    _parse_timestamps,
+    _parse_cells,
+    _timestamp_parser,
     read_energy_csv,
 )
 
@@ -126,13 +128,20 @@ def _reference_column(cells, fmt, offset):
     return out, None
 
 
+def _stamp_column(cells, fmt, offset):
+    """The reader's stamp parse: the values before the first cell the parser
+    refuses, and that error's type and text."""
+    values, bad = _parse_cells(cells, lambda: _timestamp_parser(fmt, offset),
+                               _float_stamps(cells, fmt), nan_ok=False)
+    error = None if bad is None else bad[1]
+    return values.tolist(), None if error is None else (type(error), str(error))
+
+
 @settings(deadline=None)
 @given(st.lists(digit_cells(), min_size=1, max_size=12),
        st.sampled_from(["auto", "epoch"]), st.sampled_from([0.0, 5.5]))
 def test_parse_timestamps_is_parse_timestamp(cells, fmt, offset):
-    values, error = _parse_timestamps(cells, fmt, offset)
-    got = values, None if error is None else (type(error), str(error))
-    assert got == _reference_column(cells, fmt, offset)
+    assert _stamp_column(cells, fmt, offset) == _reference_column(cells, fmt, offset)
 
 
 @settings(deadline=None)
@@ -141,6 +150,4 @@ def test_parse_timestamps_is_parse_timestamp(cells, fmt, offset):
 def test_parse_timestamps_of_an_epoch_column_with_one_odd_cell(cells, at, fmt):
     """A column that fails the one-pass read at one cell: the loop reports it."""
     cells = [*cells[:at], "", *cells[at:]]
-    values, error = _parse_timestamps(cells, fmt, 0.0)
-    got = values, None if error is None else (type(error), str(error))
-    assert got == _reference_column(cells, fmt, 0.0)
+    assert _stamp_column(cells, fmt, 0.0) == _reference_column(cells, fmt, 0.0)
