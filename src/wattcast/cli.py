@@ -8,8 +8,10 @@ such as the JSON report. Flags may come from a ``key = value``
 config file (``--config``, or the ``WATTCAST_CONFIG`` environment
 variable); explicit flags win over the file, the file wins over defaults.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 model
-error (running out of memory included), 5 when every benchmark cell failed.
+Exit codes: 0 success, 2 configuration error, 3 data error (an input file
+that is not UTF-8 or has a record ``csv`` refuses included), 4 model error
+(running out of memory, or a forecast that is not finite, included), 5 when
+every benchmark cell failed.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .evaluation import (
     MODE_RECURSIVE,
     MODELS,
     benchmark,
+    check_finite,
     fit_forecast,
     spec_for,
 )
@@ -334,6 +337,7 @@ def cmd_forecast(args) -> int:
     spec = spec_for(opts["model"], hyper=opts, arima_order=(p, opts["d"], opts["q"]))
     predictions = fit_forecast(spec, s, len(s), horizon, p=p,
                                mode=MODE_RECURSIVE).predictions
+    check_finite(predictions)
     forecast = TimeSeries(first, s.interval, predictions)
     _write_series(args.out, forecast)
     if args.plot:

@@ -98,6 +98,10 @@ class KernelTooLarge(ModelError):
     """An n x n kernel matrix would not fit in the machine's physical memory."""
 
 
+class NonFinitePrediction(ModelError):
+    """A forecast holds a non-finite value where a finite one was due."""
+
+
 class DivergedLoss(ModelError):
     """Training loss became non-finite."""
 

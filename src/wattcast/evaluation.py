@@ -34,6 +34,7 @@ from .errors import (
     ConfigError,
     InsufficientTest,
     LengthMismatch,
+    NonFinitePrediction,
     TooShort,
     WattcastError,
 )
@@ -83,6 +84,16 @@ def metrics(actual, predicted, train_targets) -> Metrics:
     baseline = float(np.sum(np.abs(actual - train_targets.mean())))
     rae = float(np.sum(np.abs(err)) / baseline) if baseline > 0.0 else float("nan")
     return Metrics(rmse, mae, rae)
+
+
+def check_finite(predicted, actual=None) -> None:
+    """Raise NonFinitePrediction when a prediction is not finite where its
+    actual is finite, or anywhere when no ``actual`` is given."""
+    bad = ~np.isfinite(predicted)
+    if actual is not None:
+        bad &= np.isfinite(actual)
+    if bad.any():
+        raise NonFinitePrediction(f"{int(bad.sum())} of {bad.size} predictions are not finite")
 
 
 # --- sweep vocabulary -------------------------------------------------------
@@ -388,8 +399,8 @@ def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | Non
         raise InsufficientTest("all test observations are missing")
     train_targets = tvals[:n_train]
     train_targets = train_targets[~np.isnan(train_targets)]
+    check_finite(fc.predictions[keep], actual[keep])
     result = metrics(actual[keep], fc.predictions[keep], train_targets)
-    assert result.rmse >= result.mae - 1e-12
 
     return EvalRecord(spec.name, dataset_name, split.train_fraction, table.interval,
                       m_eval, mode, int(keep.sum()), result.rmse, result.mae,

@@ -4,9 +4,10 @@ Energy meter exports come in a handful of near-identical CSV dialects:
 a timestamp column (ISO-8601 or epoch seconds) plus a consumption column,
 sometimes with extra columns, sometimes without a header. ``infer_schema``
 detects the common cases and refuses to guess when the file is ambiguous;
-``DatasetSchema`` describes any layout explicitly. The energy and weather
-CSV readers share one table reader, which reads each file once, and one
-column parser and bad-row rule, which report the first bad row at its line.
+``DatasetSchema`` describes any layout explicitly. ``infer_schema`` and the
+CSV readers split a file's UTF-8 text into records in one place, which drops
+blank records before it takes the header; an undecodable byte, a record
+``csv`` refuses and a reader's first bad row are ParseErrors at their line.
 
 Readers never invent values: rows are sorted, duplicate timestamps are an
 error, and gaps in an otherwise uniform series become explicit NaN rows at
@@ -247,55 +248,61 @@ def _uniform_columns(text: str, delimiter: str, skip: int):
     cells = text.replace("\n", delimiter).split(delimiter)
     del cells[n_records * width:]  # the last line's terminator
     columns = [cells[j::width] for j in range(skip * width, (skip + 1) * width)]
-    # a blank row has a blank first cell: look at whole rows only past those
-    if not all(map(str.strip, columns[0])) and any(
-            not "".join(row).strip() for row in zip(*columns) if not row[0].strip()):
+    # the first record, then each row with a blank first cell: none may be blank
+    if not "".join(cells[:width]).strip() or (not all(map(str.strip, columns[0])) and any(
+            not "".join(row).strip() for row in zip(*columns) if not row[0].strip())):
         return None
     return cells[:width], columns
 
 
-def _read_table(path, delimiter: str, skip: int, empty: str):
-    """Read ``path`` once as CSV records. Returns the first record; the
-    columns of the records after the first ``skip``, with blank records
-    dropped and a short record's absent cells None; and the file line each
-    of those records starts on. There is a column for each cell of the
-    first record (at least one), and more where a later record is longer.
+def _read_text(path, size: int = -1) -> str:
+    """The text of ``path`` as UTF-8, a leading byte-order mark dropped; with
+    ``size``, at most its first ``size`` characters. An undecodable byte is a
+    ParseError at its line (LF, CRLF and a lone CR each end one)."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return fh.read(size)
+    except UnicodeDecodeError as exc:
+        if size >= 0:  # a part read names the position in its block: read it all
+            return _read_text(path)
+        raise ParseError(f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})",
+                         line=len((exc.object[:exc.start] + b".").splitlines())) from None
 
-    A file ``_uniform_columns`` splits has record k on line k + 1. Every
-    other file goes through ``csv.reader``, whose records span several lines
-    where a quoted cell holds a line break; an undecodable file is read
-    through it from the start, so its error is raised as ``csv.reader``
-    raises it. Raises ParseError ``empty`` at line 1 when no record follows
+
+def _split_table(text: str, delimiter: str, skip: int, empty: Exception):
+    """Split ``text`` into CSV records, dropping blank ones (every cell
+    blank). Returns the first record; the columns of the records after the
+    first ``skip``, a short record's absent cells None; and the line each of
+    those records starts on. There is a column for each cell of the first
+    record, and more where a later record is longer.
+
+    Text ``_uniform_columns`` splits has record k on line k + 1. Other text
+    goes through ``csv.reader``, whose records span several lines where a
+    quoted cell holds a line break; a record it refuses is a ParseError at
+    its first line. Raises ``empty`` when no record, blank or not, follows
     the first ``skip``.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            fh.seek(0)
-            text = None
-        split = None if text is None else _uniform_columns(text, delimiter, skip)
-        if split is not None:
-            first, columns = split
-            n_body = len(columns[0])
-            lines = range(1 + skip, 1 + skip + n_body)
-        else:
-            records = csv.reader(fh if text is None else io.StringIO(text, newline=""),
-                                 delimiter=delimiter)
-            rows, starts, end = [], [], 0
-            for row in records:
+    split = _uniform_columns(text, delimiter, skip)
+    if split is not None:
+        first, columns = split
+        if not columns[0]:
+            raise empty
+        return first, columns, range(1 + skip, 1 + skip + len(columns[0]))
+    records = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    rows, starts, end = [], [], 0
+    try:
+        for row in records:
+            if rows or "".join(row).strip():  # no blank record comes first
                 rows.append(row)
                 starts.append(end + 1)
-                end = records.line_num
-            n_body = len(rows) - skip
-    if n_body <= 0:
-        raise ParseError(empty, line=1)
-    if split is None:
-        keep = [k for k in range(skip, len(rows)) if "".join(rows[k]).strip()]
-        first, lines = rows[0], [starts[k] for k in keep]
-        columns = [column[1:] for column in
-                   zip_longest(first or [""], *(rows[k] for k in keep))]
-    return first, columns, lines
+            end = records.line_num
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=end + 1) from None
+    if len(rows) <= skip:
+        raise empty
+    keep = [k for k in range(skip, len(rows)) if "".join(rows[k]).strip()]
+    columns = [column[1:] for column in zip_longest(rows[0], *(rows[k] for k in keep))]
+    return rows[0], columns, [starts[k] for k in keep]
 
 
 def _column_index(name, header, n_columns: int, what: str) -> int:
@@ -310,10 +317,11 @@ def _column_index(name, header, n_columns: int, what: str) -> int:
 
 def _read_energy_rows(path, schema: DatasetSchema):
     """The parsed timestamp and value cells of the body's non-blank rows, in
-    file order, from ``_read_table``. Raises ParseError at the file line of
+    file order, from ``_split_table``. Raises ParseError at the file line of
     the first bad row, or if there is none."""
     skip = int(schema.has_header)
-    first, columns, lines = _read_table(path, schema.delimiter, skip, "no data rows")
+    first, columns, lines = _split_table(_read_text(path), schema.delimiter, skip,
+                                         ParseError("no data rows", line=1))
     header = first if schema.has_header else None
     ts_col = _column_index(schema.timestamp_column, header, len(first), "timestamp")
     val_col = _column_index(schema.value_column, header, len(first), "value")
@@ -393,8 +401,8 @@ def read_weather(path, schema: DatasetSchema | None = None) -> dict:
 
 def _read_weather_csv(path, schema) -> dict:
     delimiter = schema.delimiter if schema else ","
-    first, columns, lines = _read_table(path, delimiter, 1, "weather CSV needs a header "
-                                                             "and at least one row")
+    first, columns, lines = _split_table(_read_text(path), delimiter, 1, ParseError(
+        "weather CSV needs a header and at least one row", line=1))
     header = [cell.strip().lower() for cell in first]
     if schema and schema.timestamp_column in first:
         ts_col = first.index(schema.timestamp_column)
@@ -426,11 +434,10 @@ def _read_weather_csv(path, schema) -> dict:
 
 
 def _read_weather_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
     entries = payload.get("list", payload) if isinstance(payload, dict) else payload
     if not isinstance(entries, list):
         raise ParseError("expected a list of observations", line=1)
@@ -455,20 +462,20 @@ def _read_weather_json(path) -> dict:
 def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
     """Best-effort layout detection; refuses to guess on ambiguity.
 
-    The first 64 KiB, to their last whole line, are split into records as
-    ``read_energy_csv`` splits them, on ``delimiter`` if given, else on the
-    one of ``,`` ``;`` tab ``|`` sniffed from their first 50 non-blank lines
-    (the sniffer reads all it is given). The timestamp column is the first
+    The first 64 Ki characters, to their last whole line, are split into
+    records as ``read_energy_csv`` splits them, on ``delimiter`` if given,
+    else on the one of ``,`` ``;`` tab ``|`` sniffed from their first 50
+    non-blank lines (the sniffer reads all it is given), and the first 50
+    non-blank records are inspected. The timestamp column is the first
     whose cells all parse as datetimes (ISO-8601, or integers in a plausible
     epoch range); the value column is the only other fully numeric column.
     Any other outcome raises CannotInfer, listing what was considered.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        sample = fh.read(1 << 16)
-        if not sample.strip():
-            raise CannotInfer("file is empty")
-        if fh.read(1):  # the sample may end inside a line: keep the whole ones
-            sample = sample[:max(sample.rfind("\n"), sample.rfind("\r")) + 1]
+    sample = _read_text(path, (1 << 16) + 1)
+    if not sample.strip():
+        raise CannotInfer("file is empty")
+    if len(sample) > 1 << 16:  # the sample may end inside a line: keep the whole ones
+        sample = sample[:max(sample.rfind("\n", 0, -1), sample.rfind("\r", 0, -1)) + 1]
 
     if delimiter is not None:
         _check_delimiter(delimiter)
@@ -478,18 +485,14 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
         try:
             delimiter = csv.Sniffer().sniff(head, delimiters=",;\t|").delimiter
         except csv.Error:
-            first = io.StringIO(sample, newline="").readline()  # ends as csv's lines do
-            counts = {d: first.count(d) for d in ",;\t|"}
+            line = io.StringIO(sample, newline="").readline()  # ends as csv's lines do
+            counts = {d: line.count(d) for d in ",;\t|"}
             delimiter = max(counts, key=counts.get)
             if counts[delimiter] == 0:
                 raise CannotInfer("could not detect a delimiter; "
                                   "expected one of ',' ';' tab '|'") from None
 
-    records = csv.reader(io.StringIO(sample, newline=""), delimiter=delimiter)
-    rows = list(islice((row for row in records if any(cell.strip() for cell in row)), 50))
-    if not rows:
-        raise CannotInfer("no rows to inspect")
-
+    first, columns, _ = _split_table(sample, delimiter, 0, CannotInfer("no rows to inspect"))
     parse_ts = _timestamp_parser("auto", 0.0)
 
     def parses(parse, cells):  # an infinity counts: ``float`` reads it
@@ -499,20 +502,17 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
             return False
         return True
 
-    first_is_data = all(parses(parse_ts, [c]) or parses(float, [c])
-                        for c in rows[0] if c.strip())
-    has_header = not first_is_data
-    header = [c.strip() for c in rows[0]] if has_header else None
-    body = rows[1:] if has_header else rows
-    if not body:
+    has_header = not all(parses(parse_ts, [c]) or parses(float, [c])
+                         for c in first if c.strip())
+    # the first 50 records, the header included
+    body = [column[has_header:50] for column in columns[:len(first)]]
+    if not body[0]:
         raise CannotInfer("header only, no data rows")
 
-    n_columns = len(rows[0])
-    names = header if header is not None else [str(j) for j in range(n_columns)]
+    names = [c.strip() for c in first] if has_header else [str(j) for j in range(len(first))]
     ts_like, numeric = [], []
-    for j in range(n_columns):
-        cells = [row[j] for row in body if j < len(row)
-                 and row[j].strip().lower() not in _MISSING_TOKENS]
+    for j, column in enumerate(body):
+        cells = [c for c in column if c and c.strip().lower() not in _MISSING_TOKENS]
         if not cells:
             continue
         if parses(parse_ts, cells):

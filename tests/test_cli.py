@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import csv
 import inspect
 import io
 import json
@@ -44,6 +45,14 @@ def hourly_csv(tmp_path):
     path = tmp_path / "energy.csv"
     write_energy_csv(path, arma_series(200, ar=(0.6,), intercept=2.0,
                                        noise_sd=0.5, seed=1))
+    return path
+
+
+@pytest.fixture
+def huge_csv(tmp_path):
+    """30 hourly readings near 1e302: the GP, MLP and SVR predict NaN from them."""
+    path = tmp_path / "huge.csv"
+    write_energy_csv(path, TimeSeries(0.0, HOUR, (1 + 0.01 * (7 * np.arange(30) % 13)) * 1e302))
     return path
 
 
@@ -179,6 +188,19 @@ class TestForecast:
         captured = capsys.readouterr()
         assert captured.out.startswith("timestamp,value\n")
         assert len(captured.out.strip().splitlines()) == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("model", ["gp", "mlp", "svr"])
+    def test_non_finite_forecast_is_model_error_exit_4(self, huge_csv, tmp_path, capsys,
+                                                        model):
+        out = tmp_path / "fc.csv"
+        code = main(["forecast", "--model", model, "--p", "3", "--horizon", "1",
+                     "--input", str(huge_csv), "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err.endswith(
+            "wattcast: model error: NonFinitePrediction: 1 of 1 predictions are not finite\n")
+        assert not out.exists()
 
     def test_out_of_memory_is_model_error_exit_4(self, hourly_csv, monkeypatch, capsys):
         def exhausted(self, X, y):
@@ -395,6 +417,18 @@ class TestBenchmark:
         assert by_model["knn"]["error"] is None
         assert "TooShort" in by_model["var"]["error"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_predictions_fail_their_cell(self, huge_csv, tmp_path):
+        out_json = tmp_path / "report.json"
+        code = main(["benchmark", "--input", str(huge_csv), "--models", "gp,knn",
+                     "--p", "3", "--splits", "0.7", "--report", str(tmp_path / "r.txt"),
+                     "--json", str(out_json)])
+        assert code == 0
+        errors = {r["model"]: r["error"] for r in json.loads(out_json.read_text())["records"]}
+        assert errors == {"gp": "NonFinitePrediction: 9 of 9 predictions are not finite",
+                          "knn": None}
+
     def test_all_cells_failed_exit_5(self, tmp_path):
         path = tmp_path / "short.csv"
         write_energy_csv(path, arma_series(60, ar=(0.5,), noise_sd=0.3, seed=3))
@@ -593,6 +627,62 @@ class TestResample:
                      "--interval", "2h"]) == 3
         assert ("data error: ParseError: line 3: bad timestamp 'nan' (not finite)"
                 in capsys.readouterr().err)
+
+
+def _csv_lines(*lines):
+    return b"".join(line + b"\n" for line in lines)
+
+
+ROWS = [f"{_format_timestamp(HOUR * k)},{(7 * k) % 5}.5".encode() for k in range(48)]
+HEADER = b"timestamp,value"
+# (file bytes, the ParseError text the CLI reports)
+ODD_FILES = {
+    "not_utf8_in_the_header": (_csv_lines(HEADER + b" \xb0C", *ROWS),
+                               "line 1: not UTF-8: byte 0xb0 (invalid start byte)"),
+    "not_utf8_in_the_body": (_csv_lines(HEADER, *ROWS[:20], b"1970-01-01T20:00:00Z,K\xf6ln",
+                                        *ROWS[21:]),
+                             "line 22: not UTF-8: byte 0xf6 (invalid start byte)"),
+    "quoted_field_longer_than_the_csv_limit": (
+        _csv_lines(HEADER, *ROWS, b'1970-01-03T00:00:00Z,"' + b" " * csv.field_size_limit()
+                   + b'1"'),
+        "line 50: field larger than field limit (131072)"),
+}
+# a command that reads its input with each schema, writing to an --out file
+READING_COMMANDS = {
+    "resample": ["resample", "--interval", "2h"],
+    "forecast_ols": ["forecast", "--model", "ols", "--p", "3", "--horizon", "2"],
+}
+SCHEMAS = {"inferred": [], "explicit": TestSchemaFlags.COLUMNS}
+
+
+class TestOddInputFiles:
+    @pytest.mark.parametrize("schema", sorted(SCHEMAS))
+    @pytest.mark.parametrize("command", sorted(READING_COMMANDS))
+    @pytest.mark.parametrize("blank", [b"\n", b"\r\n\n", b" , \n"])
+    def test_blank_first_lines_change_no_output(self, tmp_path, command, schema, blank):
+        outputs = []
+        for name, data in (("plain", _csv_lines(HEADER, *ROWS)),
+                           ("padded", blank + _csv_lines(HEADER, *ROWS))):
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.out.csv"
+            path.write_bytes(data)
+            assert main([*READING_COMMANDS[command], *SCHEMAS[schema], "--input", str(path),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("schema", sorted(SCHEMAS))
+    @pytest.mark.parametrize("command", sorted(READING_COMMANDS))
+    @pytest.mark.parametrize("case", sorted(ODD_FILES))
+    def test_odd_file_is_a_parse_error_at_its_line(self, tmp_path, capsys, case, command,
+                                                    schema):
+        data, message = ODD_FILES[case]
+        path, out = tmp_path / "odd.csv", tmp_path / "out.csv"
+        path.write_bytes(data)
+        code = main([*READING_COMMANDS[command], *SCHEMAS[schema], "--input", str(path),
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"wattcast: data error: ParseError: {message}\n"
+        assert not out.exists()
 
 
 class TestDecompose:

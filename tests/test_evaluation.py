@@ -10,7 +10,13 @@ import pytest
 from test_acceptance import _fitted_arrays
 from test_regressors import MeanModel
 
-from wattcast.errors import ConfigError, InsufficientTest, LengthMismatch, TooShort
+from wattcast.errors import (
+    ConfigError,
+    InsufficientTest,
+    LengthMismatch,
+    NonFinitePrediction,
+    TooShort,
+)
 from wattcast.evaluation import (
     ARIMA_ORDER,
     MODE_ONE_STEP,
@@ -21,6 +27,7 @@ from wattcast.evaluation import (
     ModelSpec,
     SplitSpec,
     benchmark,
+    check_finite,
     default_specs,
     evaluate,
     fit_forecast,
@@ -40,6 +47,16 @@ class BrokenModel(OlsModel):
 
     def fit(self, frame):
         raise RuntimeError("solver exploded")
+
+
+class HalfNanModel(MeanModel):
+    """Predicts NaN for every other row, and an infinity for the second."""
+
+    def _predict(self, X):
+        predictions = super()._predict(X)
+        predictions[::2] = np.nan
+        predictions[1] = np.inf
+        return predictions
 
 
 def hourly(values):
@@ -88,6 +105,20 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             metrics([1.0, 2.0], [1.0], [0.0])
+
+    @pytest.mark.parametrize("predicted, actual, message", [
+        ([1.0, np.nan, np.inf, -np.inf], None, "3 of 4 predictions are not finite"),
+        ([np.nan, 1.0], [2.0, 2.0], "1 of 2 predictions are not finite"),
+        ([np.nan, np.inf, 1.0], [np.nan, np.inf, 1.0], None),
+        ([1.0, 2.0], None, None),
+    ], ids=["no_actuals", "finite_actual", "actual_not_finite", "all_finite"])
+    def test_check_finite(self, predicted, actual, message):
+        if message is None:
+            check_finite(np.array(predicted), None if actual is None else np.array(actual))
+        else:
+            with pytest.raises(NonFinitePrediction, match=f"^{message}$"):
+                check_finite(np.array(predicted),
+                             None if actual is None else np.array(actual))
 
 
 class TestSplitSpec:
@@ -213,6 +244,12 @@ class TestEvaluate:
         s = arma_series(300, ar=(0.3,), noise_sd=1.0, seed=12)
         rec = evaluate(ModelSpec("mean", "lag", MeanModel), s, 0.8, p=2)
         assert rec.rae == pytest.approx(1.0, abs=0.05)
+
+    def test_non_finite_prediction_is_a_model_error(self):
+        # 30 rows, 24 in the train prefix: 6 scored, 3 NaN and 1 infinite
+        with pytest.raises(NonFinitePrediction, match="^4 of 6 predictions are not finite$"):
+            evaluate(ModelSpec("half_nan", "lag", HalfNanModel), hourly(np.arange(30.0)), 0.8,
+                     p=2)
 
     @pytest.mark.parametrize("mode, horizon, missing_from, message", [
         (MODE_ONE_STEP, None, 22, "no complete test windows"),

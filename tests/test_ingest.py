@@ -1,5 +1,6 @@
 """Tests for CSV/JSON ingestion, schema inference, and the canonical writer."""
 
+import codecs
 import csv
 import io
 import json
@@ -82,16 +83,38 @@ def _reference_parse_value(text, line):
         raise ParseError(f"bad numeric value {text!r}", line=line) from None
 
 
+def _reference_line(text):
+    """The line that follows ``text``: one more than the line breaks
+    ``csv.reader`` counts in it (LF, CRLF and a lone CR)."""
+    return sum(1 for _ in io.StringIO(text + ".", newline=""))
+
+
 def _reference_records(path, delimiter):
-    """The CSV records of ``path`` and the file line each one starts on: a
-    quoted cell may hold newlines, so the two counts can differ."""
-    rows, starts, end = [], [], 0
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for row in reader:
+    """The CSV records of ``path`` from its first non-blank one on, and the
+    file line each one starts on: a quoted cell may hold newlines, so the two
+    counts can differ. An undecodable byte, or a record ``csv.reader``
+    refuses, is a ParseError at the line it starts on."""
+    data = path.read_bytes()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = data[bom:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = bom + exc.start
+        raise ParseError(f"not UTF-8: byte {data[bad]:#04x} ({exc.reason})",
+                         line=_reference_line(data[bom:bad].decode("utf-8"))) from None
+    rows, starts = [], []
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    while True:
+        start = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=start) from None
+        if rows or any(cell.strip() for cell in row):
             rows.append(row)
-            starts.append(end + 1)
-            end = reader.line_num
+            starts.append(start)
     return rows, starts
 
 
@@ -510,6 +533,58 @@ class TestInferSchema:
         with pytest.raises(ConfigError, match="schema delimiter must be one character"):
             infer_schema(path, delimiter=delimiter)
 
+    @pytest.mark.parametrize("text", ["time,load\n1970-01-02T00:00:00Z,4.0\n"
+                                      "1970-01-02T01:00:00Z,5.0\n",
+                                      "1300000000;5.0\n1300003600;6.0\n"],
+                             ids=["header", "headerless"])
+    @pytest.mark.parametrize("blank", ["\n", "\r\n", " \t\n\n", "{0}\n", " {0} \n\n"])
+    def test_blank_first_lines_infer_as_the_file_without_them(self, tmp_path, text, blank):
+        blank = blank.format("," if "," in text else ";")  # a record of blank cells
+        plain, padded = write(tmp_path, "a.csv", text), write(tmp_path, "b.csv", blank + text)
+        schema = infer_schema(plain)
+        assert infer_schema(padded) == schema
+        assert _outcome(read_energy_csv, padded, schema) == _outcome(read_energy_csv, plain,
+                                                                     schema)
+
+    @pytest.mark.parametrize("line", [1, 2, 450])
+    def test_undecodable_byte_is_a_parse_error_at_its_line(self, tmp_path, line):
+        # rows of 117 characters in 217 bytes: a text-mode read of the sample
+        # decodes two blocks, and line 450 lies in the second
+        rows = [f"{1_600_000_000 + 3600 * k},{k}.5,{'é' * 100}".encode() for k in range(600)]
+        rows.insert(0, b"timestamp,value,note")
+        rows[line - 1] = b"\xff" + rows[line - 1]
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(ParseError, match=rf"^line {line}: not UTF-8: byte 0xff \("):
+            infer_schema(path)
+
+    @pytest.mark.parametrize("row, inferred", [(49, False), (50, True)])
+    def test_the_first_50_records_are_inspected(self, tmp_path, row, inferred):
+        # the header is the first record: data row 50 is the 51st
+        cells = ["?" if k == row else f"{k}.5" for k in range(1, 61)]
+        path = write(tmp_path, "a.csv", "timestamp,value\n" + "".join(
+            f"{1_600_000_000 + 3600 * k},{cell}\n" for k, cell in enumerate(cells)))
+        if inferred:
+            assert infer_schema(path) == DatasetSchema("timestamp", "value")
+        else:
+            with pytest.raises(CannotInfer, match="no numeric value column"):
+                infer_schema(path)
+
+    def test_undecodable_byte_past_the_sample_fails_the_read_only(self, tmp_path):
+        rows = b"".join(b"%d,%d.5\n" % (1_600_000_000 + 3600 * k, k) for k in range(6000))
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"timestamp,value\n" + rows + b"1700000000,\xff\n")
+        schema = infer_schema(path)
+        assert schema == DatasetSchema("timestamp", "value")
+        with pytest.raises(ParseError, match="^line 6002: not UTF-8: byte 0xff"):
+            read_energy_csv(path, schema)
+
+    def test_sample_is_read_in_characters(self, tmp_path):
+        # two-byte characters: the 65,536th byte falls inside one
+        path = write(tmp_path, "a.csv", "timestamp,value,note\n" + "".join(
+            f"{1_600_000_000 + 3600 * k},{k}.5,{'é' * 300}\n" for k in range(200)))
+        assert infer_schema(path) == DatasetSchema("timestamp", "value")
+
 
 ISO = "1970-01-01T0{}:00:00Z"
 # (file name, text, schema) of weather files that the reader and its oracle read alike
@@ -692,6 +767,22 @@ class TestReadWeather:
         path = write(tmp_path, "w.csv", "temp,dt\n13,3600\n14\n")
         with pytest.raises(ParseError, match=r"^line 3: bad timestamp '' \(empty"):
             read_weather(path, DatasetSchema("dt", "temp", "epoch"))
+
+    @pytest.mark.parametrize("name, data, message", [
+        ("w.csv", b"timestamp,temp\xb0C\n1609459200,1\n", "line 1: not UTF-8: byte 0xb0"),
+        ("w.csv", b"timestamp,temp\n1609459200,1\n\n1609462800,K\xf6ln\n",
+         "line 4: not UTF-8: byte 0xf6"),
+        ("w.json", b'{"city": "K\xf6ln", "list": []}', "line 1: not UTF-8: byte 0xf6"),
+        ("w.json", b'[{"dt": 1, "main": {"temp": 1}},\r\n {"dt": 2, "name": "K\xf6ln"}]',
+         "line 2: not UTF-8: byte 0xf6"),
+    ], ids=["csv_header", "csv_body", "json_first_line", "json_second_line"])
+    def test_undecodable_byte_is_a_parse_error_at_its_line(self, tmp_path, name, data,
+                                                           message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as caught:
+            read_weather(path)
+        assert str(caught.value).startswith(message)
 
     def test_second_column_named_timestamp_is_refused(self, tmp_path):
         path = write(tmp_path, "w.csv", "date,timestamp\n1970-01-01T01:00:00Z,1\n")
@@ -964,8 +1055,9 @@ class TestReaderMatchesReferenceLoop:
 EPOCH_SCHEMA = DatasetSchema("t", "v", "epoch")
 ONE_COLUMN = DatasetSchema("0", "0", has_header=False)
 # (file bytes, schema, whether the columnar reader serves it: csv.reader is
-# not called). Every other file is read by csv.reader. A columnar file with
-# a cell that fails to parse stays columnar: its record k is on line k + 1.
+# not called). Every other file is read by csv.reader, bar those marked None,
+# which are refused before they are split. A columnar file with a cell that
+# fails to parse stays columnar: its record k is on line k + 1.
 PATH_CASES = {
     "lf": (b"t,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, True),
     "crlf": (b"t,v\r\n1609459200,1\r\n1609462800,2\r\n", ISO_SCHEMA, True),
@@ -1001,6 +1093,10 @@ PATH_CASES = {
     "headerless_one_column_first_line_blank": (b"\n1609459200\n1609462800\n",
                                                ONE_COLUMN, False),
     "first_line_blank": (b"\nt,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, False),
+    "first_line_of_delimiters": (b" ,\nt,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA,
+                                 False),
+    "blank_lines_then_header_only": (b"\n\r\nt,v\n", ISO_SCHEMA, False),
+    "only_blank_lines": (b"\n,\n \n", ISO_SCHEMA, False),
     "one_column_blank_header_line": (b"\n1609459200\n1609462800\n", DatasetSchema("0", "0"),
                                      False),
     "padded_cells": (b"t,v\n 1609459200 ,\t1.5 \n1609462800\t, -2 \n", ISO_SCHEMA, True),
@@ -1025,18 +1121,39 @@ PATH_CASES = {
     # csv.reader before Python 3.11 refuses a NUL anywhere on a line
     "nul_in_an_unparsed_cell": (b"t,v,note\n1609459200,1,a\x00\n1609462800,2,b\n",
                                 ISO_SCHEMA, False),
-    "not_utf8": (b"t,v\n1609459200,1\n1609462800,\xff\n", ISO_SCHEMA, False),
-    # the decoder's error names the byte's position in the block it was reading
+    "not_utf8": (b"t,v\n1609459200,1\n1609462800,\xff\n", ISO_SCHEMA, None),
+    # a text-mode read names the byte's position in the block it was decoding
     "not_utf8_past_the_first_block": (b"t,v\n" + b"".join(
         b"%d,1\n" % (1609459200 + 3600 * i) for i in range(1000)) + b"1609459200,\xff\n",
-        ISO_SCHEMA, False),
+        ISO_SCHEMA, None),
+    "not_utf8_in_the_header": (b"t,v\xb0C\n1609459200,1\n", ISO_SCHEMA, None),
+    "not_utf8_after_a_bom": (b"\xef\xbb\xbft,v\n\xe9,1\n", ISO_SCHEMA, None),
+    "not_utf8_after_lone_crs": (b"t,v\r1609459200,1\r\r\n1609462800,\xc3(\r", ISO_SCHEMA,
+                                None),
+    "cut_character_at_the_end": (b"t,v\n1609459200,1\n1609462800,2\xc3", ISO_SCHEMA, None),
     "field_longer_than_the_csv_limit": (
         b"t,v\n1609459200,1\n1609462800," + b" " * csv.field_size_limit() + b"2\n",
+        ISO_SCHEMA, False),
+    "quoted_field_longer_than_the_csv_limit": (
+        b't,v\n1609459200,1\n1609462800,"\n' + b" " * csv.field_size_limit() + b'2"\n',
         ISO_SCHEMA, False),
     "missing_value_column": (b"t,w\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, True),
     "duplicate_stamp": (b"t,v\n1609459200,1\n1609459200,2\n", ISO_SCHEMA, True),
     "header_only": (b"t,v\n", ISO_SCHEMA, True),
     "empty_file": (b"", ISO_SCHEMA, False),
+}
+# the ParseError text both readers give on odd bytes, refused records and blank lines
+PATH_ERRORS = {
+    "not_utf8": "line 3: not UTF-8: byte 0xff (invalid start byte)",
+    "not_utf8_past_the_first_block": "line 1002: not UTF-8: byte 0xff",
+    "not_utf8_in_the_header": "line 1: not UTF-8: byte 0xb0",
+    "not_utf8_after_a_bom": "line 2: not UTF-8: byte 0xe9",
+    "not_utf8_after_lone_crs": "line 4: not UTF-8: byte 0xc3 (invalid continuation byte)",
+    "cut_character_at_the_end": "line 3: not UTF-8: byte 0xc3 (unexpected end of data)",
+    "field_longer_than_the_csv_limit": "line 3: field larger than field limit (131072)",
+    "quoted_field_longer_than_the_csv_limit": "line 3: field larger than field limit",
+    "blank_lines_then_header_only": "line 1: no data rows",
+    "only_blank_lines": "line 1: no data rows",
 }
 
 
@@ -1075,7 +1192,9 @@ class TestColumnarPath:
         if not columnar:
             monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
         assert _outcome(read_energy_csv, path, schema) == expected
-        assert bool(readers) == (not columnar or not serves)
+        assert bool(readers) == (serves is not None and (not columnar or not serves))
+        if case in PATH_ERRORS:
+            assert expected[0] is ParseError and expected[1].startswith(PATH_ERRORS[case])
 
     def test_meter_shaped_export_never_reaches_csv_reader(self, tmp_path, monkeypatch):
         rows = [f"HH-0001;{1_609_459_200 + 900 * i};{1000 + 7 * i}"
