@@ -269,7 +269,7 @@ def _read_text(path, size: int = -1) -> str:
                          line=len((exc.object[:exc.start] + b".").splitlines())) from None
 
 
-def _split_table(text: str, delimiter: str, skip: int, empty: Exception):
+def _split_table(text: str, delimiter: str, skip: int, empty):
     """Split ``text`` into CSV records, dropping blank ones (every cell
     blank). Returns the first record; the columns of the records after the
     first ``skip``, a short record's absent cells None; and the line each of
@@ -279,30 +279,29 @@ def _split_table(text: str, delimiter: str, skip: int, empty: Exception):
     Text ``_uniform_columns`` splits has record k on line k + 1. Other text
     goes through ``csv.reader``, whose records span several lines where a
     quoted cell holds a line break; a record it refuses is a ParseError at
-    its first line. Raises ``empty`` when no record, blank or not, follows
-    the first ``skip``.
+    its first line. When no record follows the first ``skip``, raises
+    ``empty(line)``: the first record's line, or 1 when there is none.
     """
     split = _uniform_columns(text, delimiter, skip)
     if split is not None:
         first, columns = split
-        if not columns[0]:
-            raise empty
-        return first, columns, range(1 + skip, 1 + skip + len(columns[0]))
-    records = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-    rows, starts, end = [], [], 0
-    try:
-        for row in records:
-            if rows or "".join(row).strip():  # no blank record comes first
-                rows.append(row)
-                starts.append(end + 1)
-            end = records.line_num
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=end + 1) from None
-    if len(rows) <= skip:
-        raise empty
-    keep = [k for k in range(skip, len(rows)) if "".join(rows[k]).strip()]
-    columns = [column[1:] for column in zip_longest(rows[0], *(rows[k] for k in keep))]
-    return rows[0], columns, [starts[k] for k in keep]
+        starts = range(1, 1 + skip + len(columns[0]))
+    else:
+        records = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+        rows, starts, end = [], [], 0
+        try:
+            for row in records:
+                if "".join(row).strip():
+                    rows.append(row)
+                    starts.append(end + 1)
+                end = records.line_num
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=end + 1) from None
+        first = rows[0] if rows else None
+        columns = [column[skip:] for column in zip_longest(*rows)]
+    if len(starts) <= skip:
+        raise empty(starts[0] if starts else 1)
+    return first, columns, starts[skip:]
 
 
 def _column_index(name, header, n_columns: int, what: str) -> int:
@@ -318,10 +317,10 @@ def _column_index(name, header, n_columns: int, what: str) -> int:
 def _read_energy_rows(path, schema: DatasetSchema):
     """The parsed timestamp and value cells of the body's non-blank rows, in
     file order, from ``_split_table``. Raises ParseError at the file line of
-    the first bad row, or if there is none."""
+    the first bad row, or ``no data rows`` where ``_split_table`` finds none."""
     skip = int(schema.has_header)
     first, columns, lines = _split_table(_read_text(path), schema.delimiter, skip,
-                                         ParseError("no data rows", line=1))
+                                         lambda line: ParseError("no data rows", line=line))
     header = first if schema.has_header else None
     ts_col = _column_index(schema.timestamp_column, header, len(first), "timestamp")
     val_col = _column_index(schema.value_column, header, len(first), "value")
@@ -336,8 +335,6 @@ def _read_energy_rows(path, schema: DatasetSchema):
     stamps, (values,) = _parse_rows(lines, stamp_cells, schema.timestamp_format,
                                     schema.utc_offset_hours, [(value_cells, "")],
                                     first=short, bounded=True)
-    if not stamps.size:
-        raise ParseError("no data rows", line=1 + skip)
     return stamps, values
 
 
@@ -390,6 +387,7 @@ def read_weather(path, schema: DatasetSchema | None = None) -> dict:
     "main": {"temp": ..., "humidity": ...}}]}``. CSV files need a header;
     ``temperature`` (else ``temp``) and ``humidity`` are matched by name, and
     any other column with an observed value is kept under its lowercased name.
+    No observation is a ParseError at the CSV header's line, else at line 1.
     """
     if str(path).endswith(".json"):
         table = _read_weather_json(path)
@@ -401,8 +399,8 @@ def read_weather(path, schema: DatasetSchema | None = None) -> dict:
 
 def _read_weather_csv(path, schema) -> dict:
     delimiter = schema.delimiter if schema else ","
-    first, columns, lines = _split_table(_read_text(path), delimiter, 1, ParseError(
-        "weather CSV needs a header and at least one row", line=1))
+    first, columns, lines = _split_table(_read_text(path), delimiter, 1, lambda line: ParseError(
+        "weather CSV needs a header and at least one row", line=line))
     header = [cell.strip().lower() for cell in first]
     if schema and schema.timestamp_column in first:
         ts_col = first.index(schema.timestamp_column)
@@ -441,6 +439,8 @@ def _read_weather_json(path) -> dict:
     entries = payload.get("list", payload) if isinstance(payload, dict) else payload
     if not isinstance(entries, list):
         raise ParseError("expected a list of observations", line=1)
+    if not entries:
+        raise ParseError("no observations", line=1)
     rows = []
     for i, entry in enumerate(entries):
         try:
@@ -452,7 +452,7 @@ def _read_weather_json(path) -> dict:
                 for key in ("temp", "humidity")])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"observation {i}: {exc}", line=1) from None
-    table = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    table = np.asarray(rows, dtype=np.float64)
     bad = ~np.isfinite(table[:, 0]) | np.isinf(table[:, 1:]).any(axis=1)
     if bad.any():
         raise ParseError(f"observation {int(bad.argmax())}: a number is not finite", line=1)
@@ -466,14 +466,13 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
     records as ``read_energy_csv`` splits them, on ``delimiter`` if given,
     else on the one of ``,`` ``;`` tab ``|`` sniffed from their first 50
     non-blank lines (the sniffer reads all it is given), and the first 50
-    non-blank records are inspected. The timestamp column is the first
-    whose cells all parse as datetimes (ISO-8601, or integers in a plausible
-    epoch range); the value column is the only other fully numeric column.
-    Any other outcome raises CannotInfer, listing what was considered.
+    non-blank records are inspected: none, or a header alone, is CannotInfer
+    ("no data rows"). The timestamp column is the first whose cells all
+    parse as datetimes (ISO-8601, or integers in a plausible epoch range);
+    the value column is the only other fully numeric column. Any other
+    outcome raises CannotInfer, listing what was considered.
     """
     sample = _read_text(path, (1 << 16) + 1)
-    if not sample.strip():
-        raise CannotInfer("file is empty")
     if len(sample) > 1 << 16:  # the sample may end inside a line: keep the whole ones
         sample = sample[:max(sample.rfind("\n", 0, -1), sample.rfind("\r", 0, -1)) + 1]
 
@@ -488,11 +487,11 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
             line = io.StringIO(sample, newline="").readline()  # ends as csv's lines do
             counts = {d: line.count(d) for d in ",;\t|"}
             delimiter = max(counts, key=counts.get)
-            if counts[delimiter] == 0:
+            if head and counts[delimiter] == 0:  # a blank sample: the split refuses it
                 raise CannotInfer("could not detect a delimiter; "
                                   "expected one of ',' ';' tab '|'") from None
 
-    first, columns, _ = _split_table(sample, delimiter, 0, CannotInfer("no rows to inspect"))
+    first, columns, _ = _split_table(sample, delimiter, 0, lambda _: CannotInfer("no data rows"))
     parse_ts = _timestamp_parser("auto", 0.0)
 
     def parses(parse, cells):  # an infinity counts: ``float`` reads it

@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..errors import HistoryTooShort, LengthMismatch, MissingCells
+from ..errors import HistoryTooShort, LengthMismatch, MissingCells, NonFinitePrediction
 from ..series import TimeSeries
 from ..transform import SupervisedFrame, apply_scaler, fit_scaler, invert_scaler
 
@@ -103,9 +103,10 @@ class ForecastModel(ABC):
 
         ``history`` is a TimeSeries or 1-D array of past target values; its
         last ``lag_order_`` entries seed the window, and each prediction
-        becomes the newest lag of the next one. If the model was fitted with
-        exogenous features, ``exog`` must be a (horizon, n_exog) matrix of
-        covariate values at each target step.
+        becomes the newest lag of the next one: one that is not finite raises
+        NonFinitePrediction first. If the model was fitted with exogenous
+        features, ``exog`` must be a (horizon, n_exog) matrix of covariate
+        values at each target step.
         """
         values = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=float)
         p = self.lag_order_
@@ -121,11 +122,11 @@ class ForecastModel(ABC):
                     f"exog must have shape ({horizon}, {self.n_exog_})")
 
         feed = np.concatenate([values[values.size - p:], np.empty(horizon)])
-        preds = np.empty(horizon)
+        if np.isnan(feed[:p]).any():
+            raise HistoryTooShort("missing value inside the lag window at step 0")
         for i in range(horizon):
-            window = feed[i: i + p]
-            if np.isnan(window).any():
-                raise HistoryTooShort(f"missing value inside the lag window at step {i}")
-            x = window if not self.n_exog_ else np.concatenate([window, exog[i]])
-            preds[i] = feed[p + i] = self.predict(x)
-        return preds
+            x = np.concatenate([feed[i: i + p], exog[i]]) if self.n_exog_ else feed[i: i + p]
+            feed[p + i] = self.predict(x)
+            if not np.isfinite(feed[p + i]):
+                raise NonFinitePrediction(f"prediction at step {i} is not finite")
+        return feed[p:]

@@ -195,12 +195,13 @@ class TestForecast:
     def test_non_finite_forecast_is_model_error_exit_4(self, huge_csv, tmp_path, capsys,
                                                         model):
         out = tmp_path / "fc.csv"
-        code = main(["forecast", "--model", model, "--p", "3", "--horizon", "1",
-                     "--input", str(huge_csv), "--out", str(out)])
-        assert code == 4
-        assert capsys.readouterr().err.endswith(
-            "wattcast: model error: NonFinitePrediction: 1 of 1 predictions are not finite\n")
-        assert not out.exists()
+        for horizon in ("1", "2"):  # the first prediction is not fed back
+            code = main(["forecast", "--model", model, "--p", "3", "--horizon", horizon,
+                         "--input", str(huge_csv), "--out", str(out)])
+            assert code == 4
+            assert capsys.readouterr().err.endswith(
+                "wattcast: model error: NonFinitePrediction: prediction at step 0 is not finite\n")
+            assert not out.exists()
 
     def test_out_of_memory_is_model_error_exit_4(self, hourly_csv, monkeypatch, capsys):
         def exhausted(self, X, y):

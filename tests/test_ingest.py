@@ -123,8 +123,8 @@ def _reference_read_energy_csv(path, schema):
     header = rows[0] if schema.has_header and rows else None
     body_start = 2 if schema.has_header else 1
     body = rows[1:] if schema.has_header else rows
-    if not body:
-        raise ParseError("no data rows", line=body_start - 1 or 1)
+    if not any(cell.strip() for row in body for cell in row):
+        raise ParseError("no data rows", line=starts[0] if starts else 1)
 
     n_columns = len(rows[0])
     ts_col = _column_index(schema.timestamp_column, header, n_columns, "timestamp")
@@ -150,8 +150,6 @@ def _reference_read_energy_csv(path, schema):
         if math.isinf(values[-1]):
             raise ParseError(f"bad numeric value {row[val_col]!r}", line=line)
 
-    if not stamps:
-        raise ParseError("no data rows", line=body_start)
     order = np.argsort(np.asarray(stamps), kind="stable")
     stamps = np.asarray(stamps, dtype=np.float64)[order]
     values = np.asarray(values, dtype=np.float64)[order]
@@ -193,8 +191,9 @@ def _reference_read_weather(path, schema=None):
                                                  "humidity": main.get("humidity")}))
     else:
         rows, starts = _reference_records(path, schema.delimiter if schema else ",")
-        if len(rows) < 2:
-            raise ParseError("weather CSV needs a header and at least one row", line=1)
+        if not any(cell.strip() for row in rows[1:] for cell in row):
+            raise ParseError("weather CSV needs a header and at least one row",
+                             line=starts[0] if starts else 1)
         header = [cell.strip().lower() for cell in rows[0]]
         ts_name = schema.timestamp_column if schema else None
         if ts_name is not None and ts_name in rows[0]:
@@ -497,6 +496,13 @@ class TestInferSchema:
         with pytest.raises(CannotInfer):
             infer_schema(path)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", " , \n", "\t\n\r\n"])
+    @pytest.mark.parametrize("delimiter", [None, ","])
+    def test_blank_file_has_no_data_rows(self, tmp_path, text, delimiter):
+        path = write(tmp_path, "a.csv", text)
+        with pytest.raises(CannotInfer, match="^no data rows$"):
+            infer_schema(path, delimiter)
+
     def test_given_delimiter_replaces_the_sniff(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("time§load\n1970-01-02T00:00:00Z§4.0\n1970-01-02T01:00:00Z§5.0\n",
@@ -618,6 +624,7 @@ WEATHER_CASES = {
                              DatasetSchema("timestamp", "humidity", utc_offset_hours=5.0)),
     "only_blank_rows": ("w.csv", "timestamp,temperature\n\n , \n", None),
     "header_only": ("w.csv", "timestamp,temperature\n", None),
+    "quoted_header_then_a_blank_row": ("w.csv", 'timestamp,"temperature"\n,\n', None),
     "bad_value_after_blank_rows": ("w.csv", f"timestamp,temperature,humidity\n\n"
                                             f"{ISO.format(1)},1,2\n\n{ISO.format(2)},3,wet\n",
                                    None),
@@ -664,6 +671,9 @@ WEATHER_NAMES = {
     "empty_and_short_cells": ["timestamp", "temperature", "humidity", "wind"],
 }
 WEATHER_ERRORS = {
+    "only_blank_rows": "line 1: weather CSV needs a header and at least one row",
+    "header_only": "line 1: weather CSV needs a header and at least one row",
+    "quoted_header_then_a_blank_row": "line 1: weather CSV needs a header and at least one row",
     "bad_cells_around_the_time_column": "line 3: bad timestamp 'noon' (",
     "two_bad_value_columns": "line 3: bad numeric value 'cold' in column 'temperature'",
 }
@@ -733,8 +743,10 @@ class TestReadWeather:
         ({"list": [{"dt": 1}, {"main": {}}]}, "line 1: observation 1: 'dt'"),
         ([{"dt": 1, "main": {"temp": "warm"}}], "line 1: observation 0: could not convert"),
         ([{"dt": 1}, {"dt": 2, "main": {"humidity": [50]}}], "line 1: observation 1: "),
+        ({"list": []}, "line 1: no observations"),
+        ([], "line 1: no observations"),
     ], ids=["list_of_numbers", "object_without_list", "main_not_an_object", "no_dt",
-            "text_temperature", "list_humidity"])
+            "text_temperature", "list_humidity", "empty_export_list", "empty_list"])
     def test_odd_json_is_a_parse_error(self, tmp_path, payload, message):
         path = write(tmp_path, "w.json", json.dumps(payload))
         with pytest.raises(ParseError) as caught:
@@ -933,7 +945,11 @@ READER_ERRORS = {
     "implausible_epoch": ("t,v\n42,1\n", "line 2: bad timestamp '42' "
                                          "('42' is neither ISO-8601 nor plausible "
                                          "epoch seconds)"),
-    "only_blank_rows": ("t,v\n\n,\n", "line 2: no data rows"),
+    "only_blank_rows": ("t,v\n\n,\n", "line 1: no data rows"),
+    "header_only": ("t,v\n", "line 1: no data rows"),
+    "blank_lines_around_the_header": ("\n\nt,v\n\n", "line 3: no data rows"),
+    "quoted_header_then_a_blank_row": ('\n"t",v\n,\n', "line 2: no data rows"),
+    "empty_file": ("", "line 1: no data rows"),
     "overflowing_value_after_blank_row": ("t,v\n2021-01-01T00:00:00Z,1\n\n"
                                           "2021-01-01T01:00:00Z,-1e400\n",
                                           "line 4: bad numeric value '-1e400'"),
@@ -1097,6 +1113,7 @@ PATH_CASES = {
                                  False),
     "blank_lines_then_header_only": (b"\n\r\nt,v\n", ISO_SCHEMA, False),
     "only_blank_lines": (b"\n,\n \n", ISO_SCHEMA, False),
+    "headerless_only_blank_lines": (b"\n \n", ONE_COLUMN, False),
     "one_column_blank_header_line": (b"\n1609459200\n1609462800\n", DatasetSchema("0", "0"),
                                      False),
     "padded_cells": (b"t,v\n 1609459200 ,\t1.5 \n1609462800\t, -2 \n", ISO_SCHEMA, True),
@@ -1152,8 +1169,9 @@ PATH_ERRORS = {
     "cut_character_at_the_end": "line 3: not UTF-8: byte 0xc3 (unexpected end of data)",
     "field_longer_than_the_csv_limit": "line 3: field larger than field limit (131072)",
     "quoted_field_longer_than_the_csv_limit": "line 3: field larger than field limit",
-    "blank_lines_then_header_only": "line 1: no data rows",
+    "blank_lines_then_header_only": "line 3: no data rows",
     "only_blank_lines": "line 1: no data rows",
+    "headerless_only_blank_lines": "line 1: no data rows",
 }
 
 

@@ -35,6 +35,7 @@ from wattcast.errors import (
     KTooLarge,
     LengthMismatch,
     MissingCells,
+    NonFinitePrediction,
     Underdetermined,
 )
 from wattcast.regressors import (
@@ -1222,6 +1223,26 @@ class TestPredictSeries:
         model = OlsModel().fit(random_frame(rng, n=20, p=4))
         with pytest.raises(HistoryTooShort):
             model.predict_series(np.array([1.0, 2.0]), 2)
+
+    def test_missing_seed_value_is_history_too_short(self):
+        model = self.identity_model()
+        with pytest.raises(HistoryTooShort) as caught:
+            model.predict_series(np.array([5.0, np.nan]), 3)
+        assert str(caught.value) == "missing value inside the lag window at step 0"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_is_not_fed_back(self, bad):
+        class StuckModel(MeanModel):
+            calls = 0
+
+            def _predict(self, X):
+                self.calls += 1
+                return np.full(X.shape[0], bad if self.calls == 2 else self.mean_)
+
+        model = StuckModel().fit(make_frame([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]))
+        with pytest.raises(NonFinitePrediction, match="^prediction at step 1 is not finite$"):
+            model.predict_series(np.array([5.0]), 4)
+        assert model.calls == 2
 
     def test_exog_shape_enforced(self):
         rng = np.random.default_rng(27)
