@@ -68,6 +68,10 @@ class MissingCells(DataError):
     """Operation requires a fully observed matrix but missing cells are present."""
 
 
+class NumericOverflow(DataError):
+    """Values so large that a sum of their products overflows float64."""
+
+
 class InsufficientTest(DataError):
     """Chronological split leaves no usable test observations."""
 

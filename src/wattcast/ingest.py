@@ -9,6 +9,14 @@ CSV readers split a file's UTF-8 text into records in one place, which drops
 blank records before it takes the header; an undecodable byte, a record
 ``csv`` refuses and a reader's first bad row are ParseErrors at their line.
 
+The energy reader first offers a file's bytes to one compiled pass
+(``_csv_columns.c``): an unquoted, uniform ASCII file of epoch stamps and
+plain finite numbers, read under the "auto" or "epoch" stamp format, is
+parsed straight to float64 there, bit for bit as ``float`` parses it. The
+pass raises nothing: it declines every other file, and with no C compiler
+it never runs. A declined file is decoded from the same bytes and read by
+the general path, which gives every error its text and line.
+
 Readers never invent values: rows are sorted, duplicate timestamps are an
 error, and gaps in an otherwise uniform series become explicit NaN rows at
 the inferred modal interval. Interpolation is left to the caller.
@@ -16,7 +24,10 @@ the inferred modal interval. Interpolation is left to the caller.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import ctypes
+import functools
 import io
 import json
 import math
@@ -24,6 +35,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import islice, repeat, zip_longest
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +47,7 @@ from .errors import (
     NonUniformInterval,
     ParseError,
 )
+from .regressors import _native
 from .regressors.base import check_memory
 from .series import TimeSeries
 
@@ -46,6 +59,8 @@ _EPOCH_MAX = 1e11
 # lies in [_EPOCH_MIN, _EPOCH_MAX), and ``datetime.fromisoformat`` takes no
 # digit string of those lengths (it does take some of 8, 11 and 13)
 _EPOCH_COLUMN = re.compile(r"[1-9][0-9]{8,9}(?:\n[1-9][0-9]{8,9})*")
+
+_KERNEL_SOURCE = Path(__file__).with_name("_csv_columns.c")
 
 _MISSING_TOKENS = ("", "nan", "na", "null", "none")
 
@@ -255,18 +270,32 @@ def _uniform_columns(text: str, delimiter: str, skip: int):
     return cells[:width], columns
 
 
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text, a leading byte-order mark dropped, as a
+    text-mode read decodes it. An undecodable byte is a ParseError at its
+    line (LF, CRLF and a lone CR each end one)."""
+    try:
+        return codecs.getincrementaldecoder("utf-8-sig")().decode(data, final=True)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})",
+                         line=len((exc.object[:exc.start] + b".").splitlines())) from None
+
+
 def _read_text(path, size: int = -1) -> str:
-    """The text of ``path`` as UTF-8, a leading byte-order mark dropped; with
-    ``size``, at most its first ``size`` characters. An undecodable byte is a
-    ParseError at its line (LF, CRLF and a lone CR each end one)."""
+    """The text of ``path`` as ``_decode`` gives it; with ``size``, at most
+    its first ``size`` characters."""
+    if size < 0:
+        return _decode(_read_bytes(path))
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.read(size)
-    except UnicodeDecodeError as exc:
-        if size >= 0:  # a part read names the position in its block: read it all
-            return _read_text(path)
-        raise ParseError(f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})",
-                         line=len((exc.object[:exc.start] + b".").splitlines())) from None
+    except UnicodeDecodeError:  # a part read names the position in its block: read it all
+        return _read_text(path)
 
 
 def _split_table(text: str, delimiter: str, skip: int, empty):
@@ -314,12 +343,76 @@ def _column_index(name, header, n_columns: int, what: str) -> int:
     raise ParseError(f"{what} column {name!r} not found in {where}", line=1)
 
 
+@functools.cache
+def _load_kernel():
+    """The compiled column pass as ``kernel(data, begin, delimiter, skip,
+    ts_col, val_col, epoch)``, or None when the kernel cannot be built (see
+    ``regressors._native.build``)."""
+    lib = _native.build(_KERNEL_SOURCE)
+    if lib is None:
+        return None
+
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.csv_columns.restype = ctypes.c_long
+    lib.csv_columns.argtypes = [ctypes.c_char_p, ctypes.c_long, ctypes.c_long, ctypes.c_int,
+                                ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_int,
+                                ctypes.c_long, ctypes.c_double, ctypes.c_double, array, array,
+                                ctypes.c_long]
+
+    def c_columns(data, begin, delimiter, skip, ts_col, val_col, epoch):
+        capacity = data.count(b"\n") + 1
+        stamps, values = np.empty(capacity), np.empty(capacity)
+        rows = lib.csv_columns(data, begin, len(data), ord(delimiter), skip, ts_col, val_col,
+                               epoch, csv.field_size_limit(), _YEAR_1, _YEAR_10000, stamps,
+                               values, capacity)
+        return None if rows < 0 else (stamps[:rows], values[:rows])
+
+    return c_columns
+
+
+def _kernel_rows(data: bytes, schema: DatasetSchema):
+    """``_read_energy_rows``' stamps and values of the file ``data``, from
+    one compiled pass over its bytes; None where the pass declines the file
+    (see ``_csv_columns.c``), or does not apply: a stamp format other than
+    "auto" and "epoch", a delimiter beyond ASCII, no compiler, or a first
+    line that is blank, not ASCII, or lacks a named column."""
+    if schema.timestamp_format not in ("auto", "epoch") or not schema.delimiter.isascii():
+        return None
+    kernel = _load_kernel()
+    if kernel is None:
+        return None
+    begin = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    end = data.find(b"\n", begin)
+    try:
+        first = data[begin:None if end < 0 else end].decode("ascii").rstrip("\r")
+    except UnicodeDecodeError:
+        return None
+    cells = first.split(schema.delimiter)
+    header = cells if schema.has_header else None
+    try:
+        ts_col = _column_index(schema.timestamp_column, header, len(cells), "timestamp")
+        val_col = _column_index(schema.value_column, header, len(cells), "value")
+    except ParseError:
+        return None
+    if not "".join(cells).strip():
+        return None
+    return kernel(data, begin, schema.delimiter, int(schema.has_header), ts_col, val_col,
+                  schema.timestamp_format == "epoch")
+
+
 def _read_energy_rows(path, schema: DatasetSchema):
     """The parsed timestamp and value cells of the body's non-blank rows, in
-    file order, from ``_split_table``. Raises ParseError at the file line of
-    the first bad row, or ``no data rows`` where ``_split_table`` finds none."""
-    skip = int(schema.has_header)
-    first, columns, lines = _split_table(_read_text(path), schema.delimiter, skip,
+    file order. The file is read once; ``_kernel_rows`` parses a clean file,
+    and any other goes through ``_split_table``. Raises ParseError at the
+    file line of the first bad row, or ``no data rows`` where
+    ``_split_table`` finds none."""
+    data = _read_bytes(path)
+    parsed = _kernel_rows(data, schema)
+    if parsed is not None:
+        return parsed
+    text = _decode(data)
+    del data  # the bytes are freed before the split
+    first, columns, lines = _split_table(text, schema.delimiter, int(schema.has_header),
                                          lambda line: ParseError("no data rows", line=line))
     header = first if schema.has_header else None
     ts_col = _column_index(schema.timestamp_column, header, len(first), "timestamp")

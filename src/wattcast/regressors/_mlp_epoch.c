@@ -24,6 +24,8 @@
    The returned RMSE runs each row's forward pass as training does. With
    train == 0 the call only scores the weights it was given.
 
+   mlp_sigmoid is the activation alone, elementwise, for predictions.
+
    The lane vectors use the vector extension of gcc and clang. */
 
 #include <math.h>
@@ -44,6 +46,18 @@ static long vectors(long h)
 static long block_vectors(long p, long hv)
 {
     return (2 * (p + 1) + 3) * hv;
+}
+
+/* the activation of forward, 1 / (1 + exp(-z)) */
+static double sigmoid(double z)
+{
+    return 1.0 / (1.0 + exp(-z));
+}
+
+void mlp_sigmoid(const double *z, long n, double *act)
+{
+    for (long i = 0; i < n; i++)
+        act[i] = sigmoid(z[i]);
 }
 
 long mlp_work_size(long p, long h)
@@ -67,7 +81,7 @@ static double forward(const vd *W, long hv, long p, long h, const double *x,
     const double *zs = (const double *)z;
     double out = 0.0;
     for (long i = 0; i < h; i++) {
-        act[i] = 1.0 / (1.0 + exp(-zs[i]));
+        act[i] = sigmoid(zs[i]);
         out += w_out[i] * act[i];
     }
     return out;

@@ -1,6 +1,8 @@
-"""Build the regressors' C kernels on first use, once per machine.
+"""Build the package's C kernels on first use, once per machine.
 
-A kernel is one C source file beside this module. ``build`` compiles it with
+A kernel is one C source file beside the module that loads it: the
+regressors' kernels beside this module, the CSV column pass
+(``_csv_columns.c``) beside ``ingest.py``. ``build`` compiles it with
 the system C compiler (``gcc``, else ``cc``) and loads the shared library
 through ``ctypes``. Nothing is compiled at import. The caller keeps its numpy
 path for a ``None``: no compiler found, a failed build or a failed load.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingularDesign, Underdetermined
+from ..errors import NumericOverflow, SingularDesign, Underdetermined
 from .base import ForecastModel
 
 #: Relative ridge size used when the Gram matrix is not positive definite.
@@ -23,11 +23,16 @@ def solve_normal_equations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     leaves that diagonal entry untouched so a degenerate design collapses
     onto the intercept (slopes pushed to zero) instead of splitting the fit
     across redundant columns. ``B`` may hold several right-hand sides.
+    Values whose products overflow are NumericOverflow, a data error.
     """
     from scipy.linalg import cho_factor, cho_solve
 
-    gram = A.T @ A
-    rhs = A.T @ B
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = A.T @ A
+        rhs = A.T @ B
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise NumericOverflow("the normal equations overflow: the design's sums of "
+                              "products are not finite")
     try:
         return cho_solve(cho_factor(gram), rhs)
     except np.linalg.LinAlgError:

@@ -130,6 +130,26 @@ def _load_kernel():
     return c_epoch
 
 
+@functools.cache
+def _load_sigmoid():
+    """The kernel's elementwise ``1 / (1 + exp(-z))`` as ``sigmoid(z)``,
+    computed in place in the float64 array ``z``, or None when the kernel
+    cannot be built; scipy's ``expit`` gives the same bits."""
+    lib = _native.build(_KERNEL_SOURCE)
+    if lib is None:
+        return None
+
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.mlp_sigmoid.restype = None
+    lib.mlp_sigmoid.argtypes = [array, ctypes.c_long, array]
+
+    def c_sigmoid(z):
+        lib.mlp_sigmoid(z, z.size, z)
+        return z
+
+    return c_sigmoid
+
+
 class MlpModel(ForecastModel):
 
     def __init__(self, hidden: int | None = None, lr: float = 0.3,
@@ -153,9 +173,12 @@ class MlpModel(ForecastModel):
     # --- forward ------------------------------------------------------------
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        from scipy.special import expit
+        sigmoid = _load_sigmoid()
+        if sigmoid is None:
+            from scipy.special import expit as sigmoid
 
-        return expit(X @ self.w_in_.T + self.b_in_) @ self.w_out_ + self.b_out_
+        z = np.ascontiguousarray(X @ self.w_in_.T + self.b_in_, dtype=np.float64)
+        return sigmoid(z) @ self.w_out_ + self.b_out_
 
     # --- training -----------------------------------------------------------
 

@@ -203,6 +203,20 @@ class TestForecast:
                 "wattcast: model error: NonFinitePrediction: prediction at step 0 is not finite\n")
             assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["ols", "var", "arima"])
+    def test_overflowing_normal_equations_are_data_error_exit_3(self, huge_csv, tmp_path,
+                                                                capsys, model):
+        out = tmp_path / "fc.csv"
+        for horizon in ("1", "2"):
+            code = main(["forecast", "--model", model, "--p", "3", "--horizon", horizon,
+                         "--input", str(huge_csv), "--out", str(out)])
+            assert code == 3
+            # no numpy RuntimeWarning reaches stderr before the error
+            assert capsys.readouterr().err == (
+                "wattcast: data error: NumericOverflow: the normal equations overflow: "
+                "the design's sums of products are not finite\n")
+            assert not out.exists()
+
     def test_out_of_memory_is_model_error_exit_4(self, hourly_csv, monkeypatch, capsys):
         def exhausted(self, X, y):
             raise MemoryError("kernel matrix too large")

@@ -3,7 +3,10 @@
 bodies of blank rows, every command and model ends ``main`` with a
 documented exit code, lets no exception escape, and writes only finite
 forecasts. ``main`` runs in process; its output goes to files under a
-temporary directory, its diagnostics to a buffer.
+temporary directory, its diagnostics to a buffer. On meter-shaped exports
+(``;``-separated, a text column first, epoch stamps, missing rows) every
+drawn call gives the same exit code, diagnostics and output bytes with the
+compiled CSV pass and without it.
 
 Open, and not asserted here: numpy's ``RuntimeWarning`` text reaches stderr
 on overflowing inputs, and a benchmark cell can be ``ok`` with ``rmse inf``
@@ -15,6 +18,7 @@ import csv
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import wattcast.ingest as ingest  # noqa: E402
 from wattcast.cli import main  # noqa: E402
 from wattcast.evaluation import MODE_ONE_STEP, MODE_RECURSIVE, MODELS  # noqa: E402
 
@@ -57,6 +62,28 @@ def energy_files(draw):
         k = draw(st.integers(1, len(rows) - 1))
         rows[k] = (rows[k - 1][0], rows[k][1])  # a repeated stamp
     return "timestamp,value\n" + "".join(f"{START + HOUR * h},{cell}\n" for h, cell in rows)
+
+
+@st.composite
+def meter_exports(draw):
+    """The text of a meter export: ``site;unix_time;energy``, 15-minute or
+    hourly epoch stamps, whole or ``repr`` readings, missing rows, LF or
+    CRLF; now and then a cell the compiled pass declines."""
+    n = draw(st.integers(1, 200))
+    step = draw(st.sampled_from([900, HOUR]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from(SCALES))
+    values = scale * (1 + 0.5 * np.sin(2 * np.pi * np.arange(n) / 24)
+                      + 0.1 * rng.standard_normal(n))
+    whole = draw(st.booleans()) and scale == 1.0
+    cells = [str(int(1000 * v)) if whole else repr(float(v)) for v in values]
+    if draw(st.integers(0, 4)) == 4:
+        cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["NaN", " 5", "1e400", ""]))
+    dropped = draw(st.sets(st.integers(1, max(1, n - 2)), max_size=n // 5))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "site;unix_time;energy" + ending + "".join(
+        f"HH-0001;{START + step * i};{cell}{ending}"
+        for i, cell in enumerate(cells) if i not in dropped)
 
 
 @st.composite
@@ -102,3 +129,27 @@ def test_documented_exit_code_and_finite_forecast(text, invocation):
             with open(out, newline="", encoding="utf-8") as fh:
                 values = [float(row["value"]) for row in csv.DictReader(fh)]
             assert values and np.isfinite(values).all(), (argv, values)
+
+
+def _run(argv, source, out):
+    """Exit code, diagnostics and output bytes of one call of ``main``."""
+    diagnostics = io.StringIO()
+    with contextlib.redirect_stderr(diagnostics):
+        code = main([*argv, "--input", str(source), out[0], str(out[1])])
+    written = out[1].read_bytes() if out[1].exists() else None
+    out[1].unlink(missing_ok=True)
+    return code, diagnostics.getvalue(), written
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(text=meter_exports(), invocation=invocations())
+def test_meter_export_same_with_and_without_the_compiled_pass(text, invocation):
+    argv, out_flag = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = Path(tmp) / "energy.csv", (out_flag, Path(tmp) / "out")
+        source.write_bytes(text.encode())
+        compiled = _run(argv, source, out)
+        with mock.patch.object(ingest, "_load_kernel", lambda: None):
+            assert _run(argv, source, out) == compiled
+    assert compiled[0] in EXIT_CODES, (argv, compiled)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import wattcast.regressors.mlp as mlp_module
 from wattcast.ingest import write_energy_csv
 from wattcast.synthetic import arma_series
 
@@ -84,6 +85,16 @@ def test_ols_forecast_loads_linalg_only(hourly_csv, tmp_path):
     modules = loaded_scipy(run_cli(argv))
     assert "scipy.linalg" in modules
     assert not modules & {"scipy.signal", "scipy.stats", "scipy.optimize"}
+
+
+def test_mlp_forecast_loads_no_scipy(hourly_csv, tmp_path):
+    # the compiled kernel trains and predicts; without a compiler, scipy's
+    # expit computes the activations
+    if mlp_module._load_sigmoid() is None:
+        pytest.skip(f"no C compiler could build {mlp_module._KERNEL_SOURCE.name}")
+    argv = ["forecast", "--model", "mlp", "--p", "4", "--horizon", "6", "--mlp-epochs", "5",
+            "--input", str(hourly_csv), "--out", str(tmp_path / "fc.csv")]
+    assert loaded_scipy(run_cli(argv)) == set()
 
 
 def test_ar_only_arima_forecast_loads_no_optimizer(hourly_csv, tmp_path):

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import shutil
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
@@ -266,6 +267,35 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+# the energy reader's three ways through a file: the compiled column pass,
+# the columnar split, and csv.reader
+BACKENDS = ["kernel", "columnar", "csv_reader"]
+
+
+def use_backend(monkeypatch, backend):
+    """Read energy CSVs through ``backend`` alone, and return the list of what
+    each run of the compiled pass gave: True where it parsed the file, False
+    where it declined it. The pass declines a file, and the columnar split
+    refuses one, that the next way then reads."""
+    served = []
+    if backend == "kernel":
+        kernel = ingest._load_kernel()
+        if kernel is None:
+            pytest.skip(f"no C compiler could build {ingest._KERNEL_SOURCE.name}")
+
+        def spy(*args):
+            result = kernel(*args)
+            served.append(result is not None)
+            return result
+
+        monkeypatch.setattr(ingest, "_load_kernel", lambda: spy)
+    else:
+        monkeypatch.setattr(ingest, "_load_kernel", lambda: None)
+        if backend == "csv_reader":
+            monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
+    return served
 
 
 class TestParseTimestamp:
@@ -988,10 +1018,12 @@ def test_error_line_counts_quoted_newlines(tmp_path, case, reader):
 
 
 class TestReaderMatchesReferenceLoop:
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("case", sorted(READER_CASES))
-    def test_same_series_or_error(self, case, tmp_path):
+    def test_same_series_or_error(self, case, backend, tmp_path, monkeypatch):
         text, schema = READER_CASES[case]
         path = write(tmp_path, "a.csv", text)
+        use_backend(monkeypatch, backend)
         got = _outcome(read_energy_csv, path, schema)
         assert got == _outcome(_reference_read_energy_csv, path, schema)
         if case == "digits_12_out_of_range":
@@ -1010,6 +1042,7 @@ class TestReaderMatchesReferenceLoop:
     @pytest.mark.parametrize("fmt", ["auto", "epoch"])
     def test_epoch_column_skips_the_cell_loop(self, tmp_path, monkeypatch, fmt):
         path = write(tmp_path, "a.csv", "t,v\n1609459200,1\n1609462800,2\n")
+        use_backend(monkeypatch, "columnar")
         expected = _outcome(read_energy_csv, path, DatasetSchema("t", "v", fmt))
 
         def no_cell_parser(*args):
@@ -1027,8 +1060,7 @@ class TestReaderMatchesReferenceLoop:
             raise AssertionError("the cell parser ran")
 
         monkeypatch.setattr(ingest, "_parse_value", no_cell_parser)
-        if not columnar:
-            monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
+        use_backend(monkeypatch, "columnar" if columnar else "csv_reader")
         assert _outcome(read_energy_csv, path, ISO_SCHEMA) == expected
 
     def test_weather_value_columns_skip_the_cell_loop(self, tmp_path, monkeypatch):
@@ -1042,20 +1074,14 @@ class TestReaderMatchesReferenceLoop:
         monkeypatch.setattr(ingest, "_parse_value", no_cell_parser)
         assert _outcome(read_weather, path) == expected
 
-    @pytest.mark.parametrize("case", sorted(READER_CASES))
-    def test_same_series_or_error_through_csv_reader(self, case, tmp_path, monkeypatch):
-        text, schema = READER_CASES[case]
-        path = write(tmp_path, "a.csv", text)
-        expected = _outcome(_reference_read_energy_csv, path, schema)
-        monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
-        assert _outcome(read_energy_csv, path, schema) == expected
-
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("case", sorted(READER_ERRORS))
-    def test_same_parse_error_line_and_text(self, case, tmp_path):
+    def test_same_parse_error_line_and_text(self, case, backend, tmp_path, monkeypatch):
         text, message = READER_ERRORS[case]
         path = write(tmp_path, "a.csv", text)
         expected = _outcome(_reference_read_energy_csv, path, ISO_SCHEMA)
         assert expected == (ParseError, message)
+        use_backend(monkeypatch, backend)
         assert _outcome(read_energy_csv, path, ISO_SCHEMA) == expected
 
     @pytest.mark.parametrize("fmt", ["auto", "iso", "epoch", "%Y%m%d%H", "%d/%m/%Y %H:%M"])
@@ -1158,7 +1184,30 @@ PATH_CASES = {
     "duplicate_stamp": (b"t,v\n1609459200,1\n1609459200,2\n", ISO_SCHEMA, True),
     "header_only": (b"t,v\n", ISO_SCHEMA, True),
     "empty_file": (b"", ISO_SCHEMA, False),
+    "signed_values_with_exponents": (
+        b"t,v\n1609459200,+1.5e3\n1609462800,-0\n1609466400,.5E-2\n1609470000,007.\n"
+        b"1609473600,3e23\n1609477200,-7e-23\n1609480800,9007199254740993\n",
+        ISO_SCHEMA, True),
+    "subnormal_and_underflowing_values": (b"t,v\n1609459200,4.9e-324\n1609462800,-1e-400\n",
+                                          ISO_SCHEMA, True),
+    "underscore_in_a_value": (b"t,v\n1609459200,1_0\n1609462800,2\n", ISO_SCHEMA, True),
+    "hexadecimal_value": (b"t,v\n1609459200,0x10\n1609462800,2\n", ISO_SCHEMA, True),
+    "overflowing_value": (b"t,v\n1609459200,1\n1609462800,1e400\n", ISO_SCHEMA, True),
+    "not_ascii_in_an_unparsed_cell": ("t;v;site\n1609459200;1;Zürich\n1609462800;2;Zürich\n"
+                                      .encode(), DatasetSchema("t", "v", delimiter=";"), True),
+    "epoch_stamps_with_exponents": (b"t,v\n1.6094592e9,1\n1609462800.0,2\n-0,3\n",
+                                    EPOCH_SCHEMA, True),
+    "blank_first_line_numbered_columns": (b" , \n1609459200,1\n1609462800,2\n1609466400,3\n",
+                                          DatasetSchema("0", "1"), False),
+    "epoch_stamp_with_a_leading_zero": (b"t,v\n01609459200,1\n1609462800,2\n", ISO_SCHEMA,
+                                        True),
 }
+# the PATH_CASES files the compiled column pass parses; it declines the others
+KERNEL_CASES = {"bom", "bom_headerless_crlf", "crlf", "crlf_no_final_newline",
+                "duplicate_stamp", "epoch_stamps_with_exponents", "headerless",
+                "headerless_one_column", "lf", "no_final_newline",
+                "signed_values_with_exponents", "subnormal_and_underflowing_values",
+                "tab_delimited"}
 # the ParseError text both readers give on odd bytes, refused records and blank lines
 PATH_ERRORS = {
     "not_utf8": "line 3: not UTF-8: byte 0xff (invalid start byte)",
@@ -1196,10 +1245,10 @@ def test_input_file_is_opened_once(tmp_path, monkeypatch, case, reader):
 
 
 class TestColumnarPath:
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "csv_reader"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("case", sorted(PATH_CASES))
-    def test_same_series_or_error_on_both_paths(self, case, columnar, tmp_path,
-                                                 monkeypatch):
+    def test_same_series_or_error_on_every_backend(self, case, backend, tmp_path,
+                                                   monkeypatch):
         data, schema, serves = PATH_CASES[case]
         path = tmp_path / "a.csv"
         path.write_bytes(data)
@@ -1207,14 +1256,18 @@ class TestColumnarPath:
         readers = []
         monkeypatch.setattr(csv, "reader", lambda *args, reader=csv.reader, **kwargs:
                             readers.append(args) or reader(*args, **kwargs))
-        if not columnar:
-            monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
+        served = use_backend(monkeypatch, backend)
         assert _outcome(read_energy_csv, path, schema) == expected
-        assert bool(readers) == (serves is not None and (not columnar or not serves))
+        by_kernel = backend == "kernel" and case in KERNEL_CASES
+        assert any(served) == by_kernel and len(served) <= 1
+        assert bool(readers) == (serves is not None and not by_kernel
+                                 and (backend == "csv_reader" or not serves))
         if case in PATH_ERRORS:
             assert expected[0] is ParseError and expected[1].startswith(PATH_ERRORS[case])
 
-    def test_meter_shaped_export_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("backend", ["kernel", "columnar"])
+    def test_meter_shaped_export_never_reaches_csv_reader(self, backend, tmp_path,
+                                                          monkeypatch):
         rows = [f"HH-0001;{1_609_459_200 + 900 * i};{1000 + 7 * i}"
                 for i in range(12) if i not in (4, 5)]
         path = write(tmp_path, "export.csv", "site;unix_time;energy\n" + "\n".join(rows) + "\n")
@@ -1228,10 +1281,53 @@ class TestColumnarPath:
         def no_csv_reader(*args, **kwargs):
             raise AssertionError("csv.reader ran")
 
+        served, splits = use_backend(monkeypatch, backend), []
+        monkeypatch.setattr(ingest, "_split_table", lambda *args, split=ingest._split_table:
+                            splits.append(args[1:]) or split(*args))
         monkeypatch.setattr(csv, "reader", no_csv_reader)
         assert _outcome(read_energy_csv, path, schema) == expected
+        # the compiled pass parses the export without splitting its text
+        assert served == [True] * (backend == "kernel")
+        assert bool(splits) == (backend != "kernel")
         with pytest.raises(AssertionError, match="csv.reader ran"):
             read_energy_csv(quoted, schema)
+
+    @pytest.mark.parametrize("breakage", ["no_compiler", "build_fails"])
+    def test_without_the_kernel_every_file_reads_as_before(self, breakage, tmp_path,
+                                                           monkeypatch):
+        if breakage == "no_compiler":
+            monkeypatch.setattr(shutil, "which", lambda name: None)
+        else:
+            broken = tmp_path / ingest._KERNEL_SOURCE.name
+            broken.write_text("this is not C\n")
+            monkeypatch.setattr(ingest, "_KERNEL_SOURCE", broken)
+        load = ingest._load_kernel.__wrapped__  # uncached: this process may hold a kernel
+        assert load() is None
+        monkeypatch.setattr(ingest, "_load_kernel", load)
+        for case, (data, schema, _) in sorted(PATH_CASES.items()):
+            path = tmp_path / f"{case}.csv"
+            path.write_bytes(data)
+            assert _outcome(read_energy_csv, path, schema) == \
+                _outcome(_reference_read_energy_csv, path, schema), case
+
+    # (file, schema): files whose stamps the compiled pass declines, though
+    # they are clean; the general path raises its error at their line
+    DECLINED = {
+        "stamp_after_year_9999": ("t,v\n7200,1\n1e14,2\n", EPOCH_SCHEMA),
+        "stamp_before_year_1": ("t,v\n7200,1\n-7e10,2\n", EPOCH_SCHEMA),
+        "overflowing_stamp": ("t,v\n7200,1\n1e400,2\n", EPOCH_SCHEMA),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DECLINED))
+    def test_declined_stamp_is_the_general_paths_error(self, case, tmp_path, monkeypatch):
+        text, schema = self.DECLINED[case]
+        path = write(tmp_path, "a.csv", text)
+        served = use_backend(monkeypatch, "kernel")
+        got = _outcome(read_energy_csv, path, schema)
+        assert served == [False]
+        use_backend(monkeypatch, "columnar")
+        assert got == _outcome(read_energy_csv, path, schema)
+        assert got[0] is ParseError and got[1].startswith("line 3: bad timestamp")
 
 
 def _stamps_near_second_boundaries():

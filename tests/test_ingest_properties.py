@@ -1,6 +1,7 @@
-"""Property tests for ingest: CSV dialects round-trip, the column
-timestamp parser equals the scalar one, and the column timestamp formatter
-equals the scalar one."""
+"""Property tests for ingest: CSV dialects round-trip, the compiled column
+pass reads epoch-stamped exports as ``float`` does or declines them, the
+column timestamp parser equals the scalar one, and the column timestamp
+formatter equals the scalar one."""
 
 import csv
 import string
@@ -15,7 +16,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from test_ingest import _reference_parse_timestamp  # noqa: E402
+import wattcast.ingest as ingest  # noqa: E402
+from test_ingest import _outcome, _reference_parse_timestamp  # noqa: E402
 from wattcast.ingest import (  # noqa: E402
     DatasetSchema,
     _format_timestamp,
@@ -93,6 +95,80 @@ def test_dialects_round_trip(case):
     assert reader.called != uniform
     assert (s.start, s.interval) == (start, interval)
     assert s.values.tobytes() == expected.tobytes()
+
+
+# cells ``float`` reads that the compiled pass declines, and cells it refuses
+ODD_NUMBER_CELLS = [" 1", "1 ", "\t2", "1_0", "0x10", "inf", "-Infinity", "nan", "1e400",
+                    "-1e400", "", "NaN", "1e", ".", "+", "e5", "1.5.2", "--1", "١"]
+
+
+@st.composite
+def number_cells(draw):
+    """A value cell: mostly a number as a meter or ``repr`` writes it (signs,
+    leading zeros, ``-0``, exponents, 17-digit ``repr``, subnormals), else a
+    cell the compiled pass must decline."""
+    kind = draw(st.integers(0, 11))
+    if kind > 9:  # a short mantissa around the fast path's edge of 10^22
+        return f"{draw(st.integers(0, 10 ** 7))}e{draw(st.integers(-30, 30))}"
+    if kind < 4:
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+        return draw(st.sampled_from([repr(x), f"{x:.17g}", f"{x:.3f}", f"{x:e}"]))
+    if kind < 8:
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        whole = draw(st.sampled_from(["", "0", "00"])) + draw(st.text("0123456789", max_size=22))
+        fraction = draw(st.none() | st.text("0123456789", max_size=22))
+        if not whole and not fraction:
+            whole = "0"
+        exponent = draw(st.none() | st.integers(-30, 30) | st.integers(-400, 400))
+        return (sign + whole + ("" if fraction is None else "." + fraction)
+                + ("" if exponent is None else draw(st.sampled_from("eE")) + str(exponent)))
+    if kind < 9:
+        return draw(st.sampled_from(["-0", "+0", "-0.0", "0e999", "4.9e-324", "5e-324",
+                                     "2.2250738585072011e-308", "1.7976931348623157e308",
+                                     "1.7976931348623159e308", "9007199254740993"]))
+    return draw(st.sampled_from(ODD_NUMBER_CELLS))
+
+
+@st.composite
+def epoch_exports(draw):
+    """(file bytes, schema, stamp cells, value cells) of a meter export: a
+    text column, epoch stamps and values, ``;`` or ``,`` separated, LF or
+    CRLF ended, with missing rows and now and then an odd stamp."""
+    n = draw(st.integers(1, 12))
+    fmt = draw(st.sampled_from(["auto", "epoch"]))
+    delimiter = draw(st.sampled_from(";,"))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    start = draw(st.integers(10 ** 8, 4 * 10 ** 9))
+    kept = [i for i in range(n) if i == 0 or draw(st.integers(0, 5))]
+    stamps = [str(start + 900 * i) for i in kept]
+    if draw(st.integers(0, 4)) == 4:
+        stamps[draw(st.integers(0, len(stamps) - 1))] = draw(
+            st.sampled_from([f"{start}.0", f"{start / 1e9!r}e9", f"0{start}", f" {start}",
+                             "1e14", "nan", "-7e10", "12345678"]) | number_cells())
+    values = [draw(number_cells()) for _ in kept]
+    lines = ["site" + delimiter + "unix_time" + delimiter + "energy"] + [
+        delimiter.join(("HH-1", stamp, value)) for stamp, value in zip(stamps, values)]
+    text = ending.join(lines) + draw(st.sampled_from(["", ending]))
+    schema = DatasetSchema("unix_time", "energy", fmt, delimiter)
+    return text.encode(), schema, stamps, values
+
+
+@settings(deadline=None, max_examples=300)
+@given(epoch_exports())
+def test_compiled_pass_reads_as_float_or_declines(export):
+    data, schema, stamps, values = export
+    if ingest._load_kernel() is None:
+        pytest.skip(f"no C compiler could build {ingest._KERNEL_SOURCE.name}")
+    parsed = ingest._kernel_rows(data, schema)
+    if parsed is not None:
+        assert parsed[0].tobytes() == np.array([float(c) for c in stamps]).tobytes()
+        assert parsed[1].tobytes() == np.array([float(c) for c in values]).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.csv"
+        path.write_bytes(data)
+        compiled = _outcome(read_energy_csv, path, schema)
+        with mock.patch.object(ingest, "_load_kernel", lambda: None):
+            assert _outcome(read_energy_csv, path, schema) == compiled
 
 
 @settings(deadline=None)

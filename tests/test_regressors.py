@@ -1115,6 +1115,32 @@ class TestMlpKernelMatchesNumpy:
             kernel(X_aug, np.zeros(4), theta, vel, 3, 0.1, 0.0)  # sized for h=2
 
 
+class TestMlpSigmoid:
+    """The kernel's elementwise sigmoid, which predictions use in place of
+    scipy's ``expit``."""
+
+    def test_bitwise_equal_to_expit(self):
+        sigmoid = mlp_module._load_sigmoid()
+        if sigmoid is None:
+            pytest.skip(f"no C compiler could build {mlp_module._KERNEL_SOURCE.name}")
+        rng = np.random.default_rng(11)
+        z = np.concatenate([rng.normal(0, 1, 50_000), rng.normal(0, 40, 50_000),
+                            rng.uniform(-800, 800, 50_000),
+                            [np.inf, -np.inf, 745.0, -745.0, 0.0, -0.0, 5e-324, -5e-324]])
+        expected = expit(z)
+        got = sigmoid(z.copy())
+        assert got.tobytes() == expected.tobytes()
+
+    def test_predictions_equal_the_expit_path(self, monkeypatch):
+        if mlp_module._load_sigmoid() is None:
+            pytest.skip(f"no C compiler could build {mlp_module._KERNEL_SOURCE.name}")
+        frame = _household_frame()
+        model = MlpModel(epochs=3, seed=4).fit(frame)
+        compiled = model.predict_batch(frame.X)
+        monkeypatch.setattr(mlp_module, "_load_sigmoid", lambda: None)
+        assert model.predict_batch(frame.X).tobytes() == compiled.tobytes()
+
+
 def _c_exp(v):
     """exp as the C library returns it: inf, not an error, on overflow."""
     try:

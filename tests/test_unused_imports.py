@@ -30,7 +30,8 @@ def traced():
 
 def unused_imports(source: str, kept=frozenset()) -> list:
     """(line, name) of each imported name ``source`` never uses, bar the
-    names in ``kept`` imported on a ``# noqa: F401`` line."""
+    names in ``kept`` imported under their own name on a ``# noqa: F401``
+    line."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported = []
@@ -41,7 +42,8 @@ def unused_imports(source: str, kept=frozenset()) -> list:
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
-            if name not in kept or "# noqa: F401" not in lines[alias.lineno - 1]:
+            if (name not in kept or alias.name != name
+                    or "# noqa: F401" not in lines[alias.lineno - 1]):
                 imported.append((alias.lineno, name))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
@@ -69,9 +71,12 @@ def test_the_scan_finds_an_unused_import():
               ")\n"
               "from re import compile, escape  # noqa: F401\n"
               "from re import purge\n"
+              "from .series import MultiSeries as var_fit  # noqa: F401\n"
+              "from .var import var_fit as var_fit, var_forecast  # noqa: F401\n"
               "__all__ = ['nan']\n"
               "print(os.sep)\n")
-    # a ``noqa`` line exempts only the kept names, and only a ``noqa`` line does
-    assert unused_imports(source, {"compile", "purge"}) == [
-        (3, "js"), (5, "inf"), (8, "escape"), (9, "purge")]
+    # a ``noqa`` line exempts only the kept names, only a ``noqa`` line does,
+    # and only an import that binds a kept name to the object of that name
+    assert unused_imports(source, {"compile", "purge", "var_fit", "var_forecast"}) == [
+        (3, "js"), (5, "inf"), (8, "escape"), (9, "purge"), (10, "var_fit")]
 
