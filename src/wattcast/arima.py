@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateSeries,
+    DivergedLoss,
     HistoryTooShort,
     MissingCells,
     TooShort,
@@ -141,14 +142,21 @@ def arima_fit(s: TimeSeries, p: int, d: int, q: int) -> ArimaModel:
             e = css_residuals(w, params[1:1 + p], params[1 + p:], params[0], lags)
             return float(e @ e)
 
-        result = minimize(objective, x0, method="Nelder-Mead",
-                          options={"xatol": 1e-8, "fatol": 1e-12,
-                                   "maxfev": 500 * (p + q + 1), "maxiter": 10 ** 6})
-        best = result.x if result.fun <= objective(x0) else x0
+        # a trial point whose residuals overflow scores inf or NaN, and loses
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = minimize(objective, x0, method="Nelder-Mead",
+                              options={"xatol": 1e-8, "fatol": 1e-12,
+                                       "maxfev": 500 * (p + q + 1), "maxiter": 10 ** 6})
+            best = result.x if result.fun <= objective(x0) else x0
         intercept, ar, ma = float(best[0]), best[1:1 + p], best[1 + p:]
 
     e = css_residuals(w, ar, ma, intercept)
-    return ArimaModel((p, d, q), ar, ma, intercept, float(e @ e / len(e)),
+    with np.errstate(over="ignore"):
+        sigma2 = float(e @ e / len(e))
+    if not np.isfinite(sigma2):
+        raise DivergedLoss(f"the CSS loss of ARIMA({p},{d},{q}) is not finite at the "
+                           "best parameters found")
+    return ArimaModel((p, d, q), ar, ma, intercept, sigma2,
                       stationary=ar_roots_stationary(ar))
 
 

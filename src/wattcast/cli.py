@@ -9,9 +9,13 @@ config file (``--config``, or the ``WATTCAST_CONFIG`` environment
 variable); explicit flags win over the file, the file wins over defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (an input file
-that is not UTF-8 or has a record ``csv`` refuses included), 4 model error
-(running out of memory, or a forecast that is not finite, included), 5 when
-every benchmark cell failed.
+that is not UTF-8 or has a record ``csv`` refuses included, and values whose
+sums or squares overflow float64: a ``resample`` window, the scores of a
+benchmark cell, which fail that cell), 4 model error (running out of memory,
+or a forecast that is not finite, included), 5 when every benchmark cell
+failed. Errors are typed where they are raised: ``main`` maps the error
+families, ``OSError`` and ``MemoryError`` to their codes and has no
+catch-all.
 """
 
 from __future__ import annotations
@@ -275,6 +279,9 @@ def _apply_config(args, actions) -> None:
                 value = (action.type or str)(text)
             except ValueError:
                 raise ConfigError(f"config key {key!r}: cannot parse {text!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"config key {key!r}: {text!r} is not one of "
+                                  f"{', '.join(map(str, action.choices))}")
         setattr(args, key, value)
 
 
@@ -435,9 +442,6 @@ def main(argv=None) -> int:
     except (ModelError, MemoryError) as exc:
         print(f"wattcast: model error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # e.g. a lag order the transforms reject
-        print(f"wattcast: configuration error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry_point() -> None:

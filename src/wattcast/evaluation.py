@@ -35,6 +35,7 @@ from .errors import (
     InsufficientTest,
     LengthMismatch,
     NonFinitePrediction,
+    NumericOverflow,
     TooShort,
     WattcastError,
 )
@@ -69,7 +70,8 @@ def metrics(actual, predicted, train_targets) -> Metrics:
     RAE uses the train-mean predictor as its baseline:
     ``sum|a - p| / sum|a - mean(train_targets)|``. A zero baseline
     (constant actuals equal to the train mean) makes RAE undefined and is
-    reported as NaN rather than raising.
+    reported as NaN rather than raising. Errors or a baseline that overflow
+    float64 raise ``NumericOverflow``.
     """
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
@@ -78,10 +80,14 @@ def metrics(actual, predicted, train_targets) -> Metrics:
         raise LengthMismatch(f"{actual.size} actuals vs {predicted.size} predictions")
     if actual.size < 1 or train_targets.size < 1:
         raise LengthMismatch("metrics need at least one observation on each side")
-    err = actual - predicted
-    rmse = float(np.sqrt(np.mean(err ** 2)))
-    mae = float(np.mean(np.abs(err)))
-    baseline = float(np.sum(np.abs(actual - train_targets.mean())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = actual - predicted
+        rmse = float(np.sqrt(np.mean(err ** 2)))
+        mae = float(np.mean(np.abs(err)))
+        baseline = float(np.sum(np.abs(actual - train_targets.mean())))
+    if not (math.isfinite(rmse) and math.isfinite(mae) and math.isfinite(baseline)):
+        raise NumericOverflow(f"forecast errors overflow float64 (rmse {rmse:g}, "
+                              f"mae {mae:g}, baseline {baseline:g})")
     rae = float(np.sum(np.abs(err)) / baseline) if baseline > 0.0 else float("nan")
     return Metrics(rmse, mae, rae)
 

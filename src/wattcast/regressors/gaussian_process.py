@@ -26,6 +26,8 @@ so the unit defaults ``sf2 = 1, l = 1, sn2 = 0.01`` are sensible; with
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import CholeskyFailure
@@ -39,10 +41,12 @@ class GpModel(ForecastModel):
 
     def __init__(self, signal_var: float = 1.0, length_scale: float = 1.0,
                  noise_var: float = 0.01, standardize: bool = True):
-        if signal_var <= 0 or length_scale <= 0:
-            raise ValueError("signal_var and length_scale must be positive")
-        if noise_var <= 0:
-            raise ValueError("noise_var must be positive")
+        divisor = 2.0 * length_scale * length_scale  # the kernel's, as a positive float
+        if not (0 < signal_var < math.inf and length_scale > 0 and 0 < divisor < math.inf):
+            raise ValueError("signal_var and length_scale must be positive and finite, "
+                             "and length_scale squared must not overflow or underflow")
+        if not 0 < noise_var < math.inf:
+            raise ValueError("noise_var must be positive and finite")
         self.signal_var = float(signal_var)
         self.length_scale = float(length_scale)
         self.noise_var = float(noise_var)

@@ -22,18 +22,19 @@ the weights it leaves. The epoch loop, rollback and loss curve around them
 are shared:
 
 - **C** (``_mlp_epoch.c``): one call per epoch, which also scores it. The
-  first fit in a process compiles and loads it (``_native.build``). The
-  hidden units run as vector lanes: the call copies ``W_aug`` and its
-  velocity, transposed and zero-padded, into (p+1) x hp blocks (hp is h
-  rounded up to the lane width), adds ``W[j, :] * x[j]`` to every hidden
-  sum for j ascending, and updates one input's weights across all units at
-  once. Each hidden sum still adds its terms in input order, so weights and
-  velocities are the same bits at any lane width as a loop over one unit
-  at a time. Against the numpy loop, every weight sees the same
-  floating-point operations in the same order, except that the two dot
-  products of a row are summed in plain loop order rather than by BLAS, so
-  its weights equal the numpy loop's to within rounding, not bitwise; its
-  RMSE is summed in its own order and also matches to within rounding.
+  first fit in a process compiles and loads it (``_native.build``), and
+  predictions take its sigmoid from that load. The hidden units run as
+  vector lanes: the call copies ``W_aug`` and its velocity, transposed and
+  zero-padded, into (p+1) x hp blocks (hp is h rounded up to the lane
+  width), adds ``W[j, :] * x[j]`` to every hidden sum for j ascending, and
+  updates one input's weights across all units at once. Each hidden sum
+  still adds its terms in input order, so weights and velocities are the
+  same bits at any lane width as a loop over one unit at a time. Against
+  the numpy loop, every weight sees the same floating-point operations in
+  the same order, except that the two dot products of a row are summed in
+  plain loop order rather than by BLAS, so its weights equal the numpy
+  loop's to within rounding, not bitwise; its RMSE is summed in its own
+  order and also matches to within rounding.
 - **numpy**: a fixed handful of in-place numpy calls per row, used when no
   compiler is found or the build or load fails, then the RMSE through BLAS
   and ``expit``. It is bitwise-identical to per-sample SGD written with one
@@ -47,12 +48,13 @@ import ctypes
 import functools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from ..errors import DivergedLoss
+from ..errors import ConfigError, DivergedLoss
 from . import _native
-from .base import ForecastModel
+from .base import ForecastModel, check_memory
 
 _KERNEL_SOURCE = Path(__file__).with_name("_mlp_epoch.c")
 
@@ -105,8 +107,10 @@ def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum, train=True) -> float:
 
 @functools.cache
 def _load_kernel():
-    """The C epoch with ``_numpy_epoch``'s signature, or None when the
-    kernel cannot be built (see ``_native.build``)."""
+    """``_mlp_epoch.c``, built and loaded once (see ``_native.build``), as
+    ``epoch``, with ``_numpy_epoch``'s signature, and ``sigmoid(z)``, which
+    computes ``1 / (1 + exp(-z))`` in place in the float64 array ``z`` with
+    the bits of scipy's ``expit``; None when the kernel cannot be built."""
     lib = _native.build(_KERNEL_SOURCE)
     if lib is None:
         return None
@@ -118,6 +122,8 @@ def _load_kernel():
     lib.mlp_epoch.argtypes = [array, array, ctypes.c_long, ctypes.c_long, ctypes.c_long,
                               ctypes.c_int, ctypes.c_double, ctypes.c_double, array, array,
                               array]
+    lib.mlp_sigmoid.restype = None
+    lib.mlp_sigmoid.argtypes = [array, ctypes.c_long, array]
 
     def c_epoch(X_aug, y, theta, vel, h, lr, momentum, train=True) -> float:
         n, cols = X_aug.shape
@@ -127,27 +133,11 @@ def _load_kernel():
         work = np.empty(lib.mlp_work_size(cols - 1, h))
         return lib.mlp_epoch(X_aug, y, n, cols - 1, h, train, lr, momentum, theta, vel, work)
 
-    return c_epoch
-
-
-@functools.cache
-def _load_sigmoid():
-    """The kernel's elementwise ``1 / (1 + exp(-z))`` as ``sigmoid(z)``,
-    computed in place in the float64 array ``z``, or None when the kernel
-    cannot be built; scipy's ``expit`` gives the same bits."""
-    lib = _native.build(_KERNEL_SOURCE)
-    if lib is None:
-        return None
-
-    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    lib.mlp_sigmoid.restype = None
-    lib.mlp_sigmoid.argtypes = [array, ctypes.c_long, array]
-
     def c_sigmoid(z):
         lib.mlp_sigmoid(z, z.size, z)
         return z
 
-    return c_sigmoid
+    return SimpleNamespace(epoch=c_epoch, sigmoid=c_sigmoid)
 
 
 class MlpModel(ForecastModel):
@@ -157,12 +147,14 @@ class MlpModel(ForecastModel):
                  standardize: bool = True):
         if hidden is not None and hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         self.hidden = hidden
         self.lr = float(lr)
         self.momentum = float(momentum)
@@ -173,7 +165,7 @@ class MlpModel(ForecastModel):
     # --- forward ------------------------------------------------------------
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        sigmoid = _load_sigmoid()
+        sigmoid = getattr(_load_kernel(), "sigmoid", None)
         if sigmoid is None:
             from scipy.special import expit as sigmoid
 
@@ -187,6 +179,8 @@ class MlpModel(ForecastModel):
         y = np.ascontiguousarray(y, dtype=float)
         n, n_feat = X.shape
         h = self.hidden if self.hidden is not None else default_hidden(n_feat)
+        # theta, its velocity, an epoch's snapshot and the kernel's padded copies
+        check_memory(4 * (h * (n_feat + 2) + 1), ConfigError, f"an MLP of {h} hidden units")
         X_aug = np.hstack([X, np.ones((n, 1))])
 
         # packed layout as in the module docstring; vel shares it
@@ -202,7 +196,7 @@ class MlpModel(ForecastModel):
         w_out[:] = rng.uniform(-0.5, 0.5, size=h)
         theta[-1] = rng.uniform(-0.5, 0.5)
 
-        run_epoch = _load_kernel() or _numpy_epoch
+        run_epoch = getattr(_load_kernel(), "epoch", _numpy_epoch)
         lr = self.lr
         prev_loss = run_epoch(X_aug, y, theta, vel, h, lr, self.momentum, train=False)
         curve = [prev_loss]

@@ -48,4 +48,5 @@ class KnnModel(ForecastModel):
         order[exact] = np.take_along_axis(
             cols, np.argsort(nearest, axis=1, kind="stable"), axis=1)
         order[~exact] = np.argsort(dists[~exact], axis=1, kind="stable")[:, :k]
-        return self.y_[order].mean(axis=1)
+        with np.errstate(over="ignore"):  # an infinite mean fails as NonFinitePrediction
+            return self.y_[order].mean(axis=1)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import warnings
 from pathlib import Path
 
@@ -145,12 +146,12 @@ class SvrModel(ForecastModel):
 
     def __init__(self, C: float = 1.0, epsilon: float = 0.1, gamma: float | None = None,
                  tol: float = 1e-3, max_iter: int | None = None, standardize: bool = True):
-        if C <= 0:
-            raise ValueError("C must be positive")
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if gamma is not None and gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < C < math.inf:
+            raise ValueError("C must be positive and finite")
+        if not 0 <= epsilon < math.inf:
+            raise ValueError("epsilon must be non-negative and finite")
+        if gamma is not None and not 0 < gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         self.C = float(C)
         self.epsilon = float(epsilon)
         self.gamma = gamma
@@ -160,7 +161,8 @@ class SvrModel(ForecastModel):
 
     def _transform(self, D: np.ndarray) -> np.ndarray:
         """The kernel of squared distances ``D``, computed in place."""
-        np.multiply(D, -self.gamma_, out=D)
+        with np.errstate(over="ignore"):  # -inf where gamma * D overflows: exp gives 0
+            np.multiply(D, -self.gamma_, out=D)
         return np.exp(D, out=D)
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:

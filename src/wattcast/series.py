@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NotAMultiple, UnsortedWeather
+from .errors import LengthMismatch, NotAMultiple, NumericOverflow, UnsortedWeather
 
 
 def _as_readonly_values(values, columns=None) -> np.ndarray:
@@ -123,7 +123,8 @@ def resample(s: TimeSeries, target_interval: float, mode: str = "sum") -> TimeSe
     with ``mode`` ("sum" for accumulating quantities such as energy, "mean"
     for state quantities such as temperature). A window containing any missing
     value yields a missing output, and a trailing partial window is dropped so
-    the output stays exactly uniform.
+    the output stays exactly uniform. An aggregate that overflows float64
+    raises ``NumericOverflow``.
     """
     if mode not in ("sum", "mean"):
         raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
@@ -138,7 +139,12 @@ def resample(s: TimeSeries, target_interval: float, mode: str = "sum") -> TimeSe
     if n_windows == 0:
         return TimeSeries(s.start, target_interval, np.empty(0))
     windows = s.values[: n_windows * k].reshape(n_windows, k)
-    agg = windows.sum(axis=1) if mode == "sum" else windows.mean(axis=1)
+    with np.errstate(over="ignore"):
+        agg = windows.sum(axis=1) if mode == "sum" else windows.mean(axis=1)
+    if np.isinf(agg).any():
+        first = k * int(np.argmax(np.isinf(agg)))
+        raise NumericOverflow(f"the {mode} of values {first} to {first + k - 1} "
+                              "overflows float64")
     # NaN propagates through sum/mean, which is exactly the missing-window policy
     return TimeSeries(s.start, target_interval, agg)
 

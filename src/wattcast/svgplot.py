@@ -6,7 +6,9 @@ point. A denser run keeps only the first, last, lowest and highest point of
 each pixel column (M4 aggregation: Jugel et al., PVLDB 7(10), 2014), which
 draws the same pixels, and no markers; a chart's size is then bounded by its
 width, not by the series length. The files stand alone and render anywhere.
-All coordinates are emitted with fixed precision, which makes the files
+Both charts come from one layout routine, ``_chart``: panels stacked on a
+shared time axis in a document a fixed ``WIDTH`` of 960 px wide. All
+coordinates are emitted with fixed precision, which makes the files
 byte-identical across runs of the same data — plots participate in the same
 determinism guarantee as CSV and report outputs.
 """
@@ -24,6 +26,7 @@ from .series import TimeSeries
 PREDICTED_COLOR = "#1f77b4"  # blue
 ACTUAL_COLOR = "#d62728"  # red
 COMPONENT_COLOR = "#444444"
+WIDTH = 960  # px, of every chart
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
@@ -44,7 +47,9 @@ def _ticks(lo: float, hi: float, target: int = 5):
     value = first
     while value <= hi + 1e-9 * step:
         out.append(0.0 if abs(value) < 1e-12 * step else value)
-        value += step
+        value, last = value + step, value
+        if value == last:  # the step is lost in rounding a huge value
+            break
     return out or [lo]
 
 
@@ -71,6 +76,9 @@ class _Panel:
     def __init__(self, x0, y0, width, height, t_lo, t_hi, v_lo, v_hi):
         if v_hi <= v_lo:
             v_lo, v_hi = v_lo - 1.0, v_hi + 1.0
+        if v_hi <= v_lo:  # a constant so large that 1 is lost in rounding
+            half = abs(v_lo) * 2.0 ** -20
+            v_lo, v_hi = v_lo - half, v_hi + half
         pad = 0.05 * (v_hi - v_lo)
         self.x0, self.y0, self.width, self.height = x0, y0, width, height
         self.t_lo, self.t_hi = t_lo, max(t_hi, t_lo + 1.0)
@@ -153,82 +161,65 @@ def _m4(columns: np.ndarray, ys: np.ndarray):
     return np.flatnonzero(keep)
 
 
-def _bounds(pairs):
-    t_lo = min(float(t[0]) for t, _ in pairs if len(t))
-    t_hi = max(float(t[-1]) for t, _ in pairs if len(t))
-    finite = np.concatenate([np.asarray(v, dtype=float) for _, v in pairs])
-    finite = finite[np.isfinite(finite)]
-    if finite.size == 0:
-        return t_lo, t_hi, 0.0, 1.0
-    return t_lo, t_hi, float(finite.min()), float(finite.max())
-
-
-def _document(width: int, height: int, body: list) -> str:
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">')
-    background = f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>'
+def _chart(height: int, bottom: int, title: str, panels, legend=()) -> str:
+    """A ``WIDTH`` x ``height`` document: ``panels``, each a (label or None,
+    [(times, values, color), ...]), stacked on one shared time axis that the
+    last one draws, each scaled to the finite values of its own series and
+    ``bottom`` px left below them; then the title and the ``legend``'s
+    (label, color) entries."""
+    top, gap = 34, 14
+    panel_height = (height - top - bottom - (len(panels) - 1) * gap) / len(panels)
+    stamps = [times for _, lines in panels for times, _, _ in lines if len(times)]
+    t_lo = min(float(times[0]) for times in stamps)
+    t_hi = max(float(times[-1]) for times in stamps)
+    body: list = []
+    for i, (label, lines) in enumerate(panels):
+        ranges = [(float(f.min()), float(f.max()))
+                  for f in (values[np.isfinite(values)] for _, values, _ in lines) if f.size]
+        v_lo = min((lo for lo, _ in ranges), default=0.0)
+        v_hi = max((hi for _, hi in ranges), default=1.0)
+        y0 = top + i * (panel_height + gap)
+        panel = _Panel(70, y0, WIDTH - 90, panel_height, t_lo, t_hi, v_lo, v_hi)
+        panel.frame(body)
+        panel.y_axis(body)
+        if i == len(panels) - 1:
+            panel.x_axis(body)
+        for times, values, color in lines:
+            panel.series(body, times, values, color)
+        if label is not None:
+            body.append(f'<text x="{_f(74)}" y="{_f(y0 + 12)}" {_FONT} '
+                        f'font-size="11" fill="#333333">{label}</text>')
+    body.append(f'<text x="{_f(WIDTH / 2)}" y="20" {_FONT} font-size="14" '
+                f'text-anchor="middle">{html.escape(title, quote=False)}</text>')
+    for i, (label, color) in enumerate(legend):
+        row = 42 + 16 * i
+        body.append(f'<rect x="{_f(WIDTH - 150)}" y="{_f(row)}" width="18" height="4" '
+                    f'fill="{color}"/>')
+        body.append(f'<text x="{_f(WIDTH - 126)}" y="{_f(row + 6)}" {_FONT} '
+                    f'font-size="11">{html.escape(label, quote=False)}</text>')
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{height}" viewBox="0 0 {WIDTH} {height}">')
+    background = f'<rect x="0" y="0" width="{WIDTH}" height="{height}" fill="white"/>'
     return "\n".join([head, background, *body, "</svg>\n"])
 
 
-def _legend(out: list, x: float, y: float, entries):
-    for i, (label, color) in enumerate(entries):
-        row = y + 16 * i
-        out.append(f'<rect x="{_f(x)}" y="{_f(row)}" width="18" height="4" '
-                   f'fill="{color}"/>')
-        out.append(f'<text x="{_f(x + 24)}" y="{_f(row + 6)}" {_FONT} '
-                   f'font-size="11">{html.escape(label, quote=False)}</text>')
-
-
 def forecast_chart(actual: TimeSeries, predicted: TimeSeries, *,
-                   title: str = "forecast", width: int = 960,
-                   height: int = 480) -> str:
+                   title: str = "forecast") -> str:
     """Observed history in red and forecast values in blue, with a legend."""
-    pairs = [(actual.timestamps, actual.values),
-             (predicted.timestamps, predicted.values)]
-    t_lo, t_hi, v_lo, v_hi = _bounds(pairs)
-    panel = _Panel(70, 34, width - 90, height - 88, t_lo, t_hi, v_lo, v_hi)
-
-    body: list = []
-    panel.frame(body)
-    panel.y_axis(body)
-    panel.x_axis(body)
-    panel.series(body, *pairs[0], ACTUAL_COLOR)
-    panel.series(body, *pairs[1], PREDICTED_COLOR)
-    body.append(f'<text x="{_f(width / 2)}" y="20" {_FONT} font-size="14" '
-                f'text-anchor="middle">{html.escape(title, quote=False)}</text>')
-    _legend(body, width - 150, 42, [("actual", ACTUAL_COLOR),
-                                    ("predicted", PREDICTED_COLOR)])
-    return _document(width, height, body)
+    lines = [(actual.timestamps, actual.values, ACTUAL_COLOR),
+             (predicted.timestamps, predicted.values, PREDICTED_COLOR)]
+    return _chart(480, 54, title, [(None, lines)],
+                  [("actual", ACTUAL_COLOR), ("predicted", PREDICTED_COLOR)])
 
 
 def decomposition_chart(observed: TimeSeries, decomposition, *,
-                        title: str = "decomposition", width: int = 960,
-                        height: int = 720) -> str:
+                        title: str = "decomposition") -> str:
     """Four stacked panels on a shared time axis: observed, trend, seasonal,
     residual."""
+    times = observed.timestamps
     rows = [("observed", observed.values, ACTUAL_COLOR),
             ("trend", decomposition.trend, PREDICTED_COLOR),
             ("seasonal", decomposition.seasonal, COMPONENT_COLOR),
             ("residual", decomposition.residual, COMPONENT_COLOR)]
-    times = observed.timestamps
-    t_lo, t_hi = float(times[0]), float(times[-1])
-
-    top, bottom, gap = 34, 40, 14
-    panel_height = (height - top - bottom - 3 * gap) / 4
-    body: list = []
-    for i, (label, values, color) in enumerate(rows):
-        finite = values[np.isfinite(values)]
-        v_lo = float(finite.min()) if finite.size else 0.0
-        v_hi = float(finite.max()) if finite.size else 1.0
-        y0 = top + i * (panel_height + gap)
-        panel = _Panel(70, y0, width - 90, panel_height, t_lo, t_hi, v_lo, v_hi)
-        panel.frame(body)
-        panel.y_axis(body)
-        if i == len(rows) - 1:
-            panel.x_axis(body)
-        panel.series(body, times, values, color)
-        body.append(f'<text x="{_f(74)}" y="{_f(y0 + 12)}" {_FONT} '
-                    f'font-size="11" fill="#333333">{label}</text>')
-    body.append(f'<text x="{_f(width / 2)}" y="20" {_FONT} font-size="14" '
-                f'text-anchor="middle">{html.escape(title, quote=False)}</text>')
-    return _document(width, height, body)
+    return _chart(720, 40, title, [(label, [(times, values, color)])
+                                   for label, values, color in rows])

@@ -8,11 +8,12 @@ lag-order values; differencing and the scaler come with exact inverses.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, TooShort
+from .errors import ArityMismatch, ConfigError, NumericOverflow, TooShort
 from .series import MultiSeries, TimeSeries
 
 
@@ -64,7 +65,7 @@ def lag_embed(s, p: int, target_column: str = "energy") -> SupervisedFrame:
     are contiguous in time.
     """
     if p < 1:
-        raise ValueError(f"lag order must be >= 1, got {p}")
+        raise ConfigError(f"lag order must be >= 1, got {p}")
     if isinstance(s, MultiSeries):
         target = s.column(target_column)
         exog_names = tuple(n for n in s.names if n != target_column)
@@ -163,11 +164,12 @@ def decompose(s: TimeSeries, period: int) -> Decomposition:
 
     For even periods the standard 2-by-m average is used so the trend stays
     centered. Seasonal effects are the period-indexed means of the detrended
-    values, re-centered to sum to zero.
+    values, re-centered to sum to zero. A component that overflows float64
+    raises ``NumericOverflow``.
     """
     m = int(period)
     if m < 2:
-        raise ValueError(f"period must be >= 2, got {m}")
+        raise ConfigError(f"period must be >= 2, got {m}")
     x = s.values
     n = x.shape[0]
     if n < 2 * m:
@@ -185,15 +187,19 @@ def decompose(s: TimeSeries, period: int) -> Decomposition:
     windows = np.lib.stride_tricks.sliding_window_view(x, width)
     trend[half: n - half] = windows @ kernel
 
-    detrended = x - trend
-    pattern = np.empty(m)
-    for r in range(m):
-        vals = detrended[r::m]
-        pattern[r] = np.nanmean(vals)
-    pattern -= pattern.mean()
-
-    seasonal = np.tile(pattern, n // m + 1)[:n]
-    residual = x - trend - seasonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        detrended = x - trend
+        pattern = np.empty(m)
+        # nanmean gives a phase without a detrended value NaN, and a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for r in range(m):
+                pattern[r] = np.nanmean(detrended[r::m])
+        pattern -= pattern.mean()
+        seasonal = np.tile(pattern, n // m + 1)[:n]
+        residual = x - trend - seasonal
+    if any(np.isinf(part).any() for part in (detrended, pattern, residual)):
+        raise NumericOverflow("the decomposition of these values overflows float64")
     return Decomposition(trend, seasonal, residual, m)
 
 
@@ -202,7 +208,8 @@ class Scaler:
     """Per-feature standardization learned from training rows only.
 
     The standard deviation is floored at 1e-12 so constant columns scale to
-    zero instead of blowing up.
+    zero instead of blowing up. ``fit_scaler`` raises ``NumericOverflow``
+    when a mean or standard deviation overflows float64.
     """
 
     mean: np.ndarray
@@ -216,14 +223,25 @@ def fit_scaler(X) -> Scaler:
     if X.size == 0:
         raise ValueError("cannot fit a scaler on empty data")
     axis = 0 if X.ndim == 2 else None
-    mean = np.atleast_1d(X.mean(axis=axis))
-    sd = np.atleast_1d(X.std(axis=axis))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.atleast_1d(X.mean(axis=axis))
+        sd = np.atleast_1d(X.std(axis=axis))
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise NumericOverflow("the mean or standard deviation of the values to "
+                              "standardize overflows float64")
     return Scaler(mean, np.maximum(sd, Scaler.SD_FLOOR))
 
 
 def apply_scaler(scaler: Scaler, X) -> np.ndarray:
-    return (np.asarray(X, dtype=np.float64) - scaler.mean) / scaler.scale
+    with np.errstate(over="ignore"):
+        scaled = (np.asarray(X, dtype=np.float64) - scaler.mean) / scaler.scale
+    if np.isinf(scaled).any():
+        raise NumericOverflow("a value lies too many standard deviations from the "
+                              "training mean to standardize in float64")
+    return scaled
 
 
 def invert_scaler(scaler: Scaler, X) -> np.ndarray:
-    return np.asarray(X, dtype=np.float64) * scaler.scale + scaler.mean
+    # an overflow is an infinite prediction, which callers refuse as NonFinitePrediction
+    with np.errstate(over="ignore"):
+        return np.asarray(X, dtype=np.float64) * scaler.scale + scaler.mean

@@ -14,6 +14,7 @@ from wattcast.arima import (
 from wattcast.errors import (
     ConfigError,
     DegenerateSeries,
+    DivergedLoss,
     HistoryTooShort,
     MissingCells,
     TooShort,
@@ -54,6 +55,14 @@ def nelder_mead_css(w, p, q, x0):
 
 
 class TestFit:
+    def test_overflowing_loss_is_diverged_without_warning(self, recwarn):
+        # a noiseless cycle: the Hannan-Rissanen start and every point the
+        # search finds give residuals whose squares overflow
+        s = ts(1 + 0.5 * np.sin(2 * np.pi * np.arange(75) / 24))
+        with pytest.raises(DivergedLoss, match=r"^the CSS loss of ARIMA\(1,0,1\) is not finite"):
+            arima_fit(s, 1, 0, 1)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_noiseless_ar1_recovery(self):
         s = arma_series(200, ar=(0.5,), intercept=1.0, noise_sd=0.0, initial=[10.0])
         model = arima_fit(s, 1, 0, 0)

@@ -50,7 +50,7 @@ def hourly_csv(tmp_path):
 
 @pytest.fixture
 def huge_csv(tmp_path):
-    """30 hourly readings near 1e302: the GP, MLP and SVR predict NaN from them."""
+    """30 hourly readings near 1e302: their squares overflow float64."""
     path = tmp_path / "huge.csv"
     write_energy_csv(path, TimeSeries(0.0, HOUR, (1 + 0.01 * (7 * np.arange(30) % 13)) * 1e302))
     return path
@@ -122,6 +122,21 @@ class TestForecast:
         assert main(["forecast", "--horizon", "0",
                      "--input", str(hourly_csv)]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "ols", "--p", "0"], "lag order must be >= 1, got 0"),
+        (["--model", "mlp", "--seed", "-1"], "model 'mlp': seed must be >= 0"),
+        (["--model", "gp", "--gp-length-scale", "1e308"],
+         "model 'gp': signal_var and length_scale must be positive and finite"),
+        (["--model", "mlp", "--p", "3", "--mlp-hidden", str(10 ** 18)],
+         "an MLP of 1000000000000000000 hidden units needs 149011611938.5 GiB; "),
+    ])
+    def test_invalid_value_is_config_error_before_any_output(self, hourly_csv, tmp_path,
+                                                              capsys, flags, message):
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", *flags, "--input", str(hourly_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"wattcast: configuration error: {message}")
+        assert not out.exists()
+
     def test_missing_input_is_config_error(self):
         assert main(["forecast", "--model", "ols"]) == 2
 
@@ -189,15 +204,28 @@ class TestForecast:
         assert captured.out.startswith("timestamp,value\n")
         assert len(captured.out.strip().splitlines()) == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("model", ["gp", "mlp", "svr"])
-    def test_non_finite_forecast_is_model_error_exit_4(self, huge_csv, tmp_path, capsys,
-                                                        model):
+    def test_overflowing_standardization_is_data_error_exit_3(self, huge_csv, tmp_path,
+                                                              capsys, recwarn, model):
         out = tmp_path / "fc.csv"
-        for horizon in ("1", "2"):  # the first prediction is not fed back
+        for horizon in ("1", "2"):
             code = main(["forecast", "--model", model, "--p", "3", "--horizon", horizon,
                          "--input", str(huge_csv), "--out", str(out)])
+            assert code == 3
+            # no numpy RuntimeWarning reaches stderr before the error
+            assert capsys.readouterr().err == (
+                "wattcast: data error: NumericOverflow: the mean or standard deviation "
+                "of the values to standardize overflows float64\n")
+            assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+            assert not out.exists()
+
+    def test_non_finite_forecast_is_model_error_exit_4(self, hourly_csv, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(OlsModel, "_predict", lambda self, X: np.full(len(X), np.nan))
+        out = tmp_path / "fc.csv"
+        for horizon in ("1", "2"):  # the first prediction is not fed back
+            code = main(["forecast", "--model", "ols", "--p", "3", "--horizon", horizon,
+                         "--input", str(hourly_csv), "--out", str(out)])
             assert code == 4
             assert capsys.readouterr().err.endswith(
                 "wattcast: model error: NonFinitePrediction: prediction at step 0 is not finite\n")
@@ -205,7 +233,7 @@ class TestForecast:
 
     @pytest.mark.parametrize("model", ["ols", "var", "arima"])
     def test_overflowing_normal_equations_are_data_error_exit_3(self, huge_csv, tmp_path,
-                                                                capsys, model):
+                                                                capsys, recwarn, model):
         out = tmp_path / "fc.csv"
         for horizon in ("1", "2"):
             code = main(["forecast", "--model", model, "--p", "3", "--horizon", horizon,
@@ -215,6 +243,7 @@ class TestForecast:
             assert capsys.readouterr().err == (
                 "wattcast: data error: NumericOverflow: the normal equations overflow: "
                 "the design's sums of products are not finite\n")
+            assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
             assert not out.exists()
 
     def test_out_of_memory_is_model_error_exit_4(self, hourly_csv, monkeypatch, capsys):
@@ -432,16 +461,30 @@ class TestBenchmark:
         assert by_model["knn"]["error"] is None
         assert "TooShort" in by_model["var"]["error"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    def test_non_finite_predictions_fail_their_cell(self, huge_csv, tmp_path):
+    def test_overflowing_cells_fail(self, huge_csv, tmp_path, recwarn):
         out_json = tmp_path / "report.json"
         code = main(["benchmark", "--input", str(huge_csv), "--models", "gp,knn",
                      "--p", "3", "--splits", "0.7", "--report", str(tmp_path / "r.txt"),
                      "--json", str(out_json)])
+        assert code == 5
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        errors = {r["model"]: r["error"] for r in json.loads(out_json.read_text())["records"]}
+        assert errors == {
+            "gp": "NumericOverflow: the mean or standard deviation of the values to "
+                  "standardize overflows float64",
+            # knn predicts finite values, but the squares of its errors overflow
+            "knn": "NumericOverflow: forecast errors overflow float64 (rmse inf, "
+                   "mae 2.14815e+300, baseline 2.8381e+301)"}
+
+    def test_non_finite_predictions_fail_their_cell(self, hourly_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(GpModel, "_predict", lambda self, X: np.full(len(X), np.nan))
+        out_json = tmp_path / "report.json"
+        code = main(["benchmark", "--input", str(hourly_csv), "--models", "gp,knn",
+                     "--p", "3", "--splits", "0.7", "--report", str(tmp_path / "r.txt"),
+                     "--json", str(out_json)])
         assert code == 0
         errors = {r["model"]: r["error"] for r in json.loads(out_json.read_text())["records"]}
-        assert errors == {"gp": "NonFinitePrediction: 9 of 9 predictions are not finite",
+        assert errors == {"gp": "NonFinitePrediction: 60 of 60 predictions are not finite",
                           "knn": None}
 
     def test_all_cells_failed_exit_5(self, tmp_path):
@@ -527,6 +570,23 @@ class TestConfigFile:
         lines = report.read_text().splitlines()
         assert not any(line.startswith("knn\t") for line in lines)
 
+    @pytest.mark.parametrize("command, entry", [
+        (["resample", "--interval", "1h"], "agg = median"),
+        (["benchmark", "--models", "ols"], "mode = bogus"),
+        (["forecast"], "model = nope"),
+    ])
+    def test_value_outside_the_flags_choices_rejected(self, hourly_csv, tmp_path, capsys,
+                                                      command, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        out = tmp_path / "out"
+        assert main([*command, "--input", str(hourly_csv), "--config", str(cfg),
+                     "--report" if command[0] == "benchmark" else "--out", str(out)]) == 2
+        key, value = entry.split(" = ")
+        assert capsys.readouterr().err.startswith(
+            f"wattcast: configuration error: config key {key!r}: {value!r} is not one of ")
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, hourly_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("modell = ols\n")
@@ -598,6 +658,32 @@ class TestResample:
     def test_non_multiple_interval_exit_3(self, quarter_csv):
         assert main(["resample", "--input", str(quarter_csv),
                      "--interval", "50m"]) == 3
+
+    @pytest.mark.parametrize("agg", ["sum", "mean"])
+    def test_overflowing_window_is_data_error_exit_3(self, tmp_path, capsys, recwarn, agg):
+        path = tmp_path / "top.csv"
+        write_energy_csv(path, TimeSeries(0.0, HOUR, np.full(6, 1e308)))
+        out = tmp_path / "out.csv"
+        assert main(["resample", "--input", str(path), "--interval", "2h", "--agg", agg,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"wattcast: data error: NumericOverflow: the {agg} of values 0 to 1 "
+            "overflows float64\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_overflowing_interval_variant_fails_its_cells(self, tmp_path, recwarn):
+        path = tmp_path / "top.csv"
+        write_energy_csv(path, TimeSeries(0.0, HOUR, (1 + 0.25 * (np.arange(48) % 3)) * 1e308))
+        out_json = tmp_path / "report.json"
+        assert main(["benchmark", "--input", str(path), "--models", "knn",
+                     "--intervals", "native,2h", "--p", "3", "--splits", "0.7",
+                     "--report", str(tmp_path / "r.txt"), "--json", str(out_json)]) == 5
+        errors = {r["dataset"]: r["error"] for r in json.loads(out_json.read_text())["records"]}
+        assert errors == {
+            "top": "NonFinitePrediction: 15 of 15 predictions are not finite",
+            "top[2h]": "NumericOverflow: the mean of values 0 to 1 overflows float64"}
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_interval_grammar_exit_2(self, quarter_csv):
         assert main(["resample", "--input", str(quarter_csv),
@@ -767,10 +853,12 @@ class TestDecompose:
         write_energy_csv(path, TimeSeries(0.0, HOUR, np.arange(10.0)))
         assert main(["decompose", "--input", str(path), "--period", "24"]) == 3
 
-    def test_bad_period_exit_2(self, tmp_path):
+    def test_bad_period_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
         write_energy_csv(path, TimeSeries(0.0, HOUR, np.arange(80.0)))
         assert main(["decompose", "--input", str(path), "--period", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "wattcast: configuration error: period must be >= 2, got 1\n")
 
 
 class TestHelp:

@@ -1,22 +1,21 @@
 """Property test for the command line: on small energy CSVs with odd values
-(constant, near 1e302, tiny, negative, missing), gaps, repeated stamps and
-bodies of blank rows, every command and model ends ``main`` with a
-documented exit code, lets no exception escape, and writes only finite
-forecasts. ``main`` runs in process; its output goes to files under a
-temporary directory, its diagnostics to a buffer. On meter-shaped exports
+(constant, near 1e302 or ±1e308, tiny, negative, missing), gaps, repeated
+stamps and bodies of blank rows, every command and model ends ``main`` with
+a documented exit code, lets no exception escape, raises no numpy
+``RuntimeWarning`` (whose text would reach stderr), writes only finite
+forecasts, and reports every ``ok`` benchmark cell with a finite RMSE and
+MAE. ``main`` runs in process; its output goes to files under a temporary
+directory, its diagnostics to a buffer. On meter-shaped exports
 (``;``-separated, a text column first, epoch stamps, missing rows) every
 drawn call gives the same exit code, diagnostics and output bytes with the
 compiled CSV pass and without it.
-
-Open, and not asserted here: numpy's ``RuntimeWarning`` text reaches stderr
-on overflowing inputs, and a benchmark cell can be ``ok`` with ``rmse inf``
-(``knn`` on readings near 1e302).
 """
 
 import contextlib
 import csv
 import io
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -34,8 +33,9 @@ from wattcast.evaluation import MODE_ONE_STEP, MODE_RECURSIVE, MODELS  # noqa: E
 EXIT_CODES = (0, 2, 3, 4, 5)
 START = 1_600_000_000
 HOUR = 3600
-# reading scales: ordinary, near the top of the float range, near the bottom
-SCALES = (1.0, 1e302, 1e-300, -50.0)
+# reading scales: ordinary, where squares overflow, at the top of the float
+# range (where sums overflow), near the bottom
+SCALES = (1.0, 1e302, 1e308, -1e308, 1e-300, -50.0)
 
 
 @st.composite
@@ -73,8 +73,9 @@ def meter_exports(draw):
     step = draw(st.sampled_from([900, HOUR]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from(SCALES))
-    values = scale * (1 + 0.5 * np.sin(2 * np.pi * np.arange(n) / 24)
-                      + 0.1 * rng.standard_normal(n))
+    with np.errstate(over="ignore"):  # written as "inf", which the reader refuses
+        values = scale * (1 + 0.5 * np.sin(2 * np.pi * np.arange(n) / 24)
+                          + 0.1 * rng.standard_normal(n))
     whole = draw(st.booleans()) and scale == 1.0
     cells = [str(int(1000 * v)) if whole else repr(float(v)) for v in values]
     if draw(st.integers(0, 4)) == 4:
@@ -110,7 +111,22 @@ def invocations(draw):
     return [command, "--period", str(draw(st.integers(1, 24)))], "--out"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _main(argv):
+    """Exit code and diagnostics of one call of ``main``, failing the test
+    when an exception escapes it or it raises a ``RuntimeWarning``."""
+    diagnostics = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            with contextlib.redirect_stderr(diagnostics):
+                code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure
+            pytest.fail(f"{argv}: {type(exc).__name__} escaped main: {exc}")
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (argv, runtime)
+    return code, diagnostics.getvalue()
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(text=energy_files(), invocation=invocations())
 def test_documented_exit_code_and_finite_forecast(text, invocation):
@@ -118,30 +134,30 @@ def test_documented_exit_code_and_finite_forecast(text, invocation):
     with tempfile.TemporaryDirectory() as tmp:
         source, out = Path(tmp) / "energy.csv", Path(tmp) / "out"
         source.write_text(text, encoding="utf-8")
-        diagnostics = io.StringIO()
-        try:
-            with contextlib.redirect_stderr(diagnostics):
-                code = main([*argv, "--input", str(source), out_flag, str(out)])
-        except Exception as exc:  # noqa: BLE001 - any escape is the failure
-            pytest.fail(f"{argv}: {type(exc).__name__} escaped main: {exc}")
-        assert code in EXIT_CODES, (argv, code, diagnostics.getvalue())
+        code, diagnostics = _main([*argv, "--input", str(source), out_flag, str(out)])
+        assert code in EXIT_CODES, (argv, code, diagnostics)
         if argv[0] == "forecast" and code == 0:
             with open(out, newline="", encoding="utf-8") as fh:
                 values = [float(row["value"]) for row in csv.DictReader(fh)]
             assert values and np.isfinite(values).all(), (argv, values)
+        if argv[0] == "benchmark" and out.exists():
+            rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()
+                    if not line.startswith("#")]
+            header, *cells = [row for row in rows if len(row) == 11]
+            for cell in cells:
+                if cell[header.index("status")] == "ok":
+                    scores = [float(cell[header.index(name)]) for name in ("rmse", "mae")]
+                    assert np.isfinite(scores).all(), (argv, cell)
 
 
 def _run(argv, source, out):
     """Exit code, diagnostics and output bytes of one call of ``main``."""
-    diagnostics = io.StringIO()
-    with contextlib.redirect_stderr(diagnostics):
-        code = main([*argv, "--input", str(source), out[0], str(out[1])])
+    code, diagnostics = _main([*argv, "--input", str(source), out[0], str(out[1])])
     written = out[1].read_bytes() if out[1].exists() else None
     out[1].unlink(missing_ok=True)
-    return code, diagnostics.getvalue(), written
+    return code, diagnostics, written
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(text=meter_exports(), invocation=invocations())
 def test_meter_export_same_with_and_without_the_compiled_pass(text, invocation):

@@ -90,7 +90,7 @@ def test_ols_forecast_loads_linalg_only(hourly_csv, tmp_path):
 def test_mlp_forecast_loads_no_scipy(hourly_csv, tmp_path):
     # the compiled kernel trains and predicts; without a compiler, scipy's
     # expit computes the activations
-    if mlp_module._load_sigmoid() is None:
+    if mlp_module._load_kernel() is None:
         pytest.skip(f"no C compiler could build {mlp_module._KERNEL_SOURCE.name}")
     argv = ["forecast", "--model", "mlp", "--p", "4", "--horizon", "6", "--mlp-epochs", "5",
             "--input", str(hourly_csv), "--out", str(tmp_path / "fc.csv")]

@@ -15,6 +15,7 @@ from wattcast.errors import (
     InsufficientTest,
     LengthMismatch,
     NonFinitePrediction,
+    NumericOverflow,
     TooShort,
 )
 from wattcast.evaluation import (
@@ -106,6 +107,16 @@ class TestMetrics:
         with pytest.raises(LengthMismatch):
             metrics([1.0, 2.0], [1.0], [0.0])
 
+    @pytest.mark.parametrize("actual, predicted, train", [
+        ([1e200, 0.0], [0.0, 0.0], [0.0]),  # squared errors overflow
+        ([1e308, -1e308], [-1e308, 1e308], [0.0]),  # errors overflow
+        ([1.0, 2.0], [1.0, 2.0], [1e308, 1e308]),  # the train mean overflows
+    ], ids=["squares", "errors", "baseline"])
+    def test_overflow_raises(self, actual, predicted, train, recwarn):
+        with pytest.raises(NumericOverflow, match="^forecast errors overflow float64"):
+            metrics(actual, predicted, train)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("predicted, actual, message", [
         ([1.0, np.nan, np.inf, -np.inf], None, "3 of 4 predictions are not finite"),
         ([np.nan, 1.0], [2.0, 2.0], "1 of 2 predictions are not finite"),
@@ -170,6 +181,11 @@ class TestModelSpec:
     def test_spec_for_unknown_name(self):
         with pytest.raises(ConfigError):
             spec_for("prophet")
+
+    def test_negative_mlp_seed_refused_before_any_fit(self):
+        with pytest.raises(ConfigError, match="^model 'mlp': seed must be >= 0$"):
+            spec_for("mlp", seed=-1)
+        spec_for("ols", seed=-1)  # a family without a seed ignores it
 
 
 class TestEvaluate:

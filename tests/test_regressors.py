@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ import wattcast.regressors.mlp as mlp_module
 import wattcast.regressors.svr as svr_module
 from wattcast.errors import (
     CholeskyFailure,
+    ConfigError,
     DivergedLoss,
     HistoryTooShort,
     KernelTooLarge,
@@ -140,6 +142,11 @@ class TestKnn:
         y = np.array([1.0, 2.0, 6.0])
         model = KnnModel(k=3).fit(make_frame([[0], [1], [2]], y))
         assert model.predict([99.0]) == pytest.approx(y.mean())
+
+    def test_overflowing_mean_is_infinite(self, recwarn):
+        model = KnnModel(k=2).fit(make_frame([[0], [1], [2]], [1e308, 1e308, 0.0]))
+        assert model.predict([0.4]) == np.inf  # refused downstream as NonFinitePrediction
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_tie_keeps_earlier_index(self):
         model = KnnModel(k=1).fit(make_frame([[0], [2], [4]], [100, 200, 300]))
@@ -340,12 +347,34 @@ def svr_qp_oracle(K, y, C, epsilon, iters=400_000):
     return theta[:n], theta[n:]
 
 
+@pytest.mark.parametrize("model, params", [
+    (GpModel, {"signal_var": np.nan}),
+    (GpModel, {"length_scale": -1.0}),
+    (GpModel, {"length_scale": np.inf}),
+    (GpModel, {"length_scale": 1e308}),  # its square overflows
+    (GpModel, {"length_scale": 1e-320}),  # its square is 0
+    (GpModel, {"noise_var": np.inf}),
+    (SvrModel, {"C": np.inf}),
+    (SvrModel, {"epsilon": np.nan}),
+    (SvrModel, {"gamma": np.inf}),
+    (MlpModel, {"lr": np.nan}),
+], ids=lambda value: value.__name__ if isinstance(value, type) else next(iter(value)))
+def test_rejects_non_finite_real_hyperparameter(model, params):
+    with pytest.raises(ValueError, match="finite"):
+        model(**params)
+
+
 class TestSvr:
     def setup_method(self):
         self.X = np.array([[0.0], [1.0], [2.0], [3.0]])
         self.y = np.array([0.0, 0.9, 0.1, 0.8])
         self.gamma = 0.5
         self.K = np.exp(-self.gamma * cdist(self.X, self.X, "sqeuclidean"))
+
+    def test_huge_gamma_kernel_underflows_without_warning(self, recwarn):
+        model = SvrModel(gamma=1e308, standardize=False).fit(make_frame(self.X, self.y))
+        assert np.isfinite(model.predict_batch(self.X + 0.5)).all()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_flat_targets_give_no_support_vectors(self):
         frame = make_frame([[0], [1], [2]], [5.0, 5.0, 5.0])
@@ -651,7 +680,10 @@ def _assert_loader_leaves_no_build_directory(module, monkeypatch, tmp_path):
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    assert callable(module._load_kernel.__wrapped__())
+    loaded = module._load_kernel.__wrapped__()
+    # the MLP's one load binds the epoch and the sigmoid
+    entry_points = [loaded.epoch, loaded.sigmoid] if module is mlp_module else [loaded]
+    assert all(map(callable, entry_points))
     assert list(scratch.iterdir()) == []
     cached, = (tmp_path / "cache" / "wattcast").iterdir()
     assert cached.name.startswith(module._KERNEL_SOURCE.stem + "-") and cached.suffix == ".so"
@@ -872,6 +904,20 @@ def sgd_step_gradient_error(X, y, hidden, seed, lr=0.01, step=1e-5):
 
 
 class TestMlp:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            MlpModel(seed=-1)
+
+    def test_refuses_weights_beyond_physical_memory_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(base_module, "physical_memory", lambda: 2 ** 20)
+        frame = random_frame(np.random.default_rng(24), n=10)  # 3 features
+        # 4 float64 arrays of h * (3 + 2) + 1 cells: 6553 units fit in 1 MiB, 6554 do not
+        MlpModel(hidden=6553, epochs=0).fit(frame)
+        with pytest.raises(ConfigError, match="^an MLP of 6554 hidden units needs "):
+            MlpModel(hidden=6554, epochs=0).fit(frame)
+        with pytest.raises(ConfigError, match="^an MLP of 1000000000000000000 hidden units"):
+            MlpModel(hidden=10 ** 18, epochs=0).fit(frame)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(19)
         X = rng.normal(size=(1, 4))
@@ -909,9 +955,10 @@ class TestMlp:
 
             def counted(*args, **kwargs):
                 calls.append(args)
-                return kernel(*args, **kwargs)
+                return kernel.epoch(*args, **kwargs)
 
-            monkeypatch.setattr(mlp_module, "_load_kernel", lambda: counted)
+            monkeypatch.setattr(mlp_module, "_load_kernel",
+                                lambda: SimpleNamespace(epoch=counted, sigmoid=kernel.sigmoid))
         else:
             monkeypatch.setattr(mlp_module, "_load_kernel", lambda: None)
         rng = np.random.default_rng(23)
@@ -1081,9 +1128,10 @@ class TestMlpKernelMatchesNumpy:
 
         def counted(*args, **kwargs):
             calls.append(kwargs.get("train", True))
-            return kernel(*args, **kwargs)
+            return kernel.epoch(*args, **kwargs)
 
-        monkeypatch.setattr(mlp_module, "_load_kernel", lambda: counted)
+        monkeypatch.setattr(mlp_module, "_load_kernel",
+                            lambda: SimpleNamespace(epoch=counted, sigmoid=kernel.sigmoid))
         make, params = TestMlpMatchesReferenceLoop.CASES[case]
         frame = make()
         compiled = MlpModel(**params).fit(frame)
@@ -1112,7 +1160,7 @@ class TestMlpKernelMatchesNumpy:
         X_aug = np.ones((4, 3))
         theta, vel = np.zeros(2 * 4 + 1), np.zeros(2 * 4 + 1)
         with pytest.raises(ValueError):
-            kernel(X_aug, np.zeros(4), theta, vel, 3, 0.1, 0.0)  # sized for h=2
+            kernel.epoch(X_aug, np.zeros(4), theta, vel, 3, 0.1, 0.0)  # sized for h=2
 
 
 class TestMlpSigmoid:
@@ -1120,9 +1168,7 @@ class TestMlpSigmoid:
     scipy's ``expit``."""
 
     def test_bitwise_equal_to_expit(self):
-        sigmoid = mlp_module._load_sigmoid()
-        if sigmoid is None:
-            pytest.skip(f"no C compiler could build {mlp_module._KERNEL_SOURCE.name}")
+        sigmoid = _kernel_or_skip().sigmoid
         rng = np.random.default_rng(11)
         z = np.concatenate([rng.normal(0, 1, 50_000), rng.normal(0, 40, 50_000),
                             rng.uniform(-800, 800, 50_000),
@@ -1132,12 +1178,11 @@ class TestMlpSigmoid:
         assert got.tobytes() == expected.tobytes()
 
     def test_predictions_equal_the_expit_path(self, monkeypatch):
-        if mlp_module._load_sigmoid() is None:
-            pytest.skip(f"no C compiler could build {mlp_module._KERNEL_SOURCE.name}")
+        _kernel_or_skip()
         frame = _household_frame()
         model = MlpModel(epochs=3, seed=4).fit(frame)
         compiled = model.predict_batch(frame.X)
-        monkeypatch.setattr(mlp_module, "_load_sigmoid", lambda: None)
+        monkeypatch.setattr(mlp_module, "_load_kernel", lambda: None)
         assert model.predict_batch(frame.X).tobytes() == compiled.tobytes()
 
 
@@ -1205,7 +1250,7 @@ class TestMlpKernelMatchesOracle:
         vel = np.zeros_like(theta)
         expected_theta, expected_vel = theta.copy(), vel.copy()
         for _ in range(2):  # the second epoch starts from a non-zero velocity
-            kernel(X_aug, y, theta, vel, h, lr, momentum)
+            kernel.epoch(X_aug, y, theta, vel, h, lr, momentum)
             with np.errstate(all="ignore"):  # lr=0.6 overflows at the wider widths
                 _oracle_epoch(X_aug, y, expected_theta, expected_vel, h, lr, momentum)
             # IEEE 754 leaves the sign of a NaN result open, so NaNs compare as one
@@ -1226,10 +1271,10 @@ class TestMlpKernelMatchesOracle:
             return np.sqrt(np.mean((out - y) ** 2))
 
         before = theta.copy()
-        scored = kernel(X_aug, y, theta, vel, h, lr, momentum, train=False)
+        scored = kernel.epoch(X_aug, y, theta, vel, h, lr, momentum, train=False)
         assert theta.tobytes() == before.tobytes() and not vel.any()
         assert abs(scored - rmse()) <= 1e-13 * rmse()
-        trained = kernel(X_aug, y, theta, vel, h, lr, momentum)
+        trained = kernel.epoch(X_aug, y, theta, vel, h, lr, momentum)
         assert theta.tobytes() != before.tobytes()
         assert abs(trained - rmse()) <= 1e-13 * rmse()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wattcast.errors import LengthMismatch, NotAMultiple, UnsortedWeather
+from wattcast.errors import LengthMismatch, NotAMultiple, NumericOverflow, UnsortedWeather
 from wattcast.series import MultiSeries, TimeSeries, merge, resample
 
 
@@ -98,6 +98,12 @@ class TestResample:
     def test_not_a_multiple(self):
         with pytest.raises(NotAMultiple):
             resample(ts([1, 2, 3]), 50 * 60)
+
+    @pytest.mark.parametrize("mode", ["sum", "mean"])
+    def test_overflowing_window_raises(self, mode, recwarn):
+        with pytest.raises(NumericOverflow, match=f"^the {mode} of values 4 to 7 overflows"):
+            resample(ts([1, 2, 3, 4, 1e308, 1e308, 1e308, 1e308]), 3600, mode=mode)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_empty_passes_through(self):
         out = resample(ts([]), 3600)

@@ -1,5 +1,6 @@
 """Tests for the dependency-free SVG chart output."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
 
@@ -16,7 +17,7 @@ from wattcast.svgplot import (
     decomposition_chart,
     forecast_chart,
 )
-from wattcast.transform import decompose
+from wattcast.transform import Decomposition, decompose
 
 HOUR = 3600.0
 
@@ -223,3 +224,104 @@ class TestDecimation:
             sizes.append(len(out[0]))
         # at most four points of 14 characters in each of 871 columns
         assert max(sizes) < 4 * 871 * 14 + 100
+
+
+@pytest.mark.parametrize("value", [2.0 ** 53, 1e17, 1e308, -1e308])
+def test_huge_constant_series_draws(value, recwarn):
+    # ±1 around such a constant is lost in rounding, and so is a tick step
+    s = TimeSeries(0.0, HOUR, np.full(48, value))
+    forecast = TimeSeries(48 * HOUR, HOUR, np.full(2, value))
+    for svg in forecast_chart(s, forecast), decomposition_chart(s, decompose(s, 4)):
+        ET.fromstring(svg)
+        assert "nan" not in svg
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _wavy(n):
+    """Whole-arithmetic test values: a ramp per day minus a scrambled saw."""
+    i = np.arange(n, dtype=float)
+    return 100.0 + (i % 96) * 0.25 - ((i * 7919) % 31) * 0.5
+
+
+def _long_decomposition(n):
+    observed = _wavy(n)
+    observed[n // 3: n // 3 + 50] = NAN
+    observed[n // 2] = NAN
+    trend = 100.0 + (np.arange(n) % 500) * 0.01
+    trend[:48] = trend[-48:] = NAN
+    seasonal = np.tile((np.arange(96) % 7) - 3.0, n // 96 + 1)[:n]
+    residual = observed - trend - seasonal
+    return TimeSeries(1609459200.0, 900.0, observed), Decomposition(trend, seasonal, residual, 96)
+
+
+def _pinned_charts():
+    """(name, svg) of every pinned chart. Inputs are built without
+    transcendental functions or BLAS, so their bits do not depend on the
+    platform; decompositions are given, not computed."""
+    history = TimeSeries(0.0, HOUR, np.array([5.0, 6.0, NAN, 8.0, 9.0]))
+    forecast = TimeSeries(5 * HOUR, HOUR, np.array([9.5, 10.0, 10.5]))
+    yield "forecast_nan_runs", forecast_chart(history, forecast)
+    yield "forecast_one_point_escaped_title", forecast_chart(
+        history, TimeSeries(5 * HOUR, HOUR, np.array([7.25])), title="A & B <kWh>")
+    yield "forecast_all_nan", forecast_chart(
+        TimeSeries(-86400.75, 900.5, np.array([NAN, 2.0, 3.5, NAN, -1.0])),
+        TimeSeries(-86400.75 + 5 * 900.5, 900.5, np.full(4, NAN)))
+    yield "forecast_constant", forecast_chart(
+        TimeSeries(0.0, HOUR, np.full(6, 4.0)), TimeSeries(6 * HOUR, HOUR, np.full(2, 4.0)))
+    n = 70_000
+    values = _wavy(n)
+    values[1000:1400] = NAN
+    values[n - 1] = NAN
+    yield "forecast_decimated", forecast_chart(
+        TimeSeries(1609459200.0, 900.0, values),
+        TimeSeries(1609459200.0 + n * 900.0, 900.0, _wavy(24)), title="meter")
+    i = np.arange(48.0)
+    s = TimeSeries(0.0, HOUR, 10.0 + 0.125 * i + (i % 24) * 0.5)
+    trend = np.where((i < 12) | (i >= 36), NAN, 10.0 + 0.125 * i)
+    seasonal = (i % 24) * 0.5 - 5.75
+    dec = Decomposition(trend, seasonal, s.values - trend - seasonal, 24)
+    yield "decomposition_small", decomposition_chart(s, dec)
+    yield "decomposition_escaped_title", decomposition_chart(s, dec, title="A & B <kWh>")
+    yield "decomposition_all_nan_residual", decomposition_chart(
+        s, Decomposition(trend, seasonal, np.full(48, NAN), 24))
+    s, dec = _long_decomposition(105_120)
+    yield "decomposition_decimated", decomposition_chart(s, dec, title="meter <2021>")
+    s, dec = _long_decomposition(60_000)
+    yield "decomposition_decimated_60k", decomposition_chart(s, dec)
+    s = TimeSeries(1609459200.25, 1800.0, np.array([1.0, 1.0, 1.0, 1.0]))
+    yield "decomposition_constant", decomposition_chart(
+        s, Decomposition(np.array([NAN, 1.0, 1.0, NAN]), np.zeros(4), np.zeros(4), 2))
+
+
+# sha256 of each chart's UTF-8 bytes, as the two charts' separate layout
+# code wrote them before both went through one layout routine
+PINNED_SHA256 = {
+    "forecast_nan_runs":
+        "89e8edf4e9d9f15d514b65283f4c88a4416fefb43b8976dd1a2842ee5824f176",
+    "forecast_one_point_escaped_title":
+        "fc56d81bc1539ad45b4f574ba8669b0470dec468c971ed8d214cef45d1f468d2",
+    "forecast_all_nan":
+        "f7d369cad9cc5c02f8708f02d746c25cb0b68efcd1a8ebc50045498a86648ca2",
+    "forecast_constant":
+        "3aeafd6cacea68d4edcec5d28321557e60137514b394c8d0bcf0f68c611c4ad6",
+    "forecast_decimated":
+        "b6a78643d243c1378191324326cbcabbcd37919e296069f846e75761e50c39e7",
+    "decomposition_small":
+        "eb25fe675ec46157f3721e072f64c7c911694679ac276cc050664047b851dded",
+    "decomposition_escaped_title":
+        "c4fb4bc1e009f6fb8defee7f405f5a3d410612e1e6e34c63f6f15c6d7ba269e2",
+    "decomposition_all_nan_residual":
+        "4ef96cd0040e906b6b4a6b24f02924c72e001c2f75c96b3b89f5a50f69c218aa",
+    "decomposition_decimated":
+        "73805da3350f030f3881bb713509d3cf06dfe6301611c601eedd9b77f86c5c39",
+    "decomposition_decimated_60k":
+        "7ed6bb6ce01f9237e39fdc8f77c1d6a78cbe1135fb829c24d2408d0252153549",
+    "decomposition_constant":
+        "d205e4ada788b89c5b0400dc10aa88558663aa05d9e7928350f7046c7bef9c40",
+}
+
+
+def test_chart_bytes_are_pinned():
+    got = {name: hashlib.sha256(svg.encode("utf-8")).hexdigest()
+           for name, svg in _pinned_charts()}
+    assert got == PINNED_SHA256

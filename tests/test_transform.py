@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wattcast.errors import ArityMismatch, TooShort
+from wattcast.errors import ArityMismatch, ConfigError, NumericOverflow, TooShort
 from wattcast.series import MultiSeries, TimeSeries
 from wattcast.transform import (
     apply_scaler,
@@ -36,6 +36,10 @@ class TestLagEmbed:
         frame = lag_embed(ts([7.0] * 6), p=2)
         assert np.all(frame.X == 7.0)
         assert np.all(frame.y == 7.0)
+
+    def test_zero_lag_order_is_config_error(self):
+        with pytest.raises(ConfigError, match="^lag order must be >= 1, got 0$"):
+            lag_embed(ts([1, 2, 3]), p=0)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -180,6 +184,24 @@ class TestDecompose:
         with pytest.raises(TooShort):
             decompose(ts(np.arange(7.0)), period=4)
 
+    def test_period_below_two_is_config_error(self):
+        with pytest.raises(ConfigError, match="^period must be >= 2, got 1$"):
+            decompose(ts(np.arange(8.0)), period=1)
+
+    def test_phase_without_values_is_nan_without_warning(self, recwarn):
+        values = np.arange(16.0)
+        values[1::4] = np.nan  # every trend window holds one, so no phase has a value
+        dec = decompose(ts(values), period=4)
+        assert np.isnan(dec.seasonal).all()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_component_raises(self, recwarn):
+        # the middle value less its neighbourhood's mean, 1.7e308 + 0.57e308
+        values = np.array([-1.7e308, 1.7e308, -1.7e308] * 2)
+        with pytest.raises(NumericOverflow, match="^the decomposition of these values"):
+            decompose(ts(values), period=3)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_odd_period(self):
         s = ts(np.array([0.0, 3.0, 0.0] * 5))
         dec = decompose(s, period=3)
@@ -213,3 +235,22 @@ class TestScaler:
         scaler = fit_scaler(y)
         back = invert_scaler(scaler, apply_scaler(scaler, y))
         assert np.allclose(back, y, rtol=1e-12)
+
+    @pytest.mark.parametrize("X", [[[1e308], [1e308]], [[1e308], [-1e308]]],
+                             ids=["mean", "standard_deviation"])
+    def test_overflowing_fit_raises(self, X, recwarn):
+        with pytest.raises(NumericOverflow, match="^the mean or standard deviation "):
+            fit_scaler(np.array(X))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_value_too_far_from_the_mean_raises(self, recwarn):
+        scaler = fit_scaler(np.zeros((3, 1)))  # the standard deviation floors at 1e-12
+        assert apply_scaler(scaler, np.array([[1e296]]))[0, 0] == 1e308
+        with pytest.raises(NumericOverflow, match="too many standard deviations"):
+            apply_scaler(scaler, np.array([[1e297]]))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_inverse_is_infinite(self, recwarn):
+        scaler = fit_scaler(np.array([0.0, 2e150]))  # mean and scale 1e150
+        assert np.isinf(invert_scaler(scaler, np.array([1e160]))).all()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
