@@ -530,7 +530,8 @@ def _rank_key(entry) -> tuple:
 
 
 def _rank(report: EvaluationReport, model_order: list) -> None:
-    """Per-dataset RAE ranking and overall mean-rank ranking, stable ties."""
+    """Per-dataset RAE ranking and overall mean-rank ranking, stable ties. A
+    model without a score in any dataset has an overall mean rank of NaN."""
     by_dataset: dict[str, dict[str, list]] = {}
     for record in report.records:
         per_model = by_dataset.setdefault(record.dataset, {})
@@ -546,6 +547,7 @@ def _rank(report: EvaluationReport, model_order: list) -> None:
         for position, (name, _) in enumerate(ranks[dataset_key], start=1):
             positions[name].append(position)
 
+    scored = {name for per_model in by_dataset.values() for name in per_model}
     report.rankings = ranks
-    report.overall = sorted(((name, float(np.mean(pos))) for name, pos in positions.items()),
-                            key=_rank_key)
+    report.overall = sorted(((name, float(np.mean(pos)) if name in scored else math.nan)
+                             for name, pos in positions.items()), key=_rank_key)

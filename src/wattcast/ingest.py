@@ -15,7 +15,9 @@ plain finite numbers, read under the "auto" or "epoch" stamp format, is
 parsed straight to float64 there, bit for bit as ``float`` parses it. The
 pass raises nothing: it declines every other file, and with no C compiler
 it never runs. A declined file is decoded from the same bytes and read by
-the general path, which gives every error its text and line.
+the general path, which gives every error its text and line. The same
+kernel writes CSV tables: ``write_columns`` hands it each chunk, and formats
+in Python only a chunk it declines, or every chunk without a compiler.
 
 Readers never invent values: rows are sorted, duplicate timestamps are an
 error, and gaps in an otherwise uniform series become explicit NaN rows at
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import islice, repeat, zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -345,9 +348,15 @@ def _column_index(name, header, n_columns: int, what: str) -> int:
 
 @functools.cache
 def _load_kernel():
-    """The compiled column pass as ``kernel(data, begin, delimiter, skip,
-    ts_col, val_col, epoch)``, or None when the kernel cannot be built (see
-    ``regressors._native.build``)."""
+    """The compiled CSV kernel (``_csv_columns.c``) as a namespace of two
+    calls, or None when it cannot be built (see ``regressors._native.build``):
+
+    - ``columns(data, begin, delimiter, skip, ts_col, val_col, epoch)``: the
+      stamps and values of a clean energy file, or None where the pass
+      declines it;
+    - ``write(stamps, columns)``: the CSV text of one chunk of equal 1-D
+      float64 columns, or None where a stamp is NaN or outside years 1-9999.
+    """
     lib = _native.build(_KERNEL_SOURCE)
     if lib is None:
         return None
@@ -358,6 +367,10 @@ def _load_kernel():
                                 ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_int,
                                 ctypes.c_long, ctypes.c_double, ctypes.c_double, array, array,
                                 ctypes.c_long]
+    lib.csv_write.restype = ctypes.c_long
+    lib.csv_write.argtypes = [array, ctypes.POINTER(ctypes.c_void_p), ctypes.c_long,
+                              ctypes.c_long, ctypes.c_double, ctypes.c_double,
+                              np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")]
 
     def c_columns(data, begin, delimiter, skip, ts_col, val_col, epoch):
         capacity = data.count(b"\n") + 1
@@ -367,7 +380,17 @@ def _load_kernel():
                                values, capacity)
         return None if rows < 0 else (stamps[:rows], values[:rows])
 
-    return c_columns
+    def c_write(stamps, columns):
+        stamps = np.ascontiguousarray(stamps)
+        columns = [np.ascontiguousarray(values) for values in columns]
+        pointers = (ctypes.c_void_p * len(columns))(*[values.ctypes.data for values in columns])
+        # a row: a 20-byte stamp, a comma and at most 24 bytes per value, LF
+        out = np.empty(stamps.size * (21 + 25 * len(columns)), dtype=np.uint8)
+        size = lib.csv_write(stamps, pointers, len(columns), stamps.size, _YEAR_1, _YEAR_10000,
+                             out)
+        return None if size < 0 else str(out.data[:size], "ascii")
+
+    return SimpleNamespace(columns=c_columns, write=c_write)
 
 
 def _kernel_rows(data: bytes, schema: DatasetSchema):
@@ -396,8 +419,8 @@ def _kernel_rows(data: bytes, schema: DatasetSchema):
         return None
     if not "".join(cells).strip():
         return None
-    return kernel(data, begin, schema.delimiter, int(schema.has_header), ts_col, val_col,
-                  schema.timestamp_format == "epoch")
+    return kernel.columns(data, begin, schema.delimiter, int(schema.has_header), ts_col,
+                          val_col, schema.timestamp_format == "epoch")
 
 
 def _read_energy_rows(path, schema: DatasetSchema):
@@ -671,19 +694,30 @@ def write_columns(destination, timestamps, columns: dict) -> None:
     values) at full float precision, with NaN written as ``NaN``.
 
     ``destination`` is a path or an open text handle. Rows are formatted and
-    written a bounded chunk at a time.
+    written a bounded chunk at a time. Where every column is 1-D and as long
+    as ``timestamps``, the compiled pass (``_csv_columns.c``) formats a
+    chunk: the text of ``_format_timestamps`` and ``repr``, byte for byte.
+    It declines a chunk holding a NaN stamp or one outside years 1-9999, and
+    that chunk, every chunk of another table, and every chunk with no C
+    compiler are formatted in Python, which raises for such a stamp.
     """
     timestamps = np.asarray(timestamps, dtype=np.float64)
     arrays = [np.asarray(values, dtype=np.float64) for values in columns.values()]
+    table = timestamps.ndim == 1 and all(a.shape == timestamps.shape for a in arrays)
     own = not hasattr(destination, "write")
     fh = open(destination, "w", newline="", encoding="utf-8") if own else destination
     try:
         fh.write(",".join(["timestamp", *columns]) + "\n")
+        kernel = _load_kernel() if table and timestamps.size else None
         for begin in range(0, timestamps.size, _CHUNK_ROWS):
             chunk = slice(begin, begin + _CHUNK_ROWS)
-            cells = [_format_timestamps(timestamps[chunk]),
-                     *(_format_values(a[chunk]) for a in arrays)]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            text = None if kernel is None else kernel.write(timestamps[chunk],
+                                                            [a[chunk] for a in arrays])
+            if text is None:
+                cells = [_format_timestamps(timestamps[chunk]),
+                         *(_format_values(a[chunk]) for a in arrays)]
+                text = "\n".join(map(",".join, zip(*cells))) + "\n"
+            fh.write(text)
     finally:
         if own:
             fh.close()

@@ -1,8 +1,10 @@
 """Build the package's C kernels on first use, once per machine.
 
-A kernel is one C source file beside the module that loads it: the
-regressors' kernels beside this module, the CSV column pass
-(``_csv_columns.c``) beside ``ingest.py``. ``build`` compiles it with
+A kernel is one C source file beside the module that loads it. Beside this
+module: ``_sqdist.c`` (squared distances, ``_distance.py``), ``_svr_smo.c``
+(the SVR's SMO loop) and ``_mlp_epoch.c`` (an MLP epoch and its sigmoid).
+Beside ``ingest.py``: ``_csv_columns.c``, the energy reader's column pass
+and the CSV table writer. ``build`` compiles it with
 the system C compiler (``gcc``, else ``cc``) and loads the shared library
 through ``ctypes``. Nothing is compiled at import. The caller keeps its numpy
 path for a ``None``: no compiler found, a failed build or a failed load.

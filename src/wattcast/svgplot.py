@@ -79,16 +79,23 @@ class _Panel:
         if v_hi <= v_lo:  # a constant so large that 1 is lost in rounding
             half = abs(v_lo) * 2.0 ** -20
             v_lo, v_hi = v_lo - half, v_hi + half
-        pad = 0.05 * (v_hi - v_lo)
+        # the padded range in units of 1, or of 1/4 where its span would pass
+        # float64's top (exact for normal floats); v_lo and v_hi are in units
+        for unit in (1.0, 0.25):
+            lo, hi = v_lo * unit, v_hi * unit
+            pad = 0.05 * (hi - lo)
+            if math.isfinite((hi + pad) - (lo - pad)):
+                break
         self.x0, self.y0, self.width, self.height = x0, y0, width, height
         self.t_lo, self.t_hi = t_lo, max(t_hi, t_lo + 1.0)
-        self.v_lo, self.v_hi = v_lo - pad, v_hi + pad
+        self.unit, self.v_lo, self.v_hi = unit, lo - pad, hi + pad
 
     def x(self, t: float) -> float:
         return self.x0 + (t - self.t_lo) / (self.t_hi - self.t_lo) * self.width
 
     def y(self, v: float) -> float:
-        return self.y0 + self.height - (v - self.v_lo) / (self.v_hi - self.v_lo) * self.height
+        return (self.y0 + self.height
+                - (v * self.unit - self.v_lo) / (self.v_hi - self.v_lo) * self.height)
 
     def frame(self, out: list):
         out.append(f'<rect x="{_f(self.x0)}" y="{_f(self.y0)}" '
@@ -97,6 +104,9 @@ class _Panel:
 
     def y_axis(self, out: list):
         for tick in _ticks(self.v_lo, self.v_hi):
+            tick /= self.unit
+            if not math.isfinite(tick):  # in the pad past float64's top
+                continue
             y = self.y(tick)
             out.append(f'<line x1="{_f(self.x0)}" y1="{_f(y)}" '
                        f'x2="{_f(self.x0 + self.width)}" y2="{_f(y)}" '

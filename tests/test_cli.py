@@ -476,6 +476,14 @@ class TestBenchmark:
             "knn": "NumericOverflow: forecast errors overflow float64 (rmse inf, "
                    "mae 2.14815e+300, baseline 2.8381e+301)"}
 
+    def test_models_failing_every_cell_have_no_overall_rank(self, huge_csv, tmp_path):
+        report = tmp_path / "r.txt"
+        code = main(["benchmark", "--input", str(huge_csv), "--models", "knn,ols",
+                     "--p", "3", "--splits", "0.7", "--report", str(report)])
+        assert code == 5
+        overall = report.read_text().split("# overall ranking (mean rank across datasets)\n")
+        assert overall[1] == "1\tknn\tNaN\n2\tols\tNaN\n"
+
     def test_non_finite_predictions_fail_their_cell(self, hourly_csv, tmp_path, monkeypatch):
         monkeypatch.setattr(GpModel, "_predict", lambda self, X: np.full(len(X), np.nan))
         out_json = tmp_path / "report.json"
@@ -786,6 +794,7 @@ class TestOddInputFiles:
         assert not out.exists()
 
 
+@pytest.mark.usefixtures("writer")
 class TestDecompose:
     def test_constant_series_has_zero_seasonal(self, tmp_path):
         path = tmp_path / "const.csv"

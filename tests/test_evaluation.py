@@ -434,6 +434,8 @@ class TestBenchmark:
         report = benchmark([spec_for("var"), spec_for("knn")], data, [0.8], p=24)
         assert [model for model, _ in report.rankings["short"]] == ["knn", "var"]
         assert math.isnan(dict(report.rankings["short"])["var"])
+        assert report.overall[0] == ("knn", 1.0)
+        assert report.overall[1][0] == "var" and math.isnan(report.overall[1][1])
 
     def test_interval_sweep_adds_resampled_variants(self):
         data = [("a", arma_series(240, ar=(0.5,), noise_sd=0.3, seed=8))]

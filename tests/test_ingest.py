@@ -5,9 +5,12 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
+import sys
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from wattcast.ingest import (
     parse_timestamp,
     read_energy_csv,
     read_weather,
+    write_columns,
     write_energy_csv,
 )
 from wattcast.cli import main
@@ -286,11 +290,12 @@ def use_backend(monkeypatch, backend):
             pytest.skip(f"no C compiler could build {ingest._KERNEL_SOURCE.name}")
 
         def spy(*args):
-            result = kernel(*args)
+            result = kernel.columns(*args)
             served.append(result is not None)
             return result
 
-        monkeypatch.setattr(ingest, "_load_kernel", lambda: spy)
+        monkeypatch.setattr(ingest, "_load_kernel",
+                            lambda: SimpleNamespace(columns=spy, write=kernel.write))
     else:
         monkeypatch.setattr(ingest, "_load_kernel", lambda: None)
         if backend == "csv_reader":
@@ -1338,6 +1343,7 @@ def _stamps_near_second_boundaries():
     return [b + d for b in bases for d in offsets.tolist()] + extra
 
 
+@pytest.mark.usefixtures("writer")
 class TestWriterMatchesReferenceLoop:
     VALUES = np.array([-0.0, 1e16, 1e-5, np.nan, 1.5, 0.1, 1 / 3, -2.5e-300, np.nan])
     STARTS = {
@@ -1408,3 +1414,80 @@ class TestWriterMatchesReferenceLoop:
         s = TimeSeries(bad, HOUR, np.array([1.0, 2.0]))
         assert _outcome(write_energy_csv, io.StringIO(), s) == \
             _outcome(_reference_write_energy_csv, io.StringIO(), s)
+
+
+def _writer_kernel():
+    kernel = ingest._load_kernel()
+    if kernel is None:
+        pytest.skip(f"no C compiler could build {ingest._KERNEL_SOURCE.name}")
+    return kernel
+
+
+def _repr_corpus() -> np.ndarray:
+    """200,000 seeded random bit patterns, then the edges of repr's notations
+    and of the double range, every power of two, and their neighbours."""
+    bits = np.random.default_rng(30).integers(0, 2**64, 200_000, dtype=np.uint64)
+    edges = np.array([1e-5, 1e-4, 1e16, 9999999999999998.0, 2.0**53, 5e-324,
+                      sys.float_info.max, *(math.ldexp(1.0, e) for e in range(-1074, 1024))])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges[edges < sys.float_info.max], np.inf)])
+    return np.concatenate([bits.view(np.float64), edges, -edges])
+
+
+class TestCompiledWriter:
+    def test_every_value_is_its_repr(self):
+        values = _repr_corpus()
+        text = _writer_kernel().write(np.zeros(values.size), [values])
+        cells = [line[len("1970-01-01T00:00:00Z,"):] for line in text.splitlines()]
+        assert cells == ["NaN" if math.isnan(v) else repr(v) for v in values.tolist()]
+
+    def test_ryu_tables_are_the_powers_of_five(self):
+        source = ingest._KERNEL_SOURCE.read_text()
+
+        def table(name):
+            size, body = re.search(rf"{name}\[(\d+)\]\[2\] = \{{(.*?)\}};", source,
+                                   re.S).groups()
+            words = [int(word, 16) for word in re.findall(r"0x([0-9a-f]{16})", body)]
+            assert len(words) == 2 * int(size)
+            return [low | high << 64 for low, high in zip(words[::2], words[1::2])]
+
+        inverse, split = table("POW5_INV_SPLIT"), table("POW5_SPLIT")
+        for q, entry in enumerate(inverse):
+            assert entry == (1 << (5**q).bit_length() - 1 + 125) // 5**q + 1, q
+        for i, entry in enumerate(split):
+            shift = (5**i).bit_length() - 125
+            assert entry == (5**i >> shift if shift >= 0 else 5**i << -shift), i
+        # the largest index that a double's binary exponent e2 selects
+        assert max((e2 * 78913 >> 18) - (e2 > 3) for e2 in range(970)) == len(inverse) - 1
+        assert max(e2 - ((e2 * 732923 >> 20) - (e2 > 1))
+                   for e2 in range(1, 1077)) == len(split) - 1
+
+    def test_declines_a_chunk_the_python_path_raises_on(self):
+        kernel = _writer_kernel()
+        assert kernel.write(np.array([0.0, 1.5]), []) == \
+            "1970-01-01T00:00:00Z\n1970-01-01T00:00:01Z\n"
+        for bad in (math.nan, math.inf, ingest._YEAR_1 - 1, ingest._YEAR_10000,
+                    ingest._YEAR_10000 - 0.0000004):
+            assert kernel.write(np.array([0.0, bad]), [np.ones(2)]) is None, bad
+
+    def test_formats_every_chunk_of_a_table(self, monkeypatch):
+        kernel, served = _writer_kernel(), []
+
+        def spy(stamps, columns):
+            text = kernel.write(stamps, columns)
+            served.append(text is not None)
+            return text
+
+        monkeypatch.setattr(ingest, "_load_kernel",
+                            lambda: SimpleNamespace(columns=kernel.columns, write=spy))
+        stamps = np.arange(10_000) * 900.0
+        stamps[9_000] = math.nan  # the third chunk takes the Python path, which raises
+        got = io.StringIO()
+        with pytest.raises(ValueError, match="NaN"):
+            write_columns(got, stamps, {"a": np.arange(10_000) / 3, "b": -stamps})
+        assert served == [True, True, False]
+        assert got.getvalue().count("\n") == 1 + 2 * ingest._CHUNK_ROWS
+        # another shape of table is formatted in Python alone
+        write_columns(io.StringIO(), stamps[:5], {"short": np.ones(4)})
+        write_columns(io.StringIO(), stamps[:0], {"a": stamps[:0]})
+        assert served == [True, True, False]

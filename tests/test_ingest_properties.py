@@ -1,10 +1,13 @@
 """Property tests for ingest: CSV dialects round-trip, the compiled column
 pass reads epoch-stamped exports as ``float`` does or declines them, the
-column timestamp parser equals the scalar one, and the column timestamp
-formatter equals the scalar one."""
+column timestamp parser equals the scalar one, the column timestamp
+formatter equals the scalar one, and the compiled CSV writer writes the
+Python formatter's bytes."""
 
 import csv
+import io
 import string
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -26,6 +29,7 @@ from wattcast.ingest import (  # noqa: E402
     _parse_cells,
     _timestamp_parser,
     read_energy_csv,
+    write_columns,
 )
 
 MISSING_TOKENS = ["", "nan", "NaN", "na", "NA", "null", "None", " none "]
@@ -175,6 +179,45 @@ def test_compiled_pass_reads_as_float_or_declines(export):
 @given(st.lists(st.floats(FIRST_SECOND, LAST_SECOND), max_size=50))
 def test_format_timestamps_is_format_timestamp(seconds):
     assert _format_timestamps(seconds) == [_format_timestamp(x) for x in seconds]
+
+
+# any double: NaN, infinities, zeros and subnormals, and raw 64-bit patterns
+DOUBLES = st.floats() | st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+# stamps anywhere in years 1-9999 and at their edges, negative fractional
+# seconds, half-microsecond ties, and sometimes a stamp the writer refuses
+STAMPS = st.one_of(
+    st.floats(FIRST_SECOND, LAST_SECOND + 1),
+    st.sampled_from([FIRST_SECOND, FIRST_SECOND - 0.0000005, FIRST_SECOND - 0.0000004,
+                     LAST_SECOND + 0.9999994, LAST_SECOND + 0.9999995]),
+    st.floats(-3.0, 0.0),
+    st.builds(lambda second, micro: second + (micro + 0.5) / 1e6,
+              st.integers(int(FIRST_SECOND), int(LAST_SECOND)), st.integers(-10**6, 10**6)),
+    st.sampled_from([float("nan"), float("inf"), FIRST_SECOND - 1, LAST_SECOND + 1]),
+)
+
+
+def _written(timestamps, columns):
+    out = io.StringIO()
+    write_columns(out, timestamps, columns)
+    return out.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.lists(STAMPS, min_size=n, max_size=n),
+                        st.lists(st.lists(DOUBLES, min_size=n, max_size=n), max_size=3))))
+def test_compiled_writer_writes_the_python_bytes(table):
+    stamps, columns = table
+    kernel = ingest._load_kernel()
+    if kernel is None:
+        pytest.skip(f"no C compiler could build {ingest._KERNEL_SOURCE.name}")
+    columns = {f"c{j}": values for j, values in enumerate(columns)}
+    compiled = _outcome(_written, stamps, columns)
+    with mock.patch.object(ingest, "_load_kernel", lambda: None):
+        assert _outcome(_written, stamps, columns) == compiled
+    text = kernel.write(np.array(stamps), [np.array(values) for values in columns.values()])
+    assert text is None or compiled == ",".join(["timestamp", *columns]) + "\n" + text
 
 
 @st.composite

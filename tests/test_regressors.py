@@ -729,7 +729,9 @@ class TestNativeBuild:
         assert list(scratch.iterdir()) == []
         assert _build_directories() == []
 
-    @pytest.mark.parametrize("source", sorted(Path(native_module.__file__).parent.glob("*.c")),
+    # every kernel of the package: the regressors' and ingest's CSV pass
+    @pytest.mark.parametrize("source",
+                             sorted(Path(native_module.__file__).parents[1].rglob("*.c")),
                              ids=lambda source: source.name)
     def test_source_compiles_without_warnings(self, source, tmp_path):
         built = subprocess.run([_compiler_or_skip(), *native_module._FLAGS, "-Wall", "-Wextra",

@@ -237,6 +237,17 @@ def test_huge_constant_series_draws(value, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("top", [1e308, np.finfo(float).max])
+def test_range_past_the_float_top_draws(top, recwarn):
+    # top - (-top) overflows float64, so the scale is taken in quarters
+    s = TimeSeries(0.0, HOUR, np.array([-top, top, 0.0]))
+    forecast = TimeSeries(3 * HOUR, HOUR, np.array([top, -top]))
+    svg = forecast_chart(s, forecast)
+    ET.fromstring(svg)
+    assert "nan" not in svg and "inf" not in svg
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def _wavy(n):
     """Whole-arithmetic test values: a ramp per day minus a scrambled saw."""
     i = np.arange(n, dtype=float)
