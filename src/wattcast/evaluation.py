@@ -36,7 +36,6 @@ from .errors import (
     LengthMismatch,
     NonFinitePrediction,
     NumericOverflow,
-    TooShort,
     WattcastError,
 )
 from .regressors import GpModel, KnnModel, MlpModel, OlsModel, SvrModel
@@ -48,7 +47,6 @@ from .var import var_fit, var_forecast, var_one_step
 # this module by attribute lookup.
 from .transform import decompose  # noqa: F401
 
-KINDS = ("lag", "arima", "var")
 # prediction modes of evaluate and fit_forecast
 MODE_ONE_STEP = "one_step_true_history"
 MODE_RECURSIVE = "recursive"
@@ -196,17 +194,15 @@ def spec_for(name: str, seed: int = 0, arima_order: tuple = ARIMA_ORDER, *,
         raise ConfigError(f"unknown model {name!r} (choose from {', '.join(MODELS)})")
     family = FAMILIES[name]
     hyper = {"seed": seed, "arima_order": arima_order, **(hyper or {})}
-    if family.kind == "arima":
+    if family.model is None:
         return ModelSpec(name, family.kind, order=tuple(hyper["arima_order"]))
-    if family.kind == "lag":
-        make = functools.partial(
-            family.model, **{arg: hyper[key] for arg, key, *_ in family.params if key in hyper})
-        try:
-            make()
-        except ValueError as exc:
-            raise ConfigError(f"model {name!r}: {exc}") from None
-        return ModelSpec(name, family.kind, make)
-    return ModelSpec(name, family.kind)
+    make = functools.partial(
+        family.model, **{arg: hyper[key] for arg, key, *_ in family.params if key in hyper})
+    try:
+        make()
+    except ValueError as exc:
+        raise ConfigError(f"model {name!r}: {exc}") from None
+    return ModelSpec(name, family.kind, make)
 
 
 def default_specs(seed: int = 0, arima_order: tuple = ARIMA_ORDER) -> list:
@@ -326,55 +322,64 @@ class Forecast(NamedTuple):
     model: object
 
 
+def _one_step_lag(model, table, target, p, lo, hi):
+    frame = lag_embed(table, p, target)
+    test = (frame.target_positions >= lo) & (frame.target_positions < hi)
+    return frame.target_positions[test], model.predict_batch(frame.X[test])
+
+
+# fit_forecast's only per-kind code, three functions a kind:
+# - fit(spec, head, target, p): the model fitted on the train prefix ``head``;
+# - one_step(model, table, target, p, lo, hi): (positions, predictions) at the
+#   positions in [lo, hi) whose window of true history is complete;
+# - recursive(model, head, target, m, exog): the m values after ``head``, with
+#   ``exog`` the covariate rows of those steps.
+# They call lag_embed, arima_* and var_* by this module's names, the ones
+# perfbench/tracing.py wraps.
+KINDS = {
+    "lag": (lambda spec, head, target, p: spec.make().fit(lag_embed(head, p, target)),
+            _one_step_lag,
+            lambda model, head, target, m, exog:
+                model.predict_series(head.column(target), m, exog=exog)),
+    "arima": (lambda spec, head, target, p: arima_fit(head.series(target), *spec.order),
+              lambda model, table, target, p, lo, hi: (
+                  np.arange(lo, hi), arima_one_step(model, table.series(target))[lo:hi]),
+              lambda model, head, target, m, exog: arima_forecast(model, head.series(target), m)),
+    "var": (lambda spec, head, target, p: var_fit(head, p),
+            lambda model, table, target, p, lo, hi: (
+                np.arange(lo, hi), var_one_step(model, table)[lo:hi, table.names.index(target)]),
+            lambda model, head, target, m, exog:
+                var_forecast(model, head, m)[:, head.names.index(target)]),
+}
+
+
 def fit_forecast(spec: ModelSpec, dataset, n_train: int, m: int, *, p: int,
                  mode: str) -> Forecast:
     """Fit ``spec`` on the first ``n_train`` points and predict up to ``m`` after them.
 
-    Every fit sees only the train prefix, so no test value can reach it.
-    ``positions`` are the original indices the predictions belong to. In
-    recursive mode they are ``n_train .. n_train + m - 1``; in one-step mode a
-    lag model predicts only the positions with a complete lag window.
+    One path for every kind: one timed fit, on the train prefix alone so that
+    no test value can reach it, and one timed prediction call. ``positions``
+    are the original indices predicted: ``n_train .. n_train + m - 1`` in
+    recursive mode, past the table's end too; in one-step mode the complete
+    windows among those inside the table (``InsufficientTest`` if none). A
+    mode other than these two raises ``ConfigError``.
     """
+    if mode not in (MODE_ONE_STEP, MODE_RECURSIVE):
+        raise ConfigError(f"unknown mode {mode!r}")
+    fit, one_step, recursive = KINDS[spec.kind]
     target, table = _table(dataset)
     head = MultiSeries(table.start, table.interval, table.names, table.values[:n_train])
-    positions = np.arange(n_train, n_train + m)
-    if spec.kind == "arima":
-        t0 = time.perf_counter()
-        model = arima_fit(head.series(target), *spec.order)
-        t1 = time.perf_counter()
-        if mode == MODE_ONE_STEP:
-            preds = arima_one_step(model, table.series(target))[n_train: n_train + m]
-        else:
-            preds = arima_forecast(model, head.series(target), m)
-    elif spec.kind == "var":
-        col = table.names.index(target)
-        t0 = time.perf_counter()
-        model = var_fit(head, p)
-        t1 = time.perf_counter()
-        if mode == MODE_ONE_STEP:
-            preds = var_one_step(model, table)[n_train: n_train + m, col]
-        else:
-            preds = var_forecast(model, head, m)[:, col]
+    t0 = time.perf_counter()
+    model = fit(spec, head, target, p)
+    t1 = time.perf_counter()
+    if mode == MODE_ONE_STEP:
+        positions, preds = one_step(model, table, target, p, n_train, min(n_train + m, len(table)))
+        if not positions.size:
+            raise InsufficientTest("no complete test windows")
     else:
-        train = lag_embed(head, p, target)
-        if not train.n_samples:
-            raise TooShort("no complete training windows")
-        t0 = time.perf_counter()
-        model = spec.make().fit(train)
-        t1 = time.perf_counter()
-        if mode == MODE_ONE_STEP:
-            frame = lag_embed(table, p, target)
-            test = (frame.target_positions >= n_train) & (frame.target_positions < n_train + m)
-            if not test.any():
-                raise InsufficientTest("no complete test windows")
-            preds = model.predict_batch(frame.X[test])
-            positions = frame.target_positions[test]
-        else:
-            exog = None
-            if train.n_exog:
-                exog_cols = [j for j, name in enumerate(table.names) if name != target]
-                exog = table.values[n_train: n_train + m, exog_cols]
-            preds = model.predict_series(head.column(target), m, exog=exog)
+        others = [j for j, name in enumerate(table.names) if name != target]
+        positions = np.arange(n_train, n_train + m)
+        preds = recursive(model, head, target, m, table.values[n_train:n_train + m, others])
     return Forecast(positions, preds, t1 - t0, time.perf_counter() - t1, model)
 
 
@@ -390,8 +395,6 @@ def evaluate(spec: ModelSpec, dataset, split, *, p: int = 24, horizon: int | Non
     """Fit on the chronological train prefix and score the test span."""
     if not isinstance(split, SplitSpec):
         split = SplitSpec(float(split))
-    if mode not in (MODE_ONE_STEP, MODE_RECURSIVE):
-        raise ConfigError(f"unknown mode {mode!r}")
     target, table = _table(dataset)
     tvals = table.column(target)
     n_train, m_eval = _span(tvals.size, split, horizon)
@@ -437,12 +440,9 @@ def _run_cell(cell):
 
 
 def _interval_label(seconds: float) -> str:
-    if seconds % 86400 == 0:
-        return f"{int(seconds // 86400)}d"
-    if seconds % 3600 == 0:
-        return f"{int(seconds // 3600)}h"
-    if seconds % 60 == 0:
-        return f"{int(seconds // 60)}m"
+    for unit, size in (("d", 86400), ("h", 3600), ("m", 60)):
+        if seconds % size == 0:
+            return f"{int(seconds // size)}{unit}"
     return f"{seconds:g}s"
 
 
@@ -506,8 +506,7 @@ def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = Non
     else:
         records = [_run_cell(c) for c in cells]
 
-    report = EvaluationReport(records)
-    report.config = {
+    report = EvaluationReport(records, config={
         "p": p,
         "horizon": horizon,
         "mode": mode,
@@ -516,9 +515,8 @@ def benchmark(specs, datasets, splits, *, p: int = 24, horizon: int | None = Non
         "models": names,
         "datasets": [name for name, _ in datasets],
         "jobs": jobs,
-    }
-    if config_extra:
-        report.config.update(config_extra)
+        **(config_extra or {}),
+    })
     _rank(report, names)
     return report
 

@@ -47,6 +47,7 @@ from .errors import (
     ConfigError,
     DuplicateTimestamp,
     GridTooLarge,
+    LengthMismatch,
     NonUniformInterval,
     ParseError,
 )
@@ -693,22 +694,23 @@ def write_columns(destination, timestamps, columns: dict) -> None:
     whole-second resolution, then one column per ``columns`` entry (name ->
     values) at full float precision, with NaN written as ``NaN``.
 
-    ``destination`` is a path or an open text handle. Rows are formatted and
-    written a bounded chunk at a time. Where every column is 1-D and as long
-    as ``timestamps``, the compiled pass (``_csv_columns.c``) formats a
-    chunk: the text of ``_format_timestamps`` and ``repr``, byte for byte.
-    It declines a chunk holding a NaN stamp or one outside years 1-9999, and
-    that chunk, every chunk of another table, and every chunk with no C
-    compiler are formatted in Python, which raises for such a stamp.
+    ``destination`` is a path or an open text handle. A column that is not
+    1-D and as long as ``timestamps`` raises ``LengthMismatch`` before
+    anything is written. Rows go out a bounded chunk at a time, formatted by
+    the compiled pass (``_csv_columns.c``) as ``_format_timestamps`` and
+    ``repr`` would, byte for byte. It declines a chunk with a NaN stamp or one
+    outside years 1-9999; that chunk, and every chunk with no C compiler, is
+    formatted in Python, which raises for such a stamp.
     """
     timestamps = np.asarray(timestamps, dtype=np.float64)
     arrays = [np.asarray(values, dtype=np.float64) for values in columns.values()]
-    table = timestamps.ndim == 1 and all(a.shape == timestamps.shape for a in arrays)
+    if timestamps.ndim != 1 or any(a.shape != timestamps.shape for a in arrays):
+        raise LengthMismatch("every column must be 1-D and as long as the timestamps")
     own = not hasattr(destination, "write")
     fh = open(destination, "w", newline="", encoding="utf-8") if own else destination
     try:
         fh.write(",".join(["timestamp", *columns]) + "\n")
-        kernel = _load_kernel() if table and timestamps.size else None
+        kernel = _load_kernel() if timestamps.size else None
         for begin in range(0, timestamps.size, _CHUNK_ROWS):
             chunk = slice(begin, begin + _CHUNK_ROWS)
             text = None if kernel is None else kernel.write(timestamps[chunk],

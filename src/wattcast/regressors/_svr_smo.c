@@ -28,13 +28,15 @@
 
 #include <math.h>
 #include <stddef.h>
-#include <string.h>
 
 #define BLOCK 64 /* a multiple of LANES */
 #define LANES 4
 
 typedef double vd __attribute__((vector_size(LANES * sizeof(double))));
 typedef long long vl __attribute__((vector_size(LANES * sizeof(long long))));
+/* a vd that may sit at any double of an array */
+typedef double vd_any __attribute__((vector_size(LANES * sizeof(double)),
+                                     aligned(sizeof(double)), may_alias));
 
 typedef struct {
     long up, low;
@@ -45,56 +47,46 @@ typedef struct {
     long block;
 } Extremum;
 
-static inline vd load(const double *p)
-{
-    vd v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
+/* No function here takes or returns a vector by value: the ABI of one that
+   does depends on the instruction set, which gcc notes (-Wpsabi) when it
+   builds for baseline x86-64. The vector helpers are macros instead, or take
+   a pointer. */
 
-static inline void store(double *p, vd v)
-{
-    memcpy(p, &v, sizeof v);
-}
+/* the LANES doubles at p, which need only a double's alignment */
+#define LOAD(p) (*(const vd_any *)(p))
+#define STORE(p, v) (*(vd_any *)(p) = (v))
 
-/* v where v > m (v < m), else m: a lane keeps its earlier value on a tie */
-static inline vd keep_max(vd v, vd m)
-{
-    vl gt = (vl)(v > m);
-    return (vd)(((vl)v & gt) | ((vl)m & ~gt));
-}
+/* m = v in each lane where v op m: on a tie a lane keeps its earlier value */
+#define KEEP(m, v, op)                                                         \
+    do {                                                                       \
+        const vd v_ = (v);                                                     \
+        const vl in_ = (vl)(v_ op (m));                                        \
+        (m) = (vd)(((vl)v_ & in_) | ((vl)(m) & ~in_));                         \
+    } while (0)
 
-static inline vd keep_min(vd v, vd m)
+/* x in every lane of *v */
+static inline void splat(vd *v, double x)
 {
-    vl lt = (vl)(v < m);
-    return (vd)(((vl)v & lt) | ((vl)m & ~lt));
-}
-
-/* x in every lane */
-static inline vd splat(double x)
-{
-    vd v;
     for (int l = 0; l < LANES; l++)
-        v[l] = x;
-    return v;
+        (*v)[l] = x;
 }
 
-/* the largest (smallest) lane of v */
-static inline double lane_max(vd v)
+/* the largest (smallest) lane of *v */
+static inline double lane_max(const vd *v)
 {
-    double m = v[0];
+    double m = (*v)[0];
     for (int l = 1; l < LANES; l++)
-        if (v[l] > m)
-            m = v[l];
+        if ((*v)[l] > m)
+            m = (*v)[l];
     return m;
 }
 
-static inline double lane_min(vd v)
+static inline double lane_min(const vd *v)
 {
-    double m = v[0];
+    double m = (*v)[0];
     for (int l = 1; l < LANES; l++)
-        if (v[l] < m)
-            m = v[l];
+        if ((*v)[l] < m)
+            m = (*v)[l];
     return m;
 }
 
@@ -131,7 +123,9 @@ scan(const double *ki, const double *kj, double step, long n, double *score,
      const double *off_up, const double *off_low)
 {
     double *lo = score, *hi = score + n;
-    const vd vstep = splat(step), inf = splat(INFINITY);
+    vd vstep, inf;
+    splat(&vstep, step);
+    splat(&inf, INFINITY);
     Extremum up_lo = {-INFINITY, 0}, up_hi = {-INFINITY, 0};
     Extremum low_lo = {INFINITY, 0}, low_hi = {INFINITY, 0};
     vd sum = {0};
@@ -142,22 +136,22 @@ scan(const double *ki, const double *kj, double step, long n, double *score,
         vd max_lo = -inf, max_hi = -inf, min_lo = inf, min_hi = inf;
         long k = k0;
         for (; k + LANES <= k1; k += LANES) {
-            vd a = load(lo + k), b = load(hi + k);
+            vd a = LOAD(lo + k), b = LOAD(hi + k);
             if (ki) {
-                vd d = (load(ki + k) - load(kj + k)) * vstep;
+                vd d = (LOAD(ki + k) - LOAD(kj + k)) * vstep;
                 a = a - d;
                 b = b - d;
-                store(lo + k, a);
-                store(hi + k, b);
+                STORE(lo + k, a);
+                STORE(hi + k, b);
             }
             sum = sum + a + b;
-            max_lo = keep_max(a + load(off_up + k), max_lo);
-            max_hi = keep_max(b + load(off_up + n + k), max_hi);
-            min_lo = keep_min(a + load(off_low + k), min_lo);
-            min_hi = keep_min(b + load(off_low + n + k), min_hi);
+            KEEP(max_lo, a + LOAD(off_up + k), >);
+            KEEP(max_hi, b + LOAD(off_up + n + k), >);
+            KEEP(min_lo, a + LOAD(off_low + k), <);
+            KEEP(min_hi, b + LOAD(off_low + n + k), <);
         }
-        double bmax_lo = lane_max(max_lo), bmax_hi = lane_max(max_hi);
-        double bmin_lo = lane_min(min_lo), bmin_hi = lane_min(min_hi);
+        double bmax_lo = lane_max(&max_lo), bmax_hi = lane_max(&max_hi);
+        double bmin_lo = lane_min(&min_lo), bmin_hi = lane_min(&min_hi);
         for (; k < k1; k++) { /* the last n % LANES indices */
             double a = lo[k], b = hi[k], v;
             if (ki) {

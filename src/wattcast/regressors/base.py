@@ -7,11 +7,11 @@ and records the frame's shape; ``predict_batch`` coerces and scales the
 features, calls ``_predict`` and maps the result back to target units. A
 model implements only ``_fit(X, y)`` and ``_predict(X)``, and sets
 ``standardize`` to opt into scaling. ``fit`` refuses a frame with a
-non-finite cell, so every ``_fit`` sees finite data.
+non-finite cell, and one with no rows, so every ``_fit`` sees finite data.
 
 ``predict_series`` forecasts recursively, feeding each prediction back as
 the newest lag. One-step prediction on true history is ``predict_batch`` on
-lag-embedded windows, as :func:`wattcast.evaluation.evaluate` does it.
+complete lag windows: the lag kind's ``one_step`` in ``evaluation.KINDS``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..errors import HistoryTooShort, LengthMismatch, MissingCells, NonFinitePrediction
+from ..errors import HistoryTooShort, LengthMismatch, MissingCells, NonFinitePrediction, TooShort
 from ..series import TimeSeries
 from ..transform import SupervisedFrame, apply_scaler, fit_scaler, invert_scaler
 
@@ -68,6 +68,8 @@ class ForecastModel(ABC):
 
     def fit(self, frame: SupervisedFrame) -> "ForecastModel":
         """Estimate parameters from a supervised frame; returns ``self``."""
+        if not frame.n_samples:
+            raise TooShort("no complete training windows")
         X, y = frame.X, frame.y
         bad = np.count_nonzero(~np.isfinite(X)) + np.count_nonzero(~np.isfinite(y))
         if bad:
@@ -114,12 +116,9 @@ class ForecastModel(ABC):
             raise HistoryTooShort(f"need {p} past values, have {values.size}")
         if horizon < 1:
             raise LengthMismatch("horizon must be >= 1")
-        if self.n_exog_:
-            exog = np.asarray(exog, dtype=float) if exog is not None else None
-            if exog is None or exog.shape != (horizon, self.n_exog_):
-                raise LengthMismatch(
-                    f"model uses {self.n_exog_} exogenous features; "
-                    f"exog must have shape ({horizon}, {self.n_exog_})")
+        if self.n_exog_ and np.shape(exog) != (horizon, self.n_exog_):
+            raise LengthMismatch(f"model uses {self.n_exog_} exogenous features; "
+                                 f"exog must have shape ({horizon}, {self.n_exog_})")
 
         feed = np.concatenate([values[values.size - p:], np.empty(horizon)])
         if np.isnan(feed[:p]).any():

@@ -283,6 +283,12 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(spec_for("ols"), hourly(np.arange(30.0)), 0.8, mode="oracle")
 
+    def test_fit_forecast_refuses_an_unknown_mode(self, monkeypatch):
+        monkeypatch.setattr(OlsModel, "fit", lambda *args: pytest.fail("fitted"))
+        with pytest.raises(ConfigError, match="^unknown mode 'one_step'$"):
+            fit_forecast(spec_for("ols"), hourly(np.arange(30.0)), 24, 6, p=2,
+                         mode="one_step")
+
 
 class TestTrainPrefix:
     """``fit_forecast`` fits on the train prefix alone. The oracle is the model
@@ -341,6 +347,26 @@ class TestTrainPrefix:
         values[2:12:3] = np.nan  # no 4-wide window in the first 12 rows is complete
         with pytest.raises(TooShort, match=r"^no complete training windows$"):
             fit_forecast(spec_for("ols"), hourly(values), 12, 10, p=4, mode=mode)
+
+
+    # the CLI's forecast: the train prefix is the whole table
+    @pytest.mark.parametrize("name", MODELS)
+    def test_recursive_span_past_the_table(self, name):
+        s = household_series(110, seed=4)
+        spec = spec_for(name, hyper={"mlp_epochs": 5})
+        past = fit_forecast(spec, s.slice(0, 100), 100, 10, p=4, mode=MODE_RECURSIVE)
+        inside = fit_forecast(spec, s, 100, 10, p=4, mode=MODE_RECURSIVE)
+        np.testing.assert_array_equal(past.positions, np.arange(100, 110))
+        assert past.predictions.tobytes() == inside.predictions.tobytes()
+        assert np.isfinite(past.predictions).all()
+
+    # one-step prediction needs the true history, which ends with the table
+    @pytest.mark.parametrize("name", MODELS)
+    def test_one_step_span_past_the_table(self, name):
+        s = household_series(100, seed=4)
+        with pytest.raises(InsufficientTest, match="^no complete test windows$"):
+            fit_forecast(spec_for(name, hyper={"mlp_epochs": 5}), s, 100, 10, p=4,
+                         mode=MODE_ONE_STEP)
 
 
 class TestBenchmark:

@@ -23,6 +23,7 @@ from wattcast.errors import (
     DataError,
     DuplicateTimestamp,
     GridTooLarge,
+    LengthMismatch,
     NonUniformInterval,
     ParseError,
 )
@@ -1487,7 +1488,25 @@ class TestCompiledWriter:
             write_columns(got, stamps, {"a": np.arange(10_000) / 3, "b": -stamps})
         assert served == [True, True, False]
         assert got.getvalue().count("\n") == 1 + 2 * ingest._CHUNK_ROWS
-        # another shape of table is formatted in Python alone
-        write_columns(io.StringIO(), stamps[:5], {"short": np.ones(4)})
+        # an empty table is written without the kernel
         write_columns(io.StringIO(), stamps[:0], {"a": stamps[:0]})
         assert served == [True, True, False]
+
+    @pytest.mark.parametrize("backend", ["kernel", "no_compiler"])
+    @pytest.mark.parametrize("stamps, columns", [
+        (np.arange(5.0), {"a": np.ones(5), "short": np.ones(4)}),
+        (np.arange(5.0), {"long": np.ones(6)}),
+        (np.arange(5.0), {"column": np.ones((5, 1))}),
+        (np.arange(5.0)[:, None], {"a": np.ones((5, 1))}),
+        (np.float64(0.0), {"a": np.float64(1.0)}),
+    ], ids=["short", "long", "two_d_column", "two_d_stamps", "scalar"])
+    def test_refuses_a_column_of_another_shape(self, backend, stamps, columns, tmp_path,
+                                               monkeypatch):
+        kernel = _writer_kernel() if backend == "kernel" else None
+        loads = []
+        monkeypatch.setattr(ingest, "_load_kernel", lambda: loads.append(1) or kernel)
+        path = tmp_path / "table.csv"
+        with pytest.raises(LengthMismatch,
+                           match="^every column must be 1-D and as long as the timestamps$"):
+            write_columns(path, stamps, columns)
+        assert not path.exists() and loads == []

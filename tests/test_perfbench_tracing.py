@@ -15,8 +15,10 @@ import pytest
 from test_regressors import make_frame
 
 from wattcast import regressors
+from wattcast.evaluation import MODE_ONE_STEP, MODE_RECURSIVE, fit_forecast, spec_for
 from wattcast.regressors import MlpModel, SvrModel
 from wattcast.regressors.base import ForecastModel
+from wattcast.synthetic import household_series
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -50,3 +52,20 @@ def test_fit_counters_read_published_attributes(tracing):
     assert counts["mlp.row_updates"] == 2 * 20
     assert counts["svr.smo_iters"] > 0 and counts["svr.support_vectors"] > 0
     assert MlpModel.fit is ForecastModel.fit  # the wrappers are removed again
+
+
+# fit_forecast calls the names the tracer wraps in wattcast.evaluation, so
+# every kind's fit and prediction is timed
+@pytest.mark.parametrize("mode", [MODE_ONE_STEP, MODE_RECURSIVE])
+@pytest.mark.parametrize("name, spans", [
+    ("arima", ("arima.fit", "arima.predict")),
+    ("var", ("var.fit", "var.predict")),
+    ("ols", ("transform.lag_embed", "linear.fit", "linear.predict")),
+])
+def test_fit_forecast_records_every_kinds_spans(tracing, name, spans, mode):
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        fit_forecast(spec_for(name), household_series(120, seed=1), 96, 24, p=4, mode=mode)
+    total = tracer.profile()["total"]
+    for key in spans:
+        assert total.get(key, 0.0) > 0.0, key

@@ -4,6 +4,7 @@ import importlib
 import math
 import os
 import pkgutil
+import platform
 import shutil
 import stat
 import subprocess
@@ -38,6 +39,7 @@ from wattcast.errors import (
     LengthMismatch,
     MissingCells,
     NonFinitePrediction,
+    TooShort,
     Underdetermined,
 )
 from wattcast.regressors import (
@@ -729,16 +731,22 @@ class TestNativeBuild:
         assert list(scratch.iterdir()) == []
         assert _build_directories() == []
 
-    # every kernel of the package: the regressors' and ingest's CSV pass
+    # every kernel of the package: the regressors' and ingest's CSV pass, built
+    # for this machine and, on x86-64, once more for the baseline instruction
+    # set, as on a host without AVX
     @pytest.mark.parametrize("source",
                              sorted(Path(native_module.__file__).parents[1].rglob("*.c")),
                              ids=lambda source: source.name)
     def test_source_compiles_without_warnings(self, source, tmp_path):
-        built = subprocess.run([_compiler_or_skip(), *native_module._FLAGS, "-Wall", "-Wextra",
-                                "-Werror", "-o", str(tmp_path / "kernel.so"), str(source), "-lm"],
-                               stdin=subprocess.DEVNULL, capture_output=True, text=True,
-                               timeout=120)
-        assert built.returncode == 0, built.stderr
+        marches = ["native", "x86-64"] if platform.machine() == "x86_64" else ["native"]
+        for march in marches:
+            flags = [f"-march={march}" if f == "-march=native" else f
+                     for f in native_module._FLAGS]
+            built = subprocess.run([_compiler_or_skip(), *flags, "-Wall", "-Wextra", "-Werror",
+                                    "-o", str(tmp_path / "kernel.so"), str(source), "-lm"],
+                                   stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                                   timeout=120)
+            assert built.returncode == 0, (march, built.stderr)
 
 
 def _compiler_or_skip() -> str:
@@ -1389,6 +1397,14 @@ class TestTrainingFrameChecks:
         with pytest.raises(MissingCells, match="^1 of the training frame's"):
             model.fit(SupervisedFrame(X, y, frame.lag_order, frame.feature_names,
                                       frame.target_positions))
+
+    @pytest.mark.parametrize("name", sorted(_six_models()))
+    def test_frame_without_rows_is_too_short(self, name):
+        frame = _exog_frame()
+        with pytest.raises(TooShort, match="^no complete training windows$"):
+            _six_models()[name].fit(SupervisedFrame(frame.X[:0], frame.y[:0], frame.lag_order,
+                                                    frame.feature_names,
+                                                    frame.target_positions[:0]))
 
     @pytest.mark.parametrize("model", [GpModel, SvrModel])
     def test_kernel_larger_than_physical_memory_is_refused(self, model, monkeypatch):
