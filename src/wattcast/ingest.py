@@ -466,17 +466,18 @@ def read_energy_csv(path, schema: DatasetSchema | None = None) -> TimeSeries:
     if schema is None:
         schema = infer_schema(path)
     stamps, values = _read_energy_rows(path, schema)
-    order = np.argsort(stamps, kind="stable")
-    stamps, values = stamps[order], values[order]
-
-    dup = np.flatnonzero(np.diff(stamps) == 0)
-    if dup.size:
-        raise DuplicateTimestamp(
-            f"timestamp {_format_timestamp(stamps[dup[0] + 1])} appears twice")
+    gaps = np.diff(stamps)
+    if not (gaps > 0).all():  # rows already strictly ascending need no sort
+        order = np.argsort(stamps, kind="stable")
+        stamps, values = stamps[order], values[order]
+        gaps = np.diff(stamps)
+        dup = np.flatnonzero(gaps == 0)
+        if dup.size:
+            raise DuplicateTimestamp(
+                f"timestamp {_format_timestamp(stamps[dup[0] + 1])} appears twice")
     if stamps.size == 1:
         raise NonUniformInterval("cannot infer a sampling interval from one row")
 
-    gaps = np.diff(stamps)
     modal = _modal_gap(gaps)
     multiples = gaps / modal
     on_grid = np.abs(multiples - np.round(multiples)) < 1e-6

@@ -35,11 +35,21 @@ are shared:
   plain loop order rather than by BLAS, so its weights equal the numpy
   loop's to within rounding, not bitwise; its RMSE is summed in its own
   order and also matches to within rounding.
-- **numpy**: a fixed handful of in-place numpy calls per row, used when no
-  compiler is found or the build or load fails, then the RMSE through BLAS
-  and ``expit``. It is bitwise-identical to per-sample SGD written with one
-  array per weight block: each weight sees the same floating-point
-  operations in the same order.
+- **numpy**: a fixed few dozen numpy calls per row, most of them the
+  sigmoid's ``exp``, used when no compiler is found or the build or load
+  fails, then the RMSE through BLAS. It is bitwise-identical to per-sample
+  SGD written with one array per weight block: each weight sees the same
+  floating-point operations in the same order.
+
+Both backends take the sigmoid ``1 / (1 + exp(-z))`` with an ``exp`` of their
+own rather than the C library's, whose bits depend on the host (glibc picks
+its x86-64 ``exp`` by CPU feature at load time): Tang's table-driven method,
+a fixed sequence of IEEE additions, multiplications and integer operations
+on the bits, written once in C across the hidden-unit lanes (``vexp``) and
+once on numpy arrays (``_exp``), so the two sigmoids are equal bit for bit.
+It is within 1 ULP of the C library's ``exp`` (tested on 10^6 draws); an
+input past -746 or 710 is clamped there, where exp is 0 or inf, so the
+sigmoid is exactly 1 or 0 as before, and a NaN stays NaN.
 """
 
 from __future__ import annotations
@@ -64,12 +74,82 @@ def default_hidden(n_features: int) -> int:
     return math.ceil((n_features + 1) / 2)
 
 
+_LOG_N = 7
+_N = 1 << _LOG_N  # entries of the exp table
+_SHIFT = float.fromhex("0x1.8p52")
+_N_LN2 = float.fromhex("0x1.71547652b82fep7")  # N / ln 2
+_LN2_HI = float.fromhex("0x1.62e42ffp-8")  # ln 2 / N = _LN2_HI + _LN2_LO
+_LN2_LO = float.fromhex("-0x1.718432a1b0e26p-42")
+_ONE = 0x3FF << 52  # the bits of 1.0
+
+
+@functools.cache
+def _exp_table() -> np.ndarray:
+    """2^(j/N) for j < N split as hi + tail, in two rows: the N values hi,
+    each the nearest double, then the N tails, each the nearest double to
+    the rest. Each comes from a power of 2^(1/N) held to 200 bits, within
+    2^-190 of its true value."""
+    bits = 200
+    root = 1 << (1 + _N * bits)
+    for _ in range(_LOG_N):  # the N-th root by square roots
+        root = math.isqrt(root)
+    table, power = np.empty((2, _N)), 1 << bits
+    for j in range(_N):
+        hi = power / (1 << bits)
+        table[:, j] = hi, (power - (int(hi * 2.0 ** 52) << (bits - 52))) / (1 << bits)
+        power = power * root >> bits
+    table.flags.writeable = False  # one array, shared by every caller
+    return table
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) elementwise as a new array, by ``vexp``'s operations in
+    ``_mlp_epoch.c`` in the same order, so both give the same bits (see its
+    comment). Past 709.78 the result overflows to inf, and numpy warns, as
+    with ``np.exp``."""
+    x = np.minimum(np.maximum(x, -746.0), 710.0)
+    kd = x * _N_LN2
+    kd += _SHIFT
+    ki = kd.view(np.uint64)
+    j = ki & (_N - 1)
+    m = ((ki >> _LOG_N) << 52).view(np.int64)
+    kd -= _SHIFT  # after j and m: ki views kd
+    r = x - kd * _LN2_HI
+    r -= kd * _LN2_LO
+    hi, tail = _exp_table()[:, j]
+    p = r * (1 / 120)
+    p += 1 / 24
+    p *= r
+    p += 1 / 6
+    p *= r
+    p += 0.5
+    p *= r * r
+    p += r
+    y = hi * p
+    y += tail
+    y += hi
+    half = (m >> 1) & -(1 << 52)
+    m -= half
+    m += _ONE
+    half += _ONE
+    y *= m.view(np.float64)
+    y *= half.view(np.float64)
+    return y
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) elementwise by ``_exp``: the bits of the kernel's
+    ``mlp_sigmoid``."""
+    e = _exp(-z)
+    e += 1.0
+    return np.divide(1.0, e, out=out)
+
+
+@np.errstate(over="ignore")  # exp(-z) is inf below z = -709.78
 def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum, train=True) -> float:
     """One epoch of per-sample SGD with momentum, updating theta and vel in
     place, then the RMSE of the weights it leaves. With ``train`` False the
     epoch is skipped and only the RMSE is computed."""
-    from scipy.special import expit
-
     n_feat = X_aug.shape[1] - 1
     size = h * (n_feat + 1)
     W = theta[:size].reshape(h, n_feat + 1)
@@ -83,7 +163,7 @@ def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum, train=True) -> float:
     for x_row, x_aug, target in rows:
         dot(w_in, x_row, out=z)
         z += b_in
-        expit(z, out=act)
+        _sigmoid(z, out=act)
         err = float(dot(w_out, act)) + theta.item(-1) - target
         multiply(w_out, err, out=delta)
         delta *= act
@@ -101,7 +181,7 @@ def _numpy_epoch(X_aug, y, theta, vel, h, lr, momentum, train=True) -> float:
     # contiguous operands, as ``_predict`` sees them after fit
     X = np.ascontiguousarray(X_aug[:, :n_feat])
     w_in, b_in, w_out = (np.ascontiguousarray(a) for a in (w_in, b_in, w_out))
-    err = expit(X @ w_in.T + b_in) @ w_out + theta.item(-1) - y
+    err = _sigmoid(X @ w_in.T + b_in) @ w_out + theta.item(-1) - y
     return float(np.sqrt(np.mean(err ** 2)))
 
 
@@ -110,7 +190,8 @@ def _load_kernel():
     """``_mlp_epoch.c``, built and loaded once (see ``_native.build``), as
     ``epoch``, with ``_numpy_epoch``'s signature, and ``sigmoid(z)``, which
     computes ``1 / (1 + exp(-z))`` in place in the float64 array ``z`` with
-    the bits of scipy's ``expit``; None when the kernel cannot be built."""
+    the bits of ``_sigmoid``; None when the kernel cannot be built. Both
+    read ``_exp_table``."""
     lib = _native.build(_KERNEL_SOURCE)
     if lib is None:
         return None
@@ -121,9 +202,10 @@ def _load_kernel():
     lib.mlp_epoch.restype = ctypes.c_double
     lib.mlp_epoch.argtypes = [array, array, ctypes.c_long, ctypes.c_long, ctypes.c_long,
                               ctypes.c_int, ctypes.c_double, ctypes.c_double, array, array,
-                              array]
+                              array, array]
     lib.mlp_sigmoid.restype = None
-    lib.mlp_sigmoid.argtypes = [array, ctypes.c_long, array]
+    lib.mlp_sigmoid.argtypes = [array, ctypes.c_long, array, array]
+    table = _exp_table()
 
     def c_epoch(X_aug, y, theta, vel, h, lr, momentum, train=True) -> float:
         n, cols = X_aug.shape
@@ -131,10 +213,11 @@ def _load_kernel():
             raise ValueError("MLP epoch buffers do not match the packed layout")
         # the kernel sizes its own scratch: the padded weight blocks and row buffers
         work = np.empty(lib.mlp_work_size(cols - 1, h))
-        return lib.mlp_epoch(X_aug, y, n, cols - 1, h, train, lr, momentum, theta, vel, work)
+        return lib.mlp_epoch(X_aug, y, n, cols - 1, h, train, lr, momentum, theta, vel, work,
+                              table)
 
     def c_sigmoid(z):
-        lib.mlp_sigmoid(z, z.size, z)
+        lib.mlp_sigmoid(z, z.size, z, table)
         return z
 
     return SimpleNamespace(epoch=c_epoch, sigmoid=c_sigmoid)
@@ -164,11 +247,9 @@ class MlpModel(ForecastModel):
 
     # --- forward ------------------------------------------------------------
 
+    @np.errstate(over="ignore")  # exp(-z) is inf below z = -709.78
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        sigmoid = getattr(_load_kernel(), "sigmoid", None)
-        if sigmoid is None:
-            from scipy.special import expit as sigmoid
-
+        sigmoid = getattr(_load_kernel(), "sigmoid", _sigmoid)
         z = np.ascontiguousarray(X @ self.w_in_.T + self.b_in_, dtype=np.float64)
         return sigmoid(z) @ self.w_out_ + self.b_out_
 

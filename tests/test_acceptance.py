@@ -297,7 +297,7 @@ def test_weather_sweep_is_pinned():
     # The JSON report keeps full precision, so its hash holds for one BLAS
     # thread only: the sweep runs in a fresh interpreter limited to one.
     t0 = time.perf_counter()
-    assert _one_blas_thread_stdout(_WEATHER_SWEEP) == ["79f849c54485ac42", "23fcc2835d66af8f"]
+    assert _one_blas_thread_stdout(_WEATHER_SWEEP) == ["79f849c54485ac42", "31f7c7bdca306e91"]
     _passed("weather sweep", time.perf_counter() - t0,
             "7 models x 2 splits x 3 intervals on merged weather, text and JSON pinned")
 

@@ -28,8 +28,8 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_modules(body: str) -> set:
-    env = dict(os.environ)
+def loaded_modules(body: str, **environ) -> set:
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = "1"
     done = subprocess.run([sys.executable, "-c", _PROBE.format(body=body)],
@@ -38,8 +38,8 @@ def loaded_modules(body: str) -> set:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def loaded_scipy(body: str) -> set:
-    return {m for m in loaded_modules(body) if m.split(".")[0] == "scipy"}
+def loaded_scipy(body: str, **environ) -> set:
+    return {m for m in loaded_modules(body, **environ) if m.split(".")[0] == "scipy"}
 
 
 def run_cli(argv) -> str:
@@ -88,12 +88,17 @@ def test_ols_forecast_loads_linalg_only(hourly_csv, tmp_path):
 
 
 def test_mlp_forecast_loads_no_scipy(hourly_csv, tmp_path):
-    # the compiled kernel trains and predicts; without a compiler, scipy's
-    # expit computes the activations
-    if mlp_module._load_kernel() is None:
-        pytest.skip(f"no C compiler could build {mlp_module._KERNEL_SOURCE.name}")
+    # both backends train and predict with the package's own exp: the numpy
+    # loop where PATH holds no C compiler, then the compiled kernel
     argv = ["forecast", "--model", "mlp", "--p", "4", "--horizon", "6", "--mlp-epochs", "5",
             "--input", str(hourly_csv), "--out", str(tmp_path / "fc.csv")]
+    no_compiler = tmp_path / "bin"
+    no_compiler.mkdir()
+    numpy_loop = ("import wattcast.regressors.mlp as mlp\n"
+                  "assert mlp._load_kernel() is None\n" + run_cli(argv))
+    assert loaded_scipy(numpy_loop, PATH=str(no_compiler)) == set()
+    if mlp_module._load_kernel() is None:
+        pytest.skip(f"no C compiler could build {mlp_module._KERNEL_SOURCE.name}")
     assert loaded_scipy(run_cli(argv)) == set()
 
 

@@ -12,13 +12,13 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit
 from scipy.spatial.distance import cdist
 
 import wattcast
@@ -997,6 +997,7 @@ class TestMlp:
         assert np.array_equal(a.w_out_, b.w_out_)
 
 
+@np.errstate(over="ignore")  # as MlpModel: exp(-z) is inf below z = -709.78
 def _reference_fit(self, frame):
     """Per-sample SGD with one array per weight block: the oracle for MlpModel.fit."""
     X, y = frame.X, frame.y
@@ -1030,7 +1031,7 @@ def _reference_fit(self, frame):
                     self.w_out_.copy(), self.b_out_)
         for x_row, target in zip(X, y):
             z_hidden = self.w_in_ @ x_row + self.b_in_
-            hidden_act = expit(z_hidden)
+            hidden_act = 1.0 / (1.0 + mlp_module._exp(-z_hidden))
             err = self.w_out_ @ hidden_act + self.b_out_ - target
             delta = err * self.w_out_ * hidden_act * (1.0 - hidden_act)
 
@@ -1174,20 +1175,37 @@ class TestMlpKernelMatchesNumpy:
 
 
 class TestMlpSigmoid:
-    """The kernel's elementwise sigmoid, which predictions use in place of
-    scipy's ``expit``."""
+    """The kernel's elementwise sigmoid, which predictions use, against the
+    numpy loop's ``_sigmoid``."""
 
-    def test_bitwise_equal_to_expit(self):
+    _rng = np.random.default_rng(11)
+    Z = np.concatenate([_rng.normal(0, 1, 50_000), _rng.normal(0, 40, 50_000),
+                        _rng.uniform(-800, 800, 50_000),
+                        [np.inf, -np.inf, 745.0, -745.0, 0.0, -0.0, 5e-324, -5e-324]])
+
+    def test_bitwise_equal_to_numpy_sigmoid(self):
         sigmoid = _kernel_or_skip().sigmoid
-        rng = np.random.default_rng(11)
-        z = np.concatenate([rng.normal(0, 1, 50_000), rng.normal(0, 40, 50_000),
-                            rng.uniform(-800, 800, 50_000),
-                            [np.inf, -np.inf, 745.0, -745.0, 0.0, -0.0, 5e-324, -5e-324]])
-        expected = expit(z)
-        got = sigmoid(z.copy())
-        assert got.tobytes() == expected.tobytes()
+        with np.errstate(over="ignore"):
+            expected = mlp_module._sigmoid(self.Z)
+        assert sigmoid(self.Z.copy()).tobytes() == expected.tobytes()
+        # exp(-z) overflows or underflows: exactly 0 or 1, as 1 / (1 + exp(-z)) rounds
+        assert expected[-8:-4].tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert np.isnan(sigmoid(np.array([np.nan]))).all()
 
-    def test_predictions_equal_the_expit_path(self, monkeypatch):
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    def test_every_length_and_unaligned_start(self, offset):
+        # the kernel loads lanes of 8 from any double, then a partial tail
+        sigmoid = _kernel_or_skip().sigmoid
+        buffer = self.Z[:64].copy()
+        for n in range(18):
+            for start in (0, offset):
+                work = buffer.copy()
+                got = sigmoid(work[start:start + n])
+                assert got.tobytes() == mlp_module._sigmoid(buffer[start:start + n]).tobytes()
+                outside = np.r_[0:start, start + n:buffer.size]
+                assert work[outside].tobytes() == buffer[outside].tobytes()
+
+    def test_predictions_equal_the_numpy_path(self, monkeypatch):
         _kernel_or_skip()
         frame = _household_frame()
         model = MlpModel(epochs=3, seed=4).fit(frame)
@@ -1204,10 +1222,79 @@ def _c_exp(v):
         return math.inf
 
 
+class TestExp:
+    """``_exp``, the MLP's own exp, which the C kernel's sigmoid matches bit
+    for bit, against the C library's."""
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.0, -745.0, 710.0, -746.0,
+             709.782712893384, 709.7827128933841,  # the last finite result, then inf
+             -708.3964185322641, -708.3964185322642,  # the last normal result, then subnormal
+             -745.1332191019411, -745.1332191019412,  # the last result above 0, then 0
+             1e300, -1e300]
+
+    def test_within_one_ulp_of_libm(self):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([rng.normal(0, 4, 300_000),  # as the sweep's pre-activations
+                            rng.uniform(-40, 40, 300_000),
+                            rng.uniform(-745, 710, 400_000), self.EDGES])
+        with np.errstate(over="ignore"):
+            got = mlp_module._exp(x)
+        expected = np.array([_c_exp(v) for v in x.tolist()])
+        # exp >= 0, so a float's bits as an integer count its ULPs from zero
+        ulps = np.abs(got.view(np.int64) - expected.view(np.int64))
+        assert ulps.max() <= 1
+        assert np.mean(ulps == 1) < 0.01
+        # where exp is 1, inf, 0 or the least subnormal, the bits are exact
+        edges = zip(self.EDGES, got[-len(self.EDGES):].tolist(), expected[-len(self.EDGES):])
+        inexact = [(v, a) for v, a, b in edges if b in (1.0, math.inf, 0.0, 5e-324) and a != b]
+        assert inexact == []
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(mlp_module._exp(np.array([np.nan, -np.nan]))).all()
+
+    def test_table_entries_are_two_to_the_j_over_n(self):
+        # (hi + tail)^N = 2^j, to 2^-100 relative, in exact rational arithmetic
+        table = mlp_module._exp_table()
+        n = mlp_module._N
+        assert table.shape == (2, n) and table.flags.c_contiguous
+        for j, (hi, tail) in enumerate(zip(*table.tolist())):
+            assert abs((Fraction(hi) + Fraction(tail)) ** n / 2 ** j - 1) <= Fraction(1, 2 ** 100)
+            assert abs(tail) <= math.ulp(hi) / 2  # hi is the nearest double
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="-march=x86-64 is an x86-64 flag")
+def test_mlp_bits_hold_on_the_baseline_instruction_set(monkeypatch, tmp_path):
+    """The kernel built for the x86-64 baseline (SSE2, no AVX) trains,
+    scores and predicts with the bits of the one built for this host."""
+    _kernel_or_skip()
+    make, params = TestMlpMatchesReferenceLoop.CASES["rollbacks"]
+    frame = make()
+
+    def run():
+        model = MlpModel(**params).fit(frame)
+        sigmoid = mlp_module._load_kernel().sigmoid(TestMlpSigmoid.Z.copy())
+        return [a.tobytes() for a in (model.w_in_, model.b_in_, model.w_out_,
+                                      np.float64(model.b_out_), model.loss_curve_,
+                                      model.predict_batch(frame.X), sigmoid)]
+
+    native = run()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native_module, "_FLAGS", tuple(
+        "-march=x86-64" if f == "-march=native" else f for f in native_module._FLAGS))
+    mlp_module._load_kernel.cache_clear()
+    try:
+        baseline = run()
+    finally:
+        mlp_module._load_kernel.cache_clear()  # the next caller loads the native build
+    built, = (tmp_path / "wattcast").iterdir()
+    assert built.name.startswith(mlp_module._KERNEL_SOURCE.stem + "-")
+    assert baseline == native
+
+
 def _oracle_epoch(X_aug, y, theta, vel, h, lr, momentum):
     """One epoch of the C kernel's arithmetic, in place: each hidden sum adds
     ``W[:, j] * x[j]`` for j ascending, then the bias; the output adds one
-    unit at a time; the sigmoid takes the C library's ``exp``."""
+    unit at a time; the sigmoid takes the package's ``_exp``."""
     cols = X_aug.shape[1]
     size = h * cols
     W, V = theta[:size].reshape(h, cols), vel[:size].reshape(h, cols)
@@ -1217,7 +1304,7 @@ def _oracle_epoch(X_aug, y, theta, vel, h, lr, momentum):
         for j in range(cols - 1):
             z += W[:, j] * x[j]
         z += W[:, -1]
-        act = np.array([1.0 / (1.0 + _c_exp(-v)) for v in z.tolist()])
+        act = 1.0 / (1.0 + mlp_module._exp(-z))
         out = 0.0
         for w, a in zip(w_out.tolist(), act.tolist()):
             out += w * a
@@ -1276,8 +1363,10 @@ class TestMlpKernelMatchesOracle:
         vel = np.zeros_like(theta)
         size = h * X_aug.shape[1]
 
+        @np.errstate(over="ignore")
         def rmse():
-            out = expit(X_aug @ theta[:size].reshape(h, -1).T) @ theta[size:-1] + theta[-1]
+            out = (mlp_module._sigmoid(X_aug @ theta[:size].reshape(h, -1).T) @ theta[size:-1]
+                   + theta[-1])
             return np.sqrt(np.mean((out - y) ** 2))
 
         before = theta.copy()
