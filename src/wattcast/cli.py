@@ -8,14 +8,14 @@ such as the JSON report. Flags may come from a ``key = value``
 config file (``--config``, or the ``WATTCAST_CONFIG`` environment
 variable); explicit flags win over the file, the file wins over defaults.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (an input file
-that is not UTF-8 or has a record ``csv`` refuses included, and values whose
-sums or squares overflow float64: a ``resample`` window, the scores of a
-benchmark cell, which fail that cell), 4 model error (running out of memory,
-or a forecast that is not finite, included), 5 when every benchmark cell
-failed. Errors are typed where they are raised: ``main`` maps the error
-families, ``OSError`` and ``MemoryError`` to their codes and has no
-catch-all.
+Exit codes: 0 success, 2 configuration error (a config file that is not
+UTF-8 included), 3 data error (an input file that is not UTF-8 or has a
+record ``csv`` refuses included, and values whose sums or squares overflow
+float64: a ``resample`` window, the scores of a benchmark cell, which fail
+that cell), 4 model error (running out of memory, or a forecast that is
+not finite, included), 5 when every benchmark cell failed. Errors are typed
+where they are raised: ``main`` maps the error families, ``OSError`` and
+``MemoryError`` to their codes and has no catch-all.
 """
 
 from __future__ import annotations
@@ -236,6 +236,9 @@ def _parse_config_file(path: str) -> dict:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8: byte "
+                          f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

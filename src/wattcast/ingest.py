@@ -5,9 +5,11 @@ a timestamp column (ISO-8601 or epoch seconds) plus a consumption column,
 sometimes with extra columns, sometimes without a header. ``infer_schema``
 detects the common cases and refuses to guess when the file is ambiguous;
 ``DatasetSchema`` describes any layout explicitly. ``infer_schema`` and the
-CSV readers split a file's UTF-8 text into records in one place, which drops
-blank records before it takes the header; an undecodable byte, a record
-``csv`` refuses and a reader's first bad row are ParseErrors at their line.
+CSV readers split a file's UTF-8 text into records in one place, one
+``csv.reader`` pass that drops blank records before it takes the header;
+``infer_schema`` stops it after 50 non-blank records. An undecodable byte,
+a record ``csv`` refuses and a reader's first bad row are ParseErrors at
+their line.
 
 The energy reader first offers a file's bytes to one compiled pass
 (``_csv_columns.c``): an unquoted, uniform ASCII file of epoch stamps and
@@ -36,7 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import islice, repeat, zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -235,45 +237,6 @@ def _modal_gap(gaps: np.ndarray) -> float:
     return float(distinct[tied[np.argmin(first[tied])]])
 
 
-def _uniform_columns(text: str, delimiter: str, skip: int):
-    """The first record of ``text`` and the columns of the records after the
-    first ``skip``, when ``csv.reader`` would read the text as plain
-    splitting does; else None.
-
-    That holds when the text has no quote, NUL or lone carriage return, and
-    every line is non-empty, has the first line's number of cells, is no
-    longer than ``csv.field_size_limit()`` and has a cell that is not blank
-    (a blank record is dropped, and only the ``csv.reader`` path drops it).
-    The columns are sliced by stride from one split of the text, with no
-    list per row.
-    """
-    if '"' in text or "\0" in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    # no empty line, bar the one the last line's terminator leaves
-    if not text or text[0] == "\n" or "\n\n" in text:
-        return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    width, n_records = lines[0].count(delimiter) + 1, len(lines)
-    if (set(map(str.count, lines, repeat(delimiter))) != {width - 1}
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
-    del lines
-    cells = text.replace("\n", delimiter).split(delimiter)
-    del cells[n_records * width:]  # the last line's terminator
-    columns = [cells[j::width] for j in range(skip * width, (skip + 1) * width)]
-    # the first record, then each row with a blank first cell: none may be blank
-    if not "".join(cells[:width]).strip() or (not all(map(str.strip, columns[0])) and any(
-            not "".join(row).strip() for row in zip(*columns) if not row[0].strip())):
-        return None
-    return cells[:width], columns
-
-
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -302,46 +265,44 @@ def _read_text(path, size: int = -1) -> str:
         return _read_text(path)
 
 
-def _split_table(text: str, delimiter: str, skip: int, empty):
-    """Split ``text`` into CSV records, dropping blank ones (every cell
-    blank). Returns the first record; the columns of the records after the
-    first ``skip``, a short record's absent cells None; and the line each of
-    those records starts on. There is a column for each cell of the first
-    record, and more where a later record is longer.
+def _split_table(text: str, delimiter: str, skip: int, empty, limit: int | None = None):
+    """Split ``text`` into CSV records with ``csv.reader``, dropping blank
+    ones (every cell blank), and stop after the first ``limit`` non-blank
+    records when ``limit`` is given. Returns the first record; the columns
+    of the records after the first ``skip``, a short record's absent cells
+    None; and the line each of those records starts on. There is a column
+    for each cell of the first record, and more where a later record is
+    longer.
 
-    Text ``_uniform_columns`` splits has record k on line k + 1. Other text
-    goes through ``csv.reader``, whose records span several lines where a
-    quoted cell holds a line break; a record it refuses is a ParseError at
-    its first line. When no record follows the first ``skip``, raises
-    ``empty(line)``: the first record's line, or 1 when there is none.
+    A record spans several lines where a quoted cell holds a line break; a
+    record ``csv.reader`` refuses is a ParseError at its first line. When no
+    record follows the first ``skip``, raises ``empty(line)``: the first
+    record's line, or 1 when there is none.
     """
-    split = _uniform_columns(text, delimiter, skip)
-    if split is not None:
-        first, columns = split
-        starts = range(1, 1 + skip + len(columns[0]))
-    else:
-        records = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-        rows, starts, end = [], [], 0
-        try:
-            for row in records:
-                if "".join(row).strip():
-                    rows.append(row)
-                    starts.append(end + 1)
-                end = records.line_num
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=end + 1) from None
-        first = rows[0] if rows else None
-        columns = [column[skip:] for column in zip_longest(*rows)]
+    records = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    rows, starts, end = [], [], 0
+    try:
+        for row in records:
+            if "".join(row).strip():
+                rows.append(row)
+                starts.append(end + 1)
+                if len(rows) == limit:
+                    break
+            end = records.line_num
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=end + 1) from None
     if len(starts) <= skip:
         raise empty(starts[0] if starts else 1)
-    return first, columns, starts[skip:]
+    columns = [column[skip:] for column in zip_longest(*rows)]
+    return rows[0], columns, starts[skip:]
 
 
 def _column_index(name, header, n_columns: int, what: str) -> int:
     if header is not None and name in header:
         return header.index(name)
     text = str(name)
-    if text.lstrip("-").isdigit() and 0 <= int(text) < n_columns:
+    # decimal digits, which ``int`` reads (``isdigit`` also takes "²", which it refuses)
+    if re.fullmatch(r"-?\d+", text) and 0 <= int(text) < n_columns:
         return int(text)
     where = f"header {header}" if header is not None else f"{n_columns} columns"
     raise ParseError(f"{what} column {name!r} not found in {where}", line=1)
@@ -583,9 +544,10 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
     The first 64 Ki characters, to their last whole line, are split into
     records as ``read_energy_csv`` splits them, on ``delimiter`` if given,
     else on the one of ``,`` ``;`` tab ``|`` sniffed from their first 50
-    non-blank lines (the sniffer reads all it is given), and the first 50
-    non-blank records are inspected: none, or a header alone, is CannotInfer
-    ("no data rows"). The timestamp column is the first whose cells all
+    non-blank lines (the sniffer reads all it is given). The split stops
+    once it has 50 non-blank records, and those are inspected: none, or a
+    header alone, is CannotInfer ("no data rows"); a record past them is
+    never split. The timestamp column is the first whose cells all
     parse as datetimes (ISO-8601, or integers in a plausible epoch range);
     the value column is the only other fully numeric column. Any other
     outcome raises CannotInfer, listing what was considered.
@@ -609,7 +571,8 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
                 raise CannotInfer("could not detect a delimiter; "
                                   "expected one of ',' ';' tab '|'") from None
 
-    first, columns, _ = _split_table(sample, delimiter, 0, lambda _: CannotInfer("no data rows"))
+    first, columns, _ = _split_table(sample, delimiter, 0, lambda _: CannotInfer("no data rows"),
+                                     limit=50)
     parse_ts = _timestamp_parser("auto", 0.0)
 
     def parses(parse, cells):  # an infinity counts: ``float`` reads it
@@ -621,8 +584,7 @@ def infer_schema(path, delimiter: str | None = None) -> DatasetSchema:
 
     has_header = not all(parses(parse_ts, [c]) or parses(float, [c])
                          for c in first if c.strip())
-    # the first 50 records, the header included
-    body = [column[has_header:50] for column in columns[:len(first)]]
+    body = [column[has_header:] for column in columns[:len(first)]]
     if not body[0]:
         raise CannotInfer("header only, no data rows")
 

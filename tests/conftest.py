@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 
@@ -23,3 +25,30 @@ def writer(request, monkeypatch):
     else:
         monkeypatch.setattr(ingest, "_load_kernel", lambda: None)
     return request.param
+
+
+@pytest.fixture(params=["kernel", "python"])
+def reader(request, monkeypatch):
+    """The energy CSV reader's two ways through a file: the compiled pass,
+    which hands every file it declines to ``csv.reader``, or ``csv.reader``
+    alone (``_load_kernel`` gives None). Gives the way's name, and the list
+    ``served`` of what each run of the compiled pass returned: True where it
+    parsed the file, False where it declined it."""
+    import wattcast.ingest as ingest
+
+    served = []
+    if request.param == "kernel":
+        kernel = ingest._load_kernel()
+        if kernel is None:
+            pytest.skip(f"no C compiler could build {ingest._KERNEL_SOURCE.name}")
+
+        def spy(*args):
+            result = kernel.columns(*args)
+            served.append(result is not None)
+            return result
+
+        monkeypatch.setattr(ingest, "_load_kernel",
+                            lambda: SimpleNamespace(columns=spy, write=kernel.write))
+    else:
+        monkeypatch.setattr(ingest, "_load_kernel", lambda: None)
+    return SimpleNamespace(way=request.param, served=served)

@@ -64,6 +64,14 @@ def quarter_csv(tmp_path):
     return path
 
 
+def _count_csv_splits(monkeypatch):
+    """The delimiter of each ``csv.reader`` the process makes from now on."""
+    splits = []
+    monkeypatch.setattr(csv, "reader", lambda *args, split=csv.reader, **kwargs:
+                        splits.append(kwargs.get("delimiter")) or split(*args, **kwargs))
+    return splits
+
+
 class TestParseInterval:
     def test_units(self):
         assert parse_interval("15m") == 900.0
@@ -301,21 +309,43 @@ class TestForecast:
         assert main(["forecast", "--input", str(path), "--timestamp-column", "t",
                      "--value-column", "v"]) == 3
 
-    # a quoted cell sends the file past the columnar reader to csv.reader
-    @pytest.mark.parametrize("value", ["1", '"1"'], ids=["columnar", "csv_reader"])
-    def test_duplicate_stamp_past_year_9999_is_a_parse_error(self, tmp_path, capsys, value):
+    # the compiled pass declines both files; csv.reader splits them
+    @pytest.mark.parametrize("value", ["1", '"1"'], ids=["unquoted", "quoted"])
+    def test_duplicate_stamp_past_year_9999_is_a_parse_error(self, tmp_path, capsys,
+                                                             monkeypatch, value):
         # 10^14 s after the epoch is in the year 3170843, which no CSV can hold
         path = tmp_path / "far.csv"
         path.write_text(f"t,v\n{10 ** 14},{value}\n{10 ** 14 + 3600},2\n{10 ** 14 + 3600},3\n")
+        splits = _count_csv_splits(monkeypatch)
         assert main(["forecast", "--input", str(path), "--timestamp-column", "t",
                      "--value-column", "v", "--timestamp-format", "epoch"]) == 3
         assert capsys.readouterr().err == (
             "wattcast: data error: ParseError: line 2: bad timestamp '100000000000000' "
             "(outside years 1 to 9999)\n")
+        assert splits == [","]
 
 
 class TestSchemaFlags:
     COLUMNS = ["--timestamp-column", "timestamp", "--value-column", "value"]
+
+    @staticmethod
+    def _epoch_csv(tmp_path):
+        path = tmp_path / "epoch.csv"
+        path.write_text("timestamp,value\n" + "".join(
+            f"{1_600_000_000 + 3600 * k},{k}.5\n" for k in range(24)))
+        return path
+
+    # "²" passes ``str.isdigit``, which ``int`` does not read
+    @pytest.mark.parametrize("name", ["\u00b2", "ts"])
+    def test_column_not_in_the_header_exit_3(self, tmp_path, capsys, reader, name):
+        out = tmp_path / "out.csv"
+        assert main(["resample", "--input", str(self._epoch_csv(tmp_path)),
+                     "--timestamp-column", name, "--value-column", "value",
+                     "--interval", "2h", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"wattcast: data error: ParseError: line 1: timestamp column {name!r} not found "
+            "in header ['timestamp', 'value']\n")
+        assert not out.exists() and reader.served == []
 
     @pytest.mark.parametrize("columns", [[], COLUMNS], ids=["inferred", "explicit"])
     def test_empty_delimiter_exit_2(self, hourly_csv, columns):
@@ -607,6 +637,21 @@ class TestConfigFile:
         assert main(["benchmark", "--input", str(hourly_csv),
                      "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("given", ["flag", "env"])
+    def test_undecodable_file_is_config_error(self, hourly_csv, tmp_path, monkeypatch,
+                                              capsys, given):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"p = 3\nmodel = ols \xff\n")
+        flag = ["--config", str(cfg)] if given == "flag" else []
+        if given == "env":
+            monkeypatch.setenv("WATTCAST_CONFIG", str(cfg))
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--input", str(hourly_csv), *flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"wattcast: configuration error: cannot read config file {cfg}: not UTF-8: "
+            "byte 0xff (invalid start byte)\n")
+        assert not out.exists()
+
     def test_env_var_provides_default_path(self, hourly_csv, tmp_path,
                                            monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -716,10 +761,12 @@ class TestResample:
         assert (f"data error: ParseError: line 3: bad numeric value {cell!r}"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("value", ["1", '"1"'], ids=["columnar", "csv_reader"])
-    def test_stamp_past_year_9999_is_a_parse_error(self, tmp_path, capsys, value):
+    # the compiled pass declines both files; csv.reader splits them
+    @pytest.mark.parametrize("value", ["1", '"1"'], ids=["unquoted", "quoted"])
+    def test_stamp_past_year_9999_is_a_parse_error(self, tmp_path, capsys, monkeypatch, value):
         path = tmp_path / "far.csv"
         path.write_text(f"t,v\n{10 ** 14 - 3600},{value}\n{10 ** 14},2\n{10 ** 14 + 3600},3\n")
+        splits = _count_csv_splits(monkeypatch)
         assert main(["resample", "--input", str(path), "--timestamp-column", "t",
                      "--value-column", "v", "--timestamp-format", "epoch",
                      "--interval", "2h", "--out", str(tmp_path / "out.csv")]) == 3
@@ -727,6 +774,7 @@ class TestResample:
             "wattcast: data error: ParseError: line 2: bad timestamp '99999999996400' "
             "(outside years 1 to 9999)\n")
         assert not (tmp_path / "out.csv").exists()
+        assert splits == [","]
 
     def test_nan_epoch_timestamp_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "meter.csv"

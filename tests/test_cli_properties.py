@@ -8,12 +8,17 @@ MAE. ``main`` runs in process; its output goes to files under a temporary
 directory, its diagnostics to a buffer. On meter-shaped exports
 (``;``-separated, a text column first, epoch stamps, missing rows) every
 drawn call gives the same exit code, diagnostics and output bytes with the
-compiled CSV pass and without it.
+compiled CSV pass and without it. Drawn ``--timestamp-column`` and
+``--value-column`` names (header names, indices, digits ``int`` does or does
+not read, unknown names) and config files (``key = value`` lines and
+undecodable bytes, given by ``--config`` or ``WATTCAST_CONFIG``) also end
+``main`` with a documented exit code.
 """
 
 import contextlib
 import csv
 import io
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -111,6 +116,30 @@ def invocations(draw):
     return [command, "--period", str(draw(st.integers(1, 24)))], "--out"
 
 
+# column names: the header's, indices in and past the columns, digits that
+# ``int`` reads ("١", an Arabic-Indic 1) or does not ("²", "--1"), unknown names
+COLUMN_NAMES = ["timestamp", "value", "0", "1", "2", "-1", "--1", "\u0661", "\u00b2", "ts", ""]
+# config lines: valid entries, a comment, a blank line, an unknown key, a
+# malformed line, and undecodable bytes
+CONFIG_LINES = [b"seed = 3\n", b"utc_offset = 1.5\n", b"no_header = no\n", b"# note\n", b"\n",
+                b"timestamp_column = \xc2\xb2\n", b"bogus = 1\n", b"just words\n", b"\xff\n",
+                b"seed = 3 \xe9\n", b"delimiter = ;\xc3"]
+
+
+@st.composite
+def schema_and_config(draw):
+    """(column flags, config file bytes or None, whether the environment
+    names the file): the flags name both columns, or neither."""
+    columns = []
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=2, max_size=2))
+        columns = [f"--timestamp-column={names[0]}", f"--value-column={names[1]}"]
+    config = None
+    if draw(st.booleans()):
+        config = b"".join(draw(st.lists(st.sampled_from(CONFIG_LINES), max_size=3)))
+    return columns, config, draw(st.booleans())
+
+
 def _main(argv):
     """Exit code and diagnostics of one call of ``main``, failing the test
     when an exception escapes it or it raises a ``RuntimeWarning``."""
@@ -169,3 +198,25 @@ def test_meter_export_same_with_and_without_the_compiled_pass(text, invocation):
         with mock.patch.object(ingest, "_load_kernel", lambda: None):
             assert _run(argv, source, out) == compiled
     assert compiled[0] in EXIT_CODES, (argv, compiled)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(text=energy_files(), drawn=schema_and_config(),
+       command=st.sampled_from([["resample", "--interval", "2h"],
+                                ["decompose", "--period", "24"]]))
+def test_column_names_and_config_bytes_end_in_a_documented_exit(text, drawn, command):
+    columns, config, from_env = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        source, cfg = Path(tmp) / "energy.csv", Path(tmp) / "run.cfg"
+        source.write_text(text, encoding="utf-8")
+        argv = [*command, *columns, "--input", str(source), "--out", str(Path(tmp) / "out")]
+        env = {}
+        if config is not None:
+            cfg.write_bytes(config)
+            if from_env:
+                env["WATTCAST_CONFIG"] = str(cfg)
+            else:
+                argv += ["--config", str(cfg)]
+        with mock.patch.dict(os.environ, env):
+            code, diagnostics = _main(argv)
+    assert code in EXIT_CODES, (argv, config, code, diagnostics)

@@ -274,34 +274,8 @@ def write(tmp_path, name, text):
     return path
 
 
-# the energy reader's three ways through a file: the compiled column pass,
-# the columnar split, and csv.reader
-BACKENDS = ["kernel", "columnar", "csv_reader"]
-
-
-def use_backend(monkeypatch, backend):
-    """Read energy CSVs through ``backend`` alone, and return the list of what
-    each run of the compiled pass gave: True where it parsed the file, False
-    where it declined it. The pass declines a file, and the columnar split
-    refuses one, that the next way then reads."""
-    served = []
-    if backend == "kernel":
-        kernel = ingest._load_kernel()
-        if kernel is None:
-            pytest.skip(f"no C compiler could build {ingest._KERNEL_SOURCE.name}")
-
-        def spy(*args):
-            result = kernel.columns(*args)
-            served.append(result is not None)
-            return result
-
-        monkeypatch.setattr(ingest, "_load_kernel",
-                            lambda: SimpleNamespace(columns=spy, write=kernel.write))
-    else:
-        monkeypatch.setattr(ingest, "_load_kernel", lambda: None)
-        if backend == "csv_reader":
-            monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
-    return served
+# the ``reader`` fixture's ways, for tests that name the case before the way
+READERS = ["kernel", "python"]
 
 
 class TestParseTimestamp:
@@ -420,6 +394,25 @@ class TestReadEnergyCsv:
         with pytest.raises(ParseError, match="power"):
             read_energy_csv(path, DatasetSchema("t", "power"))
 
+    # a column index is a run of decimal digits, as ``int`` reads them: "²"
+    # and "--1" are names
+    @pytest.mark.parametrize("name, index", [("1", "1"), ("\u0661", "1"), ("-0", "0"),
+                                             ("2", None), ("-1", None), ("--1", None),
+                                             ("\u00b2", None), ("1 ", None), ("+1", None)])
+    @pytest.mark.parametrize("has_header", [True, False], ids=["header", "headerless"])
+    def test_column_index_is_decimal_digits(self, tmp_path, reader, name, index,
+                                              has_header):
+        path = write(tmp_path, "a.csv", "t,v\n" * has_header + "1609459200,1.5\n1609462800,2\n")
+        ts = "t" if has_header else "0"
+        got = _outcome(read_energy_csv, path, DatasetSchema(ts, name, has_header=has_header))
+        if index is None:
+            where = "header ['t', 'v']" if has_header else "2 columns"
+            assert got == (ParseError, f"line 1: value column {name!r} not found in {where}")
+        else:
+            assert got[0] == 1609459200.0
+            assert got == _outcome(read_energy_csv, path,
+                                   DatasetSchema(ts, index, has_header=has_header))
+
     def test_header_only_file(self, tmp_path):
         path = write(tmp_path, "a.csv", "t,v\n")
         with pytest.raises(ParseError):
@@ -468,7 +461,7 @@ class TestGridGuard:
 # the first second of year 1 and the last of year 9999 UTC, as epoch seconds
 @pytest.mark.parametrize("first, bad_line", [(-62_135_596_800, None), (-62_135_596_801, 2),
                                              (253_402_300_797, None), (253_402_300_798, 4)])
-@pytest.mark.parametrize("value", ["1", '"1"'], ids=["columnar", "csv_reader"])
+@pytest.mark.parametrize("value", ["1", '"1"'], ids=["unquoted", "quoted"])
 def test_stamps_the_writer_cannot_format_are_parse_errors(tmp_path, first, bad_line, value):
     text = "t,v\n" + "".join(f"{first + s},{value}\n" for s in range(3))
     path, schema = write(tmp_path, "edge.csv", text), DatasetSchema("t", "v", "epoch")
@@ -612,6 +605,27 @@ class TestInferSchema:
             with pytest.raises(CannotInfer, match="no numeric value column"):
                 infer_schema(path)
 
+    # csv's own limit, or one low enough that the whole field lies in the sample
+    @pytest.mark.parametrize("limit", [None, 1000], ids=["csv_limit", "lowered_limit"])
+    def test_oversized_field_past_the_first_50_records_fails_the_read_only(self, tmp_path,
+                                                                           capsys, limit):
+        old = csv.field_size_limit()
+        try:
+            csv.field_size_limit(limit or old)
+            # line 60, the 60th record, holds a quoted field longer than the limit
+            rows = [f"{1_600_000_000 + 3600 * k},{k}.5,x\n" for k in range(1, 62)]
+            rows[58] = rows[58].replace("x", '"' + "y" * csv.field_size_limit() + 'y"')
+            path = write(tmp_path, "a.csv", "timestamp,value,note\n" + "".join(rows))
+            schema = infer_schema(path)
+            assert schema == DatasetSchema("timestamp", "value")
+            message = f"line 60: field larger than field limit ({csv.field_size_limit()})"
+            assert _outcome(read_energy_csv, path, schema) == (ParseError, message)
+            assert main(["resample", "--input", str(path), "--interval", "2h",
+                         "--out", str(tmp_path / "out.csv")]) == 3
+            assert capsys.readouterr().err == f"wattcast: data error: ParseError: {message}\n"
+        finally:
+            csv.field_size_limit(old)
+
     def test_undecodable_byte_past_the_sample_fails_the_read_only(self, tmp_path):
         rows = b"".join(b"%d,%d.5\n" % (1_600_000_000 + 3600 * k, k) for k in range(6000))
         path = tmp_path / "a.csv"
@@ -676,7 +690,7 @@ WEATHER_CASES = {
                                                     f"{ISO.format(1)},1,2\n", None),
     "all_empty_column_named_energy": ("w.csv", "timestamp,temperature,Energy\n"
                                                f"{ISO.format(1)},1,\n", None),
-    # uniform files the column split serves, and their csv.reader look-alikes
+    # uniform files, and their look-alikes with a blank or short row
     "bad_value_on_last_line": ("w.csv", "timestamp,temperature,humidity\n"
                                         f"{ISO.format(1)},1,2\n{ISO.format(2)},3,wet\n", None),
     "row_of_bare_delimiters": ("w.csv", "timestamp,temperature,humidity\n"
@@ -848,14 +862,6 @@ class TestReadWeather:
         if case in WEATHER_ERRORS:
             assert expected[0] is ParseError and expected[1].startswith(WEATHER_ERRORS[case])
 
-    @pytest.mark.parametrize("case", sorted(WEATHER_CASES))
-    def test_same_table_or_error_through_csv_reader(self, case, tmp_path, monkeypatch):
-        name, text, schema = WEATHER_CASES[case]
-        path = write(tmp_path, name, text)
-        expected = _outcome(_reference_read_weather, path, schema)
-        monkeypatch.setattr(ingest, "_uniform_columns", lambda *args: None)
-        assert _outcome(read_weather, path, schema) == expected
-
 
 class TestCanonicalWriter:
     def test_round_trip_identity(self, tmp_path):
@@ -896,7 +902,7 @@ class TestSchemaChecks:
             DatasetSchema("t", "v", utc_offset_hours=offset)
 
     # csv.reader takes one character, and can split on neither a quote nor a
-    # line break; the columnar reader splits on the same character
+    # line break; the compiled pass splits on the same character
     @pytest.mark.parametrize("delimiter", ["", ";;", ", ", '"', "\r", "\n"])
     def test_delimiter_not_one_splittable_character_is_config_error(self, delimiter):
         with pytest.raises(ConfigError, match="schema delimiter must be one character"):
@@ -1012,24 +1018,23 @@ QUOTED_NEWLINE_FILES = {
 }
 
 
-@pytest.mark.parametrize("reader", [read_energy_csv, read_weather],
+@pytest.mark.parametrize("read", [read_energy_csv, read_weather],
                          ids=["read_energy_csv", "read_weather"])
 @pytest.mark.parametrize("case", sorted(QUOTED_NEWLINE_FILES))
-def test_error_line_counts_quoted_newlines(tmp_path, case, reader):
+def test_error_line_counts_quoted_newlines(tmp_path, case, read):
     text, ts_column, value_column, message = QUOTED_NEWLINE_FILES[case]
     path = write(tmp_path, "a.csv", text)
     with pytest.raises(ParseError) as caught:
-        reader(path, DatasetSchema(ts_column, value_column))
+        read(path, DatasetSchema(ts_column, value_column))
     assert str(caught.value).startswith(message)
 
 
 class TestReaderMatchesReferenceLoop:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("reader", READERS, indirect=True)
     @pytest.mark.parametrize("case", sorted(READER_CASES))
-    def test_same_series_or_error(self, case, backend, tmp_path, monkeypatch):
+    def test_same_series_or_error(self, case, reader, tmp_path):
         text, schema = READER_CASES[case]
         path = write(tmp_path, "a.csv", text)
-        use_backend(monkeypatch, backend)
         got = _outcome(read_energy_csv, path, schema)
         assert got == _outcome(_reference_read_energy_csv, path, schema)
         if case == "digits_12_out_of_range":
@@ -1048,7 +1053,7 @@ class TestReaderMatchesReferenceLoop:
     @pytest.mark.parametrize("fmt", ["auto", "epoch"])
     def test_epoch_column_skips_the_cell_loop(self, tmp_path, monkeypatch, fmt):
         path = write(tmp_path, "a.csv", "t,v\n1609459200,1\n1609462800,2\n")
-        use_backend(monkeypatch, "columnar")
+        monkeypatch.setattr(ingest, "_load_kernel", lambda: None)
         expected = _outcome(read_energy_csv, path, DatasetSchema("t", "v", fmt))
 
         def no_cell_parser(*args):
@@ -1057,17 +1062,20 @@ class TestReaderMatchesReferenceLoop:
         monkeypatch.setattr("wattcast.ingest._timestamp_parser", no_cell_parser)
         assert _outcome(read_energy_csv, path, DatasetSchema("t", "v", fmt)) == expected
 
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "csv_reader"])
-    def test_value_column_skips_the_cell_loop(self, tmp_path, monkeypatch, columnar):
+    def test_value_column_skips_the_cell_loop(self, tmp_path, monkeypatch, reader):
         path = write(tmp_path, "a.csv", "t,v\n1609459200,1.5\n1609462800, -2e3 \n")
-        expected = _outcome(read_energy_csv, path, ISO_SCHEMA)
+        expected = _outcome(_reference_read_energy_csv, path, ISO_SCHEMA)
 
         def no_cell_parser(text):
             raise AssertionError("the cell parser ran")
 
+        readers = []
         monkeypatch.setattr(ingest, "_parse_value", no_cell_parser)
-        use_backend(monkeypatch, "columnar" if columnar else "csv_reader")
+        monkeypatch.setattr(csv, "reader", lambda *args, split=csv.reader, **kwargs:
+                            readers.append(args) or split(*args, **kwargs))
         assert _outcome(read_energy_csv, path, ISO_SCHEMA) == expected
+        # the compiled pass declines the padded cell: csv.reader splits the file
+        assert not any(reader.served) and len(readers) == 1
 
     def test_weather_value_columns_skip_the_cell_loop(self, tmp_path, monkeypatch):
         path = write(tmp_path, "w.csv", "timestamp,temperature,humidity\n"
@@ -1080,14 +1088,13 @@ class TestReaderMatchesReferenceLoop:
         monkeypatch.setattr(ingest, "_parse_value", no_cell_parser)
         assert _outcome(read_weather, path) == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("reader", READERS, indirect=True)
     @pytest.mark.parametrize("case", sorted(READER_ERRORS))
-    def test_same_parse_error_line_and_text(self, case, backend, tmp_path, monkeypatch):
+    def test_same_parse_error_line_and_text(self, case, reader, tmp_path):
         text, message = READER_ERRORS[case]
         path = write(tmp_path, "a.csv", text)
         expected = _outcome(_reference_read_energy_csv, path, ISO_SCHEMA)
         assert expected == (ParseError, message)
-        use_backend(monkeypatch, backend)
         assert _outcome(read_energy_csv, path, ISO_SCHEMA) == expected
 
     @pytest.mark.parametrize("fmt", ["auto", "iso", "epoch", "%Y%m%d%H", "%d/%m/%Y %H:%M"])
@@ -1102,111 +1109,105 @@ class TestReaderMatchesReferenceLoop:
 
 EPOCH_SCHEMA = DatasetSchema("t", "v", "epoch")
 ONE_COLUMN = DatasetSchema("0", "0", has_header=False)
-# (file bytes, schema, whether the columnar reader serves it: csv.reader is
-# not called). Every other file is read by csv.reader, bar those marked None,
-# which are refused before they are split. A columnar file with a cell that
-# fails to parse stays columnar: its record k is on line k + 1.
+# (file bytes, schema): the compiled pass parses those in KERNEL_CASES, and
+# csv.reader splits every other file, bar the UNDECODABLE ones, which are
+# refused before they are split
 PATH_CASES = {
-    "lf": (b"t,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, True),
-    "crlf": (b"t,v\r\n1609459200,1\r\n1609462800,2\r\n", ISO_SCHEMA, True),
-    "lone_cr": (b"t,v\r1609459200,1\r1609462800,2\r", ISO_SCHEMA, False),
-    "crlf_and_a_lone_cr": (b"t,v\r\n1609459200,1\r1609462800,2\r\n", ISO_SCHEMA, False),
-    "cr_inside_a_cell": (b"t,v\n1609459200,1\r2\n1609462800,2\n", ISO_SCHEMA, False),
+    "lf": (b"t,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA),
+    "crlf": (b"t,v\r\n1609459200,1\r\n1609462800,2\r\n", ISO_SCHEMA),
+    "lone_cr": (b"t,v\r1609459200,1\r1609462800,2\r", ISO_SCHEMA),
+    "crlf_and_a_lone_cr": (b"t,v\r\n1609459200,1\r1609462800,2\r\n", ISO_SCHEMA),
+    "cr_inside_a_cell": (b"t,v\n1609459200,1\r2\n1609462800,2\n", ISO_SCHEMA),
     "cr_inside_an_unparsed_cell": (b"t,v,note\n1609459200,1,a\rb\n1609462800,2,c\n",
-                                   ISO_SCHEMA, False),
-    "no_final_newline": (b"t,v\n1609459200,1\n1609462800,2", ISO_SCHEMA, True),
-    "crlf_no_final_newline": (b"t,v\r\n1609459200,1\r\n1609462800,2", ISO_SCHEMA, True),
-    "blank_line_in_body": (b"t,v\n1609459200,1\n\n1609462800,2\n", ISO_SCHEMA, False),
-    "blank_lines_at_end": (b"t,v\n1609459200,1\n1609462800,2\n\n\n", ISO_SCHEMA, False),
+                                   ISO_SCHEMA),
+    "no_final_newline": (b"t,v\n1609459200,1\n1609462800,2", ISO_SCHEMA),
+    "crlf_no_final_newline": (b"t,v\r\n1609459200,1\r\n1609462800,2", ISO_SCHEMA),
+    "blank_line_in_body": (b"t,v\n1609459200,1\n\n1609462800,2\n", ISO_SCHEMA),
+    "blank_lines_at_end": (b"t,v\n1609459200,1\n1609462800,2\n\n\n", ISO_SCHEMA),
     "crlf_blank_line_at_end": (b"t,v\r\n1609459200,1\r\n1609462800,2\r\n\r\n",
-                               ISO_SCHEMA, False),
-    "row_of_delimiters": (b"t,v\n1609459200,1\n,\n1609462800,2\n", ISO_SCHEMA, False),
+                               ISO_SCHEMA),
+    "row_of_delimiters": (b"t,v\n1609459200,1\n,\n1609462800,2\n", ISO_SCHEMA),
     "row_of_padded_delimiters": (b"t,v\n1609459200,1\n \t, \n1609462800,2\n",
-                                 ISO_SCHEMA, False),
-    "bom": (b"\xef\xbb\xbft,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, True),
+                                 ISO_SCHEMA),
+    "bom": (b"\xef\xbb\xbft,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA),
     "bom_headerless_crlf": (b"\xef\xbb\xbf1609459200;1\r\n1609462800;2\r\n",
-                            DatasetSchema("0", "1", delimiter=";", has_header=False), True),
-    "rows_wider_than_header": (b"t,v\n1609459200,1,x\n1609462800,2\n", ISO_SCHEMA, False),
+                            DatasetSchema("0", "1", delimiter=";", has_header=False)),
+    "rows_wider_than_header": (b"t,v\n1609459200,1,x\n1609462800,2\n", ISO_SCHEMA),
     "all_rows_wider_than_header": (b"t,v\n1609459200,1,x\n1609462800,2,y\n",
-                                   ISO_SCHEMA, False),
-    "header_wider_than_rows": (b"t,v,note\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, False),
-    "row_narrower_than_header": (b"t,v\n1609459200,1\n1609462800\n", ISO_SCHEMA, False),
-    "quoted_cell": (b't,v\n1609459200,"1"\n1609462800,2\n', ISO_SCHEMA, False),
-    "quoted_header": (b'"t",v\n1609459200,1\n1609462800,2\n', ISO_SCHEMA, False),
-    "quote_inside_a_cell": (b't,v\n1609459200,1"\n1609462800,2\n', ISO_SCHEMA, False),
+                                   ISO_SCHEMA),
+    "header_wider_than_rows": (b"t,v,note\n1609459200,1\n1609462800,2\n", ISO_SCHEMA),
+    "row_narrower_than_header": (b"t,v\n1609459200,1\n1609462800\n", ISO_SCHEMA),
+    "quoted_cell": (b't,v\n1609459200,"1"\n1609462800,2\n', ISO_SCHEMA),
+    "quoted_header": (b'"t",v\n1609459200,1\n1609462800,2\n', ISO_SCHEMA),
+    "quote_inside_a_cell": (b't,v\n1609459200,1"\n1609462800,2\n', ISO_SCHEMA),
     "headerless": (b"HH-1;1609459200;5\nHH-1;1609460100;6\nHH-1;1609461900;8\n",
-                   DatasetSchema("1", "2", delimiter=";", has_header=False), True),
-    "headerless_one_column": (b"1609459200\n1609462800\n", ONE_COLUMN, True),
-    "headerless_one_column_blank_line": (b"1609459200\n\n1609462800\n", ONE_COLUMN, False),
+                   DatasetSchema("1", "2", delimiter=";", has_header=False)),
+    "headerless_one_column": (b"1609459200\n1609462800\n", ONE_COLUMN),
+    "headerless_one_column_blank_line": (b"1609459200\n\n1609462800\n", ONE_COLUMN),
     "headerless_one_column_first_line_blank": (b"\n1609459200\n1609462800\n",
-                                               ONE_COLUMN, False),
-    "first_line_blank": (b"\nt,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, False),
-    "first_line_of_delimiters": (b" ,\nt,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA,
-                                 False),
-    "blank_lines_then_header_only": (b"\n\r\nt,v\n", ISO_SCHEMA, False),
-    "only_blank_lines": (b"\n,\n \n", ISO_SCHEMA, False),
-    "headerless_only_blank_lines": (b"\n \n", ONE_COLUMN, False),
-    "one_column_blank_header_line": (b"\n1609459200\n1609462800\n", DatasetSchema("0", "0"),
-                                     False),
-    "padded_cells": (b"t,v\n 1609459200 ,\t1.5 \n1609462800\t, -2 \n", ISO_SCHEMA, True),
+                                               ONE_COLUMN),
+    "first_line_blank": (b"\nt,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA),
+    "first_line_of_delimiters": (b" ,\nt,v\n1609459200,1\n1609462800,2\n", ISO_SCHEMA),
+    "blank_lines_then_header_only": (b"\n\r\nt,v\n", ISO_SCHEMA),
+    "only_blank_lines": (b"\n,\n \n", ISO_SCHEMA),
+    "headerless_only_blank_lines": (b"\n \n", ONE_COLUMN),
+    "one_column_blank_header_line": (b"\n1609459200\n1609462800\n", DatasetSchema("0", "0")),
+    "padded_cells": (b"t,v\n 1609459200 ,\t1.5 \n1609462800\t, -2 \n", ISO_SCHEMA),
     "padded_iso_cells": (b"t,v\n 2021-01-01T00:00:00Z , 1\n2021-01-01T01:00:00Z,2\n",
-                         ISO_SCHEMA, True),
+                         ISO_SCHEMA),
     "tab_delimited": (b"t\tv\n1609459200\t1\n1609462800\t2\n",
-                      DatasetSchema("t", "v", delimiter="\t"), True),
+                      DatasetSchema("t", "v", delimiter="\t")),
     "missing_tokens": (b"t|v\n" + b"".join(
         b"%d|%s\n" % (1609459200 + 3600 * i, token.encode())
         for i, token in enumerate(MISSING_TOKENS + ["3"])),
-        DatasetSchema("t", "v", delimiter="|"), True),
-    "missing_timestamp": (b"t,v\n1609459200,1\n,2\n1609466400,3\n", ISO_SCHEMA, True),
-    "bad_value_on_last_line": (b"t,v\n1609459200,1\n1609462800,oops\n", ISO_SCHEMA, True),
+        DatasetSchema("t", "v", delimiter="|")),
+    "missing_timestamp": (b"t,v\n1609459200,1\n,2\n1609466400,3\n", ISO_SCHEMA),
+    "bad_value_on_last_line": (b"t,v\n1609459200,1\n1609462800,oops\n", ISO_SCHEMA),
     "bad_value_on_last_line_no_newline": (b"t,v\n1609459200,1\n1609462800,oops",
-                                          ISO_SCHEMA, True),
-    "bad_timestamp_on_last_line": (b"t,v\n1609459200,1\nnoon,2\n", ISO_SCHEMA, True),
-    "bad_epoch_on_last_line_crlf": (b"t,v\r\n7200,1\r\n10800,2\r\nnoon,3", EPOCH_SCHEMA,
-                                    True),
-    "infinite_value": (b"t,v\n1609459200,1\n1609462800,-inf\n", ISO_SCHEMA, True),
-    "nan_epoch_stamp": (b"t,v\n7200,1\nnan,2\n", EPOCH_SCHEMA, True),
-    "nul_in_a_cell": (b"t,v\n1609459200,1\x00\n1609462800,2\n", ISO_SCHEMA, False),
+                                          ISO_SCHEMA),
+    "bad_timestamp_on_last_line": (b"t,v\n1609459200,1\nnoon,2\n", ISO_SCHEMA),
+    "bad_epoch_on_last_line_crlf": (b"t,v\r\n7200,1\r\n10800,2\r\nnoon,3", EPOCH_SCHEMA),
+    "infinite_value": (b"t,v\n1609459200,1\n1609462800,-inf\n", ISO_SCHEMA),
+    "nan_epoch_stamp": (b"t,v\n7200,1\nnan,2\n", EPOCH_SCHEMA),
+    "nul_in_a_cell": (b"t,v\n1609459200,1\x00\n1609462800,2\n", ISO_SCHEMA),
     # csv.reader before Python 3.11 refuses a NUL anywhere on a line
     "nul_in_an_unparsed_cell": (b"t,v,note\n1609459200,1,a\x00\n1609462800,2,b\n",
-                                ISO_SCHEMA, False),
-    "not_utf8": (b"t,v\n1609459200,1\n1609462800,\xff\n", ISO_SCHEMA, None),
+                                ISO_SCHEMA),
+    "not_utf8": (b"t,v\n1609459200,1\n1609462800,\xff\n", ISO_SCHEMA),
     # a text-mode read names the byte's position in the block it was decoding
     "not_utf8_past_the_first_block": (b"t,v\n" + b"".join(
         b"%d,1\n" % (1609459200 + 3600 * i) for i in range(1000)) + b"1609459200,\xff\n",
-        ISO_SCHEMA, None),
-    "not_utf8_in_the_header": (b"t,v\xb0C\n1609459200,1\n", ISO_SCHEMA, None),
-    "not_utf8_after_a_bom": (b"\xef\xbb\xbft,v\n\xe9,1\n", ISO_SCHEMA, None),
-    "not_utf8_after_lone_crs": (b"t,v\r1609459200,1\r\r\n1609462800,\xc3(\r", ISO_SCHEMA,
-                                None),
-    "cut_character_at_the_end": (b"t,v\n1609459200,1\n1609462800,2\xc3", ISO_SCHEMA, None),
+        ISO_SCHEMA),
+    "not_utf8_in_the_header": (b"t,v\xb0C\n1609459200,1\n", ISO_SCHEMA),
+    "not_utf8_after_a_bom": (b"\xef\xbb\xbft,v\n\xe9,1\n", ISO_SCHEMA),
+    "not_utf8_after_lone_crs": (b"t,v\r1609459200,1\r\r\n1609462800,\xc3(\r", ISO_SCHEMA),
+    "cut_character_at_the_end": (b"t,v\n1609459200,1\n1609462800,2\xc3", ISO_SCHEMA),
     "field_longer_than_the_csv_limit": (
         b"t,v\n1609459200,1\n1609462800," + b" " * csv.field_size_limit() + b"2\n",
-        ISO_SCHEMA, False),
+        ISO_SCHEMA),
     "quoted_field_longer_than_the_csv_limit": (
         b't,v\n1609459200,1\n1609462800,"\n' + b" " * csv.field_size_limit() + b'2"\n',
-        ISO_SCHEMA, False),
-    "missing_value_column": (b"t,w\n1609459200,1\n1609462800,2\n", ISO_SCHEMA, True),
-    "duplicate_stamp": (b"t,v\n1609459200,1\n1609459200,2\n", ISO_SCHEMA, True),
-    "header_only": (b"t,v\n", ISO_SCHEMA, True),
-    "empty_file": (b"", ISO_SCHEMA, False),
+        ISO_SCHEMA),
+    "missing_value_column": (b"t,w\n1609459200,1\n1609462800,2\n", ISO_SCHEMA),
+    "duplicate_stamp": (b"t,v\n1609459200,1\n1609459200,2\n", ISO_SCHEMA),
+    "header_only": (b"t,v\n", ISO_SCHEMA),
+    "empty_file": (b"", ISO_SCHEMA),
     "signed_values_with_exponents": (
         b"t,v\n1609459200,+1.5e3\n1609462800,-0\n1609466400,.5E-2\n1609470000,007.\n"
         b"1609473600,3e23\n1609477200,-7e-23\n1609480800,9007199254740993\n",
-        ISO_SCHEMA, True),
+        ISO_SCHEMA),
     "subnormal_and_underflowing_values": (b"t,v\n1609459200,4.9e-324\n1609462800,-1e-400\n",
-                                          ISO_SCHEMA, True),
-    "underscore_in_a_value": (b"t,v\n1609459200,1_0\n1609462800,2\n", ISO_SCHEMA, True),
-    "hexadecimal_value": (b"t,v\n1609459200,0x10\n1609462800,2\n", ISO_SCHEMA, True),
-    "overflowing_value": (b"t,v\n1609459200,1\n1609462800,1e400\n", ISO_SCHEMA, True),
+                                          ISO_SCHEMA),
+    "underscore_in_a_value": (b"t,v\n1609459200,1_0\n1609462800,2\n", ISO_SCHEMA),
+    "hexadecimal_value": (b"t,v\n1609459200,0x10\n1609462800,2\n", ISO_SCHEMA),
+    "overflowing_value": (b"t,v\n1609459200,1\n1609462800,1e400\n", ISO_SCHEMA),
     "not_ascii_in_an_unparsed_cell": ("t;v;site\n1609459200;1;Zürich\n1609462800;2;Zürich\n"
-                                      .encode(), DatasetSchema("t", "v", delimiter=";"), True),
+                                      .encode(), DatasetSchema("t", "v", delimiter=";")),
     "epoch_stamps_with_exponents": (b"t,v\n1.6094592e9,1\n1609462800.0,2\n-0,3\n",
-                                    EPOCH_SCHEMA, True),
+                                    EPOCH_SCHEMA),
     "blank_first_line_numbered_columns": (b" , \n1609459200,1\n1609462800,2\n1609466400,3\n",
-                                          DatasetSchema("0", "1"), False),
-    "epoch_stamp_with_a_leading_zero": (b"t,v\n01609459200,1\n1609462800,2\n", ISO_SCHEMA,
-                                        True),
+                                          DatasetSchema("0", "1")),
+    "epoch_stamp_with_a_leading_zero": (b"t,v\n01609459200,1\n1609462800,2\n", ISO_SCHEMA),
 }
 # the PATH_CASES files the compiled column pass parses; it declines the others
 KERNEL_CASES = {"bom", "bom_headerless_crlf", "crlf", "crlf_no_final_newline",
@@ -1214,6 +1215,9 @@ KERNEL_CASES = {"bom", "bom_headerless_crlf", "crlf", "crlf_no_final_newline",
                 "headerless_one_column", "lf", "no_final_newline",
                 "signed_values_with_exponents", "subnormal_and_underflowing_values",
                 "tab_delimited"}
+UNDECODABLE = {"cut_character_at_the_end", "not_utf8", "not_utf8_after_a_bom",
+               "not_utf8_after_lone_crs", "not_utf8_in_the_header",
+               "not_utf8_past_the_first_block"}
 # the ParseError text both readers give on odd bytes, refused records and blank lines
 PATH_ERRORS = {
     "not_utf8": "line 3: not UTF-8: byte 0xff (invalid start byte)",
@@ -1238,41 +1242,40 @@ ONE_READ_FILES = {
 }
 
 
-@pytest.mark.parametrize("reader", [read_energy_csv, read_weather],
+@pytest.mark.parametrize("read", [read_energy_csv, read_weather],
                          ids=["read_energy_csv", "read_weather"])
 @pytest.mark.parametrize("case", sorted(ONE_READ_FILES))
-def test_input_file_is_opened_once(tmp_path, monkeypatch, case, reader):
+def test_input_file_is_opened_once(tmp_path, monkeypatch, case, read):
     path = write(tmp_path, "a.csv", ONE_READ_FILES[case])
     opened = []
     monkeypatch.setattr(ingest, "open", lambda *args, **kwargs: opened.append(args[0])
                         or open(*args, **kwargs), raising=False)
-    _outcome(reader, path, DatasetSchema("timestamp", "temperature"))
+    _outcome(read, path, DatasetSchema("timestamp", "temperature"))
     assert opened == [path]
 
 
 class TestColumnarPath:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("reader", READERS, indirect=True)
     @pytest.mark.parametrize("case", sorted(PATH_CASES))
-    def test_same_series_or_error_on_every_backend(self, case, backend, tmp_path,
+    def test_same_series_or_error_on_every_backend(self, case, reader, tmp_path,
                                                    monkeypatch):
-        data, schema, serves = PATH_CASES[case]
+        data, schema = PATH_CASES[case]
         path = tmp_path / "a.csv"
         path.write_bytes(data)
         expected = _outcome(_reference_read_energy_csv, path, schema)
         readers = []
-        monkeypatch.setattr(csv, "reader", lambda *args, reader=csv.reader, **kwargs:
-                            readers.append(args) or reader(*args, **kwargs))
-        served = use_backend(monkeypatch, backend)
+        monkeypatch.setattr(csv, "reader", lambda *args, split=csv.reader, **kwargs:
+                            readers.append(args) or split(*args, **kwargs))
         assert _outcome(read_energy_csv, path, schema) == expected
-        by_kernel = backend == "kernel" and case in KERNEL_CASES
-        assert any(served) == by_kernel and len(served) <= 1
-        assert bool(readers) == (serves is not None and not by_kernel
-                                 and (backend == "csv_reader" or not serves))
+        # the compiled pass parsed the file, or csv.reader split it once
+        by_kernel = reader.way == "kernel" and case in KERNEL_CASES
+        assert any(reader.served) == by_kernel and len(reader.served) <= 1
+        assert len(readers) == (case not in UNDECODABLE and not by_kernel)
         if case in PATH_ERRORS:
             assert expected[0] is ParseError and expected[1].startswith(PATH_ERRORS[case])
 
-    @pytest.mark.parametrize("backend", ["kernel", "columnar"])
-    def test_meter_shaped_export_never_reaches_csv_reader(self, backend, tmp_path,
+    @pytest.mark.parametrize("reader", ["kernel"], indirect=True)
+    def test_meter_shaped_export_never_reaches_csv_reader(self, reader, tmp_path,
                                                           monkeypatch):
         rows = [f"HH-0001;{1_609_459_200 + 900 * i};{1000 + 7 * i}"
                 for i in range(12) if i not in (4, 5)]
@@ -1287,14 +1290,13 @@ class TestColumnarPath:
         def no_csv_reader(*args, **kwargs):
             raise AssertionError("csv.reader ran")
 
-        served, splits = use_backend(monkeypatch, backend), []
+        splits = []
         monkeypatch.setattr(ingest, "_split_table", lambda *args, split=ingest._split_table:
                             splits.append(args[1:]) or split(*args))
         monkeypatch.setattr(csv, "reader", no_csv_reader)
         assert _outcome(read_energy_csv, path, schema) == expected
         # the compiled pass parses the export without splitting its text
-        assert served == [True] * (backend == "kernel")
-        assert bool(splits) == (backend != "kernel")
+        assert reader.served == [True] and not splits
         with pytest.raises(AssertionError, match="csv.reader ran"):
             read_energy_csv(quoted, schema)
 
@@ -1310,30 +1312,74 @@ class TestColumnarPath:
         load = ingest._load_kernel.__wrapped__  # uncached: this process may hold a kernel
         assert load() is None
         monkeypatch.setattr(ingest, "_load_kernel", load)
-        for case, (data, schema, _) in sorted(PATH_CASES.items()):
+        for case, (data, schema) in sorted(PATH_CASES.items()):
             path = tmp_path / f"{case}.csv"
             path.write_bytes(data)
             assert _outcome(read_energy_csv, path, schema) == \
                 _outcome(_reference_read_energy_csv, path, schema), case
 
-    # (file, schema): files whose stamps the compiled pass declines, though
+    # (file, the error): files whose stamps the compiled pass declines, though
     # they are clean; the general path raises its error at their line
     DECLINED = {
-        "stamp_after_year_9999": ("t,v\n7200,1\n1e14,2\n", EPOCH_SCHEMA),
-        "stamp_before_year_1": ("t,v\n7200,1\n-7e10,2\n", EPOCH_SCHEMA),
-        "overflowing_stamp": ("t,v\n7200,1\n1e400,2\n", EPOCH_SCHEMA),
+        "stamp_after_year_9999": ("t,v\n7200,1\n1e14,2\n",
+                                  "line 3: bad timestamp '1e14' (outside years 1 to 9999)"),
+        "stamp_before_year_1": ("t,v\n7200,1\n-7e10,2\n",
+                                "line 3: bad timestamp '-7e10' (outside years 1 to 9999)"),
+        "overflowing_stamp": ("t,v\n7200,1\n1e400,2\n",
+                              "line 3: bad timestamp '1e400' (not finite)"),
     }
 
+    @pytest.mark.parametrize("reader", READERS, indirect=True)
     @pytest.mark.parametrize("case", sorted(DECLINED))
-    def test_declined_stamp_is_the_general_paths_error(self, case, tmp_path, monkeypatch):
-        text, schema = self.DECLINED[case]
+    def test_declined_stamp_is_the_general_paths_error(self, case, reader, tmp_path):
+        text, message = self.DECLINED[case]
         path = write(tmp_path, "a.csv", text)
-        served = use_backend(monkeypatch, "kernel")
-        got = _outcome(read_energy_csv, path, schema)
-        assert served == [False]
-        use_backend(monkeypatch, "columnar")
-        assert got == _outcome(read_energy_csv, path, schema)
-        assert got[0] is ParseError and got[1].startswith("line 3: bad timestamp")
+        assert _outcome(read_energy_csv, path, EPOCH_SCHEMA) == (ParseError, message)
+        assert reader.served == [False] * (reader.way == "kernel")
+
+
+# (text, delimiter) of every reader and weather CSV above that decodes
+SPLIT_CORPUS = {
+    **{f"reader-{name}": (text, schema.delimiter)
+       for name, (text, schema) in READER_CASES.items()},
+    **{f"error-{name}": (text, ISO_SCHEMA.delimiter)
+       for name, (text, _) in READER_ERRORS.items()},
+    **{f"path-{name}": (ingest._decode(data), schema.delimiter)
+       for name, (data, schema) in PATH_CASES.items() if name not in UNDECODABLE},
+    **{f"weather-{name}": (text, schema.delimiter if schema else ",")
+       for name, (file, text, schema) in WEATHER_CASES.items() if file.endswith(".csv")},
+}
+
+
+def _split_records(text, delimiter, limit=None):
+    """The records ``_split_table`` keeps and the lines they start on, or the
+    text and line of the ParseError it raises."""
+    try:
+        _, columns, starts = ingest._split_table(
+            text, delimiter, 0, lambda line: ParseError("no data rows", line=line), limit=limit)
+    except ParseError as exc:
+        return str(exc), exc.line
+    # a short record's absent cells are the trailing Nones of its row
+    return [[cell for cell in row if cell is not None] for row in zip(*columns)], starts
+
+
+class TestSplitLimit:
+    @pytest.mark.parametrize("case", sorted(SPLIT_CORPUS))
+    def test_limited_split_is_the_full_splits_first_records(self, case):
+        text, delimiter = SPLIT_CORPUS[case]
+        full, lines = _split_records(text, delimiter)
+        stopped = []
+        for limit in (1, 2, 3, 50):
+            got, starts = _split_records(text, delimiter, limit)
+            if isinstance(full, list):
+                assert (got, starts) == (full[:limit], lines[:limit])
+            elif isinstance(got, str):  # the refused record is among the first `limit`
+                assert (got, starts) == (full, lines)
+            else:  # the split stopped before it reached the refused record
+                assert len(got) == limit and starts[-1] < lines
+                stopped.append((got, starts))
+        for (got, starts), (more, more_starts) in zip(stopped, stopped[1:]):
+            assert (got, starts) == (more[:len(got)], more_starts[:len(got)])
 
 
 def _stamps_near_second_boundaries():
